@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -13,47 +12,43 @@ import (
 	"time"
 
 	"pcsmon"
-	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/control"
 	"pcsmon/internal/historian"
 )
 
 // runFleet implements the fleet subcommand: one calibrated model scoring
 // many interleaved plant streams through the sharded fleet pool.
 //
-// Three ingestion modes share the demux-into-pool path:
+// Three ingestion modes share the pool:
 //
 //   - CSV (default): stdin carries interleaved rows "plant,<53 vars>" —
 //     the first column keys the stream, the rest is a single-view
 //     observation (used for both views, like watch without -proc).
-//   - TCP (-listen): a fieldbus.Server accepts length-prefixed frames on
-//     the given address and routes them through the two-view pairing
-//     ingest: a sensor frame carries the controller-view row and an
-//     actuator frame the process-view row of observation (unit, seq), and
-//     the pair is scored as one cross-view observation of plant
+//   - TCP (-listen): length-prefixed fieldbus frames, paired into
+//     two-view observations: a sensor frame carries the controller-view
+//     row and an actuator frame the process-view row of observation
+//     (unit, seq), scored as one cross-view observation of plant
 //     "unit-<Unit>". Frames may arrive out of order within -pair-window
 //     sequence numbers (or -pair-timeout of wall clock); a view that goes
 //     silent is scored hold-last-value and reported as DoS-consistent
 //     frame loss instead of silently downgrading to single-view
 //     monitoring. Sensor-only feeds keep working as single-view streams.
-//     The listener stops after -max-obs observations (distinct (unit,
-//     seq) pairs seen) or -idle without traffic.
-//   - UDP (-listen-udp): a fieldbus.UDPServer receives one frame per
-//     datagram on the given address — the genuinely lossy transport. The
-//     same pairing ingest turns whatever the network loses, reorders or
-//     duplicates into typed accounting; a corrupt datagram is counted and
-//     dropped without touching the healthy stream. Both listeners may run
-//     at once (two taps, one correlator).
+//   - UDP (-listen-udp): one frame per datagram — the genuinely lossy
+//     transport. Whatever the network loses, reorders or duplicates turns
+//     into typed pairing accounting; a corrupt datagram is counted and
+//     dropped. Both listeners may run at once (two taps, one correlator).
 //
-// With -record, every frame any listener receives is appended to a capture
-// file (see internal/fieldbus capture format) for later analysis or
-// `mspctool replay`. Adding any -record-segment-* / -record-keep-* flag
-// upgrades the recording to a durable segment chain: size/time-rotated,
-// index-sealed segments with retention pruning — a flight recorder that
-// runs forever in bounded space and survives SIGKILL with at most the last
-// -record-flush cadence of frames lost. With -dedup N, content-identical
-// frames arriving more than once within a sliding N-frame window (two
-// redundant collectors tapping the same wire) are suppressed before
-// pairing, so the second copy cannot pollute duplicate/loss accounting.
+// The two frame modes run the serve command's control plane
+// (internal/control) with the flags mapped onto its config; the
+// subcommand only decides when the feed is over: after -max-obs
+// observations (distinct (unit, seq) pairs seen, plus a short grace for
+// the final mate frame) or -idle without traffic. With -record, every
+// received frame is appended to a capture segment chain at
+// <path>.NNNNN.pcscap for later analysis or `mspctool replay`; the
+// -record-segment-* / -record-keep-* flags bound it, and -record-flush
+// caps what a SIGKILL can lose. With -dedup N, content-identical frames
+// arriving more than once within a sliding N-frame window (two redundant
+// collectors tapping the same wire) are suppressed before pairing.
 //
 // Plants attach lazily on first sight; at end of input every stream is
 // detached and its classified report summarized, followed by the pool's
@@ -71,12 +66,12 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		adaptForget = fs.Float64("adapt-forget", 0, "EWMA forget factor in (0,1] for adaptive refits (0 = default 0.999)")
 		listen      = fs.String("listen", "", "accept fieldbus frames on this TCP address instead of reading CSV from stdin")
 		listenUDP   = fs.String("listen-udp", "", "accept one fieldbus frame per datagram on this UDP address (lossy transport)")
-		record      = fs.String("record", "", "live mode: append every received frame to this capture file (replay with `mspctool replay`)")
-		recSegBytes = fs.Int64("record-segment-bytes", 0, "rotate -record into segment chains of this many bytes each (durable store mode; 0 with no other -record-* flag = one plain file)")
-		recSegSpan  = fs.Duration("record-segment-span", 0, "rotate -record segments when one covers this much capture time (durable store mode)")
-		recKeep     = fs.Int("record-keep", 0, "keep at most this many -record segments, oldest pruned (durable store mode; 0 = unlimited)")
-		recKeepB    = fs.Int64("record-keep-bytes", 0, "bound the -record chain's total size in bytes, oldest segments pruned (durable store mode; 0 = unlimited)")
-		recKeepAge  = fs.Duration("record-keep-age", 0, "prune -record segments more than this much capture time behind the newest record (durable store mode; 0 = unlimited)")
+		record      = fs.String("record", "", "live mode: append every received frame to a capture segment chain at <path>.NNNNN.pcscap (replay with `mspctool replay -capture <path>`)")
+		recSegBytes = fs.Int64("record-segment-bytes", 0, "rotate -record segments at this many bytes (0 = 64 MiB)")
+		recSegSpan  = fs.Duration("record-segment-span", 0, "rotate -record segments when one covers this much capture time (0 = no time rotation)")
+		recKeep     = fs.Int("record-keep", 0, "keep at most this many -record segments, oldest pruned (0 = unlimited)")
+		recKeepB    = fs.Int64("record-keep-bytes", 0, "bound the -record chain's total size in bytes, oldest segments pruned (0 = unlimited)")
+		recKeepAge  = fs.Duration("record-keep-age", 0, "prune -record segments more than this much capture time behind the newest record (0 = unlimited)")
 		recFlush    = fs.Duration("record-flush", time.Second, "crash-durability flush cadence of the -record writer (< 0 = flush only at the end)")
 		maxObs      = fs.Int64("max-obs", 0, "live mode: stop after this many observations (0 = rely on -idle)")
 		idle        = fs.Duration("idle", 5*time.Second, "live mode: stop after this long without traffic")
@@ -84,23 +79,22 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		pairTimeout = fs.Duration("pair-timeout", 2*time.Second, "live mode: flush observations whose mate frame is this late (0 = never)")
 		dedup       = fs.Int("dedup", 0, "live mode: suppress content-identical frames seen within the last N frames (redundant collectors; 0 = off)")
 		batch       = fs.Int("batch", 0, "observations aggregated per worker delivery (0 = default 16, 1 = per-observation)")
-		metricsAddr = fs.String("metrics", "", "serve the ops endpoints (/metrics /healthz /status /debug/pprof/) on this address while the fleet runs")
+		metricsAddr = fs.String("metrics", "", "serve the ops endpoints (/metrics /healthz /status /debug/pprof/; live mode adds the control API) on this address while the fleet runs")
 		statsEvery  = fs.Duration("stats-every", 0, "print a live progress line with the fleet/pairing counters on this cadence (0 = off)")
-		pprofAddr   = fs.String("pprof", "", "deprecated alias for -metrics (pprof is served from the ops endpoint)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The event printer goroutine and the ingest paths write concurrently.
+	// The event consumer and the ingest paths write concurrently.
 	out = &syncWriter{w: out}
 	if *calPath == "" {
 		fs.Usage()
 		return fmt.Errorf("mspctool fleet: -cal is required: %w", pcsmon.ErrBadConfig)
 	}
 	live := *listen != "" || *listenUDP != ""
-	// Validate every flag combination up front (wrapped ErrBadConfig, the
-	// scenario-package style) so a bad invocation fails before calibration
-	// instead of panicking mid-stream or silently ignoring flags.
+	// Validate the flags up front (wrapped ErrBadConfig) so a bad
+	// invocation fails before calibration. Live mode leaves the rest to
+	// the plane's config validation, which also runs before calibration.
 	switch {
 	case *sampleSec <= 0:
 		return fmt.Errorf("mspctool fleet: -sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
@@ -110,6 +104,10 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("mspctool fleet: -components %d must be >= 0: %w", *components, pcsmon.ErrBadConfig)
 	case *workers < 0:
 		return fmt.Errorf("mspctool fleet: -workers %d must be >= 0: %w", *workers, pcsmon.ErrBadConfig)
+	case *batch < 0:
+		return fmt.Errorf("mspctool fleet: -batch %d must be >= 0: %w", *batch, pcsmon.ErrBadConfig)
+	case *statsEvery < 0:
+		return fmt.Errorf("mspctool fleet: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
 	case *maxObs < 0:
 		return fmt.Errorf("mspctool fleet: -max-obs %d must be >= 0: %w", *maxObs, pcsmon.ErrBadConfig)
 	case *idle <= 0:
@@ -118,16 +116,6 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("mspctool fleet: -pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
 	case *pairTimeout < 0:
 		return fmt.Errorf("mspctool fleet: -pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
-	case *batch < 0:
-		return fmt.Errorf("mspctool fleet: -batch %d must be >= 0: %w", *batch, pcsmon.ErrBadConfig)
-	case *dedup < 0:
-		return fmt.Errorf("mspctool fleet: -dedup %d must be >= 0: %w", *dedup, pcsmon.ErrBadConfig)
-	case *statsEvery < 0:
-		return fmt.Errorf("mspctool fleet: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
-	case *recSegBytes < 0 || *recSegSpan < 0 || *recKeep < 0 || *recKeepB < 0 || *recKeepAge < 0:
-		return fmt.Errorf("mspctool fleet: -record-segment-bytes/-record-segment-span/-record-keep/-record-keep-bytes/-record-keep-age must be >= 0: %w", pcsmon.ErrBadConfig)
-	case *record == "" && (*recSegBytes != 0 || *recSegSpan != 0 || *recKeep != 0 || *recKeepB != 0 || *recKeepAge != 0):
-		return fmt.Errorf("mspctool fleet: -record-segment-*/-record-keep-* require -record: %w", pcsmon.ErrBadConfig)
 	case !live && liveFlagSet(fs):
 		return fmt.Errorf("mspctool fleet: -record*/-dedup/-max-obs/-idle/-pair-window/-pair-timeout only apply with -listen/-listen-udp: %w", pcsmon.ErrBadConfig)
 	}
@@ -135,20 +123,41 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opsAddr, err := resolveOpsAddr("mspctool fleet", *metricsAddr, *pprofAddr, out)
-	if err != nil {
-		return err
+	if live {
+		cfg := &control.Config{
+			Calibration:   *calPath,
+			SampleSeconds: *sampleSec,
+			OnsetHour:     *onsetHour,
+			Components:    *components,
+			Listeners:     control.Listeners{TCP: *listen, UDP: *listenUDP},
+			Ops:           control.Ops{Addr: *metricsAddr},
+			Pairing:       pairingConfig(*pairWindow, *pairTimeout, *dedup),
+			Fleet:         control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
+			Adapt:         control.Adapt{Every: adaptive.Every, Forget: adaptive.Forget},
+			Record: control.Record{
+				Path:               *record,
+				SegmentBytes:       *recSegBytes,
+				SegmentSpanSeconds: recSegSpan.Seconds(),
+				Keep:               *recKeep,
+				KeepBytes:          *recKeepB,
+				KeepAgeSeconds:     recKeepAge.Seconds(),
+				FlushSeconds:       recFlush.Seconds(),
+			},
+		}
+		return runFleetLive(cfg, *every, *maxObs, *idle, *statsEvery, out)
 	}
-	// The ops listener binds before calibration so an unusable -metrics
-	// address fails up front like any other bad flag. The totals/health
-	// producers behind it fill in lazily as the fleet comes up.
+
+	// CSV mode: the ops listener binds before calibration so an unusable
+	// -metrics address fails up front; its totals fill in once the fleet
+	// exists.
+	var fl atomic.Pointer[pcsmon.Fleet]
+	totals := func() map[string]float64 { return fleetTotals(fl.Load()) }
 	var observability *pcsmon.Observability
-	var lastSeen atomic.Int64 // -idle horizon and /healthz stall probe
+	var lastSeen atomic.Int64 // /healthz stall probe
 	lastSeen.Store(time.Now().UnixNano())
-	totals := &fleetTotals{}
-	if opsAddr != "" {
+	if *metricsAddr != "" {
 		observability = pcsmon.NewObservability()
-		ops, err := startOps("mspctool fleet", opsAddr, observability, totals.totals,
+		ops, err := startOps("mspctool fleet", *metricsAddr, observability, totals,
 			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
 		if err != nil {
 			return err
@@ -160,7 +169,7 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	onset := onsetIndex(*onsetHour, *sampleSec)
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
+	pool, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
 		Workers:   *workers,
 		Batch:     *batch,
 		EmitEvery: *every,
@@ -171,88 +180,136 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	totals.setFleet(fl)
+	fl.Store(pool)
 	stopStats := startStatsTicker(*statsEvery, totals, out)
 	defer stopStats()
 
-	printer := startFleetPrinter(fl, *every, out)
-
-	var ids []string
-	if live {
-		var reg *pcsmon.MetricsRegistry
-		if observability != nil {
-			reg = observability.Metrics
-		}
-		ids, err = serveFleetLive(fl, liveConfig{
-			lastSeen:    &lastSeen,
-			reg:         reg,
-			onIngest:    totals.setPairing,
-			tcpAddr:     *listen,
-			udpAddr:     *listenUDP,
-			record:      *record,
-			recSegBytes: *recSegBytes,
-			recSegSpan:  *recSegSpan,
-			recKeep:     *recKeep,
-			recKeepB:    *recKeepB,
-			recKeepAge:  *recKeepAge,
-			recFlush:    *recFlush,
-			maxObs:      *maxObs,
-			idle:        *idle,
-			pairWindow:  *pairWindow,
-			pairTimeout: *pairTimeout,
-			dedup:       *dedup,
-			onset:       onset,
-		}, out)
-	} else {
-		// feed pushes one single-view observation, attaching the plant on
-		// first sight.
-		seen := map[string]bool{}
-		feed := func(plant string, row []float64) error {
-			if !seen[plant] {
-				if err := fl.Attach(plant, onset); err != nil {
-					return err
-				}
-				seen[plant] = true
-				fmt.Fprintf(out, "plant %s attached\n", plant)
+	// The single consumer of the pool's events: live alarm and swap lines,
+	// plus the per-plant summary.
+	v := newVerdicts(*every, out)
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for ev := range pool.Events() {
+			switch e := ev.Event.(type) {
+			case pcsmon.AlarmRaised:
+				fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
+					ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
+			case pcsmon.ModelSwapped:
+				fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
+					ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
 			}
-			lastSeen.Store(time.Now().UnixNano())
-			return fl.Push(plant, row, row)
+			v.event(ev)
 		}
-		err = demuxFleetCSV(in, feed)
-		for id := range seen {
-			ids = append(ids, id)
-		}
-	}
-	if err != nil {
-		_ = fl.Close()
-		printer.wait()
+	}()
+	fail := func(err error) error {
+		_ = pool.Close()
+		<-consumed
 		return err
 	}
 
+	// feed pushes one single-view observation, attaching the plant on
+	// first sight.
+	seen := map[string]bool{}
+	feed := func(plant string, row []float64) error {
+		if !seen[plant] {
+			if err := pool.Attach(plant, onset); err != nil {
+				return err
+			}
+			seen[plant] = true
+			fmt.Fprintf(out, "plant %s attached\n", plant)
+		}
+		lastSeen.Store(time.Now().UnixNano())
+		return pool.Push(plant, row, row)
+	}
+	if err := demuxFleetCSV(in, feed); err != nil {
+		return fail(err)
+	}
 	// Detach everything (events deliver the verdicts), then report.
+	ids := make([]string, 0, len(seen))
+	for id := range seen {
+		ids = append(ids, id)
+	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if _, err := fl.Detach(id); err != nil {
-			_ = fl.Close()
-			printer.wait()
-			return err
+		if _, err := pool.Detach(id); err != nil {
+			return fail(err)
 		}
 	}
-	stats := fl.Stats()
-	if err := fl.Close(); err != nil {
+	if err := pool.Close(); err != nil {
 		return err
 	}
-	printer.wait()
-
-	printPlantReports(out, ids, printer)
-	fmt.Fprintf(out, "\nfleet: %d plants, %d observations, %d alarms, %.0f obs/sec\n",
-		stats.Attached, stats.Observations, stats.Alarms, stats.ObsPerSec)
+	<-consumed
+	v.print()
+	printFleetSummary(out, totals())
 	return nil
 }
 
-// syncWriter serializes writes to the command's output: the fleet
-// printer goroutine and the ingest callbacks (attach lines, view stalls)
-// write concurrently, and the caller's writer need not be thread-safe.
+// runFleetLive runs the frame modes on a control plane until the feed is
+// over, then drains it and prints the per-plant summary.
+func runFleetLive(cfg *control.Config, every int, maxObs int64, idle, statsEvery time.Duration, out io.Writer) error {
+	v := newVerdicts(every, out)
+	p, err := control.New(cfg, control.Options{Out: out, OnEvent: v.event})
+	if err != nil {
+		return fmt.Errorf("mspctool fleet: %w", err)
+	}
+	stopStats := startStatsTicker(statsEvery, p.Totals, out)
+	awaitFeed(p, maxObs, idle)
+	stopStats()
+	if err := p.Close(); err != nil {
+		return fmt.Errorf("mspctool fleet: %w", err)
+	}
+	v.print()
+	printFleetSummary(out, p.Totals())
+	return nil
+}
+
+// awaitFeed returns once the live feed is over: maxObs observations seen
+// (when set), no traffic for idle — counted from startup, so a listener
+// nobody connects to also ends — or a drain through the plane's API.
+func awaitFeed(p *control.Plane, maxObs int64, idle time.Duration) {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	frames, lastFrame := p.Accepted(), time.Now()
+	var capped time.Time
+	for {
+		select {
+		case <-p.Drained():
+			return
+		case now := <-tick.C:
+			if n := p.Accepted(); n != frames {
+				frames, lastFrame = n, now
+				if capped.IsZero() && maxObs > 0 && int64(p.Totals()["pairing_observations"]) >= maxObs {
+					capped = now
+				}
+			}
+			// The cap fires on the first frame of the final observation;
+			// its mate gets a quiet period (at most 1 s) to land, so the
+			// last observation is paired instead of nondeterministically
+			// orphaned.
+			if !capped.IsZero() && (now.Sub(lastFrame) >= 100*time.Millisecond || now.Sub(capped) >= time.Second) {
+				return
+			}
+			if now.Sub(lastFrame) > idle {
+				return
+			}
+		}
+	}
+}
+
+// pairingConfig maps the -pair-window/-pair-timeout/-dedup flags onto the
+// plane's pairing block (-pair-timeout 0 = never).
+func pairingConfig(window int, timeout time.Duration, dedup int) control.Pairing {
+	secs := timeout.Seconds()
+	if timeout == 0 {
+		secs = -1
+	}
+	return control.Pairing{Window: window, TimeoutSeconds: secs, Dedup: dedup}
+}
+
+// syncWriter serializes writes to the command's output: the event
+// consumer and the ingest callbacks (attach lines, view stalls) write
+// concurrently, and the caller's writer need not be thread-safe.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -262,14 +319,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// printPairingSummary renders the end-of-stream pairing accounting — one
-// format shared by the fleet and replay subcommands.
-func printPairingSummary(out io.Writer, st pcsmon.PairingStats) {
-	fmt.Fprintf(out, "pairing: %d frames -> %d paired, %d orphaned (%d sensor / %d actuator), %d gap obs, %d dup, %d stale, %d outlier, %d view stalls (loss rate %.2f%%)\n",
-		st.Frames, st.Paired, st.OrphanSensors+st.OrphanActuators, st.OrphanSensors, st.OrphanActuators,
-		st.GapSeqs, st.Duplicates, st.Stale, st.Outliers, st.Stalls, 100*st.LossRate())
 }
 
 // liveFlagSet reports whether a live-mode-only flag was given explicitly.
@@ -286,64 +335,61 @@ func liveFlagSet(fs *flag.FlagSet) bool {
 	return set
 }
 
-// fleetPrinter is the single consumer of a fleet's fan-in event channel:
-// it prints live events and holds the per-plant verdicts for the final
-// summary. Shared by the fleet and replay subcommands.
-type fleetPrinter struct {
+// verdicts consumes a fleet's events for the command's summary: it prints
+// the -every score lines and keeps each plant's final report. Shared by
+// the fleet and replay subcommands; its event method runs on the single
+// event consumer.
+type verdicts struct {
+	every   int
+	out     io.Writer
 	reports map[string]*pcsmon.Report
 	samples map[string]int
-	drained chan struct{}
 }
 
-// startFleetPrinter spawns the consumer goroutine; call wait after the
-// fleet is closed.
-func startFleetPrinter(fl *pcsmon.Fleet, every int, out io.Writer) *fleetPrinter {
-	p := &fleetPrinter{
-		reports: map[string]*pcsmon.Report{},
-		samples: map[string]int{},
-		drained: make(chan struct{}),
-	}
-	go func() {
-		defer close(p.drained)
-		for ev := range fl.Events() {
-			switch e := ev.Event.(type) {
-			case pcsmon.SampleScored:
-				if every > 0 {
-					fmt.Fprintf(out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n",
-						ev.Plant, e.Index, e.CtrlD, e.CtrlQ)
-				}
-			case pcsmon.AlarmRaised:
-				fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-					ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
-			case pcsmon.ModelSwapped:
-				fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-					ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
-			case pcsmon.VerdictReady:
-				p.reports[ev.Plant] = e.Report
-				p.samples[ev.Plant] = e.Samples
-			}
+func newVerdicts(every int, out io.Writer) *verdicts {
+	return &verdicts{every: every, out: out, reports: map[string]*pcsmon.Report{}, samples: map[string]int{}}
+}
+
+func (v *verdicts) event(ev pcsmon.FleetEvent) {
+	switch e := ev.Event.(type) {
+	case pcsmon.SampleScored:
+		if v.every > 0 {
+			fmt.Fprintf(v.out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n", ev.Plant, e.Index, e.CtrlD, e.CtrlQ)
 		}
-	}()
-	return p
+	case pcsmon.VerdictReady:
+		v.reports[ev.Plant] = e.Report
+		v.samples[ev.Plant] = e.Samples
+	}
 }
 
-func (p *fleetPrinter) wait() { <-p.drained }
-
-// printPlantReports summarizes every detached plant's classified report.
-func printPlantReports(out io.Writer, ids []string, p *fleetPrinter) {
-	fmt.Fprintln(out)
+// print summarizes every detached plant's classified report, in plant
+// order. Call it once the event stream is done.
+func (v *verdicts) print() {
+	ids := make([]string, 0, len(v.reports))
+	for id := range v.reports {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	fmt.Fprintln(v.out)
 	for _, id := range ids {
-		rep := p.reports[id]
+		rep := v.reports[id]
 		if rep == nil {
-			fmt.Fprintf(out, "plant %s: no verdict\n", id)
+			fmt.Fprintf(v.out, "plant %s: no verdict\n", id)
 			continue
 		}
-		fmt.Fprintf(out, "plant %s: %s after %d observations", id, rep.Verdict, p.samples[id])
+		fmt.Fprintf(v.out, "plant %s: %s after %d observations", id, rep.Verdict, v.samples[id])
 		if rep.AttackedVar >= 0 {
-			fmt.Fprintf(out, " (channel %s)", historian.VarName(rep.AttackedVar))
+			fmt.Fprintf(v.out, " (channel %s)", historian.VarName(rep.AttackedVar))
 		}
-		fmt.Fprintf(out, "\n  %s\n", rep.Explanation)
+		fmt.Fprintf(v.out, "\n  %s\n", rep.Explanation)
 	}
+}
+
+// printFleetSummary renders the closing aggregate line from the /status
+// totals.
+func printFleetSummary(out io.Writer, t map[string]float64) {
+	fmt.Fprintf(out, "\nfleet: %.0f plants, %.0f observations, %.0f alarms, %.0f obs/sec\n",
+		t["fleet_attached"], t["fleet_observations"], t["fleet_alarms"], t["fleet_obs_per_sec"])
 }
 
 // demuxFleetCSV reads interleaved "plant,<53 vars>" rows and routes each
@@ -385,483 +431,4 @@ func demuxFleetCSV(in io.Reader, feed func(plant string, row []float64) error) e
 			return err
 		}
 	}
-}
-
-// liveConfig bundles the live-mode parameters of serveFleetLive.
-type liveConfig struct {
-	tcpAddr     string // TCP listener ("" = disabled)
-	udpAddr     string // UDP listener ("" = disabled)
-	record      string // capture file path or chain base ("" = no recording)
-	recSegBytes int64
-	recSegSpan  time.Duration
-	recKeep     int
-	recKeepB    int64
-	recKeepAge  time.Duration
-	recFlush    time.Duration
-	maxObs      int64
-	idle        time.Duration
-	pairWindow  int
-	pairTimeout time.Duration
-	dedup       int
-	onset       int
-
-	// lastSeen, when non-nil, is the caller's shared activity timestamp
-	// (the ops server's /healthz stall probe reads it too); nil keeps the
-	// accounting local.
-	lastSeen *atomic.Int64
-	// reg, when non-nil, receives the transport-layer metric registrations
-	// (TCP/UDP listeners, capture recorder) once those objects exist.
-	reg *pcsmon.MetricsRegistry
-	// onIngest, when non-nil, observes the pairing ingest right after it is
-	// built (the /status totals hook).
-	onIngest func(*pcsmon.PairingIngest)
-}
-
-// storeMode reports whether any rotation/retention flag asked for the
-// durable segment-chain recorder instead of the single-file capture.
-func (c liveConfig) storeMode() bool {
-	return c.recSegBytes != 0 || c.recSegSpan != 0 ||
-		c.recKeep != 0 || c.recKeepB != 0 || c.recKeepAge != 0
-}
-
-// frameRecorder abstracts the two -record backends behind one contract:
-// Record appends a frame, Flush pushes the buffered tail to the OS (crash
-// durability), Abandon discards a half-made recording on startup failure,
-// and Finalize lands the finished one.
-type frameRecorder interface {
-	Record(f *fieldbus.Frame) error
-	Flush() error
-	Abandon()
-	Finalize() error
-	Frames() uint64
-	Span() time.Duration
-	// Target describes where the recording landed, for the summary line.
-	Target() string
-}
-
-// fileRecorder is the single-file backend: it writes to a sibling .tmp
-// file that is renamed into place on completion — a failed startup (bad
-// listen address) must not destroy an existing capture at the target path,
-// and a half-written file is clearly marked as such. The periodic Flush
-// makes the .tmp itself crash-durable: a recorder killed mid-run leaves
-// the flushed prefix readable (the capture reader tolerates its truncated
-// tail as a typed warning).
-type fileRecorder struct {
-	cw   *fieldbus.CaptureWriter
-	f    *os.File
-	tmp  string
-	dest string
-}
-
-func newFileRecorder(dest string) (*fileRecorder, error) {
-	tmp := dest + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, fmt.Errorf("mspctool fleet: -record: %w", err)
-	}
-	cw, err := fieldbus.NewCaptureWriter(f)
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return nil, err
-	}
-	return &fileRecorder{cw: cw, f: f, tmp: tmp, dest: dest}, nil
-}
-
-func (r *fileRecorder) Record(f *fieldbus.Frame) error { return r.cw.Record(f) }
-func (r *fileRecorder) Flush() error                   { return r.cw.Flush() }
-func (r *fileRecorder) Frames() uint64                 { return r.cw.Frames() }
-func (r *fileRecorder) Span() time.Duration            { return r.cw.Span() }
-func (r *fileRecorder) Target() string                 { return r.dest }
-
-func (r *fileRecorder) Abandon() {
-	_ = r.f.Close()
-	_ = os.Remove(r.tmp)
-}
-
-func (r *fileRecorder) Finalize() error {
-	if err := r.cw.Flush(); err != nil {
-		return err
-	}
-	if err := r.f.Close(); err != nil {
-		return fmt.Errorf("mspctool fleet: -record: %w", err)
-	}
-	if err := os.Rename(r.tmp, r.dest); err != nil {
-		return fmt.Errorf("mspctool fleet: -record: %w", err)
-	}
-	return nil
-}
-
-// storeRecorder is the durable segment-chain backend over a CaptureStore:
-// rotation seals segments (index sidecar + fsync) as it goes, so there is
-// no rename step — everything sealed is already final, and the unsealed
-// active segment is flushed on the store's own cadence plus the ticker's.
-type storeRecorder struct {
-	st   *fieldbus.CaptureStore
-	base string
-}
-
-func (r *storeRecorder) Record(f *fieldbus.Frame) error { return r.st.Record(f) }
-func (r *storeRecorder) Flush() error                   { return r.st.Flush() }
-func (r *storeRecorder) Abandon()                       { r.st.Abandon() }
-func (r *storeRecorder) Finalize() error                { return r.st.Close() }
-func (r *storeRecorder) Frames() uint64                 { return r.st.Frames() }
-func (r *storeRecorder) Span() time.Duration            { return r.st.Span() }
-
-func (r *storeRecorder) Target() string {
-	stats := r.st.Stats()
-	return fmt.Sprintf("%s (%d segments, %d pruned)", r.base, stats.Segments, stats.Pruned)
-}
-
-// serveFleetLive accepts fieldbus frames over TCP and/or UDP and routes
-// each full-width frame through the two-view pairing ingest into the
-// fleet: sensor frames carry controller-view rows, actuator frames
-// process-view rows, joined by (unit, seq) into plant "unit-<Unit>". With
-// recording enabled, every received frame is also appended to the capture
-// file. It returns the attached plant ids once maxObs observations have
-// been seen (when set) or no traffic has arrived for the idle duration —
-// counted from startup, so a listener nobody connects to also terminates.
-func serveFleetLive(fl *pcsmon.Fleet, cfg liveConfig, out io.Writer) ([]string, error) {
-	var (
-		mu      sync.Mutex // serializes output + the sticky ingest error
-		feedErr error
-	)
-	// lastSeen is the UnixNano of the last frame (or startup) — shared with
-	// the caller's /healthz probe when provided.
-	lastSeen := cfg.lastSeen
-	if lastSeen == nil {
-		lastSeen = &atomic.Int64{}
-	}
-	lastSeen.Store(time.Now().UnixNano())
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
-	fail := func(err error) {
-		mu.Lock()
-		if feedErr == nil && err != nil {
-			feedErr = err
-		}
-		mu.Unlock()
-		finish()
-	}
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:  cfg.pairWindow,
-		Timeout: cfg.pairTimeout,
-		Onset:   cfg.onset,
-		Dedup:   cfg.dedup,
-		OnAttach: func(plant string) {
-			mu.Lock()
-			fmt.Fprintf(out, "plant %s attached\n", plant)
-			mu.Unlock()
-		},
-	}, func(ev pcsmon.FleetEvent) {
-		// Per-frame losses are summarized at the end; only a systematic
-		// one-view blackout deserves a live line.
-		if s, ok := ev.Event.(pcsmon.ViewStalled); ok {
-			mu.Lock()
-			fmt.Fprintf(out, "VIEW STALL [%s] %s frames missing since obs %d — scoring hold-last-value (DoS-consistent)\n",
-				ev.Plant, s.View, s.Seq)
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.onIngest != nil {
-		cfg.onIngest(pi)
-	}
-
-	// Optional capture recorder: one writer, shared by every listener's
-	// receive goroutine. Plain -record is the single-file .tmp+rename
-	// backend; any rotation/retention flag selects the durable segment
-	// chain (see frameRecorder for both contracts).
-	var (
-		recMu sync.Mutex
-		rec   frameRecorder
-	)
-	if cfg.record != "" {
-		if cfg.storeMode() {
-			st, serr := fieldbus.OpenCaptureStore(cfg.record, fieldbus.StoreOptions{
-				SegmentBytes: cfg.recSegBytes,
-				SegmentSpan:  cfg.recSegSpan,
-				KeepSegments: cfg.recKeep,
-				KeepBytes:    cfg.recKeepB,
-				KeepAge:      cfg.recKeepAge,
-				FlushEvery:   cfg.recFlush,
-			})
-			if serr != nil {
-				return nil, fmt.Errorf("mspctool fleet: -record: %w", serr)
-			}
-			rec = &storeRecorder{st: st, base: cfg.record}
-		} else {
-			fr, ferr := newFileRecorder(cfg.record)
-			if ferr != nil {
-				return nil, ferr
-			}
-			rec = fr
-		}
-	}
-	// abandonRec discards the half-made recording on startup failures;
-	// finalizeRec lands it and runs even when ingestion failed, so the
-	// post-mortem data survives.
-	abandonRec := func() {
-		if rec != nil {
-			rec.Abandon()
-		}
-	}
-	finalizeRec := func() error {
-		if rec == nil {
-			return nil
-		}
-		return rec.Finalize()
-	}
-
-	// ingest is the shared frame handler behind both transports. The frame
-	// is the listener's scratch — everything that outlives the call (the
-	// pairing offer, the capture record) copies or encodes it inline.
-	ingest := func(f *fieldbus.Frame) {
-		if rec != nil {
-			recMu.Lock()
-			err := rec.Record(f)
-			recMu.Unlock()
-			if err != nil {
-				fail(err)
-				return
-			}
-		}
-		offered, offerErr := pi.OfferFrame(f)
-		if !offered && offerErr == nil {
-			return // non-observation frame; doesn't count as traffic for -idle
-		}
-		lastSeen.Store(time.Now().UnixNano())
-		mu.Lock()
-		if feedErr == nil {
-			feedErr = offerErr
-		}
-		failed := feedErr != nil
-		mu.Unlock()
-		if failed || (cfg.maxObs > 0 && int64(pi.StepCount()) >= cfg.maxObs) {
-			finish()
-		}
-	}
-
-	var tcpSrv *fieldbus.Server
-	if cfg.tcpAddr != "" {
-		tcpSrv, err = fieldbus.NewServer(cfg.tcpAddr, ingest)
-		if err != nil {
-			abandonRec()
-			return nil, err
-		}
-		defer func() { _ = tcpSrv.Close() }()
-		mu.Lock()
-		fmt.Fprintf(out, "listening on %s\n", tcpSrv.Addr())
-		mu.Unlock()
-	}
-	var udpSrv *fieldbus.UDPServer
-	if cfg.udpAddr != "" {
-		udpSrv, err = fieldbus.NewUDPServer(cfg.udpAddr, ingest)
-		if err != nil {
-			abandonRec()
-			return nil, err
-		}
-		defer func() { _ = udpSrv.Close() }()
-		mu.Lock()
-		fmt.Fprintf(out, "listening on udp://%s\n", udpSrv.Addr())
-		mu.Unlock()
-	}
-
-	if cfg.reg != nil {
-		if err := registerTransportObs(cfg.reg, tcpSrv, udpSrv, &recMu, rec); err != nil {
-			abandonRec()
-			return nil, err
-		}
-	}
-
-	ticker := time.NewTicker(50 * time.Millisecond)
-	defer ticker.Stop()
-	lastRecFlush := time.Now()
-	running := true
-	for running {
-		select {
-		case <-done:
-			// The cap fires on the first frame of the final observation;
-			// give its in-flight mate frame a short quiet period to land
-			// before the listener is torn down, so the last observation is
-			// paired instead of nondeterministically orphaned. An ingest
-			// error — pre-existing or arriving mid-grace — skips the
-			// grace: nothing useful can still arrive.
-			failed := func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return feedErr != nil
-			}
-			grace := time.Now().Add(time.Second)
-			for !failed() && time.Now().Before(grace) &&
-				time.Since(time.Unix(0, lastSeen.Load())) < 100*time.Millisecond {
-				time.Sleep(10 * time.Millisecond)
-			}
-			running = false
-		case <-ticker.C:
-			if err := pi.Tick(time.Now()); err != nil {
-				mu.Lock()
-				if feedErr == nil {
-					feedErr = err
-				}
-				mu.Unlock()
-				running = false
-			}
-			// Crash-durability cadence: the recorder's buffered tail goes to
-			// the OS every recFlush even during traffic lulls (the write-path
-			// cadence only fires when frames arrive), so a SIGKILL at any
-			// point loses at most the last cadence worth of frames.
-			if rec != nil && cfg.recFlush > 0 && time.Since(lastRecFlush) >= cfg.recFlush {
-				recMu.Lock()
-				ferr := rec.Flush()
-				recMu.Unlock()
-				lastRecFlush = time.Now()
-				if ferr != nil {
-					fail(ferr)
-					running = false
-				}
-			}
-			if time.Since(time.Unix(0, lastSeen.Load())) > cfg.idle {
-				running = false
-			}
-		}
-	}
-	// Stop the listeners before the final flush so no receive goroutine
-	// races the drain. mu must NOT be held across Flush: the flush emits
-	// outcomes, and their OnAttach/ViewStalled callbacks lock mu to print.
-	if tcpSrv != nil {
-		_ = tcpSrv.Close()
-	}
-	if udpSrv != nil {
-		_ = udpSrv.Close()
-	}
-	mu.Lock()
-	err = feedErr
-	mu.Unlock()
-	// The recording lands even when ingestion failed: a capture of the
-	// traffic that led up to the failure is the post-mortem -record
-	// exists for.
-	if ferr := finalizeRec(); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := pi.Flush(); err != nil {
-		return nil, err
-	}
-	st := pi.Stats()
-	mu.Lock()
-	printPairingSummary(out, st)
-	if cfg.dedup > 0 {
-		fmt.Fprintf(out, "dedup: %d redundant frames suppressed (window %d)\n", pi.Deduped(), cfg.dedup)
-	}
-	if udpSrv != nil {
-		ust := udpSrv.Stats()
-		fmt.Fprintf(out, "udp: %d datagrams received, %d corrupt dropped\n", ust.Datagrams, ust.Corrupt)
-	}
-	if rec != nil {
-		fmt.Fprintf(out, "recorded %d frames (%v span) to %s\n", rec.Frames(), rec.Span().Round(time.Millisecond), rec.Target())
-	}
-	mu.Unlock()
-	return pi.Plants(), nil
-}
-
-// registerTransportObs exports the transport-layer counters on the ops
-// registry: TCP/UDP listener traffic and the capture recorder's frame
-// accounting. All of them are scrape-time closures over state the
-// transports already keep; the recorder's closures take recMu because the
-// single-file CaptureWriter is not internally synchronized.
-func registerTransportObs(reg *pcsmon.MetricsRegistry, tcpSrv *fieldbus.Server,
-	udpSrv *fieldbus.UDPServer, recMu *sync.Mutex, rec frameRecorder) error {
-	if tcpSrv != nil {
-		if err := reg.CounterFunc("pcsmon_transport_tcp_frames_total",
-			"Valid frames received over the TCP listener.",
-			func() float64 { return float64(tcpSrv.Frames()) }); err != nil {
-			return err
-		}
-	}
-	if udpSrv != nil {
-		if err := reg.CounterFunc("pcsmon_transport_udp_datagrams_total",
-			"Datagrams received over the UDP listener.",
-			func() float64 { return float64(udpSrv.Stats().Datagrams) }); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("pcsmon_transport_udp_corrupt_total",
-			"Corrupt datagrams dropped by the UDP listener.",
-			func() float64 { return float64(udpSrv.Stats().Corrupt) }); err != nil {
-			return err
-		}
-	}
-	if rec == nil {
-		return nil
-	}
-	if err := reg.CounterFunc("pcsmon_capture_frames_total",
-		"Frames appended to the capture recording.",
-		func() float64 {
-			recMu.Lock()
-			defer recMu.Unlock()
-			return float64(rec.Frames())
-		}); err != nil {
-		return err
-	}
-	if err := reg.GaugeFunc("pcsmon_capture_span_seconds",
-		"Capture time covered by the recording.",
-		func() float64 {
-			recMu.Lock()
-			defer recMu.Unlock()
-			return rec.Span().Seconds()
-		}); err != nil {
-		return err
-	}
-	sr, ok := rec.(*storeRecorder)
-	if !ok {
-		return nil
-	}
-	storeGauges := []struct {
-		name, help string
-		fn         func(fieldbus.StoreStats) float64
-	}{
-		{"pcsmon_capture_store_segments", "Segment files currently on disk (active included).",
-			func(s fieldbus.StoreStats) float64 { return float64(s.Segments) }},
-		{"pcsmon_capture_store_bytes", "Total size of the segment chain including sidecars.",
-			func(s fieldbus.StoreStats) float64 { return float64(s.Bytes) }},
-	}
-	for _, g := range storeGauges {
-		g := g
-		if err := reg.GaugeFunc(g.name, g.help, func() float64 {
-			recMu.Lock()
-			st := sr.st.Stats()
-			recMu.Unlock()
-			return g.fn(st)
-		}); err != nil {
-			return err
-		}
-	}
-	storeCounters := []struct {
-		name, help string
-		fn         func(fieldbus.StoreStats) float64
-	}{
-		{"pcsmon_capture_store_rotations_total", "Segments sealed by rotation.",
-			func(s fieldbus.StoreStats) float64 { return float64(s.Rotations) }},
-		{"pcsmon_capture_store_pruned_total", "Segments deleted by retention.",
-			func(s fieldbus.StoreStats) float64 { return float64(s.Pruned) }},
-		{"pcsmon_capture_store_flushes_total", "Cadence/explicit flushes of the active segment.",
-			func(s fieldbus.StoreStats) float64 { return float64(s.Flushes) }},
-	}
-	for _, c := range storeCounters {
-		c := c
-		if err := reg.CounterFunc(c.name, c.help, func() float64 {
-			recMu.Lock()
-			st := sr.st.Stats()
-			recMu.Unlock()
-			return c.fn(st)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -493,7 +493,6 @@ func TestFleetFlagValidation(t *testing.T) {
 		{"-cal", cal, "-adapt-every", "100", "-adapt-forget", "0"},
 		{"-cal", cal, "-adapt-forget", "0.99"}, // forget without cadence
 		{"-cal", cal, "-batch", "-1"},
-		{"-cal", cal, "-pprof", "not-an-address"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
@@ -920,9 +919,9 @@ func TestFleetRecordRotatedThenReplay(t *testing.T) {
 // TestFleetRecordFlushDurability: the -record-flush cadence pushes the
 // recording's buffered tail to the OS while the run is still live, so a
 // recorder killed mid-run loses at most one cadence of frames. Proven by
-// reading the in-progress .tmp recording from the outside before the run
-// ends — without the cadence, everything sits in the bufio buffer until
-// the final flush and the prefix would be unreadable.
+// reading the in-progress chain's unsealed segment from the outside before
+// the run ends — without the cadence, everything sits in the bufio buffer
+// until the final flush and the prefix would be unreadable.
 func TestFleetRecordFlushDurability(t *testing.T) {
 	dir := t.TempDir()
 	cal := filepath.Join(dir, "cal.csv")
@@ -960,13 +959,13 @@ func TestFleetRecordFlushDurability(t *testing.T) {
 	}
 
 	// All frames are on the wire; the 50ms cadence must make every one of
-	// them readable from the live .tmp file well before the 2s idle stop
-	// renames it into place.
+	// them readable from the live chain well before the 2s idle stop
+	// seals it.
 	deadline := time.Now().Add(10 * time.Second)
-	for readableFrames(capPath+".tmp") < 2*rows {
+	for readableFrames(capPath) < 2*rows {
 		if time.Now().After(deadline) {
 			t.Fatalf("flushed prefix never became readable (got %d of %d frames):\n%s",
-				readableFrames(capPath+".tmp"), 2*rows, out.String())
+				readableFrames(capPath), 2*rows, out.String())
 		}
 		select {
 		case err := <-errCh:

@@ -23,24 +23,25 @@
 // demuxed into a sharded scoring pool — one calibrated model, thousands
 // of independent streams, per-plant verdicts plus aggregate throughput
 // counters. With -record, every received frame is appended to a capture
-// file:
+// segment chain (plant.cap.00001.pcscap, ...):
 //
 //	mspctool fleet -cal noc-process.csv <interleaved.csv
 //	mspctool fleet -cal noc-process.csv -listen 127.0.0.1:7700 -max-obs 100000
 //	mspctool fleet -cal noc-process.csv -listen-udp 127.0.0.1:7701 -record plant.cap
 //
-// The replay subcommand plays a capture back through the same pairing →
-// fleet path at a configurable speed-up (the capture's timestamps also
-// drive the pairing timeout, so mate-loss semantics are preserved at any
+// The replay subcommand plays a capture back through the same control
+// plane at a configurable speed-up (the capture's timestamps also drive
+// the pairing timeout, so mate-loss semantics are preserved at any
 // speed):
 //
 //	mspctool replay -cal noc-process.csv -capture plant.cap -speed 100
 //
 // With -metrics, fleet and replay serve a shared ops endpoint: Prometheus
 // text exposition on /metrics, liveness + stall detection on /healthz, a
-// JSON per-unit health dump on /status and the net/http/pprof pages (the
-// old -pprof flag is a deprecated alias). The status subcommand renders a
-// running monitor's /status as a live per-unit table:
+// JSON per-unit health dump on /status and the net/http/pprof pages —
+// plus, for frame-fed runs, the control plane's unauthenticated API. The
+// status subcommand renders a running monitor's /status as a live
+// per-unit table:
 //
 //	mspctool fleet -cal noc-process.csv -listen 127.0.0.1:7700 -metrics 127.0.0.1:9101
 //	mspctool status -watch 2s 127.0.0.1:9101

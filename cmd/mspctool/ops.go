@@ -10,30 +10,11 @@ import (
 	"pcsmon/internal/obs/opsserver"
 )
 
-// resolveOpsAddr folds the deprecated -pprof flag into -metrics: one ops
-// listener serves /metrics, /healthz, /status and /debug/pprof/*. Giving
-// only -pprof keeps working (with a deprecation note); giving both with
-// different addresses is a configuration error — there is one server now.
-func resolveOpsAddr(cmd, metricsAddr, pprofAddr string, out io.Writer) (string, error) {
-	if pprofAddr == "" {
-		return metricsAddr, nil
-	}
-	switch {
-	case metricsAddr == "":
-		fmt.Fprintf(out, "note: -pprof is deprecated, use -metrics (pprof is served from the ops endpoint at /debug/pprof/)\n")
-		return pprofAddr, nil
-	case metricsAddr == pprofAddr:
-		return metricsAddr, nil
-	}
-	return "", fmt.Errorf("%s: -pprof %s conflicts with -metrics %s (one ops listener serves both; drop -pprof): %w",
-		cmd, pprofAddr, metricsAddr, pcsmon.ErrBadConfig)
-}
-
-// startOps starts the shared ops HTTP server: Prometheus exposition on
-// /metrics, liveness + stall detection on /healthz, the per-unit health
-// dump on /status and the net/http/pprof pages the old -pprof flag served.
-// An unusable address is a configuration error, reported before any
-// scoring starts.
+// startOps starts the CSV fleet's ops HTTP server: Prometheus exposition
+// on /metrics, liveness + stall detection on /healthz, the per-unit
+// health dump on /status and the net/http/pprof pages. An unusable
+// address is a configuration error, reported before any scoring starts.
+// (Frame-fed runs get the same endpoints from their control plane.)
 func startOps(cmd, addr string, o *pcsmon.Observability, totals func() map[string]float64,
 	lastActivity func() time.Time, out io.Writer) (*opsserver.Server, error) {
 	srv, err := opsserver.Start(addr, opsserver.Options{
@@ -49,39 +30,15 @@ func startOps(cmd, addr string, o *pcsmon.Observability, totals func() map[strin
 	return srv, nil
 }
 
-// fleetTotals builds the /status aggregate map from the fleet's counters
-// plus — once live ingestion created it — the pairing accounting. Both
-// producers are handed over lazily (setFleet, setPairing) because the ops
-// server starts before calibration; a scrape that races startup just sees
-// an empty totals map.
-type fleetTotals struct {
-	mu sync.Mutex
-	fl *pcsmon.Fleet
-	pi *pcsmon.PairingIngest
-}
-
-func (t *fleetTotals) setFleet(fl *pcsmon.Fleet) {
-	t.mu.Lock()
-	t.fl = fl
-	t.mu.Unlock()
-}
-
-func (t *fleetTotals) setPairing(pi *pcsmon.PairingIngest) {
-	t.mu.Lock()
-	t.pi = pi
-	t.mu.Unlock()
-}
-
-func (t *fleetTotals) totals() map[string]float64 {
-	t.mu.Lock()
-	fl, pi := t.fl, t.pi
-	t.mu.Unlock()
-	m := map[string]float64{}
+// fleetTotals builds the /status aggregate map from a fleet's counters —
+// the CSV fleet's share of the control plane's totals. A nil fleet (a
+// scrape that races calibration) reads as an empty map.
+func fleetTotals(fl *pcsmon.Fleet) map[string]float64 {
 	if fl == nil {
-		return m
+		return map[string]float64{}
 	}
 	st := fl.Stats()
-	m = map[string]float64{
+	return map[string]float64{
 		"fleet_active_streams":   float64(st.Active),
 		"fleet_attached":         float64(st.Attached),
 		"fleet_observations":     float64(st.Observations),
@@ -91,24 +48,12 @@ func (t *fleetTotals) totals() map[string]float64 {
 		"fleet_model_generation": float64(st.ModelGeneration),
 		"fleet_obs_per_sec":      st.ObsPerSec,
 	}
-	if pi != nil {
-		ps := pi.Stats()
-		m["pairing_frames"] = float64(ps.Frames)
-		m["pairing_paired"] = float64(ps.Paired)
-		m["pairing_orphans"] = float64(ps.OrphanSensors + ps.OrphanActuators)
-		m["pairing_gap_seqs"] = float64(ps.GapSeqs)
-		m["pairing_duplicates"] = float64(ps.Duplicates)
-		m["pairing_stale"] = float64(ps.Stale)
-		m["pairing_loss_ratio"] = ps.LossRate()
-		m["pairing_deduped"] = float64(pi.Deduped())
-	}
-	return m
 }
 
-// startStatsTicker prints a progress line from the live registries every
-// interval — the -stats-every fix for the "counters only visible at exit"
-// staleness. Returns a stop function; a zero interval is a no-op.
-func startStatsTicker(interval time.Duration, t *fleetTotals, out io.Writer) func() {
+// startStatsTicker prints a progress line from the live /status totals
+// every interval — the -stats-every fix for the "counters only visible at
+// exit" staleness. Returns a stop function; a zero interval is a no-op.
+func startStatsTicker(interval time.Duration, totals func() map[string]float64, out io.Writer) func() {
 	if interval <= 0 {
 		return func() {}
 	}
@@ -124,18 +69,14 @@ func startStatsTicker(interval time.Duration, t *fleetTotals, out io.Writer) fun
 			case <-quit:
 				return
 			case <-tick.C:
-				t.mu.Lock()
-				fl, pi := t.fl, t.pi
-				t.mu.Unlock()
-				if fl == nil {
+				m := totals()
+				if len(m) == 0 {
 					continue
 				}
-				st := fl.Stats()
-				line := fmt.Sprintf("stats: %d active, %d obs, %d alarms, %.0f obs/sec",
-					st.Active, st.Observations, st.Alarms, st.ObsPerSec)
-				if pi != nil {
-					ps := pi.Stats()
-					line += fmt.Sprintf(", pairing %d frames (loss %.2f%%)", ps.Frames, 100*ps.LossRate())
+				line := fmt.Sprintf("stats: %.0f active, %.0f obs, %.0f alarms, %.0f obs/sec",
+					m["fleet_active_streams"], m["fleet_observations"], m["fleet_alarms"], m["fleet_obs_per_sec"])
+				if frames, ok := m["pairing_frames"]; ok {
+					line += fmt.Sprintf(", pairing %.0f frames (loss %.2f%%)", frames, 100*m["pairing_loss_ratio"])
 				}
 				fmt.Fprintln(out, line)
 			}

@@ -21,28 +21,6 @@ import (
 	"pcsmon/internal/historian"
 )
 
-// TestResolveOpsAddr: the deprecated -pprof flag folds into -metrics —
-// alone it still works (with a note), equal addresses coexist, and a
-// conflict is a configuration error.
-func TestResolveOpsAddr(t *testing.T) {
-	var out bytes.Buffer
-	if addr, err := resolveOpsAddr("x", "127.0.0.1:1", "", &out); err != nil || addr != "127.0.0.1:1" {
-		t.Errorf("metrics only: addr %q err %v", addr, err)
-	}
-	if addr, err := resolveOpsAddr("x", "", "127.0.0.1:2", &out); err != nil || addr != "127.0.0.1:2" {
-		t.Errorf("pprof only: addr %q err %v", addr, err)
-	}
-	if !strings.Contains(out.String(), "deprecated") {
-		t.Errorf("pprof-only use printed no deprecation note: %q", out.String())
-	}
-	if addr, err := resolveOpsAddr("x", "127.0.0.1:3", "127.0.0.1:3", &out); err != nil || addr != "127.0.0.1:3" {
-		t.Errorf("same address: addr %q err %v", addr, err)
-	}
-	if _, err := resolveOpsAddr("x", "127.0.0.1:4", "127.0.0.1:5", &out); !errors.Is(err, pcsmon.ErrBadConfig) {
-		t.Errorf("conflicting addresses: want ErrBadConfig, got %v", err)
-	}
-}
-
 // TestStatusFlagValidation: bad status invocations fail up front.
 func TestStatusFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
@@ -380,17 +358,5 @@ func TestFleetMetricsEndpointE2E(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("fleet output missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestReplayOpsConflict: replay folds -pprof the same way fleet does.
-func TestReplayOpsConflict(t *testing.T) {
-	var out bytes.Buffer
-	err := runReplay([]string{
-		"-cal", "x.csv", "-capture", "y.cap",
-		"-metrics", "127.0.0.1:1", "-pprof", "127.0.0.1:2",
-	}, &out)
-	if !errors.Is(err, pcsmon.ErrBadConfig) {
-		t.Errorf("want ErrBadConfig, got %v", err)
 	}
 }

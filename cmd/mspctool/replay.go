@@ -4,28 +4,26 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/fieldbus"
 )
 
 // runReplay implements the replay subcommand: play a recorded frame
 // capture (written by `mspctool fleet -record`, or synthesized by any
 // tool emitting the internal/fieldbus capture format) back through the
-// same pairing → fleet path a live listener feeds, at a configurable
-// speed-up.
+// same control plane a live listener feeds, at a configurable speed-up.
 //
 // The clock mapping is the whole trick: the capture's monotonic
 // timestamps form a virtual timeline that is (a) compressed by -speed for
-// wall-clock pacing and (b) handed to the pairing layer as its arrival
-// clock, so -pair-timeout keeps meaning *capture time* at any speed-up —
-// a 2s mate-loss horizon in the plant's timeline stays a 2s horizon
-// whether the capture replays at 1x or 1000x. With -speed 0 the capture
-// replays as fast as the scoring path can drain it (the virtual clock
-// still advances by the capture's stamps).
+// wall-clock pacing and (b) the plane's clock, so -pair-timeout keeps
+// meaning *capture time* at any speed-up — a 2s mate-loss horizon in the
+// plant's timeline stays a 2s horizon whether the capture replays at 1x
+// or 1000x. With -speed 0 the capture replays as fast as the scoring path
+// can drain it (the virtual clock still advances by the capture's
+// stamps).
 func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mspctool replay", flag.ContinueOnError)
 	var (
@@ -44,16 +42,17 @@ func runReplay(args []string, out io.Writer) error {
 		pairWindow  = fs.Int("pair-window", 64, "reorder window for sensor/actuator frame pairing, in sequence numbers")
 		pairTimeout = fs.Duration("pair-timeout", 2*time.Second, "flush observations whose mate frame is this late in capture time (0 = never)")
 		batch       = fs.Int("batch", 0, "observations aggregated per worker delivery (0 = default 16, 1 = per-observation)")
-		metricsAddr = fs.String("metrics", "", "serve the ops endpoints (/metrics /healthz /status /debug/pprof/) on this address while the replay runs")
+		metricsAddr = fs.String("metrics", "", "serve the ops endpoints (/metrics /healthz /status /debug/pprof/ and the control API) on this address while the replay runs")
 		statsEvery  = fs.Duration("stats-every", 0, "print a live progress line with the fleet/pairing counters on this cadence (0 = off)")
-		pprofAddr   = fs.String("pprof", "", "deprecated alias for -metrics (pprof is served from the ops endpoint)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The event printer goroutine and the replay loop's attach/stall lines
-	// write concurrently.
+	// The plane's event consumer and its ingest callbacks write
+	// concurrently.
 	out = &syncWriter{w: out}
+	// The plane's config validation covers the remaining flags, also
+	// before calibration.
 	switch {
 	case *calPath == "" || *capPath == "":
 		fs.Usage()
@@ -62,54 +61,23 @@ func runReplay(args []string, out io.Writer) error {
 		return fmt.Errorf("mspctool replay: -speed %g must be >= 0: %w", *speed, pcsmon.ErrBadConfig)
 	case *sampleSec <= 0:
 		return fmt.Errorf("mspctool replay: -sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
-	case *onsetHour < 0:
-		return fmt.Errorf("mspctool replay: -onset-hour %g must be >= 0: %w", *onsetHour, pcsmon.ErrBadConfig)
-	case *components < 0:
-		return fmt.Errorf("mspctool replay: -components %d must be >= 0: %w", *components, pcsmon.ErrBadConfig)
-	case *workers < 0:
-		return fmt.Errorf("mspctool replay: -workers %d must be >= 0: %w", *workers, pcsmon.ErrBadConfig)
 	case *pairWindow <= 0:
 		return fmt.Errorf("mspctool replay: -pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
 	case *pairTimeout < 0:
 		return fmt.Errorf("mspctool replay: -pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
-	case *batch < 0:
-		return fmt.Errorf("mspctool replay: -batch %d must be >= 0: %w", *batch, pcsmon.ErrBadConfig)
 	case *from < 0 || *to < 0:
 		return fmt.Errorf("mspctool replay: -from %v / -to %v must be >= 0: %w", *from, *to, pcsmon.ErrBadConfig)
 	case *to > 0 && *to < *from:
 		return fmt.Errorf("mspctool replay: -to %v is before -from %v: %w", *to, *from, pcsmon.ErrBadConfig)
-	case *dedup < 0:
-		return fmt.Errorf("mspctool replay: -dedup %d must be >= 0: %w", *dedup, pcsmon.ErrBadConfig)
 	case *unit < -1 || *unit > 255:
 		return fmt.Errorf("mspctool replay: -unit %d must be a fieldbus unit id (0-255) or -1: %w", *unit, pcsmon.ErrBadConfig)
 	case *statsEvery < 0:
 		return fmt.Errorf("mspctool replay: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
 	}
-	opsAddr, err := resolveOpsAddr("mspctool replay", *metricsAddr, *pprofAddr, out)
-	if err != nil {
-		return err
-	}
-	// The ops listener binds before the capture is opened or the model is
-	// calibrated so an unusable -metrics address fails up front. The
-	// replay's activity timestamp feeds its /healthz stall probe: a wedged
-	// replay (stuck capture source) reports stalled.
-	var observability *pcsmon.Observability
-	var lastSeen atomic.Int64
-	lastSeen.Store(time.Now().UnixNano())
-	totals := &fleetTotals{}
-	if opsAddr != "" {
-		observability = pcsmon.NewObservability()
-		ops, oerr := startOps("mspctool replay", opsAddr, observability, totals.totals,
-			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
-		if oerr != nil {
-			return oerr
-		}
-		defer func() { _ = ops.Close() }()
-	}
 
 	// A chain reader replays either a single capture file or the rotated
-	// segment chain a durable -record store wrote, as one stream; the
-	// -from/-to window seeks via the sealed segments' index sidecars.
+	// segment chain a -record store wrote, as one stream; the -from/-to
+	// window and -unit seek via the sealed segments' index sidecars.
 	copts := fieldbus.ChainOptions{From: *from, To: *to}
 	if *unit >= 0 {
 		copts.Units = []uint8{uint8(*unit)}
@@ -120,160 +88,75 @@ func runReplay(args []string, out io.Writer) error {
 	}
 	defer func() { _ = cr.Close() }()
 
-	sys, err := calibrateFrom(*calPath, *components, out)
-	if err != nil {
-		return err
-	}
-	onset := onsetIndex(*onsetHour, *sampleSec)
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
-		Workers:   *workers,
-		Batch:     *batch,
-		EmitEvery: *every,
-		Sample:    time.Duration(*sampleSec * float64(time.Second)),
-		Obs:       observability,
-	})
-	if err != nil {
-		return err
-	}
-	printer := startFleetPrinter(fl, *every, out)
-	fail := func(err error) error {
-		_ = fl.Close()
-		printer.wait()
-		return err
-	}
-
-	// The virtual clock: the capture timeline anchored at an arbitrary
-	// epoch. The replay loop advances it to each record's stamp; the
-	// pairing layer reads it as the arrival clock.
-	epoch := time.Now()
-	var vnow atomic.Int64 // nanoseconds past epoch
-	clock := func() time.Time { return epoch.Add(time.Duration(vnow.Load())) }
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:  *pairWindow,
-		Timeout: *pairTimeout,
-		Onset:   onset,
-		Clock:   clock,
-		Dedup:   *dedup,
-		OnAttach: func(plant string) {
-			fmt.Fprintf(out, "plant %s attached\n", plant)
-		},
-	}, func(ev pcsmon.FleetEvent) {
-		if s, ok := ev.Event.(pcsmon.ViewStalled); ok {
-			fmt.Fprintf(out, "VIEW STALL [%s] %s frames missing since obs %d — scoring hold-last-value (DoS-consistent)\n",
-				ev.Plant, s.View, s.Seq)
-		}
-	})
-	if err != nil {
-		return fail(err)
-	}
-	totals.setFleet(fl)
-	totals.setPairing(pi)
-	stopStats := startStatsTicker(*statsEvery, totals, out)
-	defer stopStats()
-
-	fmt.Fprintf(out, "replaying %s", *capPath)
+	name := *capPath
 	if cr.Segments() > 1 {
-		fmt.Fprintf(out, " (%d segments)", cr.Segments())
+		name += fmt.Sprintf(" (%d segments)", cr.Segments())
 	}
 	if *speed > 0 {
-		fmt.Fprintf(out, " at %gx", *speed)
+		name += fmt.Sprintf(" at %gx", *speed)
 	} else {
-		fmt.Fprint(out, " unpaced")
+		name += " unpaced"
 	}
 	if *from > 0 || *to > 0 {
 		end := "end"
 		if *to > 0 {
 			end = (*to).String()
 		}
-		fmt.Fprintf(out, ", window [%v, %s]", *from, end)
+		name += fmt.Sprintf(", window [%v, %s]", *from, end)
 	}
 	if *unit >= 0 {
-		fmt.Fprintf(out, ", unit %s only", pcsmon.PlantID(uint8(*unit)))
+		name += fmt.Sprintf(", unit %s only", pcsmon.PlantID(uint8(*unit)))
 	}
-	fmt.Fprintln(out)
 
-	wallStart := time.Now()
-	var first time.Duration
-	started := false
-	var span time.Duration
-	for {
-		ts, f, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Mid-chain damage is real corruption (the chain reader already
-			// tolerates the one legitimate form of damage — a truncated tail
-			// in an unsealed final segment — by itself; see below).
-			return fail(fmt.Errorf("mspctool replay: %w", err))
-		}
-		if !started {
-			first, started = ts, true
-		}
-		span = ts - first
-		// Clock mapping: capture elapsed / speed = wall elapsed.
-		if *speed > 0 {
-			target := wallStart.Add(time.Duration(float64(span) / *speed))
-			if d := time.Until(target); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		vnow.Store(int64(ts))
-		lastSeen.Store(time.Now().UnixNano())
-		offered, offerErr := pi.OfferFrame(f)
-		if offerErr != nil {
-			return fail(offerErr)
-		}
-		if !offered {
-			continue // not an observation frame; skip like the live path
-		}
-		if *pairTimeout > 0 {
-			if err := pi.Tick(clock()); err != nil {
-				return fail(err)
-			}
-		}
+	cfg := &control.Config{
+		Calibration:   *calPath,
+		SampleSeconds: *sampleSec,
+		OnsetHour:     *onsetHour,
+		Components:    *components,
+		Ops:           control.Ops{Addr: *metricsAddr},
+		Pairing:       pairingConfig(*pairWindow, *pairTimeout, *dedup),
+		Fleet:         control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
+	}
+	v := newVerdicts(*every, out)
+	p, err := control.New(cfg, control.Options{
+		Out:     out,
+		OnEvent: v.event,
+		Capture: &control.Capture{Chain: cr, Name: name, Speed: *speed},
+	})
+	if err != nil {
+		return fmt.Errorf("mspctool replay: %w", err)
+	}
+	start := time.Now()
+	stopStats := startStatsTicker(*statsEvery, p.Totals, out)
+	<-p.Drained()
+	wall := time.Since(start)
+	stopStats()
+	if err := p.Close(); err != nil {
+		// Mid-chain damage is real corruption; the one legitimate form of
+		// damage — a truncated tail in an unsealed final segment — the
+		// chain reader tolerates by itself (see below).
+		return fmt.Errorf("mspctool replay: %w", err)
 	}
 	if terr := cr.Truncated(); terr != nil {
 		// A recording monitor that died uncleanly (kill, crash, power loss)
 		// leaves its unsealed final segment ending mid-record — exactly the
-		// post-mortem a replay is for. Score the readable prefix and say so,
-		// instead of discarding everything over the tail.
+		// post-mortem a replay is for. The readable prefix was scored; say
+		// so instead of discarding everything over the tail.
 		fmt.Fprintf(out, "warning: %s: %v — replaying the %d readable frames\n",
 			*capPath, terr, cr.Delivered())
-	}
-	if err := pi.Flush(); err != nil {
-		return fail(err)
-	}
-
-	ids := pi.Plants()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, err := fl.Detach(id); err != nil {
-			return fail(err)
-		}
-	}
-	stats := fl.Stats()
-	if err := fl.Close(); err != nil {
-		return err
-	}
-	printer.wait()
-
-	st := pi.Stats()
-	wall := time.Since(wallStart)
-	printPairingSummary(out, st)
-	if *dedup > 0 {
-		fmt.Fprintf(out, "dedup: %d redundant frames suppressed (window %d)\n", pi.Deduped(), *dedup)
 	}
 	if cr.SegmentsSkipped() > 0 {
 		fmt.Fprintf(out, "index seek: %d of %d segments skipped via index\n", cr.SegmentsSkipped(), cr.Segments())
 	}
-	printPlantReports(out, ids, printer)
+	v.print()
+	span := cr.Span()
 	effective := "∞"
 	if wall > 0 && span > 0 {
 		effective = fmt.Sprintf("%.0f", float64(span)/float64(wall))
 	}
-	fmt.Fprintf(out, "\nreplay: %d frames, capture span %v in %v (%sx effective), %d plants, %d observations, %d alarms\n",
+	t := p.Totals()
+	fmt.Fprintf(out, "\nreplay: %d frames, capture span %v in %v (%sx effective), %.0f plants, %.0f observations, %.0f alarms\n",
 		cr.Delivered(), span.Round(time.Millisecond), wall.Round(time.Millisecond),
-		effective, stats.Attached, stats.Observations, stats.Alarms)
+		effective, t["fleet_attached"], t["fleet_observations"], t["fleet_alarms"])
 	return nil
 }

@@ -1,9 +1,12 @@
-// Package control is the monitor's control plane: the long-lived serve
-// mode that turns the flag-driven fleet CLI into a deployable service. It
-// owns the typed JSON config file (validated with field-path errors), the
-// mutating HTTP/JSON API mounted on the ops listener (attach/detach/drain
-// units, config introspection, live reload, an SSE event stream), and the
-// graceful lifecycle: SIGTERM or POST /drain stops accepting frames,
+// Package control is the monitor's control plane: the one assembly of the
+// frame pipeline (listeners or a recorded capture → dedup → pairing →
+// fleet scoring → verdicts, with the capture store and the ops server),
+// run by `mspctool serve` as a long-lived service and by `mspctool fleet
+// -listen` and `mspctool replay` as batch jobs. It owns the typed JSON
+// config file (validated with field-path errors), the mutating HTTP/JSON
+// API mounted on the ops listener (attach/detach/drain units, config
+// introspection, live reload, an SSE event stream), and the graceful
+// lifecycle: SIGTERM or POST /drain stops accepting frames,
 // flushes the pairing and fleet pipelines and the capture store's
 // unsealed tail, emits final per-unit reports and exits cleanly; SIGHUP
 // or POST /reload applies the reloadable config subset in place.
@@ -128,13 +131,14 @@ type Adapt struct {
 	Forget float64 `json:"forget,omitempty"`
 }
 
-// Record configures the durable capture store. Any rotation/retention
-// field implies store mode (a rotating segment chain); a bare Path
-// records one plain capture file.
+// Record configures the durable capture store: a segment chain at
+// `<path>.NNNNN.pcscap`, each sealed segment with its `.pcsidx` index. A
+// bare Path records 64 MiB segments with unlimited retention; an
+// existing chain at Path is refused (fieldbus.ErrStoreExists).
 type Record struct {
-	// Path is the capture file or segment-chain base ("" = no recording).
+	// Path is the segment-chain base ("" = no recording).
 	Path string `json:"path,omitempty"`
-	// SegmentBytes rotates segments at this size (store mode).
+	// SegmentBytes rotates segments at this size (0 = 64 MiB).
 	SegmentBytes int64 `json:"segment_bytes,omitempty"`
 	// SegmentSpanSeconds rotates segments at this much capture time.
 	SegmentSpanSeconds float64 `json:"segment_span_seconds,omitempty"`
@@ -204,8 +208,23 @@ func badField(path string, format string, args ...any) error {
 	return fmt.Errorf("%s: %s: %w", path, fmt.Sprintf(format, args...), ErrBadConfig)
 }
 
-// Validate checks every field, naming the offending path.
+// Validate checks a serve document: every field's range (see
+// validateFields) plus the presence rules of serve mode — at least one
+// listener and an ops address. Errors name the offending path.
 func (c *Config) Validate() error {
+	switch {
+	case c.Listeners.TCP == "" && c.Listeners.UDP == "":
+		return badField("listeners", "at least one of listeners.tcp / listeners.udp is required")
+	case c.Ops.Addr == "":
+		return badField("ops.addr", "required (the control API is served there)")
+	}
+	return c.validateFields()
+}
+
+// validateFields checks every field's range, naming the offending path.
+// New runs only this: a plane fed from a capture needs no listener, and
+// one without an ops address runs without the HTTP stack.
+func (c *Config) validateFields() error {
 	switch {
 	case c.Calibration == "":
 		return badField("calibration", "required")
@@ -215,10 +234,6 @@ func (c *Config) Validate() error {
 		return badField("onset_hour", "%g must be >= 0", c.OnsetHour)
 	case c.Components < 0:
 		return badField("components", "%d must be >= 0", c.Components)
-	case c.Listeners.TCP == "" && c.Listeners.UDP == "":
-		return badField("listeners", "at least one of listeners.tcp / listeners.udp is required")
-	case c.Ops.Addr == "":
-		return badField("ops.addr", "required (the control API is served there)")
 	case c.Pairing.Window < 0:
 		return badField("pairing.window", "%d must be >= 0", c.Pairing.Window)
 	case c.Pairing.Dedup < 0:
@@ -308,8 +323,7 @@ func parseUnitKey(key string) (uint8, error) {
 	return uint8(n), nil
 }
 
-// storeMode reports whether the record block asks for the durable
-// segment-chain store rather than a single capture file.
+// storeMode reports whether any rotation/retention field is set.
 func (r Record) storeMode() bool {
 	return r.SegmentBytes != 0 || r.SegmentSpanSeconds != 0 ||
 		r.Keep != 0 || r.KeepBytes != 0 || r.KeepAgeSeconds != 0

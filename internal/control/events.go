@@ -10,7 +10,7 @@ import (
 
 // Event is one typed control-plane event as published to /events
 // subscribers. Data carries the event-specific payload, marshalled once
-// per publish regardless of subscriber count.
+// per publish — and not at all while nobody subscribes.
 type Event struct {
 	// Type is "scored", "alarm", "verdict", "model-swapped",
 	// "view-stalled", "pair-dropped", "attached", "detached" or "drain".
@@ -29,6 +29,9 @@ type bus struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
 	closed bool
+	// nsubs mirrors len(subs) so publish can skip rendering, lock-free,
+	// when nobody is listening.
+	nsubs atomic.Int32
 
 	published atomic.Uint64
 	dropped   atomic.Uint64 // total across all subscribers
@@ -55,6 +58,7 @@ func (b *bus) subscribe(depth int) *subscriber {
 	b.mu.Lock()
 	if !b.closed {
 		b.subs[s] = struct{}{}
+		b.nsubs.Add(1)
 	} else {
 		close(s.ch)
 	}
@@ -66,18 +70,23 @@ func (b *bus) unsubscribe(s *subscriber) {
 	b.mu.Lock()
 	if _, ok := b.subs[s]; ok {
 		delete(b.subs, s)
+		b.nsubs.Add(-1)
 		close(s.ch)
 	}
 	b.mu.Unlock()
 }
 
 // publish renders the event as one SSE frame and offers it to every
-// subscriber, dropping (and counting) on full buffers.
+// subscriber, dropping (and counting) on full buffers. With no subscriber
+// it renders nothing.
 func (b *bus) publish(ev Event, marshal func(any) ([]byte, error)) {
+	if b.nsubs.Load() == 0 {
+		return
+	}
 	// Render before taking the lock: marshal is caller-supplied, and calling
 	// out while holding b.mu invites the lock-inversion class pcslint's
-	// callback-under-lock analyzer exists for. The cost is one wasted
-	// marshal when there are no subscribers — events are rare.
+	// callback-under-lock analyzer exists for. A subscriber that leaves in
+	// between costs one wasted render.
 	data, err := marshal(ev)
 	if err != nil {
 		return
@@ -109,6 +118,7 @@ func (b *bus) close() {
 			delete(b.subs, s)
 			close(s.ch)
 		}
+		b.nsubs.Store(0)
 	}
 	b.mu.Unlock()
 }

@@ -32,10 +32,37 @@ type Options struct {
 	System *core.System
 	// ConfigPath, when set, is re-read on Reload(nil) — the SIGHUP path.
 	ConfigPath string
-	// Clock supplies the plane's notion of now (liveness stamps, flush
-	// cadence, health snapshots); nil means the wall clock. Injected so
-	// capture replay and tests can drive the timeline.
+	// Clock supplies the plane's notion of now (liveness stamps, pairing
+	// arrival stamps and age horizon, flush cadence, health snapshots); nil
+	// means the wall clock. Injected so tests can drive the timeline; with
+	// a Capture source the capture's stamps advance it from its first
+	// reading.
 	Clock func() time.Time
+	// Capture, when set, is the plane's frame source in place of the
+	// listeners (leave Config.Listeners empty): the plane plays it to EOF
+	// and then drains itself.
+	Capture *Capture
+	// OnEvent, when set, sees every fleet event synchronously, in order,
+	// on the plane's single event consumer — before the plane logs and
+	// publishes it. It must not block.
+	OnEvent func(pcsmon.FleetEvent)
+}
+
+// Capture is a recorded frame source: a capture chain played on its own
+// timeline. Each frame is offered at its capture stamp — the plane's
+// clock reads that stamp — and the pairing age horizon is ticked right
+// after each observation frame, so pair timeouts keep meaning capture
+// time at any speed-up. No wall-clock tick runs: it could orphan a mate
+// the frame-by-frame order would still pair.
+type Capture struct {
+	// Chain is read to EOF (the caller opens and closes it).
+	Chain *fieldbus.ChainReader
+	// Name describes the capture on the "replaying" line the plane prints
+	// just before reading the first frame.
+	Name string
+	// Speed paces the replay: capture time elapsed / Speed = wall time
+	// elapsed (0 = unpaced).
+	Speed float64
 }
 
 // UnitReport is one unit's final classified report, kept after detach or
@@ -78,6 +105,8 @@ type Plane struct {
 	unitOnsets [256]atomic.Int64
 
 	lastSeen atomic.Int64 // UnixNano of the last accepted frame
+	capNow   atomic.Int64 // capture stamp of the frame being played
+	playDone chan struct{}
 	accepted atomic.Uint64
 	rejected atomic.Uint64 // frames refused because a drain began
 	reloads  atomic.Uint64
@@ -94,17 +123,19 @@ type Plane struct {
 }
 
 // New builds and starts a plane: calibrates (unless Options.System is
-// given), binds the ops listener and the ingest listeners, and starts
-// scoring. On error nothing is left running.
+// given), binds the ops listener (when ops.addr is set) and the ingest
+// listeners, and starts scoring — or, with Options.Capture, starts
+// playing the capture. New checks only field ranges; the serve
+// document's presence rules are Config.Validate's. On error nothing is
+// left running.
 func New(cfg *Config, opts Options) (*Plane, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateFields(); err != nil {
 		return nil, err
 	}
 	p := &Plane{
 		opts:     opts,
 		out:      opts.Out,
 		cfg:      cfg,
-		obs:      pcsmon.NewObservability(),
 		bus:      newBus(),
 		drained:  make(chan struct{}),
 		pumpDone: make(chan struct{}),
@@ -117,30 +148,40 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 	if p.clock == nil {
 		p.clock = time.Now
 	}
+	if opts.Capture != nil {
+		epoch := p.clock()
+		p.clock = func() time.Time { return epoch.Add(time.Duration(p.capNow.Load())) }
+		p.playDone = make(chan struct{})
+	}
 	p.setUnitOnsets(cfg)
 	p.lastSeen.Store(p.clock().UnixNano())
 
 	// The ops listener binds first so an unusable address fails before the
-	// (expensive) calibration, like the flag path did.
-	ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
-		Metrics:      p.obs.Metrics,
-		Health:       p.obs.Health,
-		Totals:       p.totals,
-		LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
-		StallAfter:   cfg.StallHorizon(),
-		AuthToken:    cfg.Ops.AuthToken,
-		Extra: map[string]http.Handler{
-			"/units/": http.HandlerFunc(p.handleUnits),
-			"/config": http.HandlerFunc(p.handleConfig),
-			"/reload": http.HandlerFunc(p.handleReload),
-			"/drain":  http.HandlerFunc(p.handleDrain),
-			"/events": http.HandlerFunc(p.handleEvents),
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("control: ops listener %s: %v: %w", cfg.Ops.Addr, err, ErrBadConfig)
+	// (expensive) calibration. Without one the plane builds no metrics or
+	// health stack at all.
+	if cfg.Ops.Addr != "" {
+		p.obs = pcsmon.NewObservability()
+		ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
+			Metrics:      p.obs.Metrics,
+			Health:       p.obs.Health,
+			Totals:       p.totals,
+			LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
+			StallAfter:   cfg.StallHorizon(),
+			AuthToken:    cfg.Ops.AuthToken,
+			Extra: map[string]http.Handler{
+				"/units/": http.HandlerFunc(p.handleUnits),
+				"/config": http.HandlerFunc(p.handleConfig),
+				"/reload": http.HandlerFunc(p.handleReload),
+				"/drain":  http.HandlerFunc(p.handleDrain),
+				"/events": http.HandlerFunc(p.handleEvents),
+			},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("control: ops listener %s: %v: %w", cfg.Ops.Addr, err, ErrBadConfig)
+		}
+		p.ops = ops
+		fmt.Fprintf(p.out, "ops listening on %s (/metrics /healthz /status /debug/pprof/ /units /drain /reload /events)\n", ops.URL())
 	}
-	p.ops = ops
 	fail := func(err error) (*Plane, error) {
 		p.teardownPartial()
 		return nil, err
@@ -148,8 +189,8 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 
 	sys := opts.System
 	if sys == nil {
-		sys, err = calibrate(cfg, p.out)
-		if err != nil {
+		var err error
+		if sys, err = calibrate(cfg, p.out); err != nil {
 			return fail(err)
 		}
 	}
@@ -177,9 +218,10 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		StallAfter: cfg.Pairing.StallAfter,
 		Onset:      cfg.OnsetIndex(),
 		OnsetFor:   p.onsetFor,
+		Clock:      p.clock,
 		Dedup:      cfg.Pairing.Dedup,
 		OnAttach: func(plant string) {
-			fmt.Fprintf(p.out, "unit %s attached\n", plant)
+			fmt.Fprintf(p.out, "plant %s attached\n", plant)
 			p.bus.publish(Event{Type: "attached", Unit: plant}, json.Marshal)
 		},
 	}, p.pairingEvent)
@@ -217,9 +259,20 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		}
 		fmt.Fprintf(p.out, "listening on udp://%s\n", p.udp.Addr())
 	}
-	fmt.Fprintf(p.out, "control plane up: ops %s\n", p.ops.URL())
+	if p.obs != nil {
+		if err := p.registerTransport(p.obs.Metrics); err != nil {
+			return fail(err)
+		}
+	}
+	if p.ops != nil {
+		fmt.Fprintf(p.out, "control plane up: ops %s\n", p.ops.URL())
+	}
 
-	go p.tickLoop()
+	if opts.Capture != nil {
+		go p.play()
+	} else {
+		go p.tickLoop()
+	}
 	return p, nil
 }
 
@@ -239,7 +292,68 @@ func (p *Plane) teardownPartial() {
 		<-p.pumpDone
 	}
 	p.bus.close()
-	_ = p.ops.Close()
+	if p.ops != nil {
+		_ = p.ops.Close()
+	}
+}
+
+// registerTransport exports the listener and capture store counters on
+// the ops registry — scrape-time closures over state the transports
+// already keep. The store closures take recMu: the store is not
+// internally synchronized.
+func (p *Plane) registerTransport(reg *pcsmon.MetricsRegistry) error {
+	type series struct {
+		name, help string
+		counter    bool
+		fn         func() float64
+	}
+	var all []series
+	if p.tcp != nil {
+		all = append(all, series{"pcsmon_transport_tcp_frames_total", "Valid frames received over the TCP listener.", true,
+			func() float64 { return float64(p.tcp.Frames()) }})
+	}
+	if p.udp != nil {
+		all = append(all,
+			series{"pcsmon_transport_udp_datagrams_total", "Datagrams received over the UDP listener.", true,
+				func() float64 { return float64(p.udp.Stats().Datagrams) }},
+			series{"pcsmon_transport_udp_corrupt_total", "Corrupt datagrams dropped by the UDP listener.", true,
+				func() float64 { return float64(p.udp.Stats().Corrupt) }})
+	}
+	if p.rec != nil {
+		store := func(f func(fieldbus.StoreStats) float64) func() float64 {
+			return func() float64 {
+				p.recMu.Lock()
+				st := p.rec.Stats()
+				p.recMu.Unlock()
+				return f(st)
+			}
+		}
+		all = append(all,
+			series{"pcsmon_capture_frames_total", "Frames appended to the capture recording.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Frames) })},
+			series{"pcsmon_capture_span_seconds", "Capture time covered by the recording.", false,
+				store(func(s fieldbus.StoreStats) float64 { return s.Span.Seconds() })},
+			series{"pcsmon_capture_store_segments", "Segment files currently on disk (active included).", false,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Segments) })},
+			series{"pcsmon_capture_store_bytes", "Total size of the segment chain including sidecars.", false,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Bytes) })},
+			series{"pcsmon_capture_store_rotations_total", "Segments sealed by rotation.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Rotations) })},
+			series{"pcsmon_capture_store_pruned_total", "Segments deleted by retention.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Pruned) })},
+			series{"pcsmon_capture_store_flushes_total", "Cadence/explicit flushes of the active segment.", true,
+				store(func(s fieldbus.StoreStats) float64 { return float64(s.Flushes) })})
+	}
+	for _, s := range all {
+		register := reg.GaugeFunc
+		if s.counter {
+			register = reg.CounterFunc
+		}
+		if err := register(s.name, s.help, s.fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // calibrate builds the monitoring system from the configured NOC CSV.
@@ -312,13 +426,21 @@ func (p *Plane) Ingest(f *fieldbus.Frame) error {
 	return nil
 }
 
-// ingest is the shared frame handler behind the listeners: record first
-// (the flight recorder sees everything, like the fleet subcommand), then
-// pair and score. Listener goroutines call it concurrently.
+// ingest is the listeners' frame handler. Listener goroutines call it
+// concurrently.
 func (p *Plane) ingest(f *fieldbus.Frame) {
+	if _, err := p.offer(f); err != nil {
+		fmt.Fprintf(p.out, "ingest error: %v\n", err)
+	}
+}
+
+// offer is the shared frame path: record first (the flight recorder sees
+// everything), then pair and score. It reports whether f was an
+// observation frame.
+func (p *Plane) offer(f *fieldbus.Frame) (bool, error) {
 	if p.draining.Load() {
 		p.rejected.Add(1)
-		return
+		return false, nil
 	}
 	if p.rec != nil {
 		p.recMu.Lock()
@@ -329,14 +451,56 @@ func (p *Plane) ingest(f *fieldbus.Frame) {
 		}
 	}
 	offered, err := p.pi.OfferFrame(f)
-	if err != nil {
-		fmt.Fprintf(p.out, "ingest error: %v\n", err)
-		return
-	}
-	if offered {
+	if offered && err == nil {
 		p.accepted.Add(1)
 		p.lastSeen.Store(p.clock().UnixNano())
 	}
+	return offered, err
+}
+
+// play is the capture source's pump: it offers the chain's frames in
+// order at their capture stamps, then drains the plane — with the read
+// error, if the chain broke off.
+func (p *Plane) play() {
+	err := p.playChain(p.opts.Capture)
+	close(p.playDone)
+	_ = p.drain(err)
+}
+
+func (p *Plane) playChain(c *Capture) error {
+	timeout := p.config().PairTimeout()
+	fmt.Fprintf(p.out, "replaying %s\n", c.Name)
+	//pcslint:ignore clock-discipline -- pacing maps capture time onto wall time
+	start := time.Now()
+	var first time.Duration
+	for n := 0; !p.draining.Load(); n++ {
+		ts, f, err := c.Chain.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			first = ts
+		}
+		if c.Speed > 0 {
+			if d := time.Until(start.Add(time.Duration(float64(ts-first) / c.Speed))); d > 0 {
+				time.Sleep(d)
+			}
+		}
+		p.capNow.Store(int64(ts))
+		offered, err := p.offer(f)
+		if err != nil {
+			return err
+		}
+		if offered && timeout > 0 {
+			if err := p.pi.Tick(p.clock()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // pairingEvent forwards typed pairing events to the SSE bus and the log.
@@ -356,6 +520,9 @@ func (p *Plane) pairingEvent(ev pcsmon.FleetEvent) {
 func (p *Plane) pump() {
 	defer close(p.pumpDone)
 	for ev := range p.fl.Events() {
+		if p.opts.OnEvent != nil {
+			p.opts.OnEvent(ev)
+		}
 		switch e := ev.Event.(type) {
 		case pcsmon.SampleScored:
 			p.bus.publish(Event{Type: "scored", Unit: ev.Plant, Data: e}, json.Marshal)
@@ -364,7 +531,8 @@ func (p *Plane) pump() {
 				ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
 			p.bus.publish(Event{Type: "alarm", Unit: ev.Plant, Data: e}, json.Marshal)
 		case pcsmon.ModelSwapped:
-			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d\n", ev.Plant, e.Index, e.Generation)
+			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
+				ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
 			p.bus.publish(Event{Type: "model-swapped", Unit: ev.Plant, Data: e}, json.Marshal)
 		case pcsmon.VerdictReady:
 			// A stream that never scored an observation finishes without a
@@ -422,31 +590,39 @@ func (p *Plane) tickLoop() {
 }
 
 // Drain gracefully stops the plane: new frames are refused, the ingest
-// listeners close, the pairing correlator and fleet mailboxes flush,
-// every unit detaches (final verdicts land in the report table and on the
-// SSE bus), and the capture store seals its tail. Idempotent; safe from
-// any goroutine, including the plane's own HTTP handlers. The ops
-// listener stays up so /status, /units and final SSE events remain
-// readable; Close shuts it down.
-func (p *Plane) Drain() error {
+// listeners close (or the capture stops playing), the pairing correlator
+// and fleet mailboxes flush, every unit detaches (final verdicts land in
+// the report table and on the SSE bus), the capture store seals its tail,
+// and the run's frame accounting is logged. Idempotent; safe from any
+// goroutine, including the plane's own HTTP handlers. The ops listener
+// stays up so /status, /units and final SSE events remain readable; Close
+// shuts it down.
+func (p *Plane) Drain() error { return p.drain(nil) }
+
+// drain is Drain with the error that ended a capture source, if any; it
+// becomes the drain's result when that drain is the one that runs.
+func (p *Plane) drain(srcErr error) error {
 	p.drainOnce.Do(func() {
 		p.draining.Store(true)
 		fmt.Fprintf(p.out, "drain: refusing new frames\n")
 		p.bus.publish(Event{Type: "drain"}, json.Marshal)
-		// Stop the listeners so no receive goroutine races the flush.
+		// Stop the frame sources so nothing races the flush.
 		if p.tcp != nil {
 			_ = p.tcp.Close()
 		}
 		if p.udp != nil {
 			_ = p.udp.Close()
 		}
+		if p.playDone != nil {
+			<-p.playDone
+		}
 		// Everything accepted before the flag flipped is still in the
 		// correlator's reorder windows and the workers' mailboxes: flush the
 		// correlator (forcing out held observations), then detach every unit
 		// — Detach blocks until the stream's queue is scored and its verdict
 		// emitted, which is the losslessness contract.
-		var err error
-		if ferr := p.pi.Flush(); ferr != nil {
+		err := srcErr
+		if ferr := p.pi.Flush(); ferr != nil && err == nil {
 			err = ferr
 		}
 		for _, id := range p.fl.Plants() {
@@ -468,9 +644,9 @@ func (p *Plane) Drain() error {
 			}
 			p.recMu.Unlock()
 		}
-		st := p.pi.Stats()
+		p.logAccounting()
 		fmt.Fprintf(p.out, "drain complete: %d frames accepted, %d paired, %d refused after drain\n",
-			p.accepted.Load(), st.Paired, p.rejected.Load())
+			p.accepted.Load(), p.pi.Stats().Paired, p.rejected.Load())
 		p.bus.close()
 		p.drainErr = err
 		close(p.drained)
@@ -479,11 +655,34 @@ func (p *Plane) Drain() error {
 	return p.drainErr
 }
 
+// logAccounting prints the drained run's per-layer frame accounting.
+func (p *Plane) logAccounting() {
+	st := p.pi.Stats()
+	fmt.Fprintf(p.out, "pairing: %d frames -> %d paired, %d orphaned (%d sensor / %d actuator), %d gap obs, %d dup, %d stale, %d outlier, %d view stalls (loss rate %.2f%%)\n",
+		st.Frames, st.Paired, st.OrphanSensors+st.OrphanActuators, st.OrphanSensors, st.OrphanActuators,
+		st.GapSeqs, st.Duplicates, st.Stale, st.Outliers, st.Stalls, 100*st.LossRate())
+	cfg := p.config()
+	if cfg.Pairing.Dedup > 0 {
+		fmt.Fprintf(p.out, "dedup: %d redundant frames suppressed (window %d)\n", p.pi.Deduped(), cfg.Pairing.Dedup)
+	}
+	if p.udp != nil {
+		ust := p.udp.Stats()
+		fmt.Fprintf(p.out, "udp: %d datagrams received, %d corrupt dropped\n", ust.Datagrams, ust.Corrupt)
+	}
+	if p.rec != nil {
+		rs := p.rec.Stats()
+		fmt.Fprintf(p.out, "recorded %d frames (%v span) to %s (%d segments, %d pruned)\n",
+			rs.Frames, rs.Span.Round(time.Millisecond), cfg.Record.Path, rs.Segments, rs.Pruned)
+	}
+}
+
 // Close drains (if not already drained) and stops the ops listener.
 func (p *Plane) Close() error {
 	err := p.Drain()
-	if cerr := p.ops.Close(); cerr != nil && err == nil {
-		err = cerr
+	if p.ops != nil {
+		if cerr := p.ops.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -494,8 +693,13 @@ func (p *Plane) Drained() <-chan struct{} { return p.drained }
 // Draining reports whether a drain has begun.
 func (p *Plane) Draining() bool { return p.draining.Load() }
 
-// OpsURL returns the control API's base URL.
-func (p *Plane) OpsURL() string { return p.ops.URL() }
+// OpsURL returns the control API's base URL ("" without ops.addr).
+func (p *Plane) OpsURL() string {
+	if p.ops == nil {
+		return ""
+	}
+	return p.ops.URL()
+}
 
 // Accepted returns the number of observation frames accepted pre-drain.
 func (p *Plane) Accepted() uint64 { return p.accepted.Load() }
@@ -542,16 +746,20 @@ func (p *Plane) Reload(next *Config) error {
 	}
 	p.cfg = next
 	p.setUnitOnsets(next)
-	p.ops.SetStallAfter(next.StallHorizon())
+	if p.ops != nil {
+		p.ops.SetStallAfter(next.StallHorizon())
+	}
 	n := p.reloads.Add(1)
 	fmt.Fprintf(p.out, "reload %d applied (healthz stall %v, %d unit overrides)\n",
 		n, next.StallHorizon(), len(next.Units))
 	return nil
 }
 
-// totals builds the /status aggregate map (fleet + pairing + control
-// counters), mirroring the fleet subcommand's document so `mspctool
-// status` renders either.
+// Totals snapshots the /status aggregate counters: fleet, pairing
+// (pairing_observations is the distinct (unit, seq) observations seen)
+// and control.
+func (p *Plane) Totals() map[string]float64 { return p.totals() }
+
 func (p *Plane) totals() map[string]float64 {
 	m := map[string]float64{}
 	if p.fl == nil {
@@ -569,6 +777,7 @@ func (p *Plane) totals() map[string]float64 {
 	if p.pi != nil {
 		ps := p.pi.Stats()
 		m["pairing_frames"] = float64(ps.Frames)
+		m["pairing_observations"] = float64(p.pi.StepCount())
 		m["pairing_paired"] = float64(ps.Paired)
 		m["pairing_orphans"] = float64(ps.OrphanSensors + ps.OrphanActuators)
 		m["pairing_gap_seqs"] = float64(ps.GapSeqs)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -465,6 +467,18 @@ func TestPlaneTCPIngest(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	resp, err := http.Get(p.OpsURL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\npcsmon_transport_tcp_frames_total %d\n", 2*rows); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(want), body)
+	}
 	if err := p.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -474,6 +488,115 @@ func TestPlaneTCPIngest(t *testing.T) {
 	}
 	if rep.Verdict != pcsmon.VerdictNormal.String() {
 		t.Errorf("NOC stream verdict = %s (%s)", rep.Verdict, rep.Explanation)
+	}
+}
+
+// TestPlanePairTimeoutFollowsInjectedClock: with Options.Clock set, the
+// pairing layer stamps arrivals and ages them on that clock alone — a
+// lone sensor frame is orphaned exactly when the injected clock reaches
+// the pairing timeout, not before, and wall time plays no part.
+func TestPlanePairTimeoutFollowsInjectedClock(t *testing.T) {
+	cfg := testPlaneConfig(t, t.TempDir())
+	cfg.Pairing.TimeoutSeconds = 1
+	var now atomic.Int64
+	now.Store(time.Date(2001, 9, 9, 0, 0, 0, 0, time.UTC).UnixNano()) // far from the wall clock
+	p, err := New(cfg, Options{Clock: func() time.Time { return time.Unix(0, now.Load()) }})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	if err := p.Ingest(syntheticFrames(4, 41, 1, -1)[0]); err != nil { // the sensor frame only
+		t.Fatal(err)
+	}
+	orphans := func() uint64 { return p.pi.Stats().OrphanSensors }
+
+	// One nanosecond short of the horizon, over several wall-clock ticks
+	// of the plane's tick loop: still pending.
+	now.Add(int64(time.Second) - 1)
+	time.Sleep(300 * time.Millisecond)
+	if n := orphans(); n != 0 {
+		t.Fatalf("lone frame orphaned %d times before the injected clock reached the timeout", n)
+	}
+	now.Add(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for orphans() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("lone frame not orphaned once the injected clock reached the timeout (orphans %d)", orphans())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPlaneCloseKeepsSSETail: Drain then Close back to back must not cut
+// off an /events subscriber — every unit's verdict and the drain event
+// arrive before the stream ends.
+func TestPlaneCloseKeepsSSETail(t *testing.T) {
+	cfg := testPlaneConfig(t, t.TempDir())
+	p, err := New(cfg, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	resp, err := http.Get(p.OpsURL() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	type result struct {
+		verdicts map[string]bool
+		drain    bool
+	}
+	got := make(chan result, 1)
+	go func() {
+		r := result{verdicts: map[string]bool{}}
+		sc := bufio.NewScanner(resp.Body)
+		var event string
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: ") && event == "verdict":
+				var ev Event
+				if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev) == nil {
+					r.verdicts[ev.Unit] = true
+				}
+			case strings.HasPrefix(line, "data: ") && event == "drain":
+				r.drain = true
+			}
+		}
+		got <- r
+	}()
+	for deadline := time.Now().Add(5 * time.Second); p.bus.nsubs.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the /events subscriber never registered")
+		}
+	}
+
+	const units = 96
+	for u := 0; u < units; u++ {
+		for _, f := range syntheticFrames(uint8(u), int64(50+u), 4, -1) {
+			if err := p.Ingest(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case r := <-got:
+		if !r.drain {
+			t.Error("the drain event never arrived")
+		}
+		if len(r.verdicts) != units {
+			t.Errorf("%d of %d verdict events arrived before the stream ended", len(r.verdicts), units)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the /events stream did not end after Close")
 	}
 }
 

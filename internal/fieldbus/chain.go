@@ -60,6 +60,8 @@ type ChainReader struct {
 	last      time.Duration // newest timestamp delivered or indexed
 	records   uint64        // records decoded (the full-scan detector)
 	delivered uint64        // records returned to the caller (in-window)
+	first     time.Duration // stamp of the first record delivered
+	end       time.Duration // stamp of the newest record delivered
 	skipped   int           // segments never opened thanks to their index
 	trunc     error         // typed truncated-tail warning, set at EOF
 
@@ -160,7 +162,11 @@ func (c *ChainReader) Next() (time.Duration, *Frame, error) {
 		if c.filtered && !c.unitSet[f.Unit] {
 			continue
 		}
+		if c.delivered == 0 {
+			c.first = ts
+		}
 		c.delivered++
+		c.end = ts
 		return ts, f, nil
 	}
 }
@@ -266,6 +272,10 @@ func (c *ChainReader) RecordsRead() uint64 { return c.records }
 // trails RecordsRead when a window skips records decoded while scanning a
 // partially-overlapping segment up to From.
 func (c *ChainReader) Delivered() uint64 { return c.delivered }
+
+// Span returns the capture time between the first and the newest
+// record delivered.
+func (c *ChainReader) Span() time.Duration { return c.end - c.first }
 
 // Segments returns the total number of segments in the chain.
 func (c *ChainReader) Segments() int { return len(c.segs) }

@@ -15,6 +15,7 @@
 package opsserver
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
@@ -137,8 +138,20 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close stops the listener and in-flight handlers.
-func (s *Server) Close() error { return s.srv.Close() }
+// shutdownGrace bounds how long Close lets in-flight handlers finish.
+const shutdownGrace = 5 * time.Second
+
+// Close stops the listener and lets in-flight handlers finish — a
+// streaming handler flushing its tail included — for up to shutdownGrace
+// before cutting the remaining connections.
+func (s *Server) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := s.srv.Shutdown(ctx); err != nil {
+		return s.srv.Close()
+	}
+	return nil
+}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
