@@ -96,77 +96,3 @@ func TestRunFleetBatchedAdaptiveParity(t *testing.T) {
 			batched, unbatched)
 	}
 }
-
-// TestPairingIngestBatchedParity: the two-view pairing ingest feeding
-// batched mailboxes — with the actuator view running behind the sensor
-// view — produces reports bit-identical to per-observation delivery.
-func TestPairingIngestBatchedParity(t *testing.T) {
-	sys := pairingTestSystem(t)
-	const (
-		rows  = 220
-		onset = 110
-		skew  = 5
-	)
-	ctrl, proc := pairingRows(21, rows, 3, onset, 20)
-
-	run := func(batch int) *pcsmon.Report {
-		t.Helper()
-		fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
-			Workers: 2, EmitEvery: -1, Sample: 9 * time.Second, Batch: batch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for range fl.Events() {
-			}
-		}()
-		pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{Window: 32, Onset: onset}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rows; i++ {
-			if err := pi.OfferSensor(0, uint64(i), ctrl[i]); err != nil {
-				t.Fatal(err)
-			}
-			if i >= skew {
-				if err := pi.OfferActuator(0, uint64(i-skew), proc[i-skew]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for i := rows - skew; i < rows; i++ {
-			if err := pi.OfferActuator(0, uint64(i), proc[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := pi.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if st := pi.Stats(); st.Paired != rows {
-			t.Fatalf("batch=%d: skewed replay lost pairings: %+v", batch, st)
-		}
-		rep, err := fl.Detach("unit-000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fl.Close(); err != nil {
-			t.Fatal(err)
-		}
-		<-drained
-		return rep
-	}
-
-	golden := run(1)
-	for _, batch := range []int{3, 16} {
-		if got := run(batch); !reflect.DeepEqual(got, golden) {
-			t.Errorf("batch=%d: pairing-ingest report differs from unbatched:\nbatched:   %+v\nunbatched: %+v",
-				batch, got, golden)
-		}
-	}
-	if golden.Verdict != pcsmon.VerdictIntegrityAttack {
-		t.Errorf("golden verdict %v (%s)", golden.Verdict, golden.Explanation)
-	}
-}

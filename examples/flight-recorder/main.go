@@ -12,8 +12,9 @@
 // minutes around the incident (the index skips the sealed segments before
 // the window without decoding a record), suppress the second collector's
 // redundant copies with a dedup window, tolerate the torn tail as a typed
-// warning — and replay the surviving frames through the same pairing →
-// fleet path the live monitor runs, to a localized cross-view verdict.
+// warning — and replay the surviving frames through a control plane, the
+// same pairing → fleet path the live monitor runs, to a localized
+// cross-view verdict.
 //
 //	go run ./examples/flight-recorder
 package main
@@ -25,9 +26,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
-	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
@@ -46,6 +48,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flight-recorder:", err)
 		os.Exit(1)
 	}
+}
+
+// syncWriter serializes the plane's log goroutines.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
 }
 
 // run records `samples` observations (the attack arms at `armAt`), kills
@@ -171,80 +185,51 @@ func run(w io.Writer, dir string, samples, armAt int) error {
 
 	// ---- Part 2: incident response from the chain. ----
 	//
-	// Replay only the window around the incident. Sealed segments wholly
-	// before the window are skipped via their index sidecars; the dedup
-	// window collapses the two collectors' copies back into one stream.
+	// Replay only the window around the incident through a control plane
+	// whose frame source is the chain. Sealed segments wholly before the
+	// window are skipped via their index sidecars; the dedup window
+	// collapses the two collectors' copies back into one stream. The plane
+	// logs attachments, alarms and the pairing and dedup accounting, and
+	// drains itself at the end of the chain.
 	from := time.Duration(armAt-60) * step
 	cr, err := fieldbus.OpenCaptureChain(base, fieldbus.ChainOptions{From: from})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = cr.Close() }()
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{Workers: 1, EmitEvery: -1, Sample: 9 * time.Second})
-	if err != nil {
-		return err
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range fl.Events() {
-			if e, ok := ev.Event.(pcsmon.AlarmRaised); ok {
-				fmt.Fprintf(w, "ALARM [%s/%s] at obs %d (charts %v)\n", ev.Plant, e.View, e.Index, e.Charts)
-			}
-		}
-	}()
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window: 16,
-		Dedup:  8, // two taps: the adjacent redundant copy is suppressed
-		Onset:  60,
-		OnAttach: func(plant string) {
-			fmt.Fprintf(w, "plant %s attached\n", plant)
+	p, err := control.New(&control.Config{
+		SampleSeconds: 9,
+		OnsetHour:     60 * 9.0 / 3600, // the anomaly is 60 observations into the window
+		Pairing: control.Pairing{
+			Window:         16,
+			TimeoutSeconds: -1,
+			Dedup:          8, // two taps: the adjacent redundant copy is suppressed
 		},
-	}, nil)
+		Fleet: control.FleetCfg{Workers: 1},
+	}, control.Options{
+		Out:     &syncWriter{w: w},
+		System:  sys,
+		Capture: &control.Capture{Chain: cr, Name: fmt.Sprintf("window [%v, end] of %d segments…", from, cr.Segments())},
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "replaying window [%v, end] of %d segments…\n", from, cr.Segments())
-	for {
-		_, f, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := pi.OfferFrame(f); err != nil {
-			return err
-		}
+	<-p.Drained()
+	if err := p.Close(); err != nil {
+		return err
 	}
 	if terr := cr.Truncated(); terr != nil {
 		fmt.Fprintf(w, "warning: %v — replaying the %d readable frames\n", terr, cr.Delivered())
 	}
-	if err := pi.Flush(); err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "window seek: %d of %d segments skipped via index (%d records decoded, %d delivered)\n",
 		cr.SegmentsSkipped(), cr.Segments(), cr.RecordsRead(), cr.Delivered())
-	fmt.Fprintf(w, "dedup: %d redundant frames suppressed — two collectors, one correlator\n", pi.Deduped())
-	pst := pi.Stats()
-	fmt.Fprintf(w, "pairing: %d frames -> %d paired, %d dup, loss rate %.1f%%\n",
-		pst.Frames, pst.Paired, pst.Duplicates, 100*pst.LossRate())
 
-	ids := pi.Plants()
+	reports := p.Reports()
+	ids := make([]string, 0, len(reports))
+	for id := range reports {
+		ids = append(ids, id)
+	}
 	sort.Strings(ids)
-	reports := map[string]*pcsmon.Report{}
-	for _, id := range ids {
-		rep, err := fl.Detach(id)
-		if err != nil {
-			return err
-		}
-		reports[id] = rep
-	}
-	if err := fl.Close(); err != nil {
-		return err
-	}
-	<-drained
-
 	for _, id := range ids {
 		rep := reports[id]
 		fmt.Fprintf(w, "\nplant %s VERDICT: %s", id, rep.Verdict)

@@ -7,10 +7,11 @@
 // drops, duplicates, delays and reorders datagrams (seeded, so the demo is
 // reproducible); a man-in-the-middle on the actuator path forges XMV(3) to
 // zero mid-stream. The monitor never sees a connection — only whatever
-// datagrams survive — yet the pairing correlator turns the surviving
-// frames into paired cross-view observations, accounts every loss, and
-// the diagnosis still concludes what no single view can: the two views
-// disagree about XMV(3), an integrity attack, localized.
+// datagrams survive, handed by its UDP listener to a control plane — yet
+// the plane's pairing correlator turns the surviving frames into paired
+// cross-view observations, accounts every loss, and the diagnosis still
+// concludes what no single view can: the two views disagree about XMV(3),
+// an integrity attack, localized.
 //
 //	go run ./examples/lossy-udp
 package main
@@ -23,7 +24,7 @@ import (
 	"sync"
 	"time"
 
-	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
@@ -99,9 +100,22 @@ func (ch *lossyChannel) transmit(f *fieldbus.Frame) error {
 	return ch.cli.Send(f)
 }
 
+// syncWriter serializes the plane's log goroutines and the demo's lines.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run streams samples observations, arming the MitM at step armAt.
 func run(w io.Writer, samples, armAt int) error {
 	const xmv3 = te.NumXMEAS + te.XmvAFeed // XMV(3) observation column
+	w = &syncWriter{w: w}
 
 	// The same quick synthetic plant as the two-view-live demo: correlated
 	// NOC rows around an operating point.
@@ -136,48 +150,23 @@ func run(w io.Writer, samples, armAt int) error {
 	}
 	fmt.Fprintf(w, "monitor calibrated on %d NOC observations\n", cal.Rows())
 
-	// The monitoring endpoint: UDP listener -> pairing ingest -> fleet.
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{Workers: 1, EmitEvery: -1, Sample: 9 * time.Second})
+	// The monitoring endpoint: UDP listener -> control plane (pairing
+	// ingest -> fleet scoring). The plane logs attachments, alarms, view
+	// stalls and the pairing accounting on w.
+	p, err := control.New(&control.Config{
+		SampleSeconds: 9,
+		OnsetHour:     float64(armAt) * 9 / 3600, // onset at observation armAt
+		Pairing: control.Pairing{
+			Window:         64, // the reorder depth the lossy channel must stay inside
+			TimeoutSeconds: 2,  // wall-clock horizon for datagrams that never arrive
+		},
+		Fleet: control.FleetCfg{Workers: 1},
+	}, control.Options{Out: w, System: sys})
 	if err != nil {
 		return err
 	}
-	var outMu sync.Mutex
-	drained := make(chan struct{})
-	verdicts := map[string]*pcsmon.Report{}
-	go func() {
-		defer close(drained)
-		for ev := range fl.Events() {
-			switch e := ev.Event.(type) {
-			case pcsmon.AlarmRaised:
-				outMu.Lock()
-				fmt.Fprintf(w, "ALARM [%s/%s] at obs %d (charts %v)\n", ev.Plant, e.View, e.Index, e.Charts)
-				outMu.Unlock()
-			case pcsmon.VerdictReady:
-				verdicts[ev.Plant] = e.Report
-			}
-		}
-	}()
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:  64,              // the reorder depth the lossy channel must stay inside
-		Timeout: 2 * time.Second, // wall-clock horizon for datagrams that never arrive
-		Onset:   armAt,
-	}, func(ev pcsmon.FleetEvent) {
-		if s, ok := ev.Event.(pcsmon.ViewStalled); ok {
-			outMu.Lock()
-			fmt.Fprintf(w, "VIEW STALL [%s]: %s frames missing since obs %d\n", ev.Plant, s.View, s.Seq)
-			outMu.Unlock()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	srv, err := fieldbus.NewUDPServer("127.0.0.1:0", func(f *fieldbus.Frame) {
-		if _, err := pi.OfferFrame(f); err != nil {
-			outMu.Lock()
-			fmt.Fprintf(w, "ingest error: %v\n", err)
-			outMu.Unlock()
-		}
-	})
+	defer func() { _ = p.Close() }()
+	srv, err := fieldbus.NewUDPServer("127.0.0.1:0", func(f *fieldbus.Frame) { _ = p.Ingest(f) })
 	if err != nil {
 		return err
 	}
@@ -205,9 +194,7 @@ func run(w io.Writer, samples, armAt int) error {
 		procView := append([]float64(nil), truth...)
 		if i >= armAt {
 			if i == armAt {
-				outMu.Lock()
 				fmt.Fprintln(w, ">>> MitM armed: actuator datagrams now deliver XMV(3)=0 to the plant")
-				outMu.Unlock()
 			}
 			ramp := 0.1 * float64(i-armAt)
 			if ramp > 15 {
@@ -226,9 +213,6 @@ func run(w io.Writer, samples, armAt int) error {
 		if i%32 == 31 {
 			time.Sleep(time.Millisecond) // loopback pacing
 		}
-		if err := pi.Tick(time.Now()); err != nil {
-			return err
-		}
 	}
 	if err := ctrlNet.flush(); err != nil {
 		return err
@@ -236,41 +220,27 @@ func run(w io.Writer, samples, armAt int) error {
 	if err := plantNet.flush(); err != nil {
 		return err
 	}
-	// Wait until the surviving datagrams have been ingested (the count
-	// stops moving), then finalize the stream.
+	// Wait until the surviving datagrams have been ingested, then drain:
+	// the plane flushes the pairing, scores every observation and reports
+	// each unit's verdict.
 	attempted := uint64(ctrlNet.sent + plantNet.sent)
 	deadline := time.Now().Add(30 * time.Second)
-	for pi.Stats().Frames < attempted && time.Now().Before(deadline) {
+	for p.Accepted() < attempted && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
-		if err := pi.Tick(time.Now()); err != nil {
-			return err
-		}
 	}
-	if err := pi.Flush(); err != nil {
+	if err := p.Drain(); err != nil {
 		return err
 	}
-	st := pi.Stats()
+	st := p.Totals()
 	ust := srv.Stats()
-	outMu.Lock()
 	fmt.Fprintf(w, "channel: %d datagrams sent, %d dropped, %d duplicated, %d delayed/reordered\n",
 		ctrlNet.sent+plantNet.sent, ctrlNet.dropped+plantNet.dropped,
 		ctrlNet.dups+plantNet.dups, ctrlNet.reordered+plantNet.reordered)
-	fmt.Fprintf(w, "monitor:  %d datagrams received (%d corrupt), %d paired, %d orphaned, %d gap obs, %d dup — measured loss rate %.1f%%\n",
-		ust.Datagrams, ust.Corrupt, st.Paired, st.OrphanSensors+st.OrphanActuators,
-		st.GapSeqs, st.Duplicates, 100*st.LossRate())
-	outMu.Unlock()
+	fmt.Fprintf(w, "monitor:  %d datagrams received (%d corrupt), %g paired, %g orphaned, %g gap obs, %g dup — measured loss rate %.1f%%\n",
+		ust.Datagrams, ust.Corrupt, st["pairing_paired"], st["pairing_orphans"],
+		st["pairing_gap_seqs"], st["pairing_duplicates"], 100*st["pairing_loss_ratio"])
 
-	for _, id := range pi.Plants() {
-		if _, err := fl.Detach(id); err != nil {
-			return err
-		}
-	}
-	if err := fl.Close(); err != nil {
-		return err
-	}
-	<-drained
-
-	for id, rep := range verdicts {
+	for id, rep := range p.Reports() {
 		fmt.Fprintf(w, "\nplant %s VERDICT: %s", id, rep.Verdict)
 		if rep.AttackedVar >= 0 {
 			fmt.Fprintf(w, " — localized channel: %s", historian.VarName(rep.AttackedVar))

@@ -1,5 +1,5 @@
 // Two-view-live: the paper's monitoring topology end to end over real TCP
-// sockets, through the two-view pairing ingest.
+// sockets, through the control plane's two-view pairing ingest.
 //
 // Two collectors observe the same plant from the two ends of an insecure
 // fieldbus with a man-in-the-middle on the actuator link:
@@ -12,8 +12,9 @@
 //     frames.
 //
 // Both frame streams travel over separate TCP connections to the monitor,
-// which correlates them by (unit, sequence number) into paired two-view
-// observations and scores them through the fleet engine. The cross-view
+// whose listener hands every frame to a control plane: it correlates them
+// by (unit, sequence number) into paired two-view observations and scores
+// them through the fleet engine. The cross-view
 // diagnosis concludes what no single view can: the two views *disagree*
 // about XMV(3), so the channel is forged — an integrity attack, not a
 // disturbance.
@@ -29,7 +30,7 @@ import (
 	"sync"
 	"time"
 
-	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
@@ -44,9 +45,22 @@ func main() {
 	}
 }
 
+// syncWriter serializes the plane's log goroutines and the demo's lines.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 // run streams samples observations, arming the MitM at step armAt.
 func run(w io.Writer, samples, armAt int) error {
 	const xmv3 = te.NumXMEAS + te.XmvAFeed // XMV(3) observation column
+	w = &syncWriter{w: w}
 
 	// A quick synthetic plant stands in for the TE simulator so the demo
 	// runs in milliseconds: correlated NOC rows around an operating point.
@@ -82,48 +96,23 @@ func run(w io.Writer, samples, armAt int) error {
 	}
 	fmt.Fprintf(w, "monitor calibrated on %d NOC observations\n", cal.Rows())
 
-	// The monitoring endpoint: fieldbus server -> pairing ingest -> fleet.
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{Workers: 1, EmitEvery: -1, Sample: 9 * time.Second})
+	// The monitoring endpoint: fieldbus server -> control plane (pairing
+	// ingest -> fleet scoring). The plane logs attachments, alarms, view
+	// stalls and the pairing accounting on w.
+	p, err := control.New(&control.Config{
+		SampleSeconds: 9,
+		OnsetHour:     float64(armAt) * 9 / 3600, // onset at observation armAt
+		Pairing: control.Pairing{
+			Window:         512, // generous: the two collectors' connections race freely
+			TimeoutSeconds: 5,   // age horizon far beyond any scheduling skew
+		},
+		Fleet: control.FleetCfg{Workers: 1},
+	}, control.Options{Out: w, System: sys})
 	if err != nil {
 		return err
 	}
-	var outMu sync.Mutex
-	drained := make(chan struct{})
-	verdicts := map[string]*pcsmon.Report{}
-	go func() {
-		defer close(drained)
-		for ev := range fl.Events() {
-			switch e := ev.Event.(type) {
-			case pcsmon.AlarmRaised:
-				outMu.Lock()
-				fmt.Fprintf(w, "ALARM [%s/%s] at obs %d (charts %v)\n", ev.Plant, e.View, e.Index, e.Charts)
-				outMu.Unlock()
-			case pcsmon.VerdictReady:
-				verdicts[ev.Plant] = e.Report
-			}
-		}
-	}()
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:  512,             // generous: the two collectors' connections race freely
-		Timeout: 5 * time.Second, // age horizon far beyond any scheduling skew
-		Onset:   armAt,
-	}, func(ev pcsmon.FleetEvent) {
-		if s, ok := ev.Event.(pcsmon.ViewStalled); ok {
-			outMu.Lock()
-			fmt.Fprintf(w, "VIEW STALL [%s]: %s frames missing since obs %d\n", ev.Plant, s.View, s.Seq)
-			outMu.Unlock()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	srv, err := fieldbus.NewServer("127.0.0.1:0", func(f *fieldbus.Frame) {
-		if _, err := pi.OfferFrame(f); err != nil {
-			outMu.Lock()
-			fmt.Fprintf(w, "ingest error: %v\n", err)
-			outMu.Unlock()
-		}
-	})
+	defer func() { _ = p.Close() }()
+	srv, err := fieldbus.NewServer("127.0.0.1:0", func(f *fieldbus.Frame) { _ = p.Ingest(f) })
 	if err != nil {
 		return err
 	}
@@ -149,9 +138,7 @@ func run(w io.Writer, samples, armAt int) error {
 		procView := append([]float64(nil), truth...)
 		if i >= armAt {
 			if i == armAt {
-				outMu.Lock()
 				fmt.Fprintln(w, ">>> MitM armed: actuator frames now deliver XMV(3)=0 to the plant")
-				outMu.Unlock()
 			}
 			// The controller keeps raising its command (integrator windup
 			// against the missing flow); the plant receives the forged zero.
@@ -169,36 +156,19 @@ func run(w io.Writer, samples, armAt int) error {
 		if err := plantSide.Send(&fieldbus.Frame{Type: fieldbus.FrameActuator, Unit: 1, Seq: seq, Values: procView}); err != nil {
 			return err
 		}
-		if err := pi.Tick(time.Now()); err != nil {
-			return err
-		}
 	}
 	// Wait until both connections' frame streams have fully arrived (two
-	// frames per observation), then finalize the stream.
+	// frames per observation), then drain: the plane flushes the pairing,
+	// scores every observation and reports each unit's verdict.
 	deadline := time.Now().Add(30 * time.Second)
-	for pi.Stats().Frames < uint64(2*samples) && time.Now().Before(deadline) {
+	for p.Accepted() < uint64(2*samples) && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := pi.Flush(); err != nil {
+	if err := p.Drain(); err != nil {
 		return err
 	}
-	st := pi.Stats()
-	outMu.Lock()
-	fmt.Fprintf(w, "pairing: %d frames correlated into %d paired + %d orphaned observations\n",
-		st.Frames, st.Paired, st.OrphanSensors+st.OrphanActuators)
-	outMu.Unlock()
 
-	for _, id := range pi.Plants() {
-		if _, err := fl.Detach(id); err != nil {
-			return err
-		}
-	}
-	if err := fl.Close(); err != nil {
-		return err
-	}
-	<-drained
-
-	for id, rep := range verdicts {
+	for id, rep := range p.Reports() {
 		fmt.Fprintf(w, "\nplant %s VERDICT: %s", id, rep.Verdict)
 		if rep.AttackedVar >= 0 {
 			fmt.Fprintf(w, " — localized channel: %s", historian.VarName(rep.AttackedVar))

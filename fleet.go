@@ -19,6 +19,18 @@ var (
 	ErrUnknownPlant = fleet.ErrUnknownPlant
 )
 
+// plantIDs holds the 256 possible plant ids; PlantID is called once per
+// paired observation on the scoring hot path, so it must not format.
+var plantIDs = func() (ids [256]string) {
+	for i := range ids {
+		ids[i] = fmt.Sprintf("unit-%03d", i)
+	}
+	return
+}()
+
+// PlantID returns the fleet plant id of a fieldbus unit ("unit-007").
+func PlantID(unit uint8) string { return plantIDs[unit] }
+
 // FleetStats is a snapshot of a fleet's aggregate counters.
 type FleetStats = fleet.Stats
 
@@ -76,7 +88,6 @@ type FleetOptions struct {
 // concurrent use.
 type Fleet struct {
 	pool   *fleet.Pool
-	obs    *Observability // nil when observability is off
 	events chan FleetEvent
 	done   chan struct{}
 }
@@ -105,7 +116,6 @@ func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
 	}
 	f := &Fleet{
 		pool:   pool,
-		obs:    opts.Obs,
 		events: make(chan FleetEvent, max(opts.EventBuffer, 1)),
 		done:   make(chan struct{}),
 	}

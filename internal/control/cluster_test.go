@@ -112,8 +112,6 @@ func TestClusterTwoNodeParity(t *testing.T) {
 
 	newPlane := func() *Plane {
 		cfg := &Config{
-			// Never opened: Options.System supplies the calibration.
-			Calibration:   "shared-lab-calibration",
 			SampleSeconds: exp.SampleInterval().Seconds(),
 			OnsetHour:     onsetHour,
 			Listeners:     Listeners{TCP: "127.0.0.1:0"},

@@ -39,7 +39,8 @@ var ErrBadConfig = pcsmon.ErrBadConfig
 // (JSON numbers, fractional allowed); zero values select the same
 // defaults the flags did.
 type Config struct {
-	// Calibration is the NOC calibration CSV path (required).
+	// Calibration is the NOC calibration CSV path (required; a plane built
+	// with Options.System never opens it).
 	Calibration string `json:"calibration"`
 	// SampleSeconds is the observation interval of the monitored streams
 	// (0 = 4.5, the paper's cadence).
@@ -209,10 +210,13 @@ func badField(path string, format string, args ...any) error {
 }
 
 // Validate checks a serve document: every field's range (see
-// validateFields) plus the presence rules of serve mode — at least one
-// listener and an ops address. Errors name the offending path.
+// validateFields) plus the presence rules of serve mode — a calibration,
+// at least one listener and an ops address. Errors name the offending
+// path.
 func (c *Config) Validate() error {
 	switch {
+	case c.Calibration == "":
+		return badField("calibration", "required")
 	case c.Listeners.TCP == "" && c.Listeners.UDP == "":
 		return badField("listeners", "at least one of listeners.tcp / listeners.udp is required")
 	case c.Ops.Addr == "":
@@ -222,12 +226,11 @@ func (c *Config) Validate() error {
 }
 
 // validateFields checks every field's range, naming the offending path.
-// New runs only this: a plane fed from a capture needs no listener, and
-// one without an ops address runs without the HTTP stack.
+// New runs only this: a plane fed from a capture needs no listener, one
+// without an ops address runs without the HTTP stack, and one given a
+// calibrated system needs no calibration file.
 func (c *Config) validateFields() error {
 	switch {
-	case c.Calibration == "":
-		return badField("calibration", "required")
 	case c.SampleSeconds < 0:
 		return badField("sample_seconds", "%g must be >= 0", c.SampleSeconds)
 	case c.OnsetHour < 0:
@@ -349,8 +352,7 @@ func (c *Config) OnsetIndex() int {
 }
 
 // UnitOnsets resolves the per-unit onset override table into observation
-// indexes (-1 = inherit the global onset), the PairingOptions.OnsetFor
-// shape.
+// indexes (-1 = inherit the global onset).
 func (c *Config) UnitOnsets() [256]int {
 	var onsets [256]int
 	for i := range onsets {

@@ -16,7 +16,9 @@ import (
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/historian"
 	"pcsmon/internal/obs/opsserver"
+	"pcsmon/internal/pairing"
 )
 
 // ErrDraining is returned by ingest entry points once a drain began.
@@ -24,7 +26,8 @@ var ErrDraining = errors.New("control: plane is draining")
 
 // Options tunes New beyond the config file.
 type Options struct {
-	// Out receives the plane's log lines (nil = discard).
+	// Out receives the plane's log lines (nil = discard). The plane writes
+	// from several goroutines: Out must be safe for concurrent use.
 	Out io.Writer
 	// System is a pre-calibrated monitoring system; nil calibrates from
 	// Config.Calibration (the serve path). Tests share one calibration
@@ -89,8 +92,19 @@ type Plane struct {
 
 	obs *pcsmon.Observability
 	fl  *pcsmon.Fleet
-	pi  *pcsmon.PairingIngest
+	cor *pairing.Correlator
 	ops *opsserver.Server
+
+	dedupMu sync.Mutex // guards dedup (listener goroutines offer concurrently)
+	dedup   *fieldbus.FrameDedup
+
+	stateMu  sync.Mutex // guards attached; see attach
+	attached [256]bool
+	// quiesced marks drained units, whose frames are dropped at the door
+	// and on residual correlator outcomes. Lock-free reads keep stateMu
+	// off the per-frame path.
+	quiesced      [256]atomic.Bool
+	quiescedDrops atomic.Uint64
 
 	tcp *fieldbus.Server
 	udp *fieldbus.UDPServer
@@ -100,8 +114,8 @@ type Plane struct {
 
 	bus *bus
 
-	// unitOnsets is the reloadable per-unit onset table read by the
-	// pairing attach hook (-1 = inherit the global onset).
+	// unitOnsets is the reloadable per-unit onset table read at attach
+	// (-1 = inherit the global onset).
 	unitOnsets [256]atomic.Int64
 
 	lastSeen atomic.Int64 // UnixNano of the last accepted frame
@@ -125,10 +139,13 @@ type Plane struct {
 // New builds and starts a plane: calibrates (unless Options.System is
 // given), binds the ops listener (when ops.addr is set) and the ingest
 // listeners, and starts scoring — or, with Options.Capture, starts
-// playing the capture. New checks only field ranges; the serve
-// document's presence rules are Config.Validate's. On error nothing is
-// left running.
+// playing the capture. New checks field ranges, and requires calibration
+// only when Options.System is nil; the serve document's other presence
+// rules are Config.Validate's. On error nothing is left running.
 func New(cfg *Config, opts Options) (*Plane, error) {
+	if opts.System == nil && cfg.Calibration == "" {
+		return nil, badField("calibration", "required without Options.System")
+	}
 	if err := cfg.validateFields(); err != nil {
 		return nil, err
 	}
@@ -164,7 +181,7 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
 			Metrics:      p.obs.Metrics,
 			Health:       p.obs.Health,
-			Totals:       p.totals,
+			Totals:       p.Totals,
 			LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
 			StallAfter:   cfg.StallHorizon(),
 			AuthToken:    cfg.Ops.AuthToken,
@@ -212,23 +229,21 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 	p.fl = fl
 	go p.pump()
 
-	pi, err := fl.NewPairingIngest(pcsmon.PairingOptions{
-		Window:     cfg.Pairing.Window,
-		Timeout:    cfg.PairTimeout(),
-		StallAfter: cfg.Pairing.StallAfter,
-		Onset:      cfg.OnsetIndex(),
-		OnsetFor:   p.onsetFor,
-		Clock:      p.clock,
-		Dedup:      cfg.Pairing.Dedup,
-		OnAttach: func(plant string) {
-			fmt.Fprintf(p.out, "plant %s attached\n", plant)
-			p.bus.publish(Event{Type: "attached", Unit: plant}, json.Marshal)
-		},
-	}, p.pairingEvent)
-	if err != nil {
-		return fail(err)
+	if cfg.Pairing.Dedup > 0 {
+		if p.dedup, err = fieldbus.NewFrameDedup(cfg.Pairing.Dedup); err != nil {
+			return fail(fmt.Errorf("control: pairing.dedup: %w", err))
+		}
 	}
-	p.pi = pi
+	p.cor, err = pairing.NewCorrelator(pairing.Config{
+		Cols:       historian.NumVars,
+		Window:     cfg.Pairing.Window,
+		MaxAge:     cfg.PairTimeout(),
+		StallAfter: cfg.Pairing.StallAfter,
+		Clock:      p.clock,
+	}, p.route)
+	if err != nil {
+		return fail(fmt.Errorf("control: pairing: %w", err))
+	}
 
 	if cfg.Record.Path != "" {
 		st, err := fieldbus.OpenCaptureStore(cfg.Record.Path, fieldbus.StoreOptions{
@@ -297,17 +312,49 @@ func (p *Plane) teardownPartial() {
 	}
 }
 
-// registerTransport exports the listener and capture store counters on
-// the ops registry — scrape-time closures over state the transports
-// already keep. The store closures take recMu: the store is not
-// internally synchronized.
+// registerTransport exports the pairing, listener and capture store
+// counters on the ops registry — scrape-time closures over state the
+// layers already keep, so the ingest path pays nothing for them. The
+// store closures take recMu: the store is not internally synchronized.
 func (p *Plane) registerTransport(reg *pcsmon.MetricsRegistry) error {
 	type series struct {
 		name, help string
 		counter    bool
 		fn         func() float64
 	}
-	var all []series
+	pair := func(f func(pairing.Stats) float64) func() float64 {
+		return func() float64 { return f(p.cor.Stats()) }
+	}
+	all := []series{
+		{"pcsmon_pairing_frames_total", "Observation frames ingested (both views).", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Frames) })},
+		{"pcsmon_pairing_paired_total", "Observations scored with both views present.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Paired) })},
+		{"pcsmon_pairing_orphan_sensors_total", "Sensor frames scored without their actuator twin.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.OrphanSensors) })},
+		{"pcsmon_pairing_orphan_actuators_total", "Actuator frames scored without their sensor twin.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.OrphanActuators) })},
+		{"pcsmon_pairing_gap_events_total", "Sequence-number gaps detected.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.GapEvents) })},
+		{"pcsmon_pairing_gap_seqs_total", "Observations lost inside detected gaps.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.GapSeqs) })},
+		{"pcsmon_pairing_duplicates_total", "Duplicate frames discarded.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Duplicates) })},
+		{"pcsmon_pairing_stale_total", "Frames arriving after their observation was flushed.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Stale) })},
+		{"pcsmon_pairing_outliers_total", "Implausible sequence jumps quarantined.", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Outliers) })},
+		{"pcsmon_pairing_stalls_total", "One-view blackout detections (ViewStalled events).", true,
+			pair(func(s pairing.Stats) float64 { return float64(s.Stalls) })},
+		{"pcsmon_pairing_deduped_total", "Content-identical frames suppressed by the redundant-collector window.", true,
+			func() float64 { return float64(p.deduped()) }},
+		{"pcsmon_pairing_pending_frames", "Frames waiting for their twin in the reorder window.", false,
+			pair(func(s pairing.Stats) float64 { return float64(s.PendingFrames) })},
+		{"pcsmon_pairing_units", "Distinct fieldbus units seen.", false,
+			pair(func(s pairing.Stats) float64 { return float64(s.Units) })},
+		{"pcsmon_pairing_loss_ratio", "Missing frames as a fraction of expected frames.", false,
+			pair(func(s pairing.Stats) float64 { return s.LossRate() })},
+	}
 	if p.tcp != nil {
 		all = append(all, series{"pcsmon_transport_tcp_frames_total", "Valid frames received over the TCP listener.", true,
 			func() float64 { return float64(p.tcp.Frames()) }})
@@ -409,9 +456,17 @@ func (p *Plane) setUnitOnsets(cfg *Config) {
 	}
 }
 
-// onsetFor is the pairing attach hook: the reloadable per-unit override.
+// onsetFor returns a unit's reloadable onset override (-1 = none).
 func (p *Plane) onsetFor(unit uint8) int {
 	return int(p.unitOnsets[unit].Load())
+}
+
+// onset resolves a unit's attach-time onset index.
+func (p *Plane) onset(unit uint8) int {
+	if o := p.onsetFor(unit); o >= 0 {
+		return o
+	}
+	return p.config().OnsetIndex()
 }
 
 // Ingest offers one frame to the plane — the programmatic entry the
@@ -432,30 +487,6 @@ func (p *Plane) ingest(f *fieldbus.Frame) {
 	if _, err := p.offer(f); err != nil {
 		fmt.Fprintf(p.out, "ingest error: %v\n", err)
 	}
-}
-
-// offer is the shared frame path: record first (the flight recorder sees
-// everything), then pair and score. It reports whether f was an
-// observation frame.
-func (p *Plane) offer(f *fieldbus.Frame) (bool, error) {
-	if p.draining.Load() {
-		p.rejected.Add(1)
-		return false, nil
-	}
-	if p.rec != nil {
-		p.recMu.Lock()
-		err := p.rec.Record(f)
-		p.recMu.Unlock()
-		if err != nil {
-			fmt.Fprintf(p.out, "record error: %v\n", err)
-		}
-	}
-	offered, err := p.pi.OfferFrame(f)
-	if offered && err == nil {
-		p.accepted.Add(1)
-		p.lastSeen.Store(p.clock().UnixNano())
-	}
-	return offered, err
 }
 
 // play is the capture source's pump: it offers the chain's frames in
@@ -495,24 +526,12 @@ func (p *Plane) playChain(c *Capture) error {
 			return err
 		}
 		if offered && timeout > 0 {
-			if err := p.pi.Tick(p.clock()); err != nil {
+			if err := p.cor.Tick(p.clock()); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// pairingEvent forwards typed pairing events to the SSE bus and the log.
-func (p *Plane) pairingEvent(ev pcsmon.FleetEvent) {
-	switch e := ev.Event.(type) {
-	case pcsmon.ViewStalled:
-		fmt.Fprintf(p.out, "VIEW STALL [%s] %s frames missing since obs %d — scoring hold-last-value (DoS-consistent)\n",
-			ev.Plant, e.View, e.Seq)
-		p.bus.publish(Event{Type: "view-stalled", Unit: ev.Plant, Data: e}, json.Marshal)
-	case pcsmon.PairDropped:
-		p.bus.publish(Event{Type: "pair-dropped", Unit: ev.Plant, Data: e}, json.Marshal)
-	}
 }
 
 // pump is the single consumer of the fleet's event stream: it keeps the
@@ -573,7 +592,7 @@ func (p *Plane) tickLoop() {
 			if p.draining.Load() {
 				return
 			}
-			if err := p.pi.Tick(p.clock()); err != nil && !p.draining.Load() {
+			if err := p.cor.Tick(p.clock()); err != nil && !p.draining.Load() {
 				fmt.Fprintf(p.out, "pairing tick error: %v\n", err)
 			}
 			if p.rec != nil && flushEvery > 0 && p.clock().Sub(lastFlush) >= flushEvery {
@@ -622,7 +641,7 @@ func (p *Plane) drain(srcErr error) error {
 		// — Detach blocks until the stream's queue is scored and its verdict
 		// emitted, which is the losslessness contract.
 		err := srcErr
-		if ferr := p.pi.Flush(); ferr != nil && err == nil {
+		if ferr := p.cor.Flush(); ferr != nil && err == nil {
 			err = ferr
 		}
 		for _, id := range p.fl.Plants() {
@@ -646,7 +665,7 @@ func (p *Plane) drain(srcErr error) error {
 		}
 		p.logAccounting()
 		fmt.Fprintf(p.out, "drain complete: %d frames accepted, %d paired, %d refused after drain\n",
-			p.accepted.Load(), p.pi.Stats().Paired, p.rejected.Load())
+			p.accepted.Load(), p.cor.Stats().Paired, p.rejected.Load())
 		p.bus.close()
 		p.drainErr = err
 		close(p.drained)
@@ -657,13 +676,13 @@ func (p *Plane) drain(srcErr error) error {
 
 // logAccounting prints the drained run's per-layer frame accounting.
 func (p *Plane) logAccounting() {
-	st := p.pi.Stats()
+	st := p.cor.Stats()
 	fmt.Fprintf(p.out, "pairing: %d frames -> %d paired, %d orphaned (%d sensor / %d actuator), %d gap obs, %d dup, %d stale, %d outlier, %d view stalls (loss rate %.2f%%)\n",
 		st.Frames, st.Paired, st.OrphanSensors+st.OrphanActuators, st.OrphanSensors, st.OrphanActuators,
 		st.GapSeqs, st.Duplicates, st.Stale, st.Outliers, st.Stalls, 100*st.LossRate())
 	cfg := p.config()
 	if cfg.Pairing.Dedup > 0 {
-		fmt.Fprintf(p.out, "dedup: %d redundant frames suppressed (window %d)\n", p.pi.Deduped(), cfg.Pairing.Dedup)
+		fmt.Fprintf(p.out, "dedup: %d redundant frames suppressed (window %d)\n", p.deduped(), cfg.Pairing.Dedup)
 	}
 	if p.udp != nil {
 		ust := p.udp.Stats()
@@ -689,9 +708,6 @@ func (p *Plane) Close() error {
 
 // Drained returns a channel closed once a drain completes.
 func (p *Plane) Drained() <-chan struct{} { return p.drained }
-
-// Draining reports whether a drain has begun.
-func (p *Plane) Draining() bool { return p.draining.Load() }
 
 // OpsURL returns the control API's base URL ("" without ops.addr).
 func (p *Plane) OpsURL() string {
@@ -758,9 +774,7 @@ func (p *Plane) Reload(next *Config) error {
 // Totals snapshots the /status aggregate counters: fleet, pairing
 // (pairing_observations is the distinct (unit, seq) observations seen)
 // and control.
-func (p *Plane) Totals() map[string]float64 { return p.totals() }
-
-func (p *Plane) totals() map[string]float64 {
+func (p *Plane) Totals() map[string]float64 {
 	m := map[string]float64{}
 	if p.fl == nil {
 		return m
@@ -774,18 +788,18 @@ func (p *Plane) totals() map[string]float64 {
 	m["fleet_model_swaps"] = float64(st.ModelSwaps)
 	m["fleet_model_generation"] = float64(st.ModelGeneration)
 	m["fleet_obs_per_sec"] = st.ObsPerSec
-	if p.pi != nil {
-		ps := p.pi.Stats()
+	if p.cor != nil {
+		ps := p.cor.Stats()
 		m["pairing_frames"] = float64(ps.Frames)
-		m["pairing_observations"] = float64(p.pi.StepCount())
+		m["pairing_observations"] = float64(p.cor.StepCount())
 		m["pairing_paired"] = float64(ps.Paired)
 		m["pairing_orphans"] = float64(ps.OrphanSensors + ps.OrphanActuators)
 		m["pairing_gap_seqs"] = float64(ps.GapSeqs)
 		m["pairing_duplicates"] = float64(ps.Duplicates)
 		m["pairing_stale"] = float64(ps.Stale)
 		m["pairing_loss_ratio"] = ps.LossRate()
-		m["pairing_deduped"] = float64(p.pi.Deduped())
-		m["pairing_quiesced_drops"] = float64(p.pi.QuiescedDrops())
+		m["pairing_deduped"] = float64(p.deduped())
+		m["pairing_quiesced_drops"] = float64(p.quiescedDrops.Load())
 	}
 	m["control_frames_accepted"] = float64(p.accepted.Load())
 	m["control_frames_rejected"] = float64(p.rejected.Load())
@@ -831,7 +845,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusConflict, "plane is draining")
 			return
 		}
-		if err := p.pi.AttachUnit(unit); err != nil {
+		if _, err := p.attach(unit, true); err != nil {
 			if errors.Is(err, pcsmon.ErrDuplicatePlant) {
 				apiError(w, http.StatusConflict, "unit %s already attached", id)
 				return
@@ -841,12 +855,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"unit": id, "state": "attached"})
 	case r.Method == http.MethodPost && (action == "detach" || action == "drain"):
-		var rep *pcsmon.Report
-		if action == "drain" {
-			rep, err = p.pi.DrainUnit(unit)
-		} else {
-			rep, err = p.pi.DetachUnit(unit)
-		}
+		rep, err := p.detach(unit, action == "drain")
 		if err != nil {
 			if errors.Is(err, pcsmon.ErrUnknownPlant) {
 				apiError(w, http.StatusNotFound, "unit %s not attached", id)

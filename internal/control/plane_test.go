@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,24 @@ func testPlaneConfig(t *testing.T, dir string) *Config {
 	}
 }
 
+// syncBuffer is a log sink safe for the plane's concurrent writers.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 func mustJSON(t *testing.T, r io.Reader, into any) {
 	t.Helper()
 	if err := json.NewDecoder(r).Decode(into); err != nil {
@@ -155,7 +174,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(cfg.Record.Path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
+	var logBuf syncBuffer
 	p, err := New(cfg, Options{Out: &logBuf})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -317,7 +336,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 			t.Fatalf("residual ingest: %v", err)
 		}
 	}
-	if got := p.pi.QuiescedDrops(); got != uint64(len(residual)) {
+	if got := p.quiescedDrops.Load(); got != uint64(len(residual)) {
 		t.Errorf("quiesced drops = %d, want %d", got, len(residual))
 	}
 	resp = do(t, http.MethodGet, base+"/units/unit-001", "", nil)
@@ -384,7 +403,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 	if fullDrain.Accepted != wantAccepted {
 		t.Errorf("accepted = %d, want %d", fullDrain.Accepted, wantAccepted)
 	}
-	totals := p.totals()
+	totals := p.Totals()
 	wantObs := float64(rows + rows + extraRows)
 	if got := totals["fleet_observations"]; got != wantObs {
 		t.Errorf("fleet_observations = %g, want %g (frame loss across drain)", got, wantObs)
@@ -440,7 +459,7 @@ func TestPlaneLifecycleHTTP(t *testing.T) {
 // the wire path — instead of the in-process entry.
 func TestPlaneTCPIngest(t *testing.T) {
 	cfg := testPlaneConfig(t, t.TempDir())
-	var logBuf bytes.Buffer
+	var logBuf syncBuffer
 	p, err := New(cfg, Options{Out: &logBuf})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -508,7 +527,7 @@ func TestPlanePairTimeoutFollowsInjectedClock(t *testing.T) {
 	if err := p.Ingest(syntheticFrames(4, 41, 1, -1)[0]); err != nil { // the sensor frame only
 		t.Fatal(err)
 	}
-	orphans := func() uint64 { return p.pi.Stats().OrphanSensors }
+	orphans := func() uint64 { return p.cor.Stats().OrphanSensors }
 
 	// One nanosecond short of the horizon, over several wall-clock ticks
 	// of the plane's tick loop: still pending.
@@ -682,13 +701,18 @@ func TestPlaneScoringHotPathZeroAlloc(t *testing.T) {
 		sens[j] = 50 + 0.4*w[j]
 		act[j] = sens[j]
 	}
-	seq := uint64(1)
+	sf := &fieldbus.Frame{Type: fieldbus.FrameSensor, Unit: 5, Seq: 1, Values: sens}
+	af := &fieldbus.Frame{Type: fieldbus.FrameActuator, Unit: 5, Seq: 1, Values: act}
+	offer := func() {
+		_ = p.Ingest(sf)
+		_ = p.Ingest(af)
+		sf.Seq++
+		af.Seq++
+	}
 	var pushed uint64
 	pushBatch := func() {
 		for i := 0; i < batch; i++ {
-			_ = p.pi.OfferSensor(5, seq, sens)
-			_ = p.pi.OfferActuator(5, seq, act)
-			seq++
+			offer()
 			pushed++
 		}
 		for p.fl.Stats().Observations < pushed {
@@ -700,12 +724,10 @@ func TestPlaneScoringHotPathZeroAlloc(t *testing.T) {
 	// pair emits (and scores) at offer time — otherwise the wait above
 	// never sees the tail of a batch.
 	for i := 0; i < 64; i++ {
-		_ = p.pi.OfferSensor(5, seq, sens)
-		_ = p.pi.OfferActuator(5, seq, act)
-		seq++
+		offer()
 		pushed++
 	}
-	if err := p.pi.Flush(); err != nil {
+	if err := p.cor.Flush(); err != nil {
 		t.Fatalf("prime flush: %v", err)
 	}
 	for p.fl.Stats().Observations < pushed {
@@ -746,16 +768,37 @@ func BenchmarkPlaneIngestHotPath(b *testing.B) {
 	for j := 0; j < m; j++ {
 		sens[j] = 50 + 0.4*w[j]
 	}
-	seq := uint64(1)
-	for ; seq < 64; seq++ {
-		_ = p.pi.OfferSensor(5, seq, sens)
-		_ = p.pi.OfferActuator(5, seq, sens)
+	sf := &fieldbus.Frame{Type: fieldbus.FrameSensor, Unit: 5, Seq: 1, Values: sens}
+	af := &fieldbus.Frame{Type: fieldbus.FrameActuator, Unit: 5, Seq: 1, Values: sens}
+	offer := func() {
+		_ = p.Ingest(sf)
+		_ = p.Ingest(af)
+		sf.Seq++
+		af.Seq++
+	}
+	for sf.Seq < 64 {
+		offer()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.pi.OfferSensor(5, seq, sens)
-		_ = p.pi.OfferActuator(5, seq, sens)
-		seq++
+		offer()
+	}
+}
+
+// TestNewCalibrationOnlyWithoutSystem: calibration is required only when
+// New has to calibrate. With Options.System the file is never opened, so
+// a config without one builds; without either, New fails naming the path.
+func TestNewCalibrationOnlyWithoutSystem(t *testing.T) {
+	p, err := New(&Config{}, Options{System: pairingTestSystem(t)})
+	if err != nil {
+		t.Fatalf("New with Options.System and no calibration: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	_, err = New(&Config{}, Options{})
+	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "calibration") {
+		t.Errorf("New without calibration or System: err = %v, want ErrBadConfig naming calibration", err)
 	}
 }

@@ -1,17 +1,14 @@
 package pcsmon
 
-import (
-	"fmt"
-
-	"pcsmon/internal/obs"
-)
+import "pcsmon/internal/obs"
 
 // Observability bundles the two registries the monitor exports live state
 // through: a Prometheus-style metrics registry (scraped as text exposition
 // by the ops server's GET /metrics) and a per-unit health registry (dumped
 // as JSON by GET /status). Create one with NewObservability, hand it to
 // FleetOptions.Obs, and every layer the fleet touches — scoring pool,
-// pairing correlator, adaptive tracker — registers its series on it.
+// adaptive tracker — registers its series on it (the control plane adds
+// its pairing, transport and capture series to the same registry).
 //
 // The instrumentation contract matches the fleet's: aggregate counters are
 // exported as scrape-time closures over atomics the layers already keep,
@@ -28,8 +25,7 @@ type Observability struct {
 	Health *HealthRegistry
 }
 
-// Re-exported observability types: the facade's aliases over internal/obs,
-// following the PairingStats = pairing.Stats precedent.
+// Re-exported observability types: the facade's aliases over internal/obs.
 type (
 	// MetricsRegistry is a dependency-free Prometheus-style registry.
 	MetricsRegistry = obs.Registry
@@ -53,66 +49,4 @@ func NewObservability() *Observability {
 		Metrics: obs.NewRegistry(),
 		Health:  obs.NewHealthRegistry(),
 	}
-}
-
-// registerPairing exports the ingest's frame accounting on the registry as
-// scrape-time closures over Correlator.Stats() — the pairing hot path pays
-// nothing for them.
-func (pi *PairingIngest) registerPairing(r *MetricsRegistry) error {
-	counters := []struct {
-		name, help string
-		fn         func(PairingStats) float64
-	}{
-		{"pcsmon_pairing_frames_total", "Observation frames ingested (both views).",
-			func(s PairingStats) float64 { return float64(s.Frames) }},
-		{"pcsmon_pairing_paired_total", "Observations scored with both views present.",
-			func(s PairingStats) float64 { return float64(s.Paired) }},
-		{"pcsmon_pairing_orphan_sensors_total", "Sensor frames scored without their actuator twin.",
-			func(s PairingStats) float64 { return float64(s.OrphanSensors) }},
-		{"pcsmon_pairing_orphan_actuators_total", "Actuator frames scored without their sensor twin.",
-			func(s PairingStats) float64 { return float64(s.OrphanActuators) }},
-		{"pcsmon_pairing_gap_events_total", "Sequence-number gaps detected.",
-			func(s PairingStats) float64 { return float64(s.GapEvents) }},
-		{"pcsmon_pairing_gap_seqs_total", "Observations lost inside detected gaps.",
-			func(s PairingStats) float64 { return float64(s.GapSeqs) }},
-		{"pcsmon_pairing_duplicates_total", "Duplicate frames discarded.",
-			func(s PairingStats) float64 { return float64(s.Duplicates) }},
-		{"pcsmon_pairing_stale_total", "Frames arriving after their observation was flushed.",
-			func(s PairingStats) float64 { return float64(s.Stale) }},
-		{"pcsmon_pairing_outliers_total", "Implausible sequence jumps quarantined.",
-			func(s PairingStats) float64 { return float64(s.Outliers) }},
-		{"pcsmon_pairing_stalls_total", "One-view blackout detections (ViewStalled events).",
-			func(s PairingStats) float64 { return float64(s.Stalls) }},
-	}
-	for _, c := range counters {
-		c := c
-		err := r.CounterFunc(c.name, c.help, func() float64 { return c.fn(pi.cor.Stats()) })
-		if err != nil {
-			return fmt.Errorf("pcsmon: %w", err)
-		}
-	}
-	if err := r.CounterFunc("pcsmon_pairing_deduped_total",
-		"Content-identical frames suppressed by the redundant-collector window.",
-		func() float64 { return float64(pi.Deduped()) }); err != nil {
-		return fmt.Errorf("pcsmon: %w", err)
-	}
-	gauges := []struct {
-		name, help string
-		fn         func(PairingStats) float64
-	}{
-		{"pcsmon_pairing_pending_frames", "Frames waiting for their twin in the reorder window.",
-			func(s PairingStats) float64 { return float64(s.PendingFrames) }},
-		{"pcsmon_pairing_units", "Distinct fieldbus units seen.",
-			func(s PairingStats) float64 { return float64(s.Units) }},
-		{"pcsmon_pairing_loss_ratio", "Missing frames as a fraction of expected frames.",
-			func(s PairingStats) float64 { return s.LossRate() }},
-	}
-	for _, g := range gauges {
-		g := g
-		err := r.GaugeFunc(g.name, g.help, func() float64 { return g.fn(pi.cor.Stats()) })
-		if err != nil {
-			return fmt.Errorf("pcsmon: %w", err)
-		}
-	}
-	return nil
 }

@@ -11,10 +11,13 @@
 // diagnosis, and a classifier that tells process disturbances apart from
 // intrusions.
 //
-// The package exposes the high-level workflow; the building blocks live in
-// the internal packages (te, control, fieldbus, attack, plant, mspc, pca,
-// omeda, core, scenario) and are exercised through this facade by the
-// examples, the command-line tools and the benchmark harness.
+// The package exposes the high-level workflow — the lab, the scenarios,
+// the streaming analyzer and the scoring fleet; the building blocks live in
+// the internal packages (te, plantctl, fieldbus, attack, plant, mspc, pca,
+// omeda, core, scenario, fleet). The live frame pipeline — dedup, two-view
+// pairing, fleet scoring, capture and the ops API — is assembled once, by
+// internal/control's Plane, which the socket and capture examples and
+// mspctool's fleet, replay and serve commands run on.
 //
 // A minimal session:
 //
