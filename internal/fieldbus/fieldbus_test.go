@@ -345,6 +345,10 @@ func TestMitMProxyDropsFrames(t *testing.T) {
 			t.Errorf("even frame %d slipped through the drop filter", s)
 		}
 	}
+	// Frame 6 is dropped after frame 5 is forwarded, so the count can lag
+	// the third delivery; wait for it before clearing the predicate, or
+	// frame 6 could still be read under the cleared filter.
+	waitFor(t, "frame 6 to be dropped", func() bool { return proxy.Dropped() >= 3 })
 	if n := proxy.Dropped(); n != 3 {
 		t.Errorf("Dropped() = %d, want 3", n)
 	}

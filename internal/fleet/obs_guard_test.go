@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -68,10 +69,16 @@ func TestMetricsThroughputBudget(t *testing.T) {
 		})
 		return float64(r.NsPerOp()) / rows
 	}
-	bare := run(func() Config { return Config{} })
-	instrumented := run(func() Config {
-		return Config{Metrics: obs.NewRegistry(), Health: obs.NewHealthRegistry()}
-	})
+	// Alternate the two paths and keep each one's fastest round: a load
+	// burst from a concurrently running test package then inflates one
+	// round of one path, not the ratio of the best runs.
+	bare, instrumented := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		bare = math.Min(bare, run(func() Config { return Config{} }))
+		instrumented = math.Min(instrumented, run(func() Config {
+			return Config{Metrics: obs.NewRegistry(), Health: obs.NewHealthRegistry()}
+		}))
+	}
 	ratio := instrumented / bare
 	t.Logf("bare %.0f ns/obs, instrumented %.0f ns/obs (%.2fx)", bare, instrumented, ratio)
 	if bare <= 0 || instrumented <= 0 {
