@@ -21,9 +21,11 @@ import (
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
 	"pcsmon/internal/mat"
 	"pcsmon/internal/mspc"
+	"pcsmon/internal/obs"
 	"pcsmon/internal/pca"
 	"pcsmon/internal/plant"
 	"pcsmon/internal/scenario"
@@ -384,7 +386,9 @@ func BenchmarkFleetThroughputMetrics(b *testing.B) {
 }
 
 // benchFleetMatrixCell runs one (gomaxprocs, streams) cell of the fleet
-// throughput matrix, optionally with the observability stack attached.
+// throughput matrix, optionally with the observability stack attached. It
+// drives internal/fleet's Pool directly — the scoring pool the control
+// plane and mspctool run on.
 func benchFleetMatrixCell(b *testing.B, f *benchFixture, cores, streams, perStream int, ctrlRows, procRows [][]float64, withObs bool) {
 	b.Run(fmt.Sprintf("gomaxprocs=%d/streams=%d", cores, streams), func(b *testing.B) {
 		prev := runtime.GOMAXPROCS(cores)
@@ -400,14 +404,14 @@ func benchFleetMatrixCell(b *testing.B, f *benchFixture, cores, streams, perStre
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			opts := pcsmon.FleetOptions{
+			cfg := fleet.Config{
 				EmitEvery: -1,
 				Sample:    9 * time.Second,
 			}
 			if withObs {
-				opts.Obs = pcsmon.NewObservability()
+				cfg.Metrics, cfg.Health = obs.NewRegistry(), obs.NewHealthRegistry()
 			}
-			fl, err := pcsmon.NewFleet(f.lab.System, opts)
+			fl, err := fleet.NewPool(f.lab.System, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,10 +460,10 @@ func benchFleetMatrixCell(b *testing.B, f *benchFixture, cores, streams, perStre
 			default:
 			}
 		}
-		obs := float64(b.N) * float64(streams*perStream)
+		scored := float64(b.N) * float64(streams*perStream)
 		if sec := b.Elapsed().Seconds(); sec > 0 {
-			b.ReportMetric(obs/sec, "obs/sec")
-			b.ReportMetric(obs/sec/float64(cores), "obs/sec/core")
+			b.ReportMetric(scored/sec, "obs/sec")
+			b.ReportMetric(scored/sec/float64(cores), "obs/sec/core")
 		}
 		b.ReportMetric(float64(streams*perStream), "obs/op")
 	})

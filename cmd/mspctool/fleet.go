@@ -13,7 +13,10 @@ import (
 
 	"pcsmon"
 	"pcsmon/internal/control"
+	"pcsmon/internal/core"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/obs"
 )
 
 // runFleet implements the fleet subcommand: one calibrated model scoring
@@ -148,16 +151,17 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	// CSV mode: the ops listener binds before calibration so an unusable
-	// -metrics address fails up front; its totals fill in once the fleet
+	// -metrics address fails up front; its totals fill in once the pool
 	// exists.
-	var fl atomic.Pointer[pcsmon.Fleet]
+	var fl atomic.Pointer[fleet.Pool]
 	totals := func() map[string]float64 { return fleetTotals(fl.Load()) }
-	var observability *pcsmon.Observability
+	var metrics *obs.Registry
+	var health *obs.HealthRegistry
 	var lastSeen atomic.Int64 // /healthz stall probe
 	lastSeen.Store(time.Now().UnixNano())
 	if *metricsAddr != "" {
-		observability = pcsmon.NewObservability()
-		ops, err := startOps("mspctool fleet", *metricsAddr, observability, totals,
+		metrics, health = obs.NewRegistry(), obs.NewHealthRegistry()
+		ops, err := startOps("mspctool fleet", *metricsAddr, metrics, health, totals,
 			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
 		if err != nil {
 			return err
@@ -169,16 +173,17 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	onset := onsetIndex(*onsetHour, *sampleSec)
-	pool, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
+	pool, err := fleet.NewPool(sys, fleet.Config{
 		Workers:   *workers,
 		Batch:     *batch,
 		EmitEvery: *every,
 		Sample:    time.Duration(*sampleSec * float64(time.Second)),
-		Adaptive:  adaptive,
-		Obs:       observability,
+		Adapt:     adaptive,
+		Metrics:   metrics,
+		Health:    health,
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("mspctool fleet: %w", err)
 	}
 	fl.Store(pool)
 	stopStats := startStatsTicker(*statsEvery, totals, out)
@@ -191,15 +196,17 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	go func() {
 		defer close(consumed)
 		for ev := range pool.Events() {
-			switch e := ev.Event.(type) {
-			case pcsmon.AlarmRaised:
+			switch e := ev.(type) {
+			case fleet.Alarm:
+				a := core.AlarmEvent(e.View, e.Detection)
 				fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-					ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
-			case pcsmon.ModelSwapped:
+					e.Plant, a.View, a.Index, a.RunStart, a.Charts)
+			case fleet.ModelSwapped:
 				fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-					ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
+					e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
 			}
 			v.event(ev)
+			pool.Recycle(ev)
 		}
 	}()
 	fail := func(err error) error {
@@ -335,30 +342,31 @@ func liveFlagSet(fs *flag.FlagSet) bool {
 	return set
 }
 
-// verdicts consumes a fleet's events for the command's summary: it prints
-// the -every score lines and keeps each plant's final report. Shared by
-// the fleet and replay subcommands; its event method runs on the single
-// event consumer.
+// verdicts consumes a scoring pool's events for the command's summary: it
+// prints the -every score lines and keeps each plant's final report.
+// Shared by the fleet and replay subcommands; its event method runs on the
+// single event consumer and retains nothing of the event.
 type verdicts struct {
 	every   int
 	out     io.Writer
-	reports map[string]*pcsmon.Report
+	reports map[string]*core.Report
 	samples map[string]int
 }
 
 func newVerdicts(every int, out io.Writer) *verdicts {
-	return &verdicts{every: every, out: out, reports: map[string]*pcsmon.Report{}, samples: map[string]int{}}
+	return &verdicts{every: every, out: out, reports: map[string]*core.Report{}, samples: map[string]int{}}
 }
 
-func (v *verdicts) event(ev pcsmon.FleetEvent) {
-	switch e := ev.Event.(type) {
-	case pcsmon.SampleScored:
+func (v *verdicts) event(ev fleet.Event) {
+	switch e := ev.(type) {
+	case *fleet.Scored:
 		if v.every > 0 {
-			fmt.Fprintf(v.out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n", ev.Plant, e.Index, e.CtrlD, e.CtrlQ)
+			s := core.ScoredEvent(e.Step)
+			fmt.Fprintf(v.out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n", e.Plant, s.Index, s.CtrlD, s.CtrlQ)
 		}
-	case pcsmon.VerdictReady:
-		v.reports[ev.Plant] = e.Report
-		v.samples[ev.Plant] = e.Samples
+	case fleet.Verdict:
+		v.reports[e.Plant] = e.Report
+		v.samples[e.Plant] = e.Samples
 	}
 }
 

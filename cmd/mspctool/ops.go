@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/fleet"
+	"pcsmon/internal/obs"
 	"pcsmon/internal/obs/opsserver"
 )
 
@@ -15,11 +17,11 @@ import (
 // health dump on /status and the net/http/pprof pages. An unusable
 // address is a configuration error, reported before any scoring starts.
 // (Frame-fed runs get the same endpoints from their control plane.)
-func startOps(cmd, addr string, o *pcsmon.Observability, totals func() map[string]float64,
-	lastActivity func() time.Time, out io.Writer) (*opsserver.Server, error) {
+func startOps(cmd, addr string, metrics *obs.Registry, health *obs.HealthRegistry,
+	totals func() map[string]float64, lastActivity func() time.Time, out io.Writer) (*opsserver.Server, error) {
 	srv, err := opsserver.Start(addr, opsserver.Options{
-		Metrics:      o.Metrics,
-		Health:       o.Health,
+		Metrics:      metrics,
+		Health:       health,
 		Totals:       totals,
 		LastActivity: lastActivity,
 	})
@@ -30,10 +32,10 @@ func startOps(cmd, addr string, o *pcsmon.Observability, totals func() map[strin
 	return srv, nil
 }
 
-// fleetTotals builds the /status aggregate map from a fleet's counters —
-// the CSV fleet's share of the control plane's totals. A nil fleet (a
-// scrape that races calibration) reads as an empty map.
-func fleetTotals(fl *pcsmon.Fleet) map[string]float64 {
+// fleetTotals builds the /status aggregate map from the scoring pool's
+// counters — the CSV fleet's share of the control plane's totals. A nil
+// pool (a scrape that races calibration) reads as an empty map.
+func fleetTotals(fl *fleet.Pool) map[string]float64 {
 	if fl == nil {
 		return map[string]float64{}
 	}

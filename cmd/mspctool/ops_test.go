@@ -19,6 +19,7 @@ import (
 	"pcsmon"
 	"pcsmon/internal/fieldbus"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/obs"
 )
 
 // TestStatusFlagValidation: bad status invocations fail up front.
@@ -49,10 +50,10 @@ func TestStatusWatchRedraw(t *testing.T) {
 			return
 		}
 		n := reqs.Add(1)
-		doc := pcsmon.StatusDoc{
+		doc := obs.StatusDoc{
 			UptimeSeconds: float64(n),
 			Totals:        map[string]float64{"fleet_observations": float64(100 * n)},
-			Units: []pcsmon.UnitStatus{{
+			Units: []obs.UnitStatus{{
 				Unit:         "unit-000",
 				Observations: uint64(100 * n),
 				D99:          9.9, Q99: 3.3,
@@ -305,7 +306,7 @@ func TestFleetMetricsEndpointE2E(t *testing.T) {
 
 	// /status carries per-unit health that matches the feed.
 	_, statusBody := get("/status")
-	var doc pcsmon.StatusDoc
+	var doc obs.StatusDoc
 	if err := json.Unmarshal([]byte(statusBody), &doc); err != nil {
 		t.Fatalf("/status: %v\n%s", err, statusBody)
 	}

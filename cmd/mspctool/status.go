@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/obs"
 )
 
 // runStatus implements the status subcommand: fetch a running monitor's
@@ -97,7 +98,7 @@ func printStatus(url string, raw bool, out io.Writer) error {
 		_, err := out.Write(body)
 		return err
 	}
-	var doc pcsmon.StatusDoc
+	var doc obs.StatusDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		return fmt.Errorf("mspctool status: %s is not a status document: %w", url, err)
 	}
@@ -106,7 +107,7 @@ func printStatus(url string, raw bool, out io.Writer) error {
 }
 
 // renderStatus prints the per-unit health table plus the aggregate totals.
-func renderStatus(out io.Writer, doc *pcsmon.StatusDoc) {
+func renderStatus(out io.Writer, doc *obs.StatusDoc) {
 	fmt.Fprintf(out, "monitor up %s, %d units\n", time.Duration(doc.UptimeSeconds*float64(time.Second)).Round(time.Second), len(doc.Units))
 	if len(doc.Units) > 0 {
 		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)

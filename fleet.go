@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"pcsmon/internal/core"
 	"pcsmon/internal/fleet"
 	"pcsmon/internal/scenario"
 )
@@ -53,7 +54,7 @@ type FleetOptions struct {
 	// message carries up to Batch observations.
 	Mailbox int
 	// Batch is the number of observations aggregated per worker delivery
-	// (0 = 16, 1 = per-observation delivery). Batching amortizes channel
+	// (0 = 16, 1 = batches of one). Batching amortizes channel
 	// and locking overhead across observations without changing a single
 	// result; partially filled batches are delivered on the FlushEvery
 	// cadence and on Detach/Close.
@@ -75,17 +76,13 @@ type FleetOptions struct {
 	// stream migrates to accepted model generations at its own
 	// diagnosis-window boundaries (surfaced as ModelSwapped events).
 	Adaptive AdaptiveOptions
-	// Obs, when non-nil, wires the fleet into an observability bundle: the
-	// pool registers its metrics on Obs.Metrics and tracks per-unit live
-	// state in Obs.Health (see NewObservability). Instrumentation keeps the
-	// scoring path at 0 allocs/observation.
-	Obs *Observability
 }
 
 // Fleet scores many concurrent plant streams against one calibrated
-// system: the facade over the internal/fleet pool. Create with NewFleet or
-// drive whole simulated fleets with Lab.RunFleet. All methods are safe for
-// concurrent use.
+// system: the library wrapper over the internal/fleet pool, translating its
+// events into the StreamEvent vocabulary. Create with NewFleet or drive
+// whole simulated fleets with Lab.RunFleet. All methods are safe for
+// concurrent use. (The control plane and mspctool run on the pool itself.)
 type Fleet struct {
 	pool   *fleet.Pool
 	events chan FleetEvent
@@ -96,7 +93,7 @@ type Fleet struct {
 // caller must consume Events() until it closes (after Close); a stalled
 // consumer back-pressures producers rather than losing events.
 func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
-	cfg := fleet.Config{
+	pool, err := fleet.NewPool(sys, fleet.Config{
 		Workers:     opts.Workers,
 		Mailbox:     opts.Mailbox,
 		Batch:       opts.Batch,
@@ -105,12 +102,7 @@ func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
 		EmitEvery:   opts.EmitEvery,
 		Sample:      opts.Sample,
 		Adapt:       opts.Adaptive,
-	}
-	if opts.Obs != nil {
-		cfg.Metrics = opts.Obs.Metrics
-		cfg.Health = opts.Obs.Health
-	}
-	pool, err := fleet.NewPool(sys, cfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pcsmon: %w", err)
 	}
@@ -128,34 +120,21 @@ func (f *Fleet) convert() {
 	defer close(f.done)
 	defer close(f.events)
 	for ev := range f.pool.Events() {
+		fe := FleetEvent{Plant: ev.PlantID()}
 		switch e := ev.(type) {
 		case *fleet.Scored:
-			fe := FleetEvent{Plant: e.Plant, Event: scoredEvent(e.Step)}
-			f.pool.Recycle(e) // scoredEvent copied everything it needs
-			f.events <- fe
+			fe.Event = core.ScoredEvent(e.Step)
 		case fleet.Alarm:
-			f.events <- FleetEvent{
-				Plant: e.Plant,
-				Event: alarmEvent(e.View, e.Detection.Index, e.Detection.RunStart, e.Detection.Charts),
-			}
+			fe.Event = core.AlarmEvent(e.View, e.Detection)
 		case fleet.ModelSwapped:
-			f.events <- FleetEvent{
-				Plant: e.Plant,
-				Event: ModelSwapped{
-					Index:      e.Swap.At,
-					Generation: e.Swap.Generation,
-					D99:        e.Swap.D99,
-					Q99:        e.Swap.Q99,
-				},
-			}
+			fe.Event = e.Swap.Event()
 		case fleet.Verdict:
 			// Failed streams surface their error via Detach; the event
 			// stream reports what was scored.
-			f.events <- FleetEvent{
-				Plant: e.Plant,
-				Event: VerdictReady{Report: e.Report, Samples: e.Samples},
-			}
+			fe.Event = VerdictReady{Report: e.Report, Samples: e.Samples}
 		}
+		f.pool.Recycle(ev) // fe copied everything it needs
+		f.events <- fe
 	}
 }
 

@@ -37,6 +37,8 @@ package adapt
 import (
 	"errors"
 	"fmt"
+
+	"pcsmon/internal/core"
 )
 
 // Package-level sentinel errors.
@@ -143,4 +145,9 @@ type Swap struct {
 	Generation uint64
 	// D99 and Q99 are the new model's 99 % control limits, for audit logs.
 	D99, Q99 float64
+}
+
+// Event converts the swap into the stream event that reports it.
+func (s Swap) Event() core.ModelSwapped {
+	return core.ModelSwapped{Index: s.At, Generation: s.Generation, D99: s.D99, Q99: s.Q99}
 }

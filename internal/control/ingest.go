@@ -6,15 +6,18 @@ import (
 	"fmt"
 
 	"pcsmon"
+	"pcsmon/internal/core"
 	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/obs"
 	"pcsmon/internal/pairing"
 )
 
 // The live two-view ingest: sensor frames (controller-view rows) and
 // actuator frames (process-view rows) are correlated by (unit, sequence
-// number) and every paired observation is pushed into the fleet, so
-// socket feeds get the full cross-view diagnosis. Units attach on first
+// number) and every paired observation is pushed into the scoring pool,
+// so socket feeds get the full cross-view diagnosis. Units attach on first
 // sight as plant pcsmon.PlantID(unit).
 
 // pairDropped is the "pair-dropped" event payload: live pairing lost
@@ -114,7 +117,7 @@ func (p *Plane) deduped() uint64 {
 }
 
 // route is the correlator's sink: scoreable outcomes attach their unit on
-// first sight and are pushed into the fleet; loss outcomes are counted on
+// first sight and are pushed into the pool; loss outcomes are counted on
 // the unit's health, logged and published. It runs under the
 // correlator's lock, so per-unit order holds.
 func (p *Plane) route(ev pairing.Event) error {
@@ -135,15 +138,6 @@ func (p *Plane) route(ev pairing.Event) error {
 				Unit: ev.Unit, Seq: ev.Seq, Kind: ev.Outcome.String(), Held: true,
 			}}, json.Marshal)
 		}
-		if err := p.push(ev); !errors.Is(err, pcsmon.ErrUnknownPlant) {
-			return err
-		}
-		// A concurrent detach removed the stream between the attach check
-		// and the push. Re-attach fresh and retry once: detach and
-		// re-attach mid-stream never poison the ingest.
-		p.stateMu.Lock()
-		p.attached[ev.Unit] = false
-		p.stateMu.Unlock()
 		return p.push(ev)
 	case pairing.GapDetected, pairing.Duplicate, pairing.Stale, pairing.Outlier, pairing.EpochReset:
 		if h := p.health(id); h != nil {
@@ -162,51 +156,56 @@ func (p *Plane) route(ev pairing.Event) error {
 	return nil
 }
 
-// push scores one paired observation, attaching its unit on first sight.
-// A unit drained meanwhile drops the observation.
+// push scores one paired observation: the correlator → pool hand-off.
+//
+//pcslint:hotpath
 func (p *Plane) push(ev pairing.Event) error {
-	live, err := p.attach(ev.Unit, false)
-	if !live {
-		if err == nil {
-			p.quiescedDrops.Add(1)
+	id := pcsmon.PlantID(ev.Unit)
+	err := p.fl.Push(id, ev.Ctrl, ev.Proc)
+	if err != nil && errors.Is(err, fleet.ErrUnknownPlant) {
+		// Cold branch — first sight, or a detach landed since the unit's
+		// last observation: attach it and retry once. A unit drained
+		// meanwhile drops the observation.
+		live, err := p.attach(ev.Unit, false)
+		if !live {
+			if err == nil {
+				p.quiescedDrops.Add(1)
+			}
+			return err
 		}
-		return err
+		return p.fl.Push(id, ev.Ctrl, ev.Proc)
 	}
-	return p.fl.Push(pcsmon.PlantID(ev.Unit), ev.Ctrl, ev.Proc)
+	return err
 }
 
 // health returns a unit's health handle (nil without the ops stack or
 // before the unit attached).
-func (p *Plane) health(id string) *pcsmon.UnitHealth {
-	if p.obs == nil {
+func (p *Plane) health(id string) *obs.UnitHealth {
+	if p.healthReg == nil {
 		return nil
 	}
-	return p.obs.Health.Get(id)
+	return p.healthReg.Get(id)
 }
 
 // attach attaches a unit's stream and reports whether it is live. On
-// first sight (explicit false) an attached unit is already live and a
+// first sight (explicit false) a unit attached meanwhile is live and a
 // drained one stays down; the API's attach (explicit true) refuses a live
-// unit with ErrDuplicatePlant and lifts the drain mark. stateMu is held
-// across the fleet attach so first-sight attachment and the API's
-// attach/detach/drain serialize, and the drain mark changes only under
-// it, only on success.
+// unit with ErrDuplicatePlant and lifts the drain mark. stateMu
+// serializes first-sight attachment with the API's attach/detach/drain,
+// and the drain mark changes only under it, only on success.
 func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
 	id := pcsmon.PlantID(unit)
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
-	switch {
-	case p.attached[unit] && explicit:
-		return false, fmt.Errorf("control: unit %s: %w", id, pcsmon.ErrDuplicatePlant)
-	case p.attached[unit]:
-		return true, nil
-	case !explicit && p.quiesced[unit].Load():
+	if !explicit && p.quiesced[unit].Load() {
 		return false, nil
 	}
 	if err := p.fl.Attach(id, p.onset(unit)); err != nil {
-		return false, err
+		if !explicit && errors.Is(err, fleet.ErrDuplicatePlant) {
+			return true, nil
+		}
+		return false, fmt.Errorf("control: unit %s: %w", id, err)
 	}
-	p.attached[unit] = true
 	p.quiesced[unit].Store(false)
 	fmt.Fprintf(p.out, "plant %s attached\n", id)
 	p.bus.publish(Event{Type: "attached", Unit: id}, json.Marshal)
@@ -218,14 +217,10 @@ func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
 // fresh on its next frame — unless drained, in which case its frames are
 // dropped at the door until the API attaches it again. Detaching a unit
 // that is not attached returns ErrUnknownPlant and changes nothing.
-func (p *Plane) detach(unit uint8, drain bool) (*pcsmon.Report, error) {
+func (p *Plane) detach(unit uint8, drain bool) (*core.Report, error) {
 	id := pcsmon.PlantID(unit)
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
-	if !p.attached[unit] {
-		return nil, fmt.Errorf("control: unit %s: %w", id, pcsmon.ErrUnknownPlant)
-	}
-	p.attached[unit] = false
 	rep, err := p.fl.Detach(id)
 	if err == nil && drain {
 		p.quiesced[unit].Store(true)

@@ -15,6 +15,7 @@ import (
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
 )
 
@@ -81,16 +82,16 @@ func pairingRows(seed int64, n, shiftCh, shiftFrom int, delta float64) (ctrl, pr
 // given onset index and pairing/fleet geometry, and returns it with the
 // map its OnEvent fills with every unit's full report. Read the map only
 // after Drain.
-func ingestPlane(t *testing.T, sys *core.System, onset int, pairing Pairing, fleet FleetCfg) (*Plane, map[string]*pcsmon.Report) {
+func ingestPlane(t *testing.T, sys *core.System, onset int, pairing Pairing, fc FleetCfg) (*Plane, map[string]*core.Report) {
 	t.Helper()
-	cfg := &Config{SampleSeconds: 9, OnsetHour: float64(onset) * 9 / 3600, Pairing: pairing, Fleet: fleet}
+	cfg := &Config{SampleSeconds: 9, OnsetHour: float64(onset) * 9 / 3600, Pairing: pairing, Fleet: fc}
 	if got := cfg.OnsetIndex(); got != onset {
 		t.Fatalf("config onset index %d, want %d", got, onset)
 	}
-	reports := map[string]*pcsmon.Report{}
-	p, err := New(cfg, Options{System: sys, OnEvent: func(ev pcsmon.FleetEvent) {
-		if v, ok := ev.Event.(pcsmon.VerdictReady); ok {
-			reports[ev.Plant] = v.Report
+	reports := map[string]*core.Report{}
+	p, err := New(cfg, Options{System: sys, OnEvent: func(ev fleet.Event) {
+		if v, ok := ev.(fleet.Verdict); ok {
+			reports[v.Plant] = v.Report
 		}
 	}})
 	if err != nil {
@@ -224,11 +225,11 @@ func TestPlaneIngestTwoView(t *testing.T) {
 	}
 }
 
-// directReport scores rows straight into a fleet, bypassing pairing: the
-// golden report the ingest must reproduce bit for bit.
-func directReport(t *testing.T, sys *core.System, onset int, ctrl, proc [][]float64) *pcsmon.Report {
+// directReport scores rows straight into a scoring pool, bypassing
+// pairing: the golden report the ingest must reproduce bit for bit.
+func directReport(t *testing.T, sys *core.System, onset int, ctrl, proc [][]float64) *core.Report {
 	t.Helper()
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{Workers: 2, EmitEvery: -1, Sample: 9 * time.Second})
+	fl, err := fleet.NewPool(sys, fleet.Config{Workers: 2, EmitEvery: -1, Sample: 9 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

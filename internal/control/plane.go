@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/adapt"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/obs"
 	"pcsmon/internal/obs/opsserver"
 	"pcsmon/internal/pairing"
 )
@@ -45,10 +48,11 @@ type Options struct {
 	// listeners (leave Config.Listeners empty): the plane plays it to EOF
 	// and then drains itself.
 	Capture *Capture
-	// OnEvent, when set, sees every fleet event synchronously, in order,
-	// on the plane's single event consumer — before the plane logs and
-	// publishes it. It must not block.
-	OnEvent func(pcsmon.FleetEvent)
+	// OnEvent, when set, sees every scoring-pool event synchronously, in
+	// order, on the plane's single event consumer — before the plane logs
+	// and publishes it. It must not block, and must not retain the event:
+	// the plane recycles it once the handlers are done.
+	OnEvent func(fleet.Event)
 }
 
 // Capture is a recorded frame source: a capture chain played on its own
@@ -90,19 +94,20 @@ type Plane struct {
 	cfgMu sync.Mutex
 	cfg   *Config
 
-	obs *pcsmon.Observability
-	fl  *pcsmon.Fleet
-	cor *pairing.Correlator
-	ops *opsserver.Server
+	// metrics and healthReg are the ops registries (nil without ops.addr).
+	metrics   *obs.Registry
+	healthReg *obs.HealthRegistry
+	fl        *fleet.Pool
+	cor       *pairing.Correlator
+	ops       *opsserver.Server
 
 	dedupMu sync.Mutex // guards dedup (listener goroutines offer concurrently)
 	dedup   *fieldbus.FrameDedup
 
-	stateMu  sync.Mutex // guards attached; see attach
-	attached [256]bool
+	stateMu sync.Mutex // serializes attach/detach; see attach
 	// quiesced marks drained units, whose frames are dropped at the door
-	// and on residual correlator outcomes. Lock-free reads keep stateMu
-	// off the per-frame path.
+	// and on residual correlator outcomes. It changes only under stateMu;
+	// lock-free reads keep stateMu off the per-frame path.
 	quiesced      [256]atomic.Bool
 	quiescedDrops atomic.Uint64
 
@@ -177,10 +182,10 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 	// (expensive) calibration. Without one the plane builds no metrics or
 	// health stack at all.
 	if cfg.Ops.Addr != "" {
-		p.obs = pcsmon.NewObservability()
+		p.metrics, p.healthReg = obs.NewRegistry(), obs.NewHealthRegistry()
 		ops, err := opsserver.Start(cfg.Ops.Addr, opsserver.Options{
-			Metrics:      p.obs.Metrics,
-			Health:       p.obs.Health,
+			Metrics:      p.metrics,
+			Health:       p.healthReg,
 			Totals:       p.Totals,
 			LastActivity: func() time.Time { return time.Unix(0, p.lastSeen.Load()) },
 			StallAfter:   cfg.StallHorizon(),
@@ -212,7 +217,7 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		}
 	}
 
-	fl, err := pcsmon.NewFleet(sys, pcsmon.FleetOptions{
+	fl, err := fleet.NewPool(sys, fleet.Config{
 		Workers:     cfg.Fleet.Workers,
 		Mailbox:     cfg.Fleet.Mailbox,
 		Batch:       cfg.Fleet.Batch,
@@ -220,11 +225,12 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		EventBuffer: cfg.Fleet.EventBuffer,
 		EmitEvery:   emitEvery(cfg),
 		Sample:      cfg.Sample(),
-		Adaptive:    adaptiveOptions(cfg),
-		Obs:         p.obs,
+		Adapt:       adaptiveOptions(cfg),
+		Metrics:     p.metrics,
+		Health:      p.healthReg,
 	})
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("control: %w", err))
 	}
 	p.fl = fl
 	go p.pump()
@@ -274,8 +280,8 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		}
 		fmt.Fprintf(p.out, "listening on udp://%s\n", p.udp.Addr())
 	}
-	if p.obs != nil {
-		if err := p.registerTransport(p.obs.Metrics); err != nil {
+	if p.metrics != nil {
+		if err := p.registerTransport(p.metrics); err != nil {
 			return fail(err)
 		}
 	}
@@ -316,7 +322,7 @@ func (p *Plane) teardownPartial() {
 // counters on the ops registry — scrape-time closures over state the
 // layers already keep, so the ingest path pays nothing for them. The
 // store closures take recMu: the store is not internally synchronized.
-func (p *Plane) registerTransport(reg *pcsmon.MetricsRegistry) error {
+func (p *Plane) registerTransport(reg *obs.Registry) error {
 	type series struct {
 		name, help string
 		counter    bool
@@ -434,11 +440,11 @@ func emitEvery(cfg *Config) int {
 	return cfg.Fleet.EmitEvery
 }
 
-func adaptiveOptions(cfg *Config) pcsmon.AdaptiveOptions {
+func adaptiveOptions(cfg *Config) adapt.Options {
 	if cfg.Adapt.Every == 0 {
-		return pcsmon.AdaptiveOptions{}
+		return adapt.Options{}
 	}
-	return pcsmon.AdaptiveOptions{Enabled: true, Every: cfg.Adapt.Every, Forget: cfg.Adapt.Forget}
+	return adapt.Options{Enabled: true, Every: cfg.Adapt.Every, Forget: cfg.Adapt.Forget}
 }
 
 func recordFlush(cfg *Config) time.Duration {
@@ -534,30 +540,32 @@ func (p *Plane) playChain(c *Capture) error {
 	return nil
 }
 
-// pump is the single consumer of the fleet's event stream: it keeps the
-// final per-unit reports and republishes everything onto the SSE bus.
+// pump is the single consumer of the scoring pool's event stream: it keeps
+// the final per-unit reports, republishes everything onto the SSE bus and
+// hands each event back to the pool once done with it.
 func (p *Plane) pump() {
 	defer close(p.pumpDone)
 	for ev := range p.fl.Events() {
 		if p.opts.OnEvent != nil {
 			p.opts.OnEvent(ev)
 		}
-		switch e := ev.Event.(type) {
-		case pcsmon.SampleScored:
-			p.bus.publish(Event{Type: "scored", Unit: ev.Plant, Data: e}, json.Marshal)
-		case pcsmon.AlarmRaised:
+		switch e := ev.(type) {
+		case *fleet.Scored:
+			p.bus.publish(Event{Type: "scored", Unit: e.Plant, Data: core.ScoredEvent(e.Step)}, json.Marshal)
+		case fleet.Alarm:
+			a := core.AlarmEvent(e.View, e.Detection)
 			fmt.Fprintf(p.out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-				ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
-			p.bus.publish(Event{Type: "alarm", Unit: ev.Plant, Data: e}, json.Marshal)
-		case pcsmon.ModelSwapped:
+				e.Plant, a.View, a.Index, a.RunStart, a.Charts)
+			p.bus.publish(Event{Type: "alarm", Unit: e.Plant, Data: a}, json.Marshal)
+		case fleet.ModelSwapped:
 			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-				ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
-			p.bus.publish(Event{Type: "model-swapped", Unit: ev.Plant, Data: e}, json.Marshal)
-		case pcsmon.VerdictReady:
+				e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
+			p.bus.publish(Event{Type: "model-swapped", Unit: e.Plant, Data: e.Swap.Event()}, json.Marshal)
+		case fleet.Verdict:
 			// A stream that never scored an observation finishes without a
 			// report; it still gets a terminal entry so GET /units answers.
 			rep := UnitReport{
-				Unit:        ev.Plant,
+				Unit:        e.Plant,
 				Verdict:     "error",
 				AttackedVar: -1,
 				Explanation: "stream finished without a classifiable report",
@@ -569,11 +577,12 @@ func (p *Plane) pump() {
 				rep.Explanation = e.Report.Explanation
 			}
 			p.repMu.Lock()
-			p.reports[ev.Plant] = rep
+			p.reports[e.Plant] = rep
 			p.repMu.Unlock()
-			fmt.Fprintf(p.out, "unit %s: %s after %d observations\n", ev.Plant, rep.Verdict, e.Samples)
-			p.bus.publish(Event{Type: "verdict", Unit: ev.Plant, Data: rep}, json.Marshal)
+			fmt.Fprintf(p.out, "unit %s: %s after %d observations\n", e.Plant, rep.Verdict, e.Samples)
+			p.bus.publish(Event{Type: "verdict", Unit: e.Plant, Data: rep}, json.Marshal)
 		}
+		p.fl.Recycle(ev)
 	}
 }
 
@@ -846,7 +855,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, err := p.attach(unit, true); err != nil {
-			if errors.Is(err, pcsmon.ErrDuplicatePlant) {
+			if errors.Is(err, fleet.ErrDuplicatePlant) {
 				apiError(w, http.StatusConflict, "unit %s already attached", id)
 				return
 			}
@@ -857,7 +866,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodPost && (action == "detach" || action == "drain"):
 		rep, err := p.detach(unit, action == "drain")
 		if err != nil {
-			if errors.Is(err, pcsmon.ErrUnknownPlant) {
+			if errors.Is(err, fleet.ErrUnknownPlant) {
 				apiError(w, http.StatusNotFound, "unit %s not attached", id)
 				return
 			}
@@ -880,7 +889,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 func (p *Plane) serveUnit(w http.ResponseWriter, unit uint8, id string) {
 	doc := map[string]any{"unit": id}
 	known := false
-	if h := p.obs.Health.Get(id); h != nil {
+	if h := p.healthReg.Get(id); h != nil {
 		doc["health"] = h.Status(p.clock())
 		known = true
 	}

@@ -619,6 +619,108 @@ func TestPlaneCloseKeepsSSETail(t *testing.T) {
 	}
 }
 
+// TestPlaneSSEPayloadKeys pins the /events wire format of the scoring
+// events: the envelope and the scored, alarm and verdict payloads keep
+// their JSON keys, in order. SSE consumers (dashboards, the bench
+// generator reading "scored".Index) parse these documents.
+func TestPlaneSSEPayloadKeys(t *testing.T) {
+	cfg := testPlaneConfig(t, t.TempDir())
+	cfg.Fleet.EmitEvery = 1
+	p, err := New(cfg, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	resp, err := http.Get(p.OpsURL() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	first := make(chan map[string]string, 1) // event type -> first data line
+	go func() {
+		seen := map[string]string{}
+		sc := bufio.NewScanner(resp.Body)
+		var event string
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				if _, ok := seen[event]; !ok {
+					seen[event] = strings.TrimPrefix(line, "data: ")
+				}
+			}
+		}
+		first <- seen
+	}()
+	for deadline := time.Now().Add(5 * time.Second); p.bus.nsubs.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the /events subscriber never registered")
+		}
+	}
+	// 120 observations keep the scored events inside the subscriber's
+	// buffer; the divergence from row 60 on raises the alarms.
+	for _, f := range syntheticFrames(1, 22, 120, 60) {
+		if err := p.Ingest(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var seen map[string]string
+	select {
+	case seen = <-first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the /events stream did not end after Close")
+	}
+	want := map[string][]string{
+		"scored":  {"Index", "CtrlD", "CtrlQ", "ProcD", "ProcQ", "CtrlOver", "ProcOver"},
+		"alarm":   {"View", "Index", "RunStart", "Charts"},
+		"verdict": {"unit", "verdict", "attacked_var", "explanation", "detached_at"},
+	}
+	for typ, keys := range want {
+		line, ok := seen[typ]
+		if !ok {
+			t.Errorf("no %q event on the stream", typ)
+			continue
+		}
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if got := jsonKeys(t, []byte(line)); fmt.Sprint(got) != fmt.Sprint([]string{"type", "unit", "data"}) {
+			t.Errorf("%s envelope keys %v", typ, got)
+		}
+		if got := jsonKeys(t, env["data"]); fmt.Sprint(got) != fmt.Sprint(keys) {
+			t.Errorf("%s payload keys %v, want %v", typ, got, keys)
+		}
+	}
+}
+
+// jsonKeys returns a JSON object's top-level keys in document order.
+func jsonKeys(t *testing.T, doc []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", doc)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
 // TestPlaneReloadFromFile covers the SIGHUP path: Reload(nil) re-reads
 // Options.ConfigPath and applies the per-unit onset overrides live.
 func TestPlaneReloadFromFile(t *testing.T) {

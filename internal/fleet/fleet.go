@@ -143,7 +143,7 @@ type Config struct {
 	// memory.
 	Mailbox int
 	// Batch is the number of observations aggregated per mailbox message
-	// and per-stream send (0 = 16, 1 = per-observation delivery). Batching
+	// and per-stream send (0 = 16, 1 = batches of one). Batching
 	// amortizes channel hops and send-lock traffic across K observations;
 	// results are bit-identical for every Batch value — each plant's rows
 	// are still scored one by one, in push order. Partially filled batches
@@ -252,12 +252,15 @@ type stream struct {
 	samples  int
 	finished bool
 
-	// pending is the stream's accumulating batch (batched pools only).
-	// pendMu guards it and also serializes the mailbox sends that move a
-	// batch out, so a producer's full-batch send and the flush ticker's
-	// partial-batch send can never reorder one plant's observations.
+	// pending is the stream's accumulating batch. pendMu guards it and
+	// sealed, and serializes the mailbox sends that move a batch out, so a
+	// producer's full-batch send and the flush ticker's partial-batch send
+	// can never reorder one plant's observations. Detach and Close seal the
+	// stream before its finish message: a Push that looked the stream up
+	// before the detach then fails instead of queueing behind the finish.
 	pendMu  sync.Mutex
 	pending *obsBatch
+	sealed  bool
 
 	report *core.Report
 	err    error
@@ -265,22 +268,19 @@ type stream struct {
 }
 
 // obsBatch aggregates up to Config.Batch observations of one stream into a
-// single mailbox message. Boxes travel by pointer from the same free-list
-// as single-observation messages; a nil box marks that view's stream as
-// ended, exactly like the unbatched path.
+// single mailbox message. Row boxes are owned by the pool's scratch
+// free-list; a nil box marks that view's stream as ended.
 type obsBatch struct {
 	n          int
 	ctrl, proc []*[]float64
 }
 
-// message is one mailbox entry: an observation (row boxes owned by the
-// pool's scratch free-list; a nil box marks that view's stream as ended),
-// a batch of observations, or, when finish is set, the detach request.
+// message is one mailbox entry: a batch of observations or, when finish is
+// set, the detach request.
 type message struct {
-	st         *stream
-	ctrl, proc *[]float64
-	batch      *obsBatch
-	finish     bool
+	st     *stream
+	batch  *obsBatch
+	finish bool
 }
 
 // Pool shards plant streams over a fixed worker set. Create with NewPool;
@@ -315,7 +315,7 @@ type Pool struct {
 	batchOcc     *obs.Histogram
 	health       *obs.HealthRegistry
 
-	flushQuit chan struct{} // stops the batch flusher (nil when unbatched)
+	flushQuit chan struct{} // stops the batch flusher (nil at Batch 1 or without a timed flush)
 
 	attached     atomic.Uint64
 	observations atomic.Uint64
@@ -427,12 +427,6 @@ func (p *Pool) Attach(id string, onset int) error {
 	}
 	w := p.shard(id)
 	st := &stream{id: id, w: w, oa: oa, gen: gen, done: make(chan struct{})}
-	if p.health != nil {
-		st.hp = p.health.Attach(id)
-		st.hp.SetGeneration(gen)
-		lim := sys.Monitor().Limits()
-		st.hp.SetLimits(lim.D99, lim.Q99)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -440,6 +434,14 @@ func (p *Pool) Attach(id string, onset int) error {
 	}
 	if _, ok := w.streams[id]; ok {
 		return fmt.Errorf("fleet: %q: %w", id, ErrDuplicatePlant)
+	}
+	// The health handle is touched only once the id is known to be free, so
+	// a refused duplicate never resets the live stream's generation/limits.
+	if p.health != nil {
+		st.hp = p.health.Attach(id)
+		st.hp.SetGeneration(gen)
+		lim := sys.Monitor().Limits()
+		st.hp.SetLimits(lim.D99, lim.Q99)
 	}
 	w.streams[id] = st
 	p.attached.Add(1)
@@ -452,9 +454,10 @@ func (p *Pool) Attach(id string, onset int) error {
 // single-view feed passes the same slice twice. Push blocks when the
 // plant's worker mailbox is full — the back-pressure path.
 //
-// Pushing concurrently with Detach of the same plant is a caller-side
-// race: observations enqueued after the detach are discarded (never
-// scored out of order).
+// Pushing concurrently with Detach of the same plant loses nothing
+// silently: an observation either lands before the detach's finish
+// message (and is scored into the verdict) or Push returns
+// ErrUnknownPlant, exactly as if it had been called after the detach.
 //
 //pcslint:hotpath
 func (p *Pool) Push(id string, ctrl, proc []float64) error {
@@ -484,24 +487,22 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 		pb = p.getRow()
 		copy(*pb, proc)
 	}
-	if p.cfg.Batch > 1 {
-		return p.pushBatched(w, st, cb, pb)
-	}
-	if !p.trySend(w, message{st: st, ctrl: cb, proc: pb}) {
+	// Append to the stream's pending batch and ship it once full. The
+	// mailbox send happens under the stream's pending lock — that lock, not
+	// channel-queue order, is what keeps a full-batch send from racing a
+	// flush-tick send of the same plant, and what orders every send before
+	// the seal.
+	st.pendMu.Lock()
+	if st.sealed {
+		// Detached (or closing) since the registry lookup above.
+		st.pendMu.Unlock()
 		p.putRow(cb)
 		p.putRow(pb)
-		return ErrClosed
+		if p.closed.Load() {
+			return ErrClosed
+		}
+		return fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
-	return nil
-}
-
-// pushBatched appends one boxed observation to the stream's pending batch
-// and ships the batch when it reaches Config.Batch. The mailbox send happens
-// under the stream's pending lock — that lock, not channel-queue order, is
-// what keeps a full-batch send from racing a flush-tick send of the same
-// plant.
-func (p *Pool) pushBatched(w *worker, st *stream, cb, pb *[]float64) error {
-	st.pendMu.Lock()
 	b := st.pending
 	if b == nil {
 		b = p.getBatch()
@@ -515,7 +516,7 @@ func (p *Pool) pushBatched(w *worker, st *stream, cb, pb *[]float64) error {
 		return nil
 	}
 	st.pending = nil
-	ok := p.trySend(w, message{st: st, batch: b})
+	ok = p.trySend(w, message{st: st, batch: b})
 	st.pendMu.Unlock()
 	if !ok {
 		p.putBatch(b)
@@ -524,11 +525,12 @@ func (p *Pool) pushBatched(w *worker, st *stream, cb, pb *[]float64) error {
 	return nil
 }
 
-// flushPending ships the stream's partially filled batch, if any. Callers
-// on the detach path invoke it before the finish message so every pushed
-// observation is scored first.
-func (p *Pool) flushPending(st *stream) {
+// flushPending ships the stream's partially filled batch, if any; with seal
+// it also refuses every later Push. Detach and Close seal before the finish
+// message, so every observation a Push accepted is scored into the verdict.
+func (p *Pool) flushPending(st *stream, seal bool) {
 	st.pendMu.Lock()
+	st.sealed = st.sealed || seal
 	b := st.pending
 	if b == nil {
 		st.pendMu.Unlock()
@@ -563,7 +565,7 @@ func (p *Pool) flushLoop() {
 			}
 			w.mu.Unlock()
 			for _, st := range snapshot {
-				p.flushPending(st)
+				p.flushPending(st, false)
 			}
 		}
 	}
@@ -596,7 +598,7 @@ func (p *Pool) Detach(id string) (*core.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
-	p.flushPending(st)
+	p.flushPending(st, true)
 	if p.trySend(w, message{st: st, finish: true}) {
 		<-st.done
 		return st.report, st.err
@@ -633,7 +635,7 @@ func (p *Pool) Close() error {
 	for _, st := range rest {
 		// Close owns these streams (they were removed from the registry
 		// above) and the mailboxes are still open: the sends cannot fail.
-		p.flushPending(st)
+		p.flushPending(st, true)
 		p.trySend(st.w, message{st: st, finish: true})
 	}
 	for _, st := range rest {
@@ -770,34 +772,31 @@ func (w *worker) run() {
 	p := w.pool
 	for msg := range w.in {
 		st := msg.st
-		switch {
-		case msg.finish:
+		if msg.finish {
 			w.finish(st)
-		case msg.batch != nil:
-			if p.batchOcc != nil {
-				p.batchOcc.Observe(float64(msg.batch.n))
-			}
-			for i := 0; i < msg.batch.n; i++ {
-				w.score(st, msg.batch.ctrl[i], msg.batch.proc[i])
-				msg.batch.ctrl[i], msg.batch.proc[i] = nil, nil
-			}
-			msg.batch.n = 0
-			p.batches.Put(msg.batch)
-		default:
-			w.score(st, msg.ctrl, msg.proc)
+			continue
 		}
+		if p.batchOcc != nil {
+			p.batchOcc.Observe(float64(msg.batch.n))
+		}
+		for i := 0; i < msg.batch.n; i++ {
+			w.score(st, msg.batch.ctrl[i], msg.batch.proc[i])
+			msg.batch.ctrl[i], msg.batch.proc[i] = nil, nil
+		}
+		msg.batch.n = 0
+		p.batches.Put(msg.batch)
 	}
 }
 
 // score runs one boxed observation through the stream's analyzer and emits
-// its events — the per-observation body shared by the batched and unbatched
-// delivery paths. It consumes (recycles) the row boxes.
+// its events. It consumes (recycles) the row boxes.
 //
 //pcslint:hotpath
 func (w *worker) score(st *stream, ctrl, proc *[]float64) {
 	p := w.pool
 	if st.finished {
-		// Observation raced past a concurrent Detach; drop it.
+		// The stream failed on an earlier row (the error is in its
+		// Verdict); drop the rest.
 		p.putRow(ctrl)
 		p.putRow(proc)
 		return

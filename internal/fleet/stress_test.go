@@ -402,3 +402,86 @@ func TestStressScrapeUnderLoad(t *testing.T) {
 	}
 	t.Logf("%d scrapes against %d observations", scrapes, producers*rows)
 }
+
+// TestPushRacingDetachLosesNothing pins the Push/Detach race of one plant:
+// a producer pushes flat out, re-attaching whenever Push reports the plant
+// gone, while the main goroutine detaches it in a loop under the mutex the
+// re-attach takes — the shape of a control plane whose API detaches a unit
+// its ingest keeps feeding. Oracle: every Push that returned nil is scored
+// into exactly one verdict, so the verdicts' sample counts sum to the
+// accepted pushes.
+func TestPushRacingDetachLosesNothing(t *testing.T) {
+	const (
+		id     = "racer"
+		pushes = 200_000
+	)
+	sys := testSystem(t)
+	p, err := NewPool(sys, Config{Workers: 2, EmitEvery: -1, Sample: 9 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scored int
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for ev := range p.Events() {
+			if v, ok := ev.(Verdict); ok {
+				scored += v.Samples
+			}
+		}
+	}()
+	var mu sync.Mutex // serializes attach and detach, never held by Push
+	if err := p.Attach(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, _ := plantRows(60, 64, 0, 0, 0)
+	var accepted int
+	pushErr := make(chan error, 1)
+	go func() {
+		defer close(pushErr)
+		for i := 0; i < pushes; i++ {
+			row := ctrl[i%len(ctrl)]
+			err := p.Push(id, row, row)
+			if errors.Is(err, ErrUnknownPlant) {
+				mu.Lock()
+				err = p.Attach(id, 0)
+				mu.Unlock()
+				if err == nil || errors.Is(err, ErrDuplicatePlant) {
+					err = p.Push(id, row, row)
+				}
+			}
+			if err != nil && !errors.Is(err, ErrUnknownPlant) {
+				pushErr <- err
+				return
+			}
+			if err == nil {
+				accepted++
+			}
+		}
+	}()
+	detaches := 0
+	for done := false; !done; {
+		select {
+		case err, open := <-pushErr:
+			if open {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+			mu.Lock()
+			if _, err := p.Detach(id); err == nil || !errors.Is(err, ErrUnknownPlant) {
+				detaches++
+			}
+			mu.Unlock()
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-consumed
+	if scored != accepted {
+		t.Errorf("%d pushes accepted, %d scored into verdicts: %d observations lost across %d detaches",
+			accepted, scored, accepted-scored, detaches)
+	}
+	t.Logf("%d pushes accepted and scored across %d detaches", accepted, detaches)
+}

@@ -12,12 +12,14 @@
 // intrusions.
 //
 // The package exposes the high-level workflow — the lab, the scenarios,
-// the streaming analyzer and the scoring fleet; the building blocks live in
-// the internal packages (te, plantctl, fieldbus, attack, plant, mspc, pca,
-// omeda, core, scenario, fleet). The live frame pipeline — dedup, two-view
-// pairing, fleet scoring, capture and the ops API — is assembled once, by
-// internal/control's Plane, which the socket and capture examples and
-// mspctool's fleet, replay and serve commands run on.
+// the streaming analyzer and Fleet, the library wrapper over the scoring
+// pool; the building blocks live in the internal packages (te, plantctl,
+// fieldbus, attack, plant, mspc, pca, omeda, core, scenario, fleet, obs).
+// The live frame pipeline — dedup, two-view pairing, scoring on
+// internal/fleet's Pool, capture and the ops API over internal/obs — is
+// assembled once, by internal/control's Plane, which the socket and
+// capture examples and mspctool's fleet, replay and serve commands run on;
+// it does not go through the facade.
 //
 // A minimal session:
 //

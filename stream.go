@@ -9,67 +9,26 @@ import (
 
 	"pcsmon/internal/adapt"
 	"pcsmon/internal/core"
-	"pcsmon/internal/mspc"
 )
 
-// StreamEvent is a typed event emitted by the streaming monitoring
-// facade. The concrete types are SampleScored, AlarmRaised and
-// VerdictReady.
-type StreamEvent interface{ streamEvent() }
-
-// SampleScored reports the two charts' statistics for one scored
-// observation — what an operator's live D/Q control charts would plot.
-type SampleScored struct {
-	// Index is the observation index in the monitored stream.
-	Index int
-	// CtrlD/CtrlQ and ProcD/ProcQ are the D (Hotelling T²) and Q (SPE)
-	// statistics of the controller and process views.
-	CtrlD, CtrlQ float64
-	ProcD, ProcQ float64
-	// CtrlOver/ProcOver report whether the view exceeded a 99 % action
-	// limit in either chart at this observation.
-	CtrlOver, ProcOver bool
-}
-
-// AlarmRaised reports that one view's run rule latched a detection: the
-// K-th consecutive out-of-control observation after onset.
-type AlarmRaised struct {
-	// View is "controller" or "process".
-	View string
-	// Index is the observation at which the run rule fired; RunStart is
-	// the first observation of the out-of-control run.
-	Index    int
-	RunStart int
-	// Charts lists which statistic(s) were out of control ("D", "Q").
-	Charts []string
-}
-
-// ModelSwapped reports that the adaptive recalibration layer migrated the
-// stream to a freshly refitted model at a diagnosis-window boundary.
-type ModelSwapped struct {
-	// Index is the observation index of the boundary the swap landed on.
-	Index int
-	// Generation is the model generation now scoring the stream (the
-	// calibration-time model is generation 0).
-	Generation uint64
-	// D99 and Q99 are the new model's 99 % control limits.
-	D99, Q99 float64
-}
-
-// VerdictReady carries the final classified report when the stream ends.
-type VerdictReady struct {
-	Report *Report
-	// Samples is the number of observations scored.
-	Samples int
-	// Stopped reports that the run was halted early (streaming early-stop
-	// mode).
-	Stopped bool
-}
-
-func (SampleScored) streamEvent() {}
-func (AlarmRaised) streamEvent()  {}
-func (ModelSwapped) streamEvent() {}
-func (VerdictReady) streamEvent() {}
+// Stream events, re-exported from the engine: the streaming facade, the
+// fleet and the control plane's SSE feed share one vocabulary.
+type (
+	// StreamEvent is a typed stream event: SampleScored, AlarmRaised,
+	// ModelSwapped or VerdictReady.
+	StreamEvent = core.StreamEvent
+	// SampleScored reports the two charts' statistics for one scored
+	// observation.
+	SampleScored = core.SampleScored
+	// AlarmRaised reports that one view's run rule latched a detection.
+	AlarmRaised = core.AlarmRaised
+	// ModelSwapped reports an adaptive model migration at a
+	// diagnosis-window boundary.
+	ModelSwapped = core.ModelSwapped
+	// VerdictReady carries the final classified report when the stream
+	// ends.
+	VerdictReady = core.VerdictReady
+)
 
 // AdaptiveOptions tunes the adaptive recalibration layer (internal/adapt):
 // an EWMA model tracker fed only by in-control observations, candidate
@@ -128,9 +87,7 @@ func (l *Lab) StreamScenario(sc Scenario, opts StreamOptions, emit func(StreamEv
 		exp.Adapt = &ao
 		if send != nil {
 			emitSwap := send
-			exp.OnSwap = func(s adapt.Swap) {
-				emitSwap(ModelSwapped{Index: s.At, Generation: s.Generation, D99: s.D99, Q99: s.Q99})
-			}
+			exp.OnSwap = func(s adapt.Swap) { emitSwap(s.Event()) }
 		}
 	}
 	out, err := exp.Stream(sc, exp.RunSeed(opts.Seed), stepEmitter(send, opts.EmitEvery))
@@ -195,9 +152,7 @@ func StreamAdaptive(sys *System, onset int, sample time.Duration, ao AdaptiveOpt
 	}
 	var onSwap func(adapt.Swap)
 	if emit != nil {
-		onSwap = func(s adapt.Swap) {
-			emit(ModelSwapped{Index: s.At, Generation: s.Generation, D99: s.D99, Q99: s.Q99})
-		}
+		onSwap = func(s adapt.Swap) { emit(s.Event()) }
 	}
 	oa, err := adapt.NewScorer(sys, &ao, onset, sample, onSwap)
 	if err != nil {
@@ -238,36 +193,13 @@ func stepEmitter(emit func(StreamEvent), every int) func(core.StepResult) {
 	}
 	return func(res core.StepResult) {
 		if every >= 0 && (every <= 1 || res.Index%every == 0) {
-			emit(scoredEvent(res))
+			emit(core.ScoredEvent(res))
 		}
 		if res.CtrlAlarm != nil {
-			emit(alarmEvent("controller", res.CtrlAlarm.Index, res.CtrlAlarm.RunStart, res.CtrlAlarm.Charts))
+			emit(core.AlarmEvent("controller", *res.CtrlAlarm))
 		}
 		if res.ProcAlarm != nil {
-			emit(alarmEvent("process", res.ProcAlarm.Index, res.ProcAlarm.RunStart, res.ProcAlarm.Charts))
+			emit(core.AlarmEvent("process", *res.ProcAlarm))
 		}
 	}
-}
-
-// scoredEvent converts one scoring step into the chart-statistics event —
-// shared by the single-stream emitter and the fleet event converter.
-func scoredEvent(res core.StepResult) SampleScored {
-	ev := SampleScored{Index: res.Index}
-	if res.Ctrl != nil {
-		ev.CtrlD, ev.CtrlQ = res.Ctrl.Stats.D, res.Ctrl.Stats.Q
-		ev.CtrlOver = res.Ctrl.Over()
-	}
-	if res.Proc != nil {
-		ev.ProcD, ev.ProcQ = res.Proc.Stats.D, res.Proc.Stats.Q
-		ev.ProcOver = res.Proc.Over()
-	}
-	return ev
-}
-
-func alarmEvent(view string, index, runStart int, charts []mspc.Chart) AlarmRaised {
-	out := AlarmRaised{View: view, Index: index, RunStart: runStart}
-	for _, c := range charts {
-		out.Charts = append(out.Charts, c.String())
-	}
-	return out
 }
