@@ -168,7 +168,7 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		}
 		defer func() { _ = ops.Close() }()
 	}
-	sys, err := calibrateFrom(*calPath, *components, out)
+	sys, err := control.Calibrate(*calPath, *components, out)
 	if err != nil {
 		return err
 	}

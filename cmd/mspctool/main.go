@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/historian"
@@ -117,7 +118,7 @@ func run(args []string) error {
 		return err
 	}
 
-	sys, err := calibrateFrom(*calPath, *components, os.Stdout)
+	sys, err := control.Calibrate(*calPath, *components, os.Stdout)
 	if err != nil {
 		return err
 	}
@@ -170,7 +171,7 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sys, err := calibrateFrom(*calPath, *components, out)
+	sys, err := control.Calibrate(*calPath, *components, out)
 	if err != nil {
 		return err
 	}
@@ -264,24 +265,6 @@ func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (pcs
 // by the batch, watch and fleet subcommands.
 func onsetIndex(onsetHour, sampleSec float64) int {
 	return int(onsetHour * 3600 / sampleSec)
-}
-
-// calibrateFrom builds the monitoring system from a NOC CSV — the one
-// calibration path shared by the batch, watch and fleet subcommands — and
-// prints the calibration summary.
-func calibrateFrom(calPath string, components int, out io.Writer) (*core.System, error) {
-	cal, err := readCSV(calPath)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.Calibrate(cal, core.Config{Components: components})
-	if err != nil {
-		return nil, err
-	}
-	mon := sys.Monitor()
-	fmt.Fprintf(out, "calibrated on %d observations: A=%d components, limits D99=%.2f Q99=%.2f\n",
-		cal.Rows(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
-	return sys, nil
 }
 
 // csvStream reads a historian-format CSV one row at a time, reusing one

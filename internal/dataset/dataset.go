@@ -5,11 +5,16 @@
 package dataset
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 
 	"pcsmon/internal/mat"
 )
@@ -129,9 +134,28 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// ReadCSV parses a dataset written by WriteCSV (header + numeric rows).
+// ReadCSV parses a dataset written by WriteCSV.
+//
+// The accepted format is encoding/csv's default dialect restricted to
+// numbers: a header record of column names (parsed by encoding/csv, so
+// names may be quoted), then one record per line whose fields are
+// strconv.ParseFloat numbers, each optionally wrapped in double quotes
+// ("1.5"). Lines end in LF or CRLF, blank lines are skipped and the final
+// newline is optional. Anything else — a quoted field with escaped quotes,
+// commas or newlines, a bare quote, spaces around a number — is not a
+// number and is rejected. A row with the wrong field count or a field that
+// does not parse returns an error wrapping ErrBadInput that names the
+// physical line (the header is line 1); when several lines are bad, the
+// first one is reported.
+//
+// The body is cut into blocks of whole lines that are parsed GOMAXPROCS at
+// a time on separate goroutines; the rows of one block share one backing
+// array.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
+	// encoding/csv reuses br instead of wrapping it, so after the header
+	// record br is positioned at the first body byte.
+	br := bufio.NewReader(r)
+	cr := csv.NewReader(br)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read header: %w", err)
@@ -140,27 +164,143 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := make([]float64, len(header))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return d, nil
+	last := len(header) - 1
+	line, _ := cr.FieldPos(last)
+	line += strings.Count(header[last], "\n") // a quoted name may span lines
+
+	cols := len(header)
+	blocks := make([]csvBlock, runtime.GOMAXPROCS(0))
+	var carry []byte
+	for eof := false; !eof; {
+		n := 0
+		for ; n < len(blocks) && !eof; n++ {
+			b := &blocks[n]
+			if b.text, carry, eof, err = nextBlock(br, b.text, carry); err != nil {
+				return nil, fmt.Errorf("dataset: read: %w", err)
+			}
+		}
+		parseBlocks(blocks[:n], cols)
+		for k := range blocks[:n] {
+			b := &blocks[k]
+			if b.bad != nil {
+				return nil, b.bad.err(line, cols)
+			}
+			for off := 0; off < len(b.flat); off += cols {
+				d.rows = append(d.rows, b.flat[off:off+cols:off+cols])
+			}
+			line += b.lines
+		}
+	}
+	return d, nil
+}
+
+// blockSize is the body text read per parse block. Blocks end on a line
+// boundary, so a block holds up to one line more than this.
+const blockSize = 256 << 10
+
+// nextBlock refills buf with the carried partial line plus up to
+// blockSize more bytes of r, cut after the last newline. It returns the
+// block, the cut-off remainder to carry into the next block, and whether r
+// is exhausted (then the block runs to the end of input). A line longer
+// than a block grows the buffer until its newline arrives.
+func nextBlock(r io.Reader, buf, carry []byte) (text, rest []byte, eof bool, err error) {
+	buf = append(buf[:0], carry...)
+	for {
+		if cap(buf)-len(buf) < blockSize {
+			buf = append(buf, make([]byte, blockSize)...)[:len(buf)]
+		}
+		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return buf, nil, true, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: read line %d: %w", line, err)
+			return nil, nil, false, err
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d: %w", line, len(rec), len(header), ErrBadInput)
+		if cut := bytes.LastIndexByte(buf, '\n'); cut >= 0 {
+			return buf[:cut+1], buf[cut+1:], false, nil
 		}
-		for j, s := range rec {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d field %d %q: %w", line, j+1, s, ErrBadInput)
+	}
+}
+
+// csvBlock is one run of whole body lines and what parsing made of it.
+type csvBlock struct {
+	text  []byte    // the lines; the buffer is reused for the next round
+	flat  []float64 // parsed rows back to back, freshly allocated per parse
+	lines int       // physical lines in text, blank ones included
+	bad   *badLine  // first malformed line, or nil
+}
+
+// badLine records a malformed body line, located relative to its block.
+type badLine struct {
+	line   int    // 1-based line within the block
+	fields int    // fields found, when the count is wrong
+	field  int    // 1-based field that is not a number (0 for a count error)
+	text   string // that field's text
+}
+
+// err builds the ErrBadInput error for a block whose first line follows
+// line prev of the input.
+func (b *badLine) err(prev, cols int) error {
+	if b.field == 0 {
+		return fmt.Errorf("dataset: line %d has %d fields, want %d: %w", prev+b.line, b.fields, cols, ErrBadInput)
+	}
+	return fmt.Errorf("dataset: line %d field %d %q: %w", prev+b.line, b.field, b.text, ErrBadInput)
+}
+
+// parseBlocks parses the blocks concurrently, the last on the calling
+// goroutine.
+func parseBlocks(blocks []csvBlock, cols int) {
+	var wg sync.WaitGroup
+	for k := range blocks[:len(blocks)-1] {
+		wg.Add(1)
+		go func(b *csvBlock) {
+			defer wg.Done()
+			b.parse(cols)
+		}(&blocks[k])
+	}
+	blocks[len(blocks)-1].parse(cols)
+	wg.Wait()
+}
+
+// parse converts b.text into b.flat, stopping at the first malformed line.
+func (b *csvBlock) parse(cols int) {
+	b.flat = make([]float64, 0, (bytes.Count(b.text, []byte{'\n'})+1)*cols)
+	b.lines = 0
+	b.bad = nil
+	for text := b.text; len(text) > 0; {
+		line := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = nil
+		}
+		b.lines++
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		if n := bytes.Count(line, []byte{','}) + 1; n != cols {
+			b.bad = &badLine{line: b.lines, fields: n}
+			return
+		}
+		for j := 0; j < cols; j++ {
+			field := line
+			if i := bytes.IndexByte(line, ','); i >= 0 {
+				field, line = line[:i], line[i+1:]
 			}
-			row[j] = v
-		}
-		if err := d.Append(row); err != nil {
-			return nil, err
+			num := field
+			if n := len(num); n >= 2 && num[0] == '"' && num[n-1] == '"' {
+				num = num[1 : n-1]
+			}
+			v, err := strconv.ParseFloat(string(num), 64)
+			if err != nil {
+				b.bad = &badLine{line: b.lines, field: j + 1, text: string(field)}
+				return
+			}
+			b.flat = append(b.flat, v)
 		}
 	}
 }

@@ -44,7 +44,11 @@ func DotUnrolled(x, y []float64) float64 {
 }
 
 // MulVecInto computes the matrix-vector product a·x into dst, bit-identical
-// to MulVec but allocation-free and row-swept with DotUnrolled.
+// to MulVec but allocation-free. It is register-blocked: one sweep over x
+// feeds four output rows, each with its own single accumulator chain in
+// ascending column order, so x is loaded once per four dot products while
+// every row's sum is still exactly the scalar loop's. The 0–3 leftover rows
+// fall back to DotUnrolled.
 //
 //pcslint:hotpath
 func MulVecInto(a *Matrix, x, dst []float64) error {
@@ -54,8 +58,25 @@ func MulVecInto(a *Matrix, x, dst []float64) error {
 	if len(dst) != a.rows {
 		return errMulVecDst(a, len(dst))
 	}
-	for i := 0; i < a.rows; i++ {
-		dst[i] = DotUnrolled(a.data[i*a.cols:(i+1)*a.cols], x)
+	n := a.cols
+	i := 0
+	for ; i+4 <= a.rows; i += 4 {
+		r0 := a.data[i*n:][:len(x)]
+		r1 := a.data[(i+1)*n:][:len(x)]
+		r2 := a.data[(i+2)*n:][:len(x)]
+		r3 := a.data[(i+3)*n:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		d4 := dst[i : i+4 : i+4]
+		d4[0], d4[1], d4[2], d4[3] = s0, s1, s2, s3
+	}
+	for ; i < a.rows; i++ {
+		dst[i] = DotUnrolled(a.data[i*n:(i+1)*n], x)
 	}
 	return nil
 }

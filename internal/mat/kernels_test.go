@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,10 +37,12 @@ func TestDotUnrolledExact(t *testing.T) {
 	}
 }
 
+// TestMulVecIntoExact covers every remainder of the 4-row block, the
+// paper's 53 variables and the A=20 and A=23 projections the monitors run.
 func TestMulVecIntoExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, r := range []int{1, 3, 8, 17} {
-		for _, c := range kernelLens {
+	for _, r := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 20, 23} {
+		for _, c := range append(kernelLens, 53) {
 			if c == 0 {
 				continue
 			}
@@ -233,6 +236,114 @@ func TestAccumulatorsMatchNaive(t *testing.T) {
 				t.Fatalf("EWMACovAccumulator cross (%d,%d): %v != naive %v",
 					p, q, ewma.cross[p*cols+q], naiveEwma[p*cols+q])
 			}
+		}
+	}
+}
+
+// refCovariance is the one-row-at-a-time upper-triangle loop Covariance
+// replaced, kept verbatim as the exactness oracle.
+func refCovariance(m *Matrix) *Matrix {
+	means := ColMeans(m)
+	c := MustNew(m.cols, m.cols)
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for p := 0; p < m.cols; p++ {
+			dp := row[p] - means[p]
+			if dp == 0 {
+				continue
+			}
+			crow := c.data[p*m.cols : (p+1)*m.cols]
+			for q := p; q < m.cols; q++ {
+				crow[q] += dp * (row[q] - means[q])
+			}
+		}
+	}
+	inv := 1 / float64(m.rows-1)
+	for p := 0; p < m.cols; p++ {
+		for q := p; q < m.cols; q++ {
+			v := c.data[p*m.cols+q] * inv
+			c.data[p*m.cols+q] = v
+			c.data[q*m.cols+p] = v
+		}
+	}
+	return c
+}
+
+// TestCovarianceBlockedExact covers every remainder of the 4-row block
+// (n mod 4 = 0..3) at the paper's 53 variables, with a constant column and
+// entries exactly at their column mean so the dp == 0 skip runs inside
+// full blocks and in the tail.
+func TestCovarianceBlockedExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const cols = 53
+	for _, rows := range []int{2, 3, 4, 5, 6, 7, 8, 9, 40, 41, 42, 43} {
+		m := MustNew(rows, cols)
+		for i := 0; i < rows; i++ {
+			copy(m.RowView(i), randSlice(rng, cols))
+			m.Set(i, 7, 2.5) // constant column: every dp is 0
+		}
+		// Column 11 holds -1, 1, -1, 1, …, 0: its mean is exactly 0 for
+		// an odd count, so the zero entries sit exactly at the mean.
+		for i := 0; i < rows; i++ {
+			v := float64(1 - 2*(i%2))
+			if rows%2 == 1 && i == rows-1 {
+				v = 0
+			}
+			m.Set(i, 11, v)
+		}
+		// Column 20 is 3 except one entry: the others sit at the mean
+		// only when the exception happens to be 3 too, so give the
+		// exception the same value in half the cases.
+		for i := 0; i < rows; i++ {
+			m.Set(i, 20, 3)
+		}
+		if rows%2 == 0 {
+			m.Set(rows/2, 20, 5)
+		}
+		got, err := Covariance(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refCovariance(m)
+		for p := 0; p < cols; p++ {
+			for q := 0; q < cols; q++ {
+				if got.At(p, q) != want.At(p, q) {
+					t.Fatalf("rows=%d (%d,%d): Covariance=%v, reference=%v", rows, p, q, got.At(p, q), want.At(p, q))
+				}
+			}
+		}
+	}
+}
+
+// TestCovarianceKeepsZeroSkip pins that a centred value of exactly 0 still
+// skips its row's products: with an infinite entry in the same row, adding
+// 0·(−Inf) would turn that cell into NaN, so the blocked kernel must skip
+// exactly where the reference loop does.
+func TestCovarianceKeepsZeroSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	const cols = 9
+	for _, rows := range []int{4, 5, 6, 7, 8} {
+		m := MustNew(rows, cols)
+		for i := 0; i < rows; i++ {
+			copy(m.RowView(i), randSlice(rng, cols))
+			m.Set(i, 1, 4) // at its mean in every row
+		}
+		m.Set(rows-1, 2, math.Inf(1))
+		got, err := Covariance(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refCovariance(m)
+		for p := 0; p < cols; p++ {
+			for q := 0; q < cols; q++ {
+				g, w := got.At(p, q), want.At(p, q)
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("rows=%d (%d,%d): Covariance=%v, reference=%v", rows, p, q, g, w)
+				}
+			}
+		}
+		if v := got.At(1, 2); v != 0 {
+			t.Fatalf("rows=%d: cov(const, inf col) = %v, want 0 (zero skip lost)", rows, v)
 		}
 	}
 }

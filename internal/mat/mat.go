@@ -545,34 +545,77 @@ func ColStds(m *Matrix, means []float64) ([]float64, error) {
 
 // Covariance returns the sample covariance matrix (divisor N-1) of the rows
 // of m. It requires at least two rows.
+//
+// Rows are taken four at a time: each block is centred once, then applied
+// to the upper triangle as a rank-4 update, so every c[p][q] is loaded and
+// stored once per four rows while still adding its products in ascending
+// row order. A row whose centred value dp is exactly 0 adds nothing to row
+// p of the triangle, as in the plain one-row-at-a-time loop, so the result
+// is bit-identical to it (even for non-finite entries).
 func Covariance(m *Matrix) (*Matrix, error) {
 	if m.rows < 2 {
 		return nil, fmt.Errorf("mat: covariance needs ≥2 rows, got %d: %w", m.rows, ErrEmpty)
 	}
 	means := ColMeans(m)
-	c := MustNew(m.cols, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for p := 0; p < m.cols; p++ {
-			dp := row[p] - means[p]
-			if dp == 0 {
+	n := m.cols
+	c := MustNew(n, n)
+	centred := make([]float64, 4*n)
+	d0, d1, d2, d3 := centred[:n], centred[n:2*n], centred[2*n:3*n], centred[3*n:]
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		centre(d0, m.data[i*n:(i+1)*n], means)
+		centre(d1, m.data[(i+1)*n:(i+2)*n], means)
+		centre(d2, m.data[(i+2)*n:(i+3)*n], means)
+		centre(d3, m.data[(i+3)*n:(i+4)*n], means)
+		for p := 0; p < n; p++ {
+			crow := c.data[p*n+p : (p+1)*n]
+			a0, a1, a2, a3 := d0[p], d1[p], d2[p], d3[p]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for k, dp := range [4]float64{a0, a1, a2, a3} {
+					if dp != 0 {
+						AxpyInto(crow, dp, centred[k*n+p:(k+1)*n])
+					}
+				}
 				continue
 			}
-			crow := c.data[p*m.cols : (p+1)*m.cols]
-			for q := p; q < m.cols; q++ {
-				crow[q] += dp * (row[q] - means[q])
+			q0 := d0[p:]
+			q1, q2, q3 := d1[p:][:len(q0)], d2[p:][:len(q0)], d3[p:][:len(q0)]
+			crow = crow[:len(q0)]
+			for q, v := range crow {
+				v += a0 * q0[q]
+				v += a1 * q1[q]
+				v += a2 * q2[q]
+				v += a3 * q3[q]
+				crow[q] = v
+			}
+		}
+	}
+	for ; i < m.rows; i++ {
+		centre(d0, m.data[i*n:(i+1)*n], means)
+		for p, dp := range d0 {
+			if dp != 0 {
+				AxpyInto(c.data[p*n+p:(p+1)*n], dp, d0[p:])
 			}
 		}
 	}
 	inv := 1 / float64(m.rows-1)
-	for p := 0; p < m.cols; p++ {
-		for q := p; q < m.cols; q++ {
-			v := c.data[p*m.cols+q] * inv
-			c.data[p*m.cols+q] = v
-			c.data[q*m.cols+p] = v
+	for p := 0; p < n; p++ {
+		for q := p; q < n; q++ {
+			v := c.data[p*n+q] * inv
+			c.data[p*n+q] = v
+			c.data[q*n+p] = v
 		}
 	}
 	return c, nil
+}
+
+// centre writes row − means into dst.
+func centre(dst, row, means []float64) {
+	row = row[:len(dst)]
+	means = means[:len(dst)]
+	for j := range dst {
+		dst[j] = row[j] - means[j]
+	}
 }
 
 // CovAccumulator accumulates a covariance matrix incrementally from streamed

@@ -84,15 +84,13 @@ type Monitor struct {
 	// empirical limits and phase-I charts). Nil on the streaming path.
 	calD, calQ []float64
 
-	// Hot-path caches filled by initHot at calibration time, so the fused
-	// ComputeInto sweep never crosses a package boundary or touches a
-	// bounds-checked matrix accessor: frozen scaling parameters, the M×A
-	// loading matrix flattened row-major (stride = ncomp), and the retained
-	// eigenvalues. All read-only after calibration, like the rest of the
-	// monitor.
+	// Hot-path caches filled by initHot at calibration time, so
+	// ComputeInto and statsFrom read plain slices instead of the copying
+	// accessors (Scaler.Means, Model.Eigenvalues, …): frozen scaling
+	// parameters and the retained eigenvalues. All read-only after
+	// calibration, like the rest of the monitor.
 	hotMeans []float64
 	hotStds  []float64
-	hotLoad  []float64
 	hotEig   []float64
 	ncomp    int
 }
@@ -164,11 +162,13 @@ func Calibrate(x *mat.Matrix, opts ...Option) (*Monitor, error) {
 	// charts; cheap to keep in all cases).
 	m.calD = make([]float64, scaled.Rows())
 	m.calQ = make([]float64, scaled.Rows())
-	for i := 0; i < scaled.Rows(); i++ {
-		s, err := m.computeScaled(scaled.RowView(i))
-		if err != nil {
-			return nil, err
+	t := make([]float64, m.ncomp)
+	for i := range m.calD {
+		row := scaled.RowView(i)
+		if err := model.ProjectInto(row, t); err != nil {
+			return nil, fmt.Errorf("mspc: %w", err)
 		}
+		s := m.statsFrom(row, t)
 		m.calD[i] = s.D
 		m.calQ[i] = s.Q
 	}
@@ -211,11 +211,7 @@ func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Mon
 		for j := 0; j < corr.Cols(); j++ {
 			den := stds[i] * stds[j]
 			if den < 1e-24 {
-				if i == j {
-					corr.Set(i, j, 0)
-				} else {
-					corr.Set(i, j, 0)
-				}
+				corr.Set(i, j, 0)
 				continue
 			}
 			corr.Set(i, j, cov.At(i, j)/den)
@@ -238,19 +234,13 @@ func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Mon
 	return m, nil
 }
 
-// initHot snapshots the scaling parameters, loading matrix (row-major) and
-// retained eigenvalues into flat slices for the fused ComputeInto sweep.
+// initHot snapshots the scaling parameters and retained eigenvalues into
+// flat slices for ComputeInto and the calibration statistics.
 func (m *Monitor) initHot() {
 	m.hotMeans = m.scaler.Means()
 	m.hotStds = m.scaler.Stds()
 	m.hotEig = m.model.Eigenvalues()
 	m.ncomp = m.model.NComponents()
-	nvars := m.model.NVars()
-	loadings := m.model.Loadings()
-	m.hotLoad = make([]float64, nvars*m.ncomp)
-	for j := 0; j < nvars; j++ {
-		copy(m.hotLoad[j*m.ncomp:(j+1)*m.ncomp], loadings.RowView(j))
-	}
 }
 
 func (m *Monitor) setLimits() error {
@@ -318,17 +308,20 @@ func (m *Monitor) Compute(row []float64) (Statistics, error) {
 	if err != nil {
 		return Statistics{}, fmt.Errorf("mspc: %w", err)
 	}
-	return m.computeScaled(scaled)
+	t, err := m.model.Project(scaled)
+	if err != nil {
+		return Statistics{}, fmt.Errorf("mspc: %w", err)
+	}
+	return m.statsFrom(scaled, t), nil
 }
 
 // ComputeInto is Compute with caller-provided scratch: scaled (scaler
 // dimension) receives the preprocessed row, scores (NComponents) the PCA
-// projection. This is the hot-path variant the per-stream detectors use: a
-// single fused sweep over the row that scales, projects and accumulates ‖x‖²
-// in one pass through the cached row-major loadings, then derives D and Q —
-// zero allocations, zero cross-package calls, bit-identical to Compute
-// (every accumulator still sums in the same ascending-index order as the
-// naive chained implementation).
+// projection. This is the hot-path variant the per-stream detectors use:
+// the row is scaled with mat.SubDivInto, ‖x‖² is one DotUnrolled sweep and
+// the scores come from the model's register-blocked Pᵀ·x (ProjectInto) —
+// zero allocations, bit-identical to Compute (every accumulator still sums
+// in the same ascending-index order as the naive chained implementation).
 //
 //pcslint:hotpath
 func (m *Monitor) ComputeInto(row, scaled, scores []float64) (Statistics, error) {
@@ -342,45 +335,17 @@ func (m *Monitor) ComputeInto(row, scaled, scores []float64) (Statistics, error)
 	if len(scores) != m.ncomp {
 		return Statistics{}, fmt.Errorf("mspc: ComputeInto scores len %d != %d components: %w", len(scores), m.ncomp, ErrBadInput)
 	}
-	for a := range scores {
-		scores[a] = 0
-	}
-	var x2 float64
-	ncomp := m.ncomp
-	for j, v := range row {
-		s := (v - m.hotMeans[j]) / m.hotStds[j]
-		scaled[j] = s
-		x2 += s * s
-		mat.AxpyInto(scores, s, m.hotLoad[j*ncomp:(j+1)*ncomp])
-	}
-	var d, t2 float64
-	for a, tv := range scores {
-		if m.hotEig[a] > 1e-12 {
-			d += tv * tv / m.hotEig[a]
-		}
-		t2 += tv * tv
-	}
-	// Q = ‖x‖² − ‖t‖² (Pythagoras), clamped like statsFrom.
-	q := x2 - t2
-	if q < 0 {
-		q = 0
-	}
-	return Statistics{D: d, Q: q}, nil
-}
-
-// computeScaled computes D and Q for an already-preprocessed observation.
-func (m *Monitor) computeScaled(scaled []float64) (Statistics, error) {
-	t, err := m.model.Project(scaled)
-	if err != nil {
+	mat.SubDivInto(scaled, row, m.hotMeans, m.hotStds)
+	if err := m.model.ProjectInto(scaled, scores); err != nil {
 		return Statistics{}, fmt.Errorf("mspc: %w", err)
 	}
-	return m.statsFrom(scaled, t), nil
+	return m.statsFrom(scaled, scores), nil
 }
 
 // statsFrom derives D and Q from a preprocessed observation and its PCA
 // scores — the one formula shared by the allocating and scratch paths.
 func (m *Monitor) statsFrom(scaled, t []float64) Statistics {
-	eig := m.model.Eigenvalues()
+	eig := m.hotEig[:len(t)]
 	var d float64
 	for a, tv := range t {
 		if eig[a] > 1e-12 {
@@ -388,13 +353,8 @@ func (m *Monitor) statsFrom(scaled, t []float64) Statistics {
 		}
 	}
 	// Q = ‖x‖² − ‖t‖² (Pythagoras; avoids recomputing the reconstruction).
-	var x2, t2 float64
-	for _, v := range scaled {
-		x2 += v * v
-	}
-	for _, v := range t {
-		t2 += v * v
-	}
+	x2 := mat.DotUnrolled(scaled, scaled)
+	t2 := mat.DotUnrolled(t, t)
 	q := x2 - t2
 	if q < 0 {
 		q = 0

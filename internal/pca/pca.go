@@ -34,11 +34,12 @@ var (
 
 // Model is a fitted PCA model.
 type Model struct {
-	loadings *mat.Matrix // M×A loading matrix P
-	eigvals  []float64   // variances of the A retained score directions
-	allEig   []float64   // full spectrum (length M), descending
-	nobs     int         // calibration observations
-	nvars    int         // M
+	loadings  *mat.Matrix // M×A loading matrix P
+	loadingsT *mat.Matrix // A×M transpose Pᵀ: the projection t = Pᵀ·x
+	eigvals   []float64   // variances of the A retained score directions
+	allEig    []float64   // full spectrum (length M), descending
+	nobs      int         // calibration observations
+	nvars     int         // M
 }
 
 // ComponentRule selects the number of principal components to retain from a
@@ -149,11 +150,12 @@ func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
 		}
 	}
 	return &Model{
-		loadings: loadings,
-		eigvals:  append([]float64(nil), eig[:a]...),
-		allEig:   eig,
-		nobs:     n,
-		nvars:    m,
+		loadings:  loadings,
+		loadingsT: loadings.T(),
+		eigvals:   append([]float64(nil), eig[:a]...),
+		allEig:    eig,
+		nobs:      n,
+		nvars:     m,
 	}, nil
 }
 
@@ -258,10 +260,9 @@ func (m *Model) Project(row []float64) ([]float64, error) {
 // ProjectInto is Project with a caller-provided destination of length
 // NComponents — the allocation-free hot-path variant.
 //
-// The sweep is row-major over the loading matrix (one unrolled axpy per
-// variable) instead of column-strided element access; for any fixed
-// component the partial products still accumulate in ascending variable
-// order, so the result is bit-identical to the naive column loop.
+// It multiplies by the cached Pᵀ with mat.MulVecInto, so each score is one
+// dot product over the variables in ascending order, bit-identical to the
+// naive column loop.
 func (m *Model) ProjectInto(row, dst []float64) error {
 	if len(row) != m.nvars {
 		return fmt.Errorf("pca: Project len %d != nvars %d: %w", len(row), m.nvars, ErrBadInput)
@@ -269,13 +270,7 @@ func (m *Model) ProjectInto(row, dst []float64) error {
 	if len(dst) != m.NComponents() {
 		return fmt.Errorf("pca: Project dst len %d != %d components: %w", len(dst), m.NComponents(), ErrBadInput)
 	}
-	for a := range dst {
-		dst[a] = 0
-	}
-	for j, v := range row {
-		mat.AxpyInto(dst, v, m.loadings.RowView(j))
-	}
-	return nil
+	return mat.MulVecInto(m.loadingsT, row, dst)
 }
 
 // ReconstructInto computes x̂ = P·t into dst (length NVars) from an
@@ -453,10 +448,11 @@ func FitNIPALS(x *mat.Matrix, a int, tol float64, maxIter int) (*Model, error) {
 		}
 	}
 	return &Model{
-		loadings: loadings,
-		eigvals:  eigvals,
-		allEig:   allEig,
-		nobs:     n,
-		nvars:    mvars,
+		loadings:  loadings,
+		loadingsT: loadings.T(),
+		eigvals:   eigvals,
+		allEig:    allEig,
+		nobs:      n,
+		nvars:     mvars,
 	}, nil
 }
