@@ -85,7 +85,7 @@ func TestRunFleetAdaptive(t *testing.T) {
 		Hours: 12,
 		FleetOptions: pcsmon.FleetOptions{
 			EmitEvery: -1,
-			Adaptive:  pcsmon.AdaptiveOptions{Enabled: true, Every: 256, Forget: 0.999},
+			Adapt:     pcsmon.AdaptiveOptions{Enabled: true, Every: 256, Forget: 0.999},
 		},
 	}, func(ev pcsmon.FleetEvent) {
 		if _, ok := ev.Event.(pcsmon.ModelSwapped); ok {

@@ -41,9 +41,10 @@ import (
 //     into typed pairing accounting; a corrupt datagram is counted and
 //     dropped. Both listeners may run at once (two taps, one correlator).
 //
-// The two frame modes run the serve command's control plane
-// (internal/control) with the flags mapped onto its config; the
-// subcommand only decides when the feed is over: after -max-obs
+// Every mode maps the flags onto one serve-mode config
+// (internal/control): CSV mode runs the scoring pool and event log that
+// config gives a control plane, and the two frame modes run the plane
+// itself; the subcommand only decides when the feed is over: after -max-obs
 // observations (distinct (unit, seq) pairs seen, plus a short grace for
 // the final mate frame) or -idle without traffic. With -record, every
 // received frame is appended to a capture segment chain at
@@ -126,85 +127,77 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	cfg := &control.Config{
+		Calibration:   *calPath,
+		SampleSeconds: *sampleSec,
+		OnsetHour:     *onsetHour,
+		Components:    *components,
+		Listeners:     control.Listeners{TCP: *listen, UDP: *listenUDP},
+		Ops:           control.Ops{Addr: *metricsAddr},
+		Pairing:       pairingConfig(*pairWindow, *pairTimeout, *dedup),
+		Fleet:         control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
+		Adapt:         control.Adapt{Every: adaptive.Every, Forget: adaptive.Forget},
+		Record: control.Record{
+			Path:               *record,
+			SegmentBytes:       *recSegBytes,
+			SegmentSpanSeconds: recSegSpan.Seconds(),
+			Keep:               *recKeep,
+			KeepBytes:          *recKeepB,
+			KeepAgeSeconds:     recKeepAge.Seconds(),
+			FlushSeconds:       recFlush.Seconds(),
+		},
+	}
 	if live {
-		cfg := &control.Config{
-			Calibration:   *calPath,
-			SampleSeconds: *sampleSec,
-			OnsetHour:     *onsetHour,
-			Components:    *components,
-			Listeners:     control.Listeners{TCP: *listen, UDP: *listenUDP},
-			Ops:           control.Ops{Addr: *metricsAddr},
-			Pairing:       pairingConfig(*pairWindow, *pairTimeout, *dedup),
-			Fleet:         control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
-			Adapt:         control.Adapt{Every: adaptive.Every, Forget: adaptive.Forget},
-			Record: control.Record{
-				Path:               *record,
-				SegmentBytes:       *recSegBytes,
-				SegmentSpanSeconds: recSegSpan.Seconds(),
-				Keep:               *recKeep,
-				KeepBytes:          *recKeepB,
-				KeepAgeSeconds:     recKeepAge.Seconds(),
-				FlushSeconds:       recFlush.Seconds(),
-			},
-		}
 		return runFleetLive(cfg, *every, *maxObs, *idle, *statsEvery, out)
 	}
+	return runFleetCSV(cfg, *every, *statsEvery, in, out)
+}
 
-	// CSV mode: the ops listener binds before calibration so an unusable
-	// -metrics address fails up front; its totals fill in once the pool
-	// exists.
+// runFleetCSV runs CSV mode on the scoring pool a plane would build from
+// cfg, logging its events the way the plane does. The ops listener binds
+// before calibration so an unusable -metrics address fails up front; its
+// totals fill in once the pool exists.
+func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io.Reader, out io.Writer) error {
 	var fl atomic.Pointer[fleet.Pool]
-	totals := func() map[string]float64 { return fleetTotals(fl.Load()) }
-	var metrics *obs.Registry
-	var health *obs.HealthRegistry
+	totals := func() map[string]float64 {
+		m := map[string]float64{}
+		if pool := fl.Load(); pool != nil {
+			pool.Stats().AddTotals(m)
+		}
+		return m
+	}
+	pc := cfg.PoolConfig()
 	var lastSeen atomic.Int64 // /healthz stall probe
 	lastSeen.Store(time.Now().UnixNano())
-	if *metricsAddr != "" {
-		metrics, health = obs.NewRegistry(), obs.NewHealthRegistry()
-		ops, err := startOps("mspctool fleet", *metricsAddr, metrics, health, totals,
+	if cfg.Ops.Addr != "" {
+		pc.Metrics, pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
+		ops, err := startOps("mspctool fleet", cfg.Ops.Addr, pc.Metrics, pc.Health, totals,
 			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = ops.Close() }()
 	}
-	sys, err := control.Calibrate(*calPath, *components, out)
+	sys, err := control.Calibrate(cfg.Calibration, cfg.Components, out)
 	if err != nil {
 		return err
 	}
-	onset := onsetIndex(*onsetHour, *sampleSec)
-	pool, err := fleet.NewPool(sys, fleet.Config{
-		Workers:   *workers,
-		Batch:     *batch,
-		EmitEvery: *every,
-		Sample:    time.Duration(*sampleSec * float64(time.Second)),
-		Adapt:     adaptive,
-		Metrics:   metrics,
-		Health:    health,
-	})
+	pool, err := fleet.NewPool(sys, pc)
 	if err != nil {
 		return fmt.Errorf("mspctool fleet: %w", err)
 	}
 	fl.Store(pool)
-	stopStats := startStatsTicker(*statsEvery, totals, out)
+	stopStats := startStatsTicker(statsEvery, totals, out)
 	defer stopStats()
 
 	// The single consumer of the pool's events: live alarm and swap lines,
 	// plus the per-plant summary.
-	v := newVerdicts(*every, out)
+	v := newVerdicts(every, out)
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		for ev := range pool.Events() {
-			switch e := ev.(type) {
-			case fleet.Alarm:
-				a := core.AlarmEvent(e.View, e.Detection)
-				fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-					e.Plant, a.View, a.Index, a.RunStart, a.Charts)
-			case fleet.ModelSwapped:
-				fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-					e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
-			}
+			control.LogEvent(out, ev)
 			v.event(ev)
 			pool.Recycle(ev)
 		}
@@ -217,6 +210,7 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 
 	// feed pushes one single-view observation, attaching the plant on
 	// first sight.
+	onset := cfg.OnsetIndex()
 	seen := map[string]bool{}
 	feed := func(plant string, row []float64) error {
 		if !seen[plant] {

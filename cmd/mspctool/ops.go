@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pcsmon"
-	"pcsmon/internal/fleet"
 	"pcsmon/internal/obs"
 	"pcsmon/internal/obs/opsserver"
 )
@@ -30,26 +29,6 @@ func startOps(cmd, addr string, metrics *obs.Registry, health *obs.HealthRegistr
 	}
 	fmt.Fprintf(out, "ops listening on %s (/metrics /healthz /status /debug/pprof/)\n", srv.URL())
 	return srv, nil
-}
-
-// fleetTotals builds the /status aggregate map from the scoring pool's
-// counters — the CSV fleet's share of the control plane's totals. A nil
-// pool (a scrape that races calibration) reads as an empty map.
-func fleetTotals(fl *fleet.Pool) map[string]float64 {
-	if fl == nil {
-		return map[string]float64{}
-	}
-	st := fl.Stats()
-	return map[string]float64{
-		"fleet_active_streams":   float64(st.Active),
-		"fleet_attached":         float64(st.Attached),
-		"fleet_observations":     float64(st.Observations),
-		"fleet_alarms":           float64(st.Alarms),
-		"fleet_verdicts":         float64(st.Verdicts),
-		"fleet_model_swaps":      float64(st.ModelSwaps),
-		"fleet_model_generation": float64(st.ModelGeneration),
-		"fleet_obs_per_sec":      st.ObsPerSec,
-	}
 }
 
 // startStatsTicker prints a progress line from the live /status totals

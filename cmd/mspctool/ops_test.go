@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/control"
 	"pcsmon/internal/fieldbus"
 	"pcsmon/internal/historian"
 	"pcsmon/internal/obs"
@@ -360,4 +362,122 @@ func TestFleetMetricsEndpointE2E(t *testing.T) {
 			t.Errorf("fleet output missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestFleetCSVMetricsEndpointE2E covers the CSV mode's ops path: rows fed
+// through a pipe are scraped mid-run, the /status totals carry exactly the
+// fleet_* keys a control plane serves, /metrics is lint-clean, and the
+// scraped counters match the printed exit summary.
+func TestFleetCSVMetricsEndpointE2E(t *testing.T) {
+	dir := t.TempDir()
+	cal := filepath.Join(dir, "cal.csv")
+	writeSynthetic(t, cal, 3, 800, -1, -1, 0)
+
+	plants := []string{"alpha", "beta"}
+	const rows = 120
+	stream := interleavedCSV(t, 3, plants, rows, 0, 60, -30, map[string]bool{"beta": true})
+	pr, pw := io.Pipe()
+	var out syncBuffer
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- runFleet([]string{"-cal", cal, "-sample", "9", "-metrics", "127.0.0.1:0"}, pr, &out)
+		_ = pr.Close() // unblock the feed if the run ended early
+	}()
+	var opsURL string
+	for deadline := time.Now().Add(15 * time.Second); opsURL == ""; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ops address never printed:\n%s", out.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "ops listening on "); ok {
+				opsURL = strings.Fields(rest)[0]
+			}
+		}
+	}
+	if _, err := io.WriteString(pw, stream); err != nil {
+		t.Fatalf("feed: %v\n%s", err, out.String())
+	}
+
+	// The pipe stays open: the run is still in progress while we scrape.
+	get := func(path string) string {
+		resp, err := http.Get(opsURL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	var doc obs.StatusDoc
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if err := json.Unmarshal([]byte(get("/status")), &doc); err != nil {
+			t.Fatalf("/status: %v", err)
+		}
+		if doc.Totals["fleet_observations"] == float64(len(plants)*rows) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/status never reached %d observations: %v", len(plants)*rows, doc.Totals)
+		}
+	}
+	if len(doc.Units) != len(plants) {
+		t.Errorf("/status has %d units, want %d", len(doc.Units), len(plants))
+	}
+
+	// CSV mode serves exactly the fleet_* totals of a control plane.
+	sys, err := control.Calibrate(cal, 0, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := control.New(&control.Config{}, control.Options{System: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planeKeys := fleetKeys(p.Totals())
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fleetKeys(doc.Totals); strings.Join(got, ",") != strings.Join(planeKeys, ",") {
+		t.Errorf("CSV fleet_* totals %v, plane's %v", got, planeKeys)
+	}
+
+	values := lintExposition(t, get("/metrics"))
+	if got := values["pcsmon_fleet_observations_total"]; got != float64(len(plants)*rows) {
+		t.Errorf("pcsmon_fleet_observations_total = %v, want %d", got, len(plants)*rows)
+	}
+
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("fleet: %v\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("fleet never finished:\n%s", out.String())
+	}
+	want := fmt.Sprintf("fleet: %.0f plants, %.0f observations, %.0f alarms, ",
+		doc.Totals["fleet_attached"], doc.Totals["fleet_observations"], doc.Totals["fleet_alarms"])
+	if text := out.String(); !strings.Contains(text, want) {
+		t.Errorf("fleet summary does not match the scraped totals %q:\n%s", want, text)
+	}
+	if doc.Totals["fleet_alarms"] == 0 {
+		t.Errorf("shifted plant beta raised no alarm: %v", doc.Totals)
+	}
+}
+
+// fleetKeys returns the sorted fleet_* keys of a /status totals map.
+func fleetKeys(totals map[string]float64) []string {
+	var keys []string
+	for k := range totals {
+		if strings.HasPrefix(k, "fleet_") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -3,7 +3,6 @@ package pcsmon
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"pcsmon/internal/core"
 	"pcsmon/internal/fleet"
@@ -20,17 +19,8 @@ var (
 	ErrUnknownPlant = fleet.ErrUnknownPlant
 )
 
-// plantIDs holds the 256 possible plant ids; PlantID is called once per
-// paired observation on the scoring hot path, so it must not format.
-var plantIDs = func() (ids [256]string) {
-	for i := range ids {
-		ids[i] = fmt.Sprintf("unit-%03d", i)
-	}
-	return
-}()
-
 // PlantID returns the fleet plant id of a fieldbus unit ("unit-007").
-func PlantID(unit uint8) string { return plantIDs[unit] }
+func PlantID(unit uint8) string { return fleet.PlantID(unit) }
 
 // FleetStats is a snapshot of a fleet's aggregate counters.
 type FleetStats = fleet.Stats
@@ -44,39 +34,11 @@ type FleetEvent struct {
 	Event StreamEvent
 }
 
-// FleetOptions tunes NewFleet. The zero value selects GOMAXPROCS workers,
-// a 64-observation mailbox per worker and a 256-event buffer.
-type FleetOptions struct {
-	// Workers is the number of scoring goroutines streams are sharded over
-	// (0 = GOMAXPROCS).
-	Workers int
-	// Mailbox is the per-worker queue depth in messages (0 = 64); each
-	// message carries up to Batch observations.
-	Mailbox int
-	// Batch is the number of observations aggregated per worker delivery
-	// (0 = 16, 1 = batches of one). Batching amortizes channel
-	// and locking overhead across observations without changing a single
-	// result; partially filled batches are delivered on the FlushEvery
-	// cadence and on Detach/Close.
-	Batch int
-	// FlushEvery is the cadence at which partially filled batches are
-	// delivered (0 = 2ms, negative = only on full batch or Detach/Close).
-	FlushEvery time.Duration
-	// EventBuffer is the event fan-in buffer depth (0 = 256). A full
-	// buffer back-pressures the scoring workers and, transitively, Push;
-	// events are never dropped or reordered within a plant.
-	EventBuffer int
-	// EmitEvery thins SampleScored events to one in N observations per
-	// plant (0 or 1 = every observation, negative = none).
-	EmitEvery int
-	// Sample is the observation interval used in reports.
-	Sample time.Duration
-	// Adaptive enables fleet-wide adaptive recalibration: one shared model
-	// tracker learns from every stream's in-control observations, and each
-	// stream migrates to accepted model generations at its own
-	// diagnosis-window boundaries (surfaced as ModelSwapped events).
-	Adaptive AdaptiveOptions
-}
+// FleetOptions tunes NewFleet: it is the scoring pool's own config. The
+// zero value selects GOMAXPROCS workers, a 64-message mailbox per worker,
+// batches of 16 and a 256-event buffer; Adapt enables fleet-wide adaptive
+// recalibration (surfaced as ModelSwapped events).
+type FleetOptions = fleet.Config
 
 // Fleet scores many concurrent plant streams against one calibrated
 // system: the library wrapper over the internal/fleet pool, translating its
@@ -93,16 +55,7 @@ type Fleet struct {
 // caller must consume Events() until it closes (after Close); a stalled
 // consumer back-pressures producers rather than losing events.
 func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
-	pool, err := fleet.NewPool(sys, fleet.Config{
-		Workers:     opts.Workers,
-		Mailbox:     opts.Mailbox,
-		Batch:       opts.Batch,
-		FlushEvery:  opts.FlushEvery,
-		EventBuffer: opts.EventBuffer,
-		EmitEvery:   opts.EmitEvery,
-		Sample:      opts.Sample,
-		Adapt:       opts.Adaptive,
-	})
+	pool, err := fleet.NewPool(sys, opts)
 	if err != nil {
 		return nil, fmt.Errorf("pcsmon: %w", err)
 	}

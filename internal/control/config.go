@@ -26,13 +26,16 @@ import (
 	"strings"
 	"time"
 
-	"pcsmon"
+	"pcsmon/internal/adapt"
+	"pcsmon/internal/core"
+	"pcsmon/internal/fleet"
 )
 
 // ErrBadConfig wraps every config-file validation failure; errors name
-// the offending field path ("pairing.window"). It is the facade's
-// sentinel, so callers can errors.Is against either package.
-var ErrBadConfig = pcsmon.ErrBadConfig
+// the offending field path ("pairing.window"). It is core.ErrBadConfig,
+// the facade's sentinel too, so callers can errors.Is against either
+// package.
+var ErrBadConfig = core.ErrBadConfig
 
 // Config is the serve-mode configuration file: the typed replacement for
 // the fleet subcommand's flag soup. Durations are given in seconds
@@ -366,6 +369,30 @@ func (c *Config) UnitOnsets() [256]int {
 		onsets[unit] = int(*u.OnsetHour * 3600 / c.sampleSeconds())
 	}
 	return onsets
+}
+
+// PoolConfig maps the config onto the scoring pool's settings: emit_every
+// 0 = no Scored events (a service's event stream gets per-observation
+// scores only when asked for), adapt.every 0 = frozen model,
+// flush_every_ms in milliseconds, sample_seconds 0 = 4.5 s. The caller
+// sets Metrics and Health.
+func (c *Config) PoolConfig() fleet.Config {
+	fc := fleet.Config{
+		Workers:     c.Fleet.Workers,
+		Mailbox:     c.Fleet.Mailbox,
+		Batch:       c.Fleet.Batch,
+		FlushEvery:  time.Duration(c.Fleet.FlushEveryMS * float64(time.Millisecond)),
+		EventBuffer: c.Fleet.EventBuffer,
+		EmitEvery:   c.Fleet.EmitEvery,
+		Sample:      c.Sample(),
+	}
+	if fc.EmitEvery == 0 {
+		fc.EmitEvery = -1
+	}
+	if c.Adapt.Every != 0 {
+		fc.Adapt = adapt.Options{Enabled: true, Every: c.Adapt.Every, Forget: c.Adapt.Forget}
+	}
+	return fc
 }
 
 // PairTimeout returns the pairing age horizon (0 = never).

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"pcsmon"
+	"pcsmon/internal/adapt"
+	"pcsmon/internal/core"
+	"pcsmon/internal/fleet"
 )
 
 // validConfig is the smallest document Validate accepts.
@@ -52,6 +55,54 @@ func TestParseNegativeConventions(t *testing.T) {
 	}
 	if got := cfg.StallHorizon(); got >= 0 {
 		t.Errorf("StallHorizon(-1s) = %v, want negative (disabled)", got)
+	}
+}
+
+// TestPoolConfig pins the config → pool mapping the plane and CSV
+// `mspctool fleet` share: zero values select the config's conventions,
+// not the pool's (emit_every 0 is no Scored events, not every one).
+func TestPoolConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want fleet.Config
+	}{
+		{"defaults", func(*Config) {},
+			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond}},
+		{"emit_every N", func(c *Config) { c.Fleet.EmitEvery = 50 },
+			fleet.Config{EmitEvery: 50, Sample: 4500 * time.Millisecond}},
+		{"adapt.every 0 with forget", func(c *Config) { c.Adapt.Forget = 0.99 },
+			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond}},
+		{"adapt.every N", func(c *Config) { c.Adapt = Adapt{Every: 64, Forget: 0.99} },
+			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond,
+				Adapt: adapt.Options{Enabled: true, Every: 64, Forget: 0.99}}},
+		{"flush_every_ms", func(c *Config) { c.Fleet.FlushEveryMS = 2.5 },
+			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond, FlushEvery: 2500 * time.Microsecond}},
+		{"flush_every_ms negative", func(c *Config) { c.Fleet.FlushEveryMS = -1 },
+			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond, FlushEvery: -time.Millisecond}},
+		{"sample_seconds", func(c *Config) { c.SampleSeconds = 9 },
+			fleet.Config{EmitEvery: -1, Sample: 9 * time.Second}},
+		{"pool geometry", func(c *Config) {
+			c.Fleet = FleetCfg{Workers: 3, Mailbox: 8, Batch: 4, EventBuffer: 32}
+		}, fleet.Config{Workers: 3, Mailbox: 8, Batch: 4, EventBuffer: 32,
+			EmitEvery: -1, Sample: 4500 * time.Millisecond}},
+	} {
+		cfg := validConfig()
+		tc.set(cfg)
+		if got := cfg.PoolConfig(); got != tc.want {
+			t.Errorf("%s: PoolConfig() = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestErrBadConfigIsOneSentinel: the control plane, the facade and core
+// share one sentinel value, so errors.Is holds across packages.
+func TestErrBadConfigIsOneSentinel(t *testing.T) {
+	if ErrBadConfig != pcsmon.ErrBadConfig || ErrBadConfig != core.ErrBadConfig {
+		t.Fatal("control, pcsmon and core ErrBadConfig are different values")
+	}
+	if got := ErrBadConfig.Error(); got != "pcsmon: invalid configuration" {
+		t.Errorf("ErrBadConfig message = %q", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pcsmon"
 	"pcsmon/internal/core"
 	"pcsmon/internal/fieldbus"
 	"pcsmon/internal/fleet"
@@ -18,7 +17,7 @@ import (
 // actuator frames (process-view rows) are correlated by (unit, sequence
 // number) and every paired observation is pushed into the scoring pool,
 // so socket feeds get the full cross-view diagnosis. Units attach on first
-// sight as plant pcsmon.PlantID(unit).
+// sight as plant fleet.PlantID(unit).
 
 // pairDropped is the "pair-dropped" event payload: live pairing lost
 // data — an observation scored with one view synthesized by hold-last
@@ -127,7 +126,7 @@ func (p *Plane) route(ev pairing.Event) error {
 		p.quiescedDrops.Add(1)
 		return nil
 	}
-	id := pcsmon.PlantID(ev.Unit)
+	id := fleet.PlantID(ev.Unit)
 	switch ev.Outcome {
 	case pairing.Paired, pairing.OrphanSensor, pairing.OrphanActuator:
 		if ev.Held {
@@ -160,7 +159,7 @@ func (p *Plane) route(ev pairing.Event) error {
 //
 //pcslint:hotpath
 func (p *Plane) push(ev pairing.Event) error {
-	id := pcsmon.PlantID(ev.Unit)
+	id := fleet.PlantID(ev.Unit)
 	err := p.fl.Push(id, ev.Ctrl, ev.Proc)
 	if err != nil && errors.Is(err, fleet.ErrUnknownPlant) {
 		// Cold branch — first sight, or a detach landed since the unit's
@@ -194,7 +193,7 @@ func (p *Plane) health(id string) *obs.UnitHealth {
 // serializes first-sight attachment with the API's attach/detach/drain,
 // and the drain mark changes only under it, only on success.
 func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
-	id := pcsmon.PlantID(unit)
+	id := fleet.PlantID(unit)
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
 	if !explicit && p.quiesced[unit].Load() {
@@ -218,7 +217,7 @@ func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
 // dropped at the door until the API attaches it again. Detaching a unit
 // that is not attached returns ErrUnknownPlant and changes nothing.
 func (p *Plane) detach(unit uint8, drain bool) (*core.Report, error) {
-	id := pcsmon.PlantID(unit)
+	id := fleet.PlantID(unit)
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
 	rep, err := p.fl.Detach(id)

@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pcsmon"
-	"pcsmon/internal/adapt"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/fieldbus"
@@ -218,18 +216,9 @@ func New(cfg *Config, opts Options) (*Plane, error) {
 		}
 	}
 
-	fl, err := fleet.NewPool(sys, fleet.Config{
-		Workers:     cfg.Fleet.Workers,
-		Mailbox:     cfg.Fleet.Mailbox,
-		Batch:       cfg.Fleet.Batch,
-		FlushEvery:  time.Duration(cfg.Fleet.FlushEveryMS * float64(time.Millisecond)),
-		EventBuffer: cfg.Fleet.EventBuffer,
-		EmitEvery:   emitEvery(cfg),
-		Sample:      cfg.Sample(),
-		Adapt:       adaptiveOptions(cfg),
-		Metrics:     p.metrics,
-		Health:      p.healthReg,
-	})
+	pc := cfg.PoolConfig()
+	pc.Metrics, pc.Health = p.metrics, p.healthReg
+	fl, err := fleet.NewPool(sys, pc)
 	if err != nil {
 		return fail(fmt.Errorf("control: %w", err))
 	}
@@ -440,23 +429,6 @@ func Calibrate(path string, components int, out io.Writer) (*core.System, error)
 	return sys, nil
 }
 
-// emitEvery maps the config's "0 = no scored events" convention onto the
-// fleet's "-1 = none" one: a service's SSE stream gets per-observation
-// scores only when explicitly asked for.
-func emitEvery(cfg *Config) int {
-	if cfg.Fleet.EmitEvery == 0 {
-		return -1
-	}
-	return cfg.Fleet.EmitEvery
-}
-
-func adaptiveOptions(cfg *Config) adapt.Options {
-	if cfg.Adapt.Every == 0 {
-		return adapt.Options{}
-	}
-	return adapt.Options{Enabled: true, Every: cfg.Adapt.Every, Forget: cfg.Adapt.Forget}
-}
-
 func recordFlush(cfg *Config) time.Duration {
 	if cfg.Record.FlushSeconds < 0 {
 		return -1
@@ -559,17 +531,13 @@ func (p *Plane) pump() {
 		if p.opts.OnEvent != nil {
 			p.opts.OnEvent(ev)
 		}
+		LogEvent(p.out, ev)
 		switch e := ev.(type) {
 		case *fleet.Scored:
 			p.bus.publish(Event{Type: "scored", Unit: e.Plant, Data: core.ScoredEvent(e.Step)}, json.Marshal)
 		case fleet.Alarm:
-			a := core.AlarmEvent(e.View, e.Detection)
-			fmt.Fprintf(p.out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-				e.Plant, a.View, a.Index, a.RunStart, a.Charts)
-			p.bus.publish(Event{Type: "alarm", Unit: e.Plant, Data: a}, json.Marshal)
+			p.bus.publish(Event{Type: "alarm", Unit: e.Plant, Data: core.AlarmEvent(e.View, e.Detection)}, json.Marshal)
 		case fleet.ModelSwapped:
-			fmt.Fprintf(p.out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-				e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
 			p.bus.publish(Event{Type: "model-swapped", Unit: e.Plant, Data: e.Swap.Event()}, json.Marshal)
 		case fleet.Verdict:
 			// A stream that never scored an observation finishes without a
@@ -593,6 +561,22 @@ func (p *Plane) pump() {
 			p.bus.publish(Event{Type: "verdict", Unit: e.Plant, Data: rep}, json.Marshal)
 		}
 		p.fl.Recycle(ev)
+	}
+}
+
+// LogEvent writes the event-log line of a scoring-pool event: an ALARM
+// line per latched detection, a MODEL SWAP line per model migration and
+// nothing for the other events. The plane's pump and CSV `mspctool fleet`
+// both log through it.
+func LogEvent(out io.Writer, ev fleet.Event) {
+	switch e := ev.(type) {
+	case fleet.Alarm:
+		a := core.AlarmEvent(e.View, e.Detection)
+		fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
+			e.Plant, a.View, a.Index, a.RunStart, a.Charts)
+	case fleet.ModelSwapped:
+		fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
+			e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
 	}
 }
 
@@ -798,15 +782,7 @@ func (p *Plane) Totals() map[string]float64 {
 	if p.fl == nil {
 		return m
 	}
-	st := p.fl.Stats()
-	m["fleet_active_streams"] = float64(st.Active)
-	m["fleet_attached"] = float64(st.Attached)
-	m["fleet_observations"] = float64(st.Observations)
-	m["fleet_alarms"] = float64(st.Alarms)
-	m["fleet_verdicts"] = float64(st.Verdicts)
-	m["fleet_model_swaps"] = float64(st.ModelSwaps)
-	m["fleet_model_generation"] = float64(st.ModelGeneration)
-	m["fleet_obs_per_sec"] = st.ObsPerSec
+	p.fl.Stats().AddTotals(m)
 	if p.cor != nil {
 		ps := p.cor.Stats()
 		m["pairing_frames"] = float64(ps.Frames)
@@ -855,7 +831,7 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := pcsmon.PlantID(unit)
+	id := fleet.PlantID(unit)
 	switch {
 	case r.Method == http.MethodGet && action == "":
 		p.serveUnit(w, unit, id)

@@ -39,6 +39,10 @@ var (
 	// ErrNotCalibrated is returned when analysis is attempted before
 	// calibration.
 	ErrNotCalibrated = errors.New("core: system not calibrated")
+	// ErrBadConfig is the module's configuration sentinel: the facade
+	// (pcsmon.ErrBadConfig), the control plane and the commands all wrap
+	// this one value, so errors.Is holds across packages.
+	ErrBadConfig = errors.New("pcsmon: invalid configuration")
 )
 
 // Verdict is the classifier's conclusion about an anomaly.

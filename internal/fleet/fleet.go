@@ -239,6 +239,32 @@ type Stats struct {
 	ObsPerSec float64
 }
 
+// AddTotals writes the pool's share of the /status aggregate totals into
+// m: the eight fleet_* counters the control plane and CSV `mspctool
+// fleet` both serve.
+func (s Stats) AddTotals(m map[string]float64) {
+	m["fleet_active_streams"] = float64(s.Active)
+	m["fleet_attached"] = float64(s.Attached)
+	m["fleet_observations"] = float64(s.Observations)
+	m["fleet_alarms"] = float64(s.Alarms)
+	m["fleet_verdicts"] = float64(s.Verdicts)
+	m["fleet_model_swaps"] = float64(s.ModelSwaps)
+	m["fleet_model_generation"] = float64(s.ModelGeneration)
+	m["fleet_obs_per_sec"] = s.ObsPerSec
+}
+
+// plantIDs holds the 256 possible plant ids; PlantID is called once per
+// paired observation on the scoring hot path, so it must not format.
+var plantIDs = func() (ids [256]string) {
+	for i := range ids {
+		ids[i] = fmt.Sprintf("unit-%03d", i)
+	}
+	return
+}()
+
+// PlantID returns the plant id of a fieldbus unit ("unit-007").
+func PlantID(unit uint8) string { return plantIDs[unit] }
+
 // stream is the per-plant state. The analyzer, samples counter, generation,
 // report and err fields are owned by the stream's worker goroutine; the
 // done channel hands the final state back to Detach.

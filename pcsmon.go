@@ -30,7 +30,6 @@
 package pcsmon
 
 import (
-	"errors"
 	"fmt"
 
 	"pcsmon/internal/attack"
@@ -40,11 +39,9 @@ import (
 	"pcsmon/internal/scenario"
 )
 
-// Package-level sentinel errors.
-var (
-	// ErrBadConfig is returned (wrapped) for invalid LabConfig values.
-	ErrBadConfig = errors.New("pcsmon: invalid configuration")
-)
+// ErrBadConfig is returned (wrapped) for invalid LabConfig values; it is
+// the same value as the control plane's and the commands' sentinel.
+var ErrBadConfig = core.ErrBadConfig
 
 // Re-exported types: the stable public surface over the internal packages.
 type (
@@ -117,7 +114,7 @@ func ExtendedScenarios(onsetHour float64) []Scenario {
 }
 
 // SlowDriftScenario returns the gradual plant-aging situation the adaptive
-// recalibration layer (StreamOptions.Adaptive, FleetOptions.Adaptive)
+// recalibration layer (StreamOptions.Adaptive, FleetOptions.Adapt)
 // exists for: correlated channels drift slowly with no disturbance and no
 // attacker, so the ground truth is Normal — a frozen model eventually
 // false-alarms on it while an adaptive model tracks the aging.
