@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,13 +97,10 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	// Validate the flags up front (wrapped ErrBadConfig) so a bad
 	// invocation fails before calibration. Live mode leaves the rest to
 	// the plane's config validation, which also runs before calibration.
+	if err := modelFlags("mspctool fleet", *sampleSec, *onsetHour, *components); err != nil {
+		return err
+	}
 	switch {
-	case *sampleSec <= 0:
-		return fmt.Errorf("mspctool fleet: -sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
-	case *onsetHour < 0:
-		return fmt.Errorf("mspctool fleet: -onset-hour %g must be >= 0: %w", *onsetHour, pcsmon.ErrBadConfig)
-	case *components < 0:
-		return fmt.Errorf("mspctool fleet: -components %d must be >= 0: %w", *components, pcsmon.ErrBadConfig)
 	case *workers < 0:
 		return fmt.Errorf("mspctool fleet: -workers %d must be >= 0: %w", *workers, pcsmon.ErrBadConfig)
 	case *batch < 0:
@@ -208,23 +203,33 @@ func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io
 		return err
 	}
 
-	// feed pushes one single-view observation, attaching the plant on
-	// first sight.
+	// Push each single-view observation, attaching the plant on first
+	// sight.
+	stream, err := newCSVStream(in, true)
+	if err != nil {
+		return fail(err)
+	}
 	onset := cfg.OnsetIndex()
 	seen := map[string]bool{}
-	feed := func(plant string, row []float64) error {
+	for {
+		plant, row, err := stream.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fail(err)
+		}
 		if !seen[plant] {
 			if err := pool.Attach(plant, onset); err != nil {
-				return err
+				return fail(err)
 			}
 			seen[plant] = true
 			fmt.Fprintf(out, "plant %s attached\n", plant)
 		}
 		lastSeen.Store(time.Now().UnixNano())
-		return pool.Push(plant, row, row)
-	}
-	if err := demuxFleetCSV(in, feed); err != nil {
-		return fail(err)
+		if err := pool.Push(plant, row, row); err != nil {
+			return fail(err)
+		}
 	}
 	// Detach everything (events deliver the verdicts), then report.
 	ids := make([]string, 0, len(seen))
@@ -392,45 +397,4 @@ func (v *verdicts) print() {
 func printFleetSummary(out io.Writer, t map[string]float64) {
 	fmt.Fprintf(out, "\nfleet: %.0f plants, %.0f observations, %.0f alarms, %.0f obs/sec\n",
 		t["fleet_attached"], t["fleet_observations"], t["fleet_alarms"], t["fleet_obs_per_sec"])
-}
-
-// demuxFleetCSV reads interleaved "plant,<53 vars>" rows and routes each
-// to its plant's stream.
-func demuxFleetCSV(in io.Reader, feed func(plant string, row []float64) error) error {
-	cr := csv.NewReader(in)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("read header: %w", err)
-	}
-	if len(header) != historian.NumVars+1 {
-		return fmt.Errorf("fleet stream has %d columns, want %d (plant + %d vars)",
-			len(header), historian.NumVars+1, historian.NumVars)
-	}
-	row := make([]float64, historian.NumVars)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		line++
-		plant := rec[0]
-		if plant == "" {
-			return fmt.Errorf("line %d: empty plant id", line)
-		}
-		for j, f := range rec[1:] {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return fmt.Errorf("line %d field %d %q: not a number", line, j+2, f)
-			}
-			row[j] = v
-		}
-		if err := feed(plant, row); err != nil {
-			return err
-		}
-	}
 }

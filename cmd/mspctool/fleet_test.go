@@ -105,9 +105,22 @@ func TestFleetSubcommandRejectsBadInput(t *testing.T) {
 	if err := runFleet([]string{"-cal", cal}, strings.NewReader("a,b\n"), &out); err == nil {
 		t.Error("narrow header accepted")
 	}
-	if err := runFleet([]string{"-cal", cal},
-		strings.NewReader("plant,"+strings.Join(historian.VarNames(), ",")+"\n,1\n"), &out); err == nil {
+	header := "plant," + strings.Join(historian.VarNames(), ",") + "\n"
+	if err := runFleet([]string{"-cal", cal}, strings.NewReader(header+",1\n"), &out); err == nil {
 		t.Error("empty plant id accepted")
+	}
+	// Lines and fields are numbered over the whole record, plant column
+	// included.
+	vars := strings.Repeat(",1", historian.NumVars)
+	for _, c := range []struct{ body, want string }{
+		{"a" + vars + "\n" + vars + "\n", "line 3: empty plant id"},
+		{"a" + vars + "\nb,x" + vars[2:] + "\n", `line 3 field 2 "x": not a number`},
+		{"a" + vars[:len(vars)-1] + "y\n", `line 2 field 54 "y": not a number`},
+	} {
+		err := runFleet([]string{"-cal", cal}, strings.NewReader(header+c.body), &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
 	}
 }
 

@@ -103,7 +103,10 @@ func run(args []string) error {
 	}
 	if *calPath == "" || *ctrlPath == "" {
 		fs.Usage()
-		return fmt.Errorf("-cal and -ctrl are required")
+		return fmt.Errorf("mspctool: -cal and -ctrl are required: %w", pcsmon.ErrBadConfig)
+	}
+	if err := modelFlags("mspctool", *sampleSec, *onsetHour, *components); err != nil {
+		return err
 	}
 	if *procPath == "" {
 		*procPath = *ctrlPath
@@ -164,8 +167,8 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("mspctool watch: -cal is required: %w", pcsmon.ErrBadConfig)
 	}
-	if *sampleSec <= 0 {
-		return fmt.Errorf("mspctool watch: -sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
+	if err := modelFlags("mspctool watch", *sampleSec, *onsetHour, *components); err != nil {
+		return err
 	}
 	adaptive, err := adaptiveFlags(fs, "mspctool watch", *adaptEvery, *adaptForget)
 	if err != nil {
@@ -176,7 +179,7 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 
-	ctrlFeed, err := newCSVStream(in)
+	ctrlFeed, err := newCSVStream(in, false)
 	if err != nil {
 		return fmt.Errorf("stdin: %w", err)
 	}
@@ -187,20 +190,20 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 			return err
 		}
 		defer func() { _ = f.Close() }()
-		procFeed, err = newCSVStream(f)
+		procFeed, err = newCSVStream(f, false)
 		if err != nil {
 			return fmt.Errorf("%s: %w", *procPath, err)
 		}
 	}
 	feed := func() (ctrl, proc []float64, err error) {
-		crow, err := ctrlFeed.next()
+		_, crow, err := ctrlFeed.next()
 		if err != nil {
 			return nil, nil, err // io.EOF ends the stream
 		}
 		if procFeed == nil {
 			return crow, crow, nil
 		}
-		prow, err := procFeed.next()
+		_, prow, err := procFeed.next()
 		if err == io.EOF {
 			return crow, nil, nil // process view exhausted; keep watching stdin
 		}
@@ -236,6 +239,21 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 	return nil
 }
 
+// modelFlags validates the sampling, onset and model-size flags shared by
+// the batch, watch and fleet subcommands, wrapping pcsmon.ErrBadConfig, so
+// a bad invocation fails before calibration.
+func modelFlags(cmd string, sampleSec, onsetHour float64, components int) error {
+	switch {
+	case sampleSec <= 0:
+		return fmt.Errorf("%s: -sample %g must be positive: %w", cmd, sampleSec, pcsmon.ErrBadConfig)
+	case onsetHour < 0:
+		return fmt.Errorf("%s: -onset-hour %g must be >= 0: %w", cmd, onsetHour, pcsmon.ErrBadConfig)
+	case components < 0:
+		return fmt.Errorf("%s: -components %d must be >= 0: %w", cmd, components, pcsmon.ErrBadConfig)
+	}
+	return nil
+}
+
 // adaptiveFlags validates and converts the shared -adapt-every/-adapt-forget
 // flag pair (watch and fleet subcommands) into facade options, wrapping
 // pcsmon.ErrBadConfig on misuse.
@@ -268,41 +286,57 @@ func onsetIndex(onsetHour, sampleSec float64) int {
 }
 
 // csvStream reads a historian-format CSV one row at a time, reusing one
-// row buffer — the streaming complement of dataset.ReadCSV.
+// row buffer — the streaming complement of dataset.ReadCSV. A keyed stream
+// carries a plant-id column ahead of the variables (the fleet's
+// interleaved "plant,<53 vars>" format).
 type csvStream struct {
-	r    *csv.Reader
-	row  []float64
-	line int
+	r     *csv.Reader
+	row   []float64
+	line  int
+	keyed bool
 }
 
-func newCSVStream(r io.Reader) (*csvStream, error) {
+func newCSVStream(r io.Reader, keyed bool) (*csvStream, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("read header: %w", err)
 	}
-	if len(header) != historian.NumVars {
-		return nil, fmt.Errorf("stream has %d columns, want %d", len(header), historian.NumVars)
+	want := historian.NumVars
+	if keyed {
+		want++
 	}
-	return &csvStream{r: cr, row: make([]float64, len(header)), line: 1}, nil
+	if len(header) != want {
+		return nil, fmt.Errorf("stream has %d columns, want %d", len(header), want)
+	}
+	return &csvStream{r: cr, row: make([]float64, historian.NumVars), line: 1, keyed: keyed}, nil
 }
 
-// next parses the next row. The returned slice is reused on the next call.
-func (s *csvStream) next() ([]float64, error) {
+// next parses the next row into its plant id (empty unless keyed) and
+// variables. The returned slice is reused on the next call.
+func (s *csvStream) next() (string, []float64, error) {
 	rec, err := s.r.Read()
 	if err != nil {
-		return nil, err // io.EOF passes through untouched
+		return "", nil, err // io.EOF passes through untouched
 	}
 	s.line++
-	for j, f := range rec {
+	var key string
+	off := 0
+	if s.keyed {
+		if key = rec[0]; key == "" {
+			return "", nil, fmt.Errorf("line %d: empty plant id", s.line)
+		}
+		off = 1
+	}
+	for j, f := range rec[off:] {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, fmt.Errorf("line %d field %d %q: not a number", s.line, j+1, f)
+			return "", nil, fmt.Errorf("line %d field %d %q: not a number", s.line, off+j+1, f)
 		}
 		s.row[j] = v
 	}
-	return s.row, nil
+	return key, s.row, nil
 }
 
 func readCSV(path string) (*dataset.Dataset, error) {

@@ -135,9 +135,23 @@ func TestWatchRequiresCal(t *testing.T) {
 	}
 }
 
+// TestMspctoolRequiresFlags: batch mode rejects missing files and
+// impossible flag values with ErrBadConfig before calibrating.
 func TestMspctoolRequiresFlags(t *testing.T) {
-	if err := run(nil); err == nil {
-		t.Error("missing flags accepted")
+	dir := t.TempDir()
+	cal := filepath.Join(dir, "cal.csv")
+	writeSynthetic(t, cal, 1, 600, -1, -1, 0)
+	for _, args := range [][]string{
+		nil,
+		{"-cal", cal},
+		{"-cal", cal, "-ctrl", cal, "-sample", "0"},
+		{"-cal", cal, "-ctrl", cal, "-sample", "-9"},
+		{"-cal", cal, "-ctrl", cal, "-onset-hour", "-1"},
+		{"-cal", cal, "-ctrl", cal, "-components", "-1"},
+	} {
+		if err := run(args); !errors.Is(err, pcsmon.ErrBadConfig) {
+			t.Errorf("%v: want ErrBadConfig, got %v", args, err)
+		}
 	}
 }
 
@@ -148,7 +162,7 @@ func TestMspctoolMissingFile(t *testing.T) {
 }
 
 // TestWatchAdaptiveFlagValidation: the watch subcommand shares the adapt
-// flag validation with fleet.
+// and model flag validation with fleet.
 func TestWatchAdaptiveFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cal := filepath.Join(dir, "cal.csv")
@@ -157,6 +171,8 @@ func TestWatchAdaptiveFlagValidation(t *testing.T) {
 		{"-cal", cal, "-adapt-every", "-1"},
 		{"-cal", cal, "-adapt-forget", "0.9"},
 		{"-cal", cal, "-adapt-every", "50", "-adapt-forget", "2"},
+		{"-cal", cal, "-onset-hour", "-1"},
+		{"-cal", cal, "-components", "-1"},
 	} {
 		var out bytes.Buffer
 		if err := runWatch(args, strings.NewReader(""), &out); !errors.Is(err, pcsmon.ErrBadConfig) {

@@ -65,11 +65,11 @@ func (s *System) NewOnlineAnalyzer(onset int, sample time.Duration) (*OnlineAnal
 		return nil, ErrNotCalibrated
 	}
 	k := s.cfg.RunLength
-	cd, err := mspc.NewDetector(s.monitor, k, false)
+	cd, err := mspc.NewDetector(s.monitor, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	pd, err := mspc.NewDetector(s.monitor, k, false)
+	pd, err := mspc.NewDetector(s.monitor, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -93,25 +93,6 @@ func (d *Dataset) Slice(from, to int) (*Dataset, error) {
 	return out, nil
 }
 
-// Col returns a copy of the named column's values.
-func (d *Dataset) Col(name string) ([]float64, error) {
-	idx := -1
-	for j, n := range d.names {
-		if n == name {
-			idx = j
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("dataset: unknown column %q: %w", name, ErrBadInput)
-	}
-	out := make([]float64, len(d.rows))
-	for i, r := range d.rows {
-		out[i] = r[idx]
-	}
-	return out, nil
-}
-
 // WriteCSV writes the dataset with a header row.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

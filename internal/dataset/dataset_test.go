@@ -44,16 +44,6 @@ func TestAppendAndAccessors(t *testing.T) {
 	if d.RowView(1)[0] != 3 {
 		t.Error("Row returned aliasing slice")
 	}
-	col, err := d.Col("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col[0] != 2 || col[1] != 4 {
-		t.Errorf("Col(b) = %v", col)
-	}
-	if _, err := d.Col("zzz"); !errors.Is(err, ErrBadInput) {
-		t.Errorf("unknown col: want ErrBadInput, got %v", err)
-	}
 }
 
 func TestAppendCopiesRow(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sort"
 	"time"
 )
@@ -162,15 +161,6 @@ func UnmarshalIndex(data []byte) (*SegmentIndex, error) {
 			unitFrames, ix.Frames, ErrBadIndex)
 	}
 	return ix, nil
-}
-
-// ReadIndexFrom reads and decodes a whole index sidecar stream.
-func ReadIndexFrom(r io.Reader) (*SegmentIndex, error) {
-	data, err := io.ReadAll(io.LimitReader(r, int64(indexEncodedSize(256))+1))
-	if err != nil {
-		return nil, fmt.Errorf("fieldbus: read index: %v: %w", err, ErrBadIndex)
-	}
-	return UnmarshalIndex(data)
 }
 
 // indexBuilder accumulates per-unit ranges while a segment is being

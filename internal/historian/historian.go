@@ -52,23 +52,6 @@ func VarName(j int) string {
 // IsXMV reports whether observation column j is a manipulated variable.
 func IsXMV(j int) bool { return j >= te.NumXMEAS && j < NumVars }
 
-// XMVIndex returns the 0-based XMV index of observation column j, or -1.
-func XMVIndex(j int) int {
-	if !IsXMV(j) {
-		return -1
-	}
-	return j - te.NumXMEAS
-}
-
-// XMEASIndex returns the 0-based XMEAS index of observation column j, or
-// -1.
-func XMEASIndex(j int) int {
-	if j < 0 || j >= te.NumXMEAS {
-		return -1
-	}
-	return j
-}
-
 // Observation assembles the 53-variable observation vector from an XMEAS
 // block and an XMV block.
 func Observation(xmeas, xmv []float64) ([]float64, error) {

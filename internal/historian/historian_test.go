@@ -33,12 +33,6 @@ func TestIndexHelpers(t *testing.T) {
 	if IsXMV(0) || !IsXMV(te.NumXMEAS) || IsXMV(NumVars) {
 		t.Error("IsXMV boundaries wrong")
 	}
-	if XMVIndex(te.NumXMEAS) != 0 || XMVIndex(te.NumXMEAS+3) != 3 || XMVIndex(5) != -1 {
-		t.Error("XMVIndex wrong")
-	}
-	if XMEASIndex(5) != 5 || XMEASIndex(te.NumXMEAS) != -1 || XMEASIndex(-1) != -1 {
-		t.Error("XMEASIndex wrong")
-	}
 }
 
 func TestObservationAssembly(t *testing.T) {

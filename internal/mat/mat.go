@@ -28,9 +28,6 @@ var (
 	// ErrNotConverged is returned when an iterative routine exhausts its
 	// iteration budget before reaching the requested tolerance.
 	ErrNotConverged = errors.New("mat: iteration did not converge")
-	// ErrSingular is returned when a solve encounters a (numerically)
-	// singular system.
-	ErrSingular = errors.New("mat: singular matrix")
 )
 
 // Matrix is a dense, row-major matrix of float64.
@@ -448,56 +445,6 @@ func extractEigen(a, v *Matrix) ([]float64, *Matrix, error) {
 		}
 	}
 	return sortedVals, vecs, nil
-}
-
-// SolveSym solves the symmetric positive-definite system a·x = b using
-// Cholesky factorization. It returns ErrSingular when a is not (numerically)
-// positive definite.
-func SolveSym(a *Matrix, b []float64) ([]float64, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("mat: solve with %dx%d: %w", a.rows, a.cols, ErrDimMismatch)
-	}
-	n := a.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("mat: solve rhs len %d != %d: %w", len(b), n, ErrDimMismatch)
-	}
-	// Cholesky: a = L·Lᵀ.
-	l := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.data[i*n+j]
-			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("mat: cholesky pivot %d non-positive (%g): %w", i, sum, ErrSingular)
-				}
-				l[i*n+i] = math.Sqrt(sum)
-			} else {
-				l[i*n+j] = sum / l[j*n+j]
-			}
-		}
-	}
-	// Forward solve L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * y[k]
-		}
-		y[i] = sum / l[i*n+i]
-	}
-	// Back solve Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * x[k]
-		}
-		x[i] = sum / l[i*n+i]
-	}
-	return x, nil
 }
 
 // ColMeans returns the per-column means of m.

@@ -453,64 +453,6 @@ func TestMulTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestSolveSymKnown(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 1}, {1, 3}})
-	x, err := SolveSym(a, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify A·x = b.
-	b, err := MulVec(a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(b[0], 1, tol) || !almostEqual(b[1], 2, tol) {
-		t.Errorf("A·x = %v, want [1 2]", b)
-	}
-}
-
-func TestSolveSymSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := SolveSym(a, []float64{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Errorf("want ErrSingular, got %v", err)
-	}
-}
-
-func TestSolveSymRandomSPDProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(13))}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		// SPD construction: AᵀA + εI.
-		a := randomMatrix(rng, n+2, n)
-		spd := Gram(a)
-		for i := 0; i < n; i++ {
-			spd.Set(i, i, spd.At(i, i)+0.5)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := SolveSym(spd, b)
-		if err != nil {
-			return false
-		}
-		ax, err := MulVec(spd, x)
-		if err != nil {
-			return false
-		}
-		for i := range b {
-			if math.Abs(ax[i]-b[i]) > 1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()

@@ -69,8 +69,6 @@ type Detector struct {
 	runLen   int
 	runStart int
 	detected *Detection
-	points   []Point
-	keep     bool
 
 	// Per-stream compute scratch (preprocessed row + PCA scores), so the
 	// hot scoring path allocates nothing per observation.
@@ -82,9 +80,8 @@ type Detector struct {
 const DefaultRunLength = 3
 
 // NewDetector returns a Detector over the given monitor with run length k
-// (use DefaultRunLength for the paper's rule). If keepPoints is true every
-// observation's statistics are retained for charting.
-func NewDetector(m *Monitor, k int, keepPoints bool) (*Detector, error) {
+// (use DefaultRunLength for the paper's rule).
+func NewDetector(m *Monitor, k int) (*Detector, error) {
 	if m == nil {
 		return nil, fmt.Errorf("mspc: nil monitor: %w", ErrBadInput)
 	}
@@ -94,7 +91,6 @@ func NewDetector(m *Monitor, k int, keepPoints bool) (*Detector, error) {
 	return &Detector{
 		monitor: m,
 		k:       k,
-		keep:    keepPoints,
 		scaled:  make([]float64, m.scaler.Dim()),
 		scores:  make([]float64, m.model.NComponents()),
 	}, nil
@@ -139,28 +135,14 @@ func (d *Detector) Step(row []float64) (Point, *Detection, error) {
 		OverD: stats.D > lim.D99,
 		OverQ: stats.Q > lim.Q99,
 	}
-	if d.keep {
-		//pcslint:ignore hotpath -- point history is kept only in keep mode (offline runs); the monitoring deployment never sets it
-		d.points = append(d.points, p)
-	}
 	if p.Over() {
 		if d.runLen == 0 {
 			d.runStart = d.index
 		}
 		d.runLen++
 		if d.runLen >= d.k && d.detected == nil {
-			//pcslint:ignore hotpath -- detection construction: runs once when a run-rule fires, never on the per-sample path
-			charts := make([]Chart, 0, 2)
-			if p.OverD {
-				//pcslint:ignore hotpath -- detection construction: runs once when a run-rule fires, never on the per-sample path
-				charts = append(charts, ChartD)
-			}
-			if p.OverQ {
-				//pcslint:ignore hotpath -- detection construction: runs once when a run-rule fires, never on the per-sample path
-				charts = append(charts, ChartQ)
-			}
-			//pcslint:ignore hotpath -- detection construction: runs once when a run-rule fires, never on the per-sample path
-			d.detected = &Detection{Index: d.index, RunStart: d.runStart, Charts: charts}
+			//pcslint:ignore hotpath -- detection construction: runs once when the run rule fires, never on the per-sample path
+			d.detected = d.newDetection(p)
 		}
 	} else {
 		d.runLen = 0
@@ -169,24 +151,29 @@ func (d *Detector) Step(row []float64) (Point, *Detection, error) {
 	return p, d.detected, nil
 }
 
+// newDetection builds the detection for the run the rule just fired on at
+// point p, listing the chart(s) out of control there.
+func (d *Detector) newDetection(p Point) *Detection {
+	charts := make([]Chart, 0, 2)
+	if p.OverD {
+		charts = append(charts, ChartD)
+	}
+	if p.OverQ {
+		charts = append(charts, ChartQ)
+	}
+	return &Detection{Index: d.index, RunStart: d.runStart, Charts: charts}
+}
+
 // Detection returns the latched first detection, or nil if none yet.
 func (d *Detector) Detection() *Detection { return d.detected }
 
 // Discard drops the latched detection and the current out-of-control run
 // without rewinding the stream position — the treatment of a pre-onset
 // false alarm in run-length accounting: note nothing and keep scanning for
-// the real event. Retained points are kept.
+// the real event.
 func (d *Detector) Discard() {
 	d.detected = nil
 	d.runLen = 0
-}
-
-// Points returns the retained per-observation statistics (empty unless the
-// detector was created with keepPoints).
-func (d *Detector) Points() []Point {
-	out := make([]Point, len(d.points))
-	copy(out, d.points)
-	return out
 }
 
 // N returns the number of observations consumed.
@@ -198,7 +185,6 @@ func (d *Detector) Reset() {
 	d.runLen = 0
 	d.runStart = 0
 	d.detected = nil
-	d.points = d.points[:0]
 }
 
 // RunLengthResult is the outcome of an ARL measurement on one stream.
@@ -229,36 +215,31 @@ func MeasureRunLength(m *Monitor, rows [][]float64, onset int, k int, sample tim
 	if onset < 0 || onset >= len(rows) {
 		return RunLengthResult{}, fmt.Errorf("mspc: onset %d out of range [0,%d): %w", onset, len(rows), ErrBadInput)
 	}
-	if k < 1 {
-		return RunLengthResult{}, fmt.Errorf("mspc: run length %d: %w", k, ErrBadConfig)
+	det, err := NewDetector(m, k)
+	if err != nil {
+		return RunLengthResult{}, err
 	}
 	res := RunLengthResult{OnsetIndex: onset}
-	lim := m.Limits()
-	runLen := 0
 	for i, row := range rows {
-		stats, err := m.Compute(row)
+		_, d, err := det.Step(row)
 		if err != nil {
 			return RunLengthResult{}, err
 		}
-		if stats.D > lim.D99 || stats.Q > lim.Q99 {
-			runLen++
-		} else {
-			runLen = 0
+		if d == nil {
+			continue
 		}
-		if runLen >= k {
-			if i < onset {
-				// Pre-onset false alarm: note it and keep scanning so the
-				// real event is still measured.
-				res.FalseAlarm = true
-				runLen = 0
-				continue
-			}
-			res.Detected = true
-			res.DetectionIndex = i
-			res.RunLength = i - onset + 1
-			res.Time = time.Duration(res.RunLength) * sample
-			return res, nil
+		if i < onset {
+			// Pre-onset false alarm: note it and keep scanning so the
+			// real event is still measured.
+			res.FalseAlarm = true
+			det.Discard()
+			continue
 		}
+		res.Detected = true
+		res.DetectionIndex = i
+		res.RunLength = i - onset + 1
+		res.Time = time.Duration(res.RunLength) * sample
+		return res, nil
 	}
 	return res, nil
 }

@@ -34,7 +34,7 @@ func stepMonitor(t *testing.T, rng *rand.Rand) (*Monitor, func(shifted bool) []f
 func TestDetectorRunRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 3, true)
+	det, err := NewDetector(mon, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +65,15 @@ func TestDetectorRunRule(t *testing.T) {
 	if len(detection.Charts) == 0 {
 		t.Error("no charts recorded in detection")
 	}
-	if got := det.Points(); len(got) != 13 {
-		t.Errorf("points retained = %d, want 13", len(got))
+	if got := det.N(); got != 13 {
+		t.Errorf("observations consumed = %d, want 13", got)
 	}
 }
 
 func TestDetectorResetsOnDip(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 3, false)
+	det, err := NewDetector(mon, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDetectorResetsOnDip(t *testing.T) {
 func TestDetectorLatchesFirstDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 2, false)
+	det, err := NewDetector(mon, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDetectorLatchesFirstDetection(t *testing.T) {
 func TestDetectorReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 1, true)
+	det, err := NewDetector(mon, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDetectorReset(t *testing.T) {
 		t.Fatal("expected detection with k=1")
 	}
 	det.Reset()
-	if det.Detection() != nil || det.N() != 0 || len(det.Points()) != 0 {
+	if det.Detection() != nil || det.N() != 0 {
 		t.Error("Reset did not clear state")
 	}
 }
@@ -152,10 +152,10 @@ func TestDetectorReset(t *testing.T) {
 func TestNewDetectorValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	mon, _ := stepMonitor(t, rng)
-	if _, err := NewDetector(nil, 3, false); !errors.Is(err, ErrBadInput) {
+	if _, err := NewDetector(nil, 3); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil monitor: want ErrBadInput, got %v", err)
 	}
-	if _, err := NewDetector(mon, 0, false); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewDetector(mon, 0); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("k=0: want ErrBadConfig, got %v", err)
 	}
 }
@@ -188,6 +188,117 @@ func TestMeasureRunLength(t *testing.T) {
 	}
 }
 
+// referenceRunLength is MeasureRunLength's former stand-alone loop, kept as
+// the oracle for the version built on Detector.Step and Detector.Discard.
+func referenceRunLength(m *Monitor, rows [][]float64, onset int, k int, sample time.Duration) (RunLengthResult, error) {
+	res := RunLengthResult{OnsetIndex: onset}
+	lim := m.Limits()
+	runLen := 0
+	for i, row := range rows {
+		stats, err := m.Compute(row)
+		if err != nil {
+			return RunLengthResult{}, err
+		}
+		if stats.D > lim.D99 || stats.Q > lim.Q99 {
+			runLen++
+		} else {
+			runLen = 0
+		}
+		if runLen >= k {
+			if i < onset {
+				res.FalseAlarm = true
+				runLen = 0
+				continue
+			}
+			res.Detected = true
+			res.DetectionIndex = i
+			res.RunLength = i - onset + 1
+			res.Time = time.Duration(res.RunLength) * sample
+			return res, nil
+		}
+	}
+	return res, nil
+}
+
+func TestMeasureRunLengthMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	mon, mkRow := stepMonitor(t, rng)
+	stream := func(pattern []bool) [][]float64 {
+		rows := make([][]float64, len(pattern))
+		for i, shifted := range pattern {
+			rows[i] = mkRow(shifted)
+		}
+		return rows
+	}
+	// run returns n copies of v.
+	run := func(n int, v bool) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	cat := func(parts ...[]bool) []bool {
+		var out []bool
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	type tc struct {
+		name    string
+		pattern []bool
+		onset   int
+	}
+	var seen struct{ falseAlarm, straddle, miss int }
+	for _, k := range []int{1, 2, 3, 5} {
+		cases := []tc{
+			// A pre-onset burst that fires, then the real event.
+			{"false-alarm-then-event", cat(run(4, false), run(k+1, true), run(6, false), run(k+4, true)), 4 + k + 1 + 6},
+			// A run that opens before onset and fires after it.
+			{"straddling-run", cat(run(8, false), run(k+3, true)), 8 + k - 1},
+			// Runs of k-1 never fire (all in control for k=1).
+			{"never-fires", cat(run(3, false), run(k-1, true), run(1, false), run(k-1, true), run(5, false)), 5},
+		}
+		for r := 0; r < 40; r++ {
+			n := 20 + rng.Intn(30)
+			p := 0.2 + 0.6*rng.Float64()
+			pattern := make([]bool, n)
+			for i := range pattern {
+				pattern[i] = rng.Float64() < p
+			}
+			cases = append(cases, tc{"random", pattern, rng.Intn(n)})
+		}
+		for _, c := range cases {
+			rows := stream(c.pattern)
+			want, err := referenceRunLength(mon, rows, c.onset, k, 9*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MeasureRunLength(mon, rows, c.onset, k, 9*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("k=%d %s onset=%d: got %+v, want %+v", k, c.name, c.onset, got, want)
+			}
+			if want.FalseAlarm {
+				seen.falseAlarm++
+			}
+			if want.Detected && want.DetectionIndex-want.OnsetIndex < k-1 {
+				seen.straddle++
+			}
+			if !want.Detected {
+				seen.miss++
+			}
+		}
+	}
+	// The streams must exercise every branch of the run-length accounting.
+	if seen.falseAlarm == 0 || seen.straddle == 0 || seen.miss == 0 {
+		t.Errorf("coverage: %+v, want every branch taken", seen)
+	}
+}
+
 func TestMeasureRunLengthNoDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	mon, mkRow := stepMonitor(t, rng)
@@ -216,80 +327,10 @@ func TestMeasureRunLengthBadOnset(t *testing.T) {
 	}
 }
 
-func TestEWMAFilter(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := e.Step(10); v != 10 {
-		t.Errorf("first step = %g, want 10 (initialization)", v)
-	}
-	if v := e.Step(20); v != 15 {
-		t.Errorf("second step = %g, want 15", v)
-	}
-	if v := e.Value(); v != 15 {
-		t.Errorf("Value = %g", v)
-	}
-	e.Reset()
-	if e.Value() != 0 {
-		t.Error("Reset did not clear")
-	}
-	if _, err := NewEWMA(0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("lambda=0: want ErrBadConfig, got %v", err)
-	}
-	if _, err := NewEWMA(1.5); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("lambda=1.5: want ErrBadConfig, got %v", err)
-	}
-}
-
-func TestEWMADetectorFiresOnShift(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	mon, mkRow := stepMonitor(t, rng)
-	ed, err := NewEWMADetector(mon, 0.2, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warmup on NOC.
-	for i := 0; i < 100; i++ {
-		if _, d, err := ed.Step(mkRow(false)); err != nil {
-			t.Fatal(err)
-		} else if d != nil {
-			t.Fatalf("false alarm during NOC at %d", i)
-		}
-	}
-	var det *Detection
-	for i := 0; i < 100 && det == nil; i++ {
-		_, det, err = ed.Step(mkRow(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if det == nil {
-		t.Fatal("EWMA detector missed a sustained 12σ shift")
-	}
-	if ed.Detection() != det {
-		t.Error("detection not latched")
-	}
-}
-
-func TestEWMADetectorValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	mon, _ := stepMonitor(t, rng)
-	if _, err := NewEWMADetector(nil, 0.2, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil monitor: want ErrBadInput, got %v", err)
-	}
-	if _, err := NewEWMADetector(mon, 0.2, -1); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative warmup: want ErrBadConfig, got %v", err)
-	}
-	if _, err := NewEWMADetector(mon, 0, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("lambda=0: want ErrBadConfig, got %v", err)
-	}
-}
-
 func TestDetectorDiscard(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 3, false)
+	det, err := NewDetector(mon, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,6 @@ type Monitor struct {
 
 type config struct {
 	ncomp     int
-	rule      pca.ComponentRule
 	speMethod SPEMethod
 }
 
@@ -109,12 +108,6 @@ func WithComponents(a int) Option {
 	return func(c *config) { c.ncomp = a }
 }
 
-// WithComponentRule selects the number of components with a rule applied to
-// the eigenvalue spectrum (ignored when WithComponents is given).
-func WithComponentRule(r pca.ComponentRule) Option {
-	return func(c *config) { c.rule = r }
-}
-
 // WithSPEMethod selects the Q-limit method (default Jackson–Mudholkar).
 func WithSPEMethod(m SPEMethod) Option {
 	return func(c *config) { c.speMethod = m }
@@ -124,9 +117,6 @@ func buildConfig(opts []Option) config {
 	c := config{speMethod: SPEJacksonMudholkar}
 	for _, o := range opts {
 		o(&c)
-	}
-	if c.rule == nil {
-		c.rule = pca.CumVarianceRule(0.9)
 	}
 	return c
 }
@@ -150,7 +140,7 @@ func Calibrate(x *mat.Matrix, opts ...Option) (*Monitor, error) {
 	if cfg.ncomp > 0 {
 		model, err = pca.Fit(scaled, cfg.ncomp)
 	} else {
-		model, err = pca.FitAuto(scaled, cfg.rule)
+		model, err = pca.FitAuto(scaled, pca.CumVarianceRule(0.9))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mspc: pca: %w", err)
@@ -221,7 +211,7 @@ func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Mon
 	if cfg.ncomp > 0 {
 		model, err = pca.FitCov(corr, n, cfg.ncomp)
 	} else {
-		model, err = pca.FitCovAuto(corr, n, cfg.rule)
+		model, err = pca.FitCovAuto(corr, n, pca.CumVarianceRule(0.9))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mspc: pca: %w", err)

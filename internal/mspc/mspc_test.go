@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pcsmon/internal/mat"
-	"pcsmon/internal/pca"
 	"pcsmon/internal/stat"
 )
 
@@ -330,18 +329,6 @@ func TestPercentileSPEMethod(t *testing.T) {
 	}
 	if mon.SPEMethod() != SPEPercentile {
 		t.Errorf("SPEMethod = %v", mon.SPEMethod())
-	}
-}
-
-func TestComponentRuleOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	x := correlatedNormal(rng, 500, 9, 3, 0.3)
-	mon, err := Calibrate(x, WithComponentRule(pca.MeanEigRule()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := mon.Model().NComponents(); a < 1 || a > 9 {
-		t.Errorf("rule chose %d components", a)
 	}
 }
 

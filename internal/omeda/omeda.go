@@ -202,56 +202,3 @@ func DominanceRatio(values []float64) float64 {
 	const eps = 1e-12
 	return maxAbs / (med + eps)
 }
-
-// Sign returns -1, 0 or +1 for the value of variable j, used when comparing
-// diagnosis direction between the controller and process views.
-func Sign(values []float64, j int) (int, error) {
-	if j < 0 || j >= len(values) {
-		return 0, fmt.Errorf("omeda: index %d out of range: %w", j, ErrBadInput)
-	}
-	switch {
-	case values[j] > 0:
-		return 1, nil
-	case values[j] < 0:
-		return -1, nil
-	default:
-		return 0, nil
-	}
-}
-
-// MEDAMatrix returns a simplified MEDA-style variable-relation map derived
-// from the PCA model: entry (i,j) is the squared model correlation between
-// variables i and j, computed from the model covariance P·diag(λ)·Pᵀ.
-// Values near 1 mean the model ties the two variables tightly. This is an
-// exploratory extension, not required by the paper's pipeline.
-func MEDAMatrix(model *pca.Model) (*mat.Matrix, error) {
-	if model == nil {
-		return nil, fmt.Errorf("omeda: nil model: %w", ErrBadInput)
-	}
-	p := model.Loadings()
-	eig := model.Eigenvalues()
-	m := model.NVars()
-	cov := mat.MustNew(m, m)
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			var s float64
-			for a := 0; a < model.NComponents(); a++ {
-				s += p.At(i, a) * eig[a] * p.At(j, a)
-			}
-			cov.Set(i, j, s)
-			cov.Set(j, i, s)
-		}
-	}
-	out := mat.MustNew(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			den := cov.At(i, i) * cov.At(j, j)
-			if den <= 1e-24 {
-				continue
-			}
-			r := cov.At(i, j)
-			out.Set(i, j, r*r/den)
-		}
-	}
-	return out, nil
-}

@@ -322,48 +322,3 @@ func TestDominanceRatio(t *testing.T) {
 		t.Error("all-zero should give 0")
 	}
 }
-
-func TestSign(t *testing.T) {
-	vals := []float64{-2, 0, 3}
-	for i, want := range []int{-1, 0, 1} {
-		got, err := Sign(vals, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("Sign(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if _, err := Sign(vals, 5); !errors.Is(err, ErrBadInput) {
-		t.Errorf("out of range: want ErrBadInput, got %v", err)
-	}
-}
-
-func TestMEDAMatrix(t *testing.T) {
-	f := newFixture(t, 59, 400, 6, 2)
-	m, err := MEDAMatrix(f.model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, c := m.Dims()
-	if r != 6 || c != 6 {
-		t.Fatalf("MEDA dims %dx%d", r, c)
-	}
-	for i := 0; i < 6; i++ {
-		if math.Abs(m.At(i, i)-1) > 1e-9 {
-			t.Errorf("MEDA diagonal (%d,%d) = %g, want 1", i, i, m.At(i, i))
-		}
-		for j := 0; j < 6; j++ {
-			v := m.At(i, j)
-			if v < -1e-12 || v > 1+1e-12 {
-				t.Errorf("MEDA (%d,%d) = %g out of [0,1]", i, j, v)
-			}
-			if math.Abs(m.At(i, j)-m.At(j, i)) > 1e-12 {
-				t.Errorf("MEDA not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	if _, err := MEDAMatrix(nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil model: want ErrBadInput, got %v", err)
-	}
-}

@@ -2,10 +2,8 @@
 // X = T·Pᵀ + E with T = X·P, where the loading columns P are the leading
 // eigenvectors of the calibration covariance matrix.
 //
-// Two fitting paths are provided: an exact eigendecomposition of the
-// covariance matrix (the default — calibration matrices in MSPC have few
-// columns) and NIPALS, the classic chemometrics algorithm that extracts one
-// component at a time (useful for cross-checking and very wide data).
+// The model is fitted by an exact eigendecomposition of the covariance
+// matrix — calibration matrices in MSPC have few columns.
 //
 // Inputs are expected to be preprocessed (mean-centered, usually
 // auto-scaled); pair the model with stat.Scaler. The model keeps the full
@@ -16,7 +14,6 @@ package pca
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pcsmon/internal/mat"
 )
@@ -28,8 +25,6 @@ var (
 	ErrBadComponents = errors.New("pca: invalid number of components")
 	// ErrBadInput is returned for empty or malformed calibration data.
 	ErrBadInput = errors.New("pca: invalid input")
-	// ErrNotConverged is returned when NIPALS fails to converge.
-	ErrNotConverged = errors.New("pca: iteration did not converge")
 )
 
 // Model is a fitted PCA model.
@@ -69,29 +64,6 @@ func CumVarianceRule(frac float64) ComponentRule {
 			}
 		}
 		return len(eig)
-	}
-}
-
-// MeanEigRule retains the components whose eigenvalue exceeds the average
-// eigenvalue (the Kaiser-Guttman criterion for autoscaled data, where the
-// average eigenvalue is 1).
-func MeanEigRule() ComponentRule {
-	return func(eig []float64) int {
-		var total float64
-		for _, v := range eig {
-			total += v
-		}
-		mean := total / float64(len(eig))
-		n := 0
-		for _, v := range eig {
-			if v > mean {
-				n++
-			}
-		}
-		if n == 0 {
-			return 1
-		}
-		return n
 	}
 }
 
@@ -213,11 +185,6 @@ func (m *Model) Eigenvalues() []float64 {
 	return append([]float64(nil), m.eigvals...)
 }
 
-// AllEigenvalues returns a copy of the full eigenvalue spectrum, descending.
-func (m *Model) AllEigenvalues() []float64 {
-	return append([]float64(nil), m.allEig...)
-}
-
 // ResidualEigenvalues returns the discarded part of the spectrum
 // (λ_{A+1}…λ_M), the inputs to SPE control limits.
 func (m *Model) ResidualEigenvalues() []float64 {
@@ -323,136 +290,4 @@ func (m *Model) Scores(x *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("pca: Scores cols %d != nvars %d: %w", x.Cols(), m.nvars, ErrBadInput)
 	}
 	return mat.Mul(x, m.loadings)
-}
-
-// FitNIPALS fits a PCA model with the NIPALS algorithm directly on the data
-// matrix, extracting a components sequentially. The data matrix is not
-// modified. Score variances use the N-1 divisor so the result matches
-// FitCov up to algorithmic tolerance.
-func FitNIPALS(x *mat.Matrix, a int, tol float64, maxIter int) (*Model, error) {
-	if x == nil || x.IsEmpty() || x.Rows() < 2 {
-		return nil, fmt.Errorf("pca: NIPALS on invalid data: %w", ErrBadInput)
-	}
-	n, mvars := x.Dims()
-	maxA := mvars
-	if n-1 < maxA {
-		maxA = n - 1
-	}
-	if a < 1 || a > maxA {
-		return nil, fmt.Errorf("pca: NIPALS a=%d not in [1,%d]: %w", a, maxA, ErrBadComponents)
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-
-	e := x.Clone() // deflated working copy
-	loadings := mat.MustNew(mvars, a)
-	eigvals := make([]float64, a)
-	t := make([]float64, n)
-	p := make([]float64, mvars)
-
-	for comp := 0; comp < a; comp++ {
-		// Start from the column of E with the largest variance.
-		best, bestVar := 0, -1.0
-		for j := 0; j < mvars; j++ {
-			var s, ss float64
-			for i := 0; i < n; i++ {
-				v := e.At(i, j)
-				s += v
-				ss += v * v
-			}
-			varj := ss - s*s/float64(n)
-			if varj > bestVar {
-				bestVar = varj
-				best = j
-			}
-		}
-		for i := 0; i < n; i++ {
-			t[i] = e.At(i, best)
-		}
-		if mat.Norm2(t) == 0 {
-			// Rank exhausted: remaining components are zero directions.
-			return nil, fmt.Errorf("pca: NIPALS rank deficient at component %d: %w", comp+1, ErrBadComponents)
-		}
-
-		converged := false
-		var prevTT float64
-		for iter := 0; iter < maxIter; iter++ {
-			// p = Eᵀt / tᵀt, normalized.
-			tt, _ := mat.Dot(t, t)
-			for j := 0; j < mvars; j++ {
-				var s float64
-				for i := 0; i < n; i++ {
-					s += e.At(i, j) * t[i]
-				}
-				p[j] = s / tt
-			}
-			np := mat.Norm2(p)
-			if np == 0 {
-				return nil, fmt.Errorf("pca: NIPALS zero loading at component %d: %w", comp+1, ErrNotConverged)
-			}
-			for j := range p {
-				p[j] /= np
-			}
-			// t = E·p.
-			for i := 0; i < n; i++ {
-				var s float64
-				for j := 0; j < mvars; j++ {
-					s += e.At(i, j) * p[j]
-				}
-				t[i] = s
-			}
-			tt2, _ := mat.Dot(t, t)
-			if iter > 0 && math.Abs(tt2-prevTT) <= tol*tt2 {
-				converged = true
-				break
-			}
-			prevTT = tt2
-		}
-		if !converged {
-			return nil, fmt.Errorf("pca: NIPALS component %d: %w", comp+1, ErrNotConverged)
-		}
-		// Record component; deflate E ← E − t·pᵀ.
-		tt, _ := mat.Dot(t, t)
-		eigvals[comp] = tt / float64(n-1)
-		for j := 0; j < mvars; j++ {
-			loadings.Set(j, comp, p[j])
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < mvars; j++ {
-				e.Set(i, j, e.At(i, j)-t[i]*p[j])
-			}
-		}
-	}
-
-	// Full spectrum: retained values followed by the residual variance
-	// spread over the remaining directions (approximation good enough for
-	// diagnostics; exact limits should use FitCov).
-	allEig := make([]float64, mvars)
-	copy(allEig, eigvals)
-	var residVar float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < mvars; j++ {
-			v := e.At(i, j)
-			residVar += v * v
-		}
-	}
-	residVar /= float64(n - 1)
-	if rem := mvars - a; rem > 0 {
-		per := residVar / float64(rem)
-		for j := a; j < mvars; j++ {
-			allEig[j] = per
-		}
-	}
-	return &Model{
-		loadings:  loadings,
-		loadingsT: loadings.T(),
-		eigvals:   eigvals,
-		allEig:    allEig,
-		nobs:      n,
-		nvars:     mvars,
-	}, nil
 }

@@ -181,9 +181,8 @@ func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 		t.Errorf("3 PCs explain only %.2f of variance on rank-3 data", sum)
 	}
 	// Full spectrum sums to total variance (M for autoscaled data).
-	all := model.AllEigenvalues()
 	var tot float64
-	for _, v := range all {
+	for _, v := range append(model.Eigenvalues(), model.ResidualEigenvalues()...) {
 		tot += v
 	}
 	if math.Abs(tot-9) > 1e-6 {
@@ -236,15 +235,6 @@ func TestFitAutoRules(t *testing.T) {
 	if a := model.NComponents(); a < 1 || a > 10 {
 		t.Errorf("CumVarianceRule chose %d components", a)
 	}
-	model2, err := FitAuto(x, MeanEigRule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank-3 structure with modest noise: mean-eigenvalue rule should find
-	// roughly the latent dimensionality.
-	if a := model2.NComponents(); a < 2 || a > 5 {
-		t.Errorf("MeanEigRule chose %d components on rank-3 data", a)
-	}
 	if _, err := FitAuto(x, nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil rule: want ErrBadInput, got %v", err)
 	}
@@ -261,9 +251,6 @@ func TestComponentRulesDirect(t *testing.T) {
 	if a := CumVarianceRule(1.0)(eig); a != 5 {
 		t.Errorf("CumVariance(1.0) = %d, want 5", a)
 	}
-	if a := MeanEigRule()(eig); a != 2 {
-		t.Errorf("MeanEig = %d, want 2 (mean=2)", a)
-	}
 }
 
 func TestProjectDimensionError(t *testing.T) {
@@ -277,45 +264,6 @@ func TestProjectDimensionError(t *testing.T) {
 	}
 	if _, err := model.Scores(mat.MustNew(3, 2)); !errors.Is(err, ErrBadInput) {
 		t.Errorf("want ErrBadInput, got %v", err)
-	}
-}
-
-func TestNIPALSMatchesEigenPCA(t *testing.T) {
-	x := lowRankData(rand.New(rand.NewSource(11)), 200, 8, 3, 0.25)
-	exact, err := Fit(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nip, err := FitNIPALS(x, 3, 1e-12, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ee, ne := exact.Eigenvalues(), nip.Eigenvalues()
-	for i := range ee {
-		if math.Abs(ee[i]-ne[i]) > 1e-4*math.Max(1, ee[i]) {
-			t.Errorf("eig[%d]: exact %g vs nipals %g", i, ee[i], ne[i])
-		}
-	}
-	// Loadings match up to sign.
-	pe, pn := exact.Loadings(), nip.Loadings()
-	for a := 0; a < 3; a++ {
-		dot := 0.0
-		for j := 0; j < 8; j++ {
-			dot += pe.At(j, a) * pn.At(j, a)
-		}
-		if math.Abs(math.Abs(dot)-1) > 1e-4 {
-			t.Errorf("component %d: |⟨p_exact,p_nipals⟩| = %g, want 1", a, math.Abs(dot))
-		}
-	}
-}
-
-func TestNIPALSBadArgs(t *testing.T) {
-	x := lowRankData(rand.New(rand.NewSource(12)), 20, 4, 2, 0.2)
-	if _, err := FitNIPALS(x, 0, 0, 0); !errors.Is(err, ErrBadComponents) {
-		t.Errorf("a=0: want ErrBadComponents, got %v", err)
-	}
-	if _, err := FitNIPALS(nil, 1, 0, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil: want ErrBadInput, got %v", err)
 	}
 }
 

@@ -223,10 +223,6 @@ func (c *TEController) Outputs() []float64 {
 	return out
 }
 
-// SetProductionSP overrides the production (stripper underflow) setpoint in
-// m³/h — the operator's production handle.
-func (c *TEController) SetProductionSP(v float64) { c.fcProd.SetSP(v) }
-
 // Clone returns an independent deep copy of the controller, including every
 // loop's integrator state and the trim centers — the warm-start mechanism
 // for experiment runs.

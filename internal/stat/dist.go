@@ -31,11 +31,6 @@ const (
 	maxIters = 300
 )
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalCDF returns Φ(x), the standard normal CDF, via math.Erfc for
 // accuracy in both tails.
 func NormalCDF(x float64) float64 {

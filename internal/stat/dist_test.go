@@ -321,12 +321,3 @@ func TestFCDFDomain(t *testing.T) {
 		t.Errorf("FQuantile(0) = %g, %v; want 0", v, err)
 	}
 }
-
-func TestNormalPDFPeak(t *testing.T) {
-	if got := NormalPDF(0); !closeTo(got, 1/math.Sqrt(2*math.Pi), 1e-12) {
-		t.Errorf("NormalPDF(0) = %g", got)
-	}
-	if NormalPDF(3) >= NormalPDF(0) {
-		t.Error("PDF should decrease away from 0")
-	}
-}
