@@ -778,7 +778,7 @@ func TestPlaneReloadFromFile(t *testing.T) {
 // path: once warm, pairing + scoring an observation through a fully
 // mounted plane (ops server up, SSE bus idle, no recording) allocates
 // nothing. Like the fleet-level variant, each measured batch waits for
-// the worker to score it, so row boxes are back in the free-list before
+// the worker to score it, so batch boxes are back in the free-list before
 // the next push — burst-mode pool growth is not an allocation of the
 // scoring path.
 func TestPlaneScoringHotPathZeroAlloc(t *testing.T) {

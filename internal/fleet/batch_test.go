@@ -13,23 +13,50 @@ import (
 // delivery, small batches that interleave with the flush ticker, batches
 // larger than the stream — must produce bit-identical reports. Batching
 // changes message granularity, never results.
+//
+// The "proc-ends" plant's process view ends mid-stream: a nil row from
+// procEnd on, inside its diagnosis window and mid-batch at every batch
+// size from 2 to 16. Its batches are boxes the two-view plants filled
+// before, so a nil row that did not overwrite a recycled slot would score
+// a stale process row; its report must equal a lone OnlineAnalyzer's at
+// every setting.
 func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 	sys := testSystem(t)
 	const (
-		onset  = 110
-		rows   = 230
-		sample = 9 * time.Second
+		onset   = 110
+		rows    = 230
+		procEnd = 121
+		sample  = 9 * time.Second
 	)
 	type plantCase struct {
 		id         string
 		ctrl, proc [][]float64
 	}
 	cases := []*plantCase{
-		{id: "noc"}, {id: "shift-2"}, {id: "shift-9"},
+		{id: "noc"}, {id: "shift-2"}, {id: "shift-9"}, {id: "proc-ends"},
 	}
 	cases[0].ctrl, cases[0].proc = plantRows(31, rows, 0, onset, 0)
 	cases[1].ctrl, cases[1].proc = plantRows(32, rows, 2, onset, 20)
 	cases[2].ctrl, cases[2].proc = plantRows(33, rows, 9, onset, 25)
+	ended := cases[3]
+	ended.ctrl, ended.proc = plantRows(34, rows, 5, onset, 20)
+	for i := procEnd; i < rows; i++ {
+		ended.proc[i] = nil
+	}
+
+	oa, err := sys.NewOnlineAnalyzer(onset, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := oa.Push(ended.ctrl[i], ended.proc[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lone, err := oa.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	run := func(batch int, flush time.Duration) map[string]interface{} {
 		t.Helper()
@@ -69,11 +96,16 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 	}
 
 	golden := run(1, -1) // unbatched
+	if !reflect.DeepEqual(golden[ended.id], lone) {
+		t.Errorf("batch=1: %s report differs from a lone OnlineAnalyzer", ended.id)
+	}
+	golden[ended.id] = lone
 	for _, cfg := range []struct {
 		batch int
 		flush time.Duration
 	}{
 		{2, -1},
+		{3, -1},
 		{16, -1},
 		{7, 200 * time.Microsecond}, // aggressive ticker: partial flushes mid-stream
 		{1024, -1},                  // larger than the stream: only Detach flushes
@@ -81,7 +113,7 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 		got := run(cfg.batch, cfg.flush)
 		for id := range golden {
 			if !reflect.DeepEqual(got[id], golden[id]) {
-				t.Errorf("batch=%d flush=%v: %s report differs from unbatched golden",
+				t.Errorf("batch=%d flush=%v: %s report differs from golden",
 					cfg.batch, cfg.flush, id)
 			}
 		}

@@ -2,7 +2,7 @@
 // calibrated core.System is read-only after calibration, so it can legally
 // score thousands of independent plant streams at once. A Pool shards the
 // streams over a fixed set of worker goroutines — each stream (one
-// core.OnlineAnalyzer plus scratch row buffers) is owned by exactly one
+// core.OnlineAnalyzer plus its pending batch) is owned by exactly one
 // worker, selected by hashing the plant ID — and fans the per-observation
 // results in as typed events through one buffered, back-pressure-aware
 // channel.
@@ -22,9 +22,10 @@
 //   - Nothing is dropped: when the event channel fills (a slow consumer),
 //     workers block, mailboxes fill, and Push blocks — back-pressure
 //     propagates to the producers instead of losing or reordering events.
-//   - Push copies its rows into pooled scratch buffers before handing them
-//     to the worker; callers may reuse their row slices immediately. The
-//     steady-state scoring path performs no per-observation allocation.
+//   - Push copies its rows into the stream's pending batch, which owns the
+//     row storage, before handing the batch to the worker; callers may
+//     reuse their row slices immediately. The steady-state scoring path
+//     performs no per-observation allocation.
 //
 // A plant scored through a Pool produces a report bit-identical to the same
 // rows replayed through a lone core.OnlineAnalyzer (the golden parity the
@@ -294,11 +295,31 @@ type stream struct {
 }
 
 // obsBatch aggregates up to Config.Batch observations of one stream into a
-// single mailbox message. Row boxes are owned by the pool's scratch
-// free-list; a nil box marks that view's stream as ended.
+// single mailbox message. The batch owns its rows: slot i's rows are the
+// i-th cols-wide windows of ctrlBuf and procBuf, and ctrl[i]/proc[i] are
+// those windows, or nil where that view's stream has ended.
 type obsBatch struct {
-	n          int
-	ctrl, proc []*[]float64
+	n                int
+	ctrl, proc       [][]float64
+	ctrlBuf, procBuf []float64 // Batch×cols row storage
+}
+
+// add copies one observation into the batch's next slot. Every slot is
+// written, nil included, so a recycled batch never carries a stale row.
+func (b *obsBatch) add(cols int, ctrl, proc []float64) {
+	i := b.n
+	b.ctrl[i] = copyRow(b.ctrlBuf[i*cols:(i+1)*cols], ctrl)
+	b.proc[i] = copyRow(b.procBuf[i*cols:(i+1)*cols], proc)
+	b.n++
+}
+
+// copyRow copies src into dst and returns dst, or nil for a nil src.
+func copyRow(dst, src []float64) []float64 {
+	if src == nil {
+		return nil
+	}
+	copy(dst, src)
+	return dst
 }
 
 // message is one mailbox entry: a batch of observations or, when finish is
@@ -331,7 +352,6 @@ type Pool struct {
 	sendMu          sync.RWMutex
 	mailboxesClosed bool
 
-	scratch sync.Pool // *[]float64 row boxes of cols length
 	batches sync.Pool // *obsBatch boxes of cfg.Batch capacity
 	scored  sync.Pool // *Scored emission boxes, refilled by Recycle
 
@@ -475,10 +495,11 @@ func (p *Pool) Attach(id string, onset int) error {
 }
 
 // Push scores the next paired observation of plant id. The rows are copied
-// before Push returns; the caller may reuse its slices. A nil row marks
-// that view's stream as ended (core.OnlineAnalyzer semantics); a
-// single-view feed passes the same slice twice. Push blocks when the
-// plant's worker mailbox is full — the back-pressure path.
+// into the stream's pending batch before Push returns; the caller may
+// reuse its slices. A nil row marks that view's stream as ended
+// (core.OnlineAnalyzer semantics); a single-view feed passes the same
+// slice twice. Push blocks when the plant's worker mailbox is full — the
+// back-pressure path.
 //
 // Pushing concurrently with Detach of the same plant loses nothing
 // silently: an observation either lands before the detach's finish
@@ -504,15 +525,6 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 	if !ok {
 		return fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
-	var cb, pb *[]float64
-	if ctrl != nil {
-		cb = p.getRow()
-		copy(*cb, ctrl)
-	}
-	if proc != nil {
-		pb = p.getRow()
-		copy(*pb, proc)
-	}
 	// Append to the stream's pending batch and ship it once full. The
 	// mailbox send happens under the stream's pending lock — that lock, not
 	// channel-queue order, is what keeps a full-batch send from racing a
@@ -522,8 +534,6 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 	if st.sealed {
 		// Detached (or closing) since the registry lookup above.
 		st.pendMu.Unlock()
-		p.putRow(cb)
-		p.putRow(pb)
 		if p.closed.Load() {
 			return ErrClosed
 		}
@@ -534,9 +544,7 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 		b = p.getBatch()
 		st.pending = b
 	}
-	b.ctrl[b.n] = cb
-	b.proc[b.n] = pb
-	b.n++
+	b.add(p.cols, ctrl, proc)
 	if b.n < p.cfg.Batch {
 		st.pendMu.Unlock()
 		return nil
@@ -737,45 +745,26 @@ func (p *Pool) AdaptStats() adapt.Stats {
 	return p.tracker.Stats()
 }
 
-// getRow takes a cols-sized row box from the free-list. Boxes travel
-// through the mailboxes by pointer, so the steady-state path re-boxes
-// nothing.
-func (p *Pool) getRow() *[]float64 {
-	if v := p.scratch.Get(); v != nil {
-		return v.(*[]float64)
-	}
-	//pcslint:ignore hotpath -- free-list miss: rows are allocated only until the sync.Pool warms, then recycled
-	row := make([]float64, p.cols)
-	return &row
-}
-
-// putRow returns a row box to the free-list.
-func (p *Pool) putRow(b *[]float64) {
-	if b == nil {
-		return
-	}
-	p.scratch.Put(b)
-}
-
 // getBatch takes a Config.Batch-capacity batch box from the free-list.
 func (p *Pool) getBatch() *obsBatch {
 	if v := p.batches.Get(); v != nil {
 		return v.(*obsBatch)
 	}
 	//pcslint:ignore hotpath -- free-list miss: batch boxes are allocated only until the sync.Pool warms, then recycled
-	return &obsBatch{ctrl: make([]*[]float64, p.cfg.Batch), proc: make([]*[]float64, p.cfg.Batch)}
+	return newBatch(p.cfg.Batch, p.cols)
 }
 
-// putBatch recycles a batch box and every row box still in it.
+// newBatch allocates an empty batch with room for batch observations of
+// cols values per view.
+func newBatch(batch, cols int) *obsBatch {
+	return &obsBatch{
+		ctrl: make([][]float64, batch), proc: make([][]float64, batch),
+		ctrlBuf: make([]float64, batch*cols), procBuf: make([]float64, batch*cols),
+	}
+}
+
+// putBatch recycles a batch box with its row storage.
 func (p *Pool) putBatch(b *obsBatch) {
-	if b == nil {
-		return
-	}
-	for i := 0; i < b.n; i++ {
-		p.putRow(b.ctrl[i])
-		p.putRow(b.proc[i])
-		b.ctrl[i], b.proc[i] = nil, nil
-	}
 	b.n = 0
 	p.batches.Put(b)
 }
@@ -807,32 +796,21 @@ func (w *worker) run() {
 		}
 		for i := 0; i < msg.batch.n; i++ {
 			w.score(st, msg.batch.ctrl[i], msg.batch.proc[i])
-			msg.batch.ctrl[i], msg.batch.proc[i] = nil, nil
 		}
-		msg.batch.n = 0
-		p.batches.Put(msg.batch)
+		p.putBatch(msg.batch)
 	}
 }
 
-// score runs one boxed observation through the stream's analyzer and emits
-// its events. It consumes (recycles) the row boxes.
+// score runs one observation, read in place from its batch, through the
+// stream's analyzer and emits its events.
 //
 //pcslint:hotpath
-func (w *worker) score(st *stream, ctrl, proc *[]float64) {
+func (w *worker) score(st *stream, cr, pr []float64) {
 	p := w.pool
 	if st.finished {
 		// The stream failed on an earlier row (the error is in its
 		// Verdict); drop the rest.
-		p.putRow(ctrl)
-		p.putRow(proc)
 		return
-	}
-	var cr, pr []float64
-	if ctrl != nil {
-		cr = *ctrl
-	}
-	if proc != nil {
-		pr = *proc
 	}
 	// time.Now/Since do not allocate, so latency metering preserves the
 	// package's 0 allocs/observation contract.
@@ -846,8 +824,6 @@ func (w *worker) score(st *stream, ctrl, proc *[]float64) {
 		// the stream and surfaces in the Verdict.
 		st.finished = true
 		st.err = fmt.Errorf("fleet: %q: %w", st.id, err)
-		p.putRow(ctrl)
-		p.putRow(proc)
 		return
 	}
 	st.samples++
@@ -862,8 +838,6 @@ func (w *worker) score(st *stream, ctrl, proc *[]float64) {
 	if st.hp != nil {
 		st.observeHealth(res)
 	}
-	p.putRow(ctrl)
-	p.putRow(proc)
 	w.emitStep(st, res)
 }
 

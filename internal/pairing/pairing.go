@@ -28,9 +28,12 @@
 //     StallAfter consecutive observations — the systematic one-view
 //     blackout of the paper's DoS scenario, surfaced as a typed event.
 //
-// The hot path is O(1) amortized per frame and allocation-free: slot row
-// buffers come from a free list and are recycled through the hold-last
-// state by pointer swap, never by copy-and-allocate.
+// Offer is O(1) amortized per frame and allocation-free: slot row buffers
+// come from a free list and are recycled through the hold-last state by
+// pointer swap, never by copy-and-allocate. Tick, which a replay calls
+// after every frame, is O(1) until the age horizon reaches the oldest
+// pending slot; that Tick walks each unit's window at most once,
+// O(units · Window).
 //
 // A Correlator is safe for concurrent use; the sink is invoked under the
 // correlator's lock, so outcomes of one unit are delivered in order.
@@ -39,6 +42,7 @@ package pairing
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -322,6 +326,11 @@ type Correlator struct {
 	free   [][]float64 // row buffer free list (len = Cols each)
 	closed bool
 
+	// oldest is a lower bound on the first-arrival stamp of every pending
+	// slot (math.MaxInt64 when none is known): Tick does nothing while the
+	// age horizon is below it.
+	oldest int64
+
 	stats Stats
 	steps atomic.Uint64 // mirrors stats.Steps for lock-free readers
 }
@@ -334,7 +343,7 @@ func NewCorrelator(cfg Config, sink Sink) (*Correlator, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("pairing: nil sink: %w", ErrBadConfig)
 	}
-	return &Correlator{cfg: cfg.withDefaults(), sink: sink}, nil
+	return &Correlator{cfg: cfg.withDefaults(), sink: sink, oldest: math.MaxInt64}, nil
 }
 
 // Offer ingests one frame: typ selects the view (FrameSensor carries the
@@ -406,6 +415,9 @@ func (c *Correlator) Offer(typ fieldbus.FrameType, unit uint8, seq uint64, row [
 		if c.cfg.MaxAge > 0 {
 			//pcslint:ignore callback-under-lock -- the injected clock is a pure reading (time.Now or a replay cursor) and cannot re-enter the correlator
 			s.at = c.cfg.Clock().UnixNano()
+			// min, not the latest stamp: a clock stepping backwards must
+			// not raise the bound above an older pending slot.
+			c.oldest = min(c.oldest, s.at)
 		}
 	}
 	dst := &s.sens
@@ -444,6 +456,11 @@ func (c *Correlator) OfferFrame(f *fieldbus.Frame) error {
 // Tick applies the age horizon: every slot whose first frame is older than
 // MaxAge (and every gap blocking one) is flushed. A zero MaxAge makes Tick
 // a no-op.
+//
+// A Tick with nothing due costs O(1): it compares the horizon with a lower
+// bound on every pending slot's first arrival. Only a Tick that reaches
+// the bound walks the units, flushing as above, and recomputes the bound
+// over every slot still pending: O(units · Window).
 func (c *Correlator) Tick(now time.Time) error {
 	if c.cfg.MaxAge <= 0 {
 		return nil
@@ -454,6 +471,12 @@ func (c *Correlator) Tick(now time.Time) error {
 	if c.closed {
 		return ErrClosed
 	}
+	if horizon < c.oldest {
+		return nil
+	}
+	// On an error return the old bound stays: flushing only removes slots,
+	// so it still bounds every slot left pending.
+	oldest := int64(math.MaxInt64)
 	for id := 0; id < len(c.units); id++ {
 		u := c.units[id]
 		if u == nil {
@@ -467,7 +490,9 @@ func (c *Correlator) Tick(now time.Time) error {
 				return err
 			}
 		}
+		oldest = min(oldest, c.oldestArrival(u))
 	}
+	c.oldest = oldest
 	return nil
 }
 
@@ -839,6 +864,28 @@ func (c *Correlator) headArrival(u *unitState) int64 {
 		}
 	}
 	return 1<<63 - 1
+}
+
+// oldestArrival returns the earliest first-arrival stamp over all of the
+// unit's pending slots (math.MaxInt64 when none is pending). Not just the
+// head's: a reordered slot behind the head can be older than the head.
+func (c *Correlator) oldestArrival(u *unitState) int64 {
+	oldest := int64(math.MaxInt64)
+	w := c.cfg.Window
+	for i, frames := 0, 0; i < w && frames < u.pending; i++ {
+		s := &u.ring[(u.base+i)%w]
+		if s.empty() {
+			continue
+		}
+		oldest = min(oldest, s.at)
+		if s.sens != nil {
+			frames++
+		}
+		if s.act != nil {
+			frames++
+		}
+	}
+	return oldest
 }
 
 // getRow takes a Cols-sized row buffer from the free list.
