@@ -276,6 +276,7 @@ type stream struct {
 	oa       *core.OnlineAnalyzer
 	gen      uint64          // model generation the analyzer is scored against
 	hp       *obs.UnitHealth // nil when Config.Health is unset
+	health   pendingHealth   // scored since the worker last published to hp
 	samples  int
 	finished bool
 
@@ -292,6 +293,19 @@ type stream struct {
 	report *core.Report
 	err    error
 	done   chan struct{} // closed by the worker after the Verdict event
+}
+
+// pendingHealth is what a stream's worker has scored since it last
+// published to the stream's health handle: the count, the last
+// observation's stamp and over-limit flag, and each view's latest D and Q
+// (NaN while the view has not reported, so the handle keeps its value).
+// The worker publishes once per batch, because the handle's atomic stores
+// cost more per observation than the scoring they report on.
+type pendingHealth struct {
+	n                          uint64
+	now                        int64
+	ctrlD, ctrlQ, procD, procQ float64
+	over                       bool
 }
 
 // obsBatch aggregates up to Config.Batch observations of one stream into a
@@ -356,10 +370,10 @@ type Pool struct {
 	scored  sync.Pool // *Scored emission boxes, refilled by Recycle
 
 	// Observability hooks wired by registerObs (all nil/no-op when
-	// Config.Metrics / Config.Health are unset).
-	scoreLatency *obs.Histogram
-	batchOcc     *obs.Histogram
-	health       *obs.HealthRegistry
+	// Config.Metrics / Config.Health are unset); the scoring-latency
+	// histogram is reached through each worker's buffer.
+	batchOcc *obs.Histogram
+	health   *obs.HealthRegistry
 
 	flushQuit chan struct{} // stops the batch flusher (nil at Batch 1 or without a timed flush)
 
@@ -380,6 +394,14 @@ type worker struct {
 	mu      sync.Mutex
 	streams map[string]*stream
 	closed  bool
+
+	// Metering state, touched only by the worker goroutine: the scoring
+	// latencies not yet flushed (nil without metrics), the current
+	// batch's wall-clock start and the monotonic offset from it at which
+	// the last observation finished scoring.
+	lat        *obs.HistogramBuffer
+	batchStart time.Time
+	lastEnd    time.Duration
 }
 
 // NewPool builds the worker set and event channel over one calibrated
@@ -794,29 +816,39 @@ func (w *worker) run() {
 		if p.batchOcc != nil {
 			p.batchOcc.Observe(float64(msg.batch.n))
 		}
-		for i := 0; i < msg.batch.n; i++ {
-			w.score(st, msg.batch.ctrl[i], msg.batch.proc[i])
+		if w.lat != nil || st.hp != nil {
+			w.batchStart, w.lastEnd = time.Now(), 0
 		}
+		var scored uint64
+		for i := 0; i < msg.batch.n; i++ {
+			if w.score(st, msg.batch.ctrl[i], msg.batch.proc[i]) {
+				scored++
+			}
+		}
+		if w.lat != nil {
+			w.lat.Flush()
+		}
+		if st.hp != nil {
+			st.publishHealth()
+		}
+		// Counted after the batch's metering is published, so a reader
+		// that sees the observations total also sees their health.
+		p.observations.Add(scored)
 		p.putBatch(msg.batch)
 	}
 }
 
 // score runs one observation, read in place from its batch, through the
-// stream's analyzer and emits its events.
+// stream's analyzer and emits its events. It reports whether the
+// observation was scored.
 //
 //pcslint:hotpath
-func (w *worker) score(st *stream, cr, pr []float64) {
+func (w *worker) score(st *stream, cr, pr []float64) bool {
 	p := w.pool
 	if st.finished {
 		// The stream failed on an earlier row (the error is in its
 		// Verdict); drop the rest.
-		return
-	}
-	// time.Now/Since do not allocate, so latency metering preserves the
-	// package's 0 allocs/observation contract.
-	var t0 time.Time
-	if p.scoreLatency != nil {
-		t0 = time.Now()
+		return false
 	}
 	res, err := st.oa.Push(cr, pr)
 	if err != nil {
@@ -824,38 +856,62 @@ func (w *worker) score(st *stream, cr, pr []float64) {
 		// the stream and surfaces in the Verdict.
 		st.finished = true
 		st.err = fmt.Errorf("fleet: %q: %w", st.id, err)
-		return
+		return false
 	}
 	st.samples++
-	p.observations.Add(1)
 	if p.tracker != nil {
 		//pcslint:ignore hotpath -- adaptive refits are cadence-gated (Config.AdaptEvery) and rebuild models by design; the steady-state score step never enters this edge
 		w.adaptStep(st, res, cr, pr)
 	}
-	if p.scoreLatency != nil {
-		p.scoreLatency.Observe(time.Since(t0).Seconds())
-	}
-	if st.hp != nil {
-		st.observeHealth(res)
+	// One monotonic clock read per observation (time.Since does not
+	// allocate, and time.Now would read the wall clock too): the latency
+	// runs from the previous observation's end, or the batch start, so it
+	// also carries that observation's emit and metering; the health stamp
+	// is the batch's wall-clock start advanced by the reading.
+	if w.lat != nil || st.hp != nil {
+		end := time.Since(w.batchStart)
+		if w.lat != nil {
+			w.lat.Observe((end - w.lastEnd).Seconds())
+		}
+		w.lastEnd = end
+		if st.hp != nil {
+			st.observeHealth(res, w.batchStart.Add(end).UnixNano())
+		}
 	}
 	w.emitStep(st, res)
+	return true
 }
 
-// observeHealth feeds one step into the stream's per-unit health handle —
-// a handful of atomic stores, no locks, no allocation.
-func (st *stream) observeHealth(res core.StepResult) {
-	ctrlD, ctrlQ := math.NaN(), math.NaN()
-	procD, procQ := math.NaN(), math.NaN()
-	over := false
+// observeHealth notes one step, scored at now (UnixNano), in the stream's
+// pending health — plain stores; publishHealth hands them to the handle.
+func (st *stream) observeHealth(res core.StepResult, now int64) {
+	h := &st.health
+	if h.n == 0 {
+		h.ctrlD, h.ctrlQ = math.NaN(), math.NaN()
+		h.procD, h.procQ = math.NaN(), math.NaN()
+	}
+	h.n++
+	h.now = now
+	h.over = false
 	if res.Ctrl != nil {
-		ctrlD, ctrlQ = res.Ctrl.Stats.D, res.Ctrl.Stats.Q
-		over = res.Ctrl.Over()
+		h.ctrlD, h.ctrlQ = res.Ctrl.Stats.D, res.Ctrl.Stats.Q
+		h.over = res.Ctrl.Over()
 	}
 	if res.Proc != nil {
-		procD, procQ = res.Proc.Stats.D, res.Proc.Stats.Q
-		over = over || res.Proc.Over()
+		h.procD, h.procQ = res.Proc.Stats.D, res.Proc.Stats.Q
+		h.over = h.over || res.Proc.Over()
 	}
-	st.hp.Observe(time.Now().UnixNano(), ctrlD, ctrlQ, procD, procQ, over)
+}
+
+// publishHealth stores the pending health in the stream's handle — a
+// handful of atomic stores, no locks, no allocation — and clears it.
+func (st *stream) publishHealth() {
+	h := &st.health
+	if h.n == 0 {
+		return
+	}
+	st.hp.Observe(h.now, h.n, h.ctrlD, h.ctrlQ, h.procD, h.procQ, h.over)
+	h.n = 0
 }
 
 // adaptStep drives this stream through the shared tracker's per-observation

@@ -11,7 +11,8 @@ import (
 // registry. The aggregate counters are exported as scrape-time closures over
 // the atomics the pool already maintains — the scoring path pays nothing for
 // them. Only the scoring-latency and batch-occupancy histograms are recorded
-// hot, and both are alloc-free by construction.
+// hot, and both are alloc-free by construction; each worker buffers its
+// scoring latencies and flushes them once per batch.
 func (p *Pool) registerObs() error {
 	p.health = p.cfg.Health
 	r := p.cfg.Metrics
@@ -75,12 +76,14 @@ func (p *Pool) registerObs() error {
 			return fmt.Errorf("fleet: %w", err)
 		}
 	}
-	var err error
-	p.scoreLatency, err = r.Histogram("pcsmon_fleet_scoring_latency_seconds",
-		"Per-observation scoring latency (analyzer push + adaptive step).",
+	scoreLatency, err := r.Histogram("pcsmon_fleet_scoring_latency_seconds",
+		"Per-observation scoring latency: analyzer push + adaptive step, timed from the previous observation's end in the same batch (or the batch start).",
 		obs.ExpBuckets(1e-6, 4, 12))
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
+	}
+	for _, w := range p.workers {
+		w.lat = scoreLatency.Buffer()
 	}
 	p.batchOcc, err = r.Histogram("pcsmon_fleet_batch_occupancy_observations",
 		"Observations per delivered mailbox batch.",

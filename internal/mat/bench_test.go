@@ -72,4 +72,31 @@ func BenchmarkMatKernels(b *testing.B) {
 		})
 		_ = sink
 	}
+
+	// The scoring projection at the paper's 53 variables: 20 components
+	// (one sweep of five ymm accumulators) and 23 (padded to 24 lanes).
+	// The generic rows are the scalar loop the kernel falls back to;
+	// MulVec/into over Pᵀ is what ProjectInto runs on hosts without AVX2.
+	for _, comps := range []int{20, 23} {
+		rng := rand.New(rand.NewSource(int64(comps)))
+		lanes := MustNew(53, (comps+3)&^3)
+		for j := 0; j < 53; j++ {
+			copy(lanes.RowView(j), randSlice(rng, comps))
+		}
+		x := randSlice(rng, 53)
+		scores := make([]float64, comps)
+		for _, avx2 := range []bool{true, false} {
+			b.Run(fmt.Sprintf("MulTVec/%s/%dx53", pathName(avx2), comps), func(b *testing.B) {
+				if avx2 && !useAVX2 {
+					b.Skip("CPU has no AVX2")
+				}
+				b.ReportAllocs()
+				withPath(avx2, func() {
+					for i := 0; i < b.N; i++ {
+						_ = MulTVecInto(lanes, x, scores)
+					}
+				})
+			})
+		}
+	}
 }

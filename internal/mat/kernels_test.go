@@ -167,11 +167,17 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		copy(a.RowView(i), randSlice(rng, n))
 	}
 	mv := make([]float64, 8)
+	lanes := MustNew(53, 20)
+	for i := 0; i < 53; i++ {
+		copy(lanes.RowView(i), randSlice(rng, 20))
+	}
+	scores := make([]float64, 20)
 	var sink float64
-	checks := []struct {
+	type check struct {
 		name string
 		fn   func()
-	}{
+	}
+	checks := []check{
 		{"DotUnrolled", func() { sink += DotUnrolled(x, y) }},
 		{"MulVecInto", func() {
 			if err := MulVecInto(a, x, mv); err != nil {
@@ -181,6 +187,15 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"SubDivInto", func() { SubDivInto(dst, x, sub, div) }},
 		{"AxpyInto", func() { AxpyInto(dst, 1.5, x) }},
 		{"FMAInto", func() { FMAInto(dst, 0.99, x, 1.5) }},
+	}
+	for _, avx2 := range mulTVecPaths() {
+		checks = append(checks, check{"MulTVecInto/" + pathName(avx2), func() {
+			withPath(avx2, func() {
+				if err := MulTVecInto(lanes, x[:53], scores); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}})
 	}
 	for _, c := range checks {
 		if got := testing.AllocsPerRun(100, c.fn); got != 0 {

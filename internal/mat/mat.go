@@ -5,7 +5,17 @@
 // The package is intentionally minimal — it implements exactly what
 // PCA-based multivariate statistical process control needs, with no external
 // dependencies. Matrices are small (tens of columns), so clarity and
-// correctness are favoured over blocked/SIMD kernels.
+// correctness come first; the few hot kernels are register-blocked or, for
+// the scoring projection, SIMD, and all of them are bit-identical to their
+// naive loops.
+//
+// MulTVecInto's AVX2 kernel keeps that bit-identity by giving each ymm lane
+// one score: per variable j in ascending order it broadcasts x[j] and adds
+// P[j,c:c+4]·x[j] into the accumulators, so every lane is a single chain in
+// the scalar loop's order and the lanes never mix. It multiplies and then
+// adds (VMULPD, VADDPD), each rounding as the scalar s += p*x does. It uses
+// no FMA: a fused multiply-add rounds once instead of twice and would change
+// bits. CPUs without AVX2 and other architectures run the scalar loops.
 //
 // Error conventions follow the repository style: exported constructors and
 // operations return errors on dimension mismatch; element accessors (At,

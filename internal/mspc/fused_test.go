@@ -2,10 +2,12 @@ package mspc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"pcsmon/internal/mat"
+	"pcsmon/internal/stat"
 )
 
 // refCompute is the fused ComputeInto sweep this package ran before the
@@ -164,6 +166,86 @@ func TestCalibrationStatsMatchRowByRow(t *testing.T) {
 		for i := range wantD {
 			if gotD[i] != wantD[i] || gotQ[i] != wantQ[i] {
 				t.Fatalf("A=%d row %d: D=%v Q=%v, reference D=%v Q=%v", a, i, gotD[i], gotQ[i], wantD[i], wantQ[i])
+			}
+		}
+	}
+}
+
+// fallbackStats scores a preprocessed row the way ProjectInto does on hosts
+// without AVX2: MulVecInto over the transposed loadings, then statsFrom.
+func fallbackStats(t *testing.T, m *Monitor, loadT *mat.Matrix, scaled, scores []float64) Statistics {
+	t.Helper()
+	if err := mat.MulVecInto(loadT, scaled, scores); err != nil {
+		t.Fatal(err)
+	}
+	return m.statsFrom(scaled, scores)
+}
+
+func sameStats(a, b Statistics) bool {
+	return math.Float64bits(a.D) == math.Float64bits(b.D) && math.Float64bits(a.Q) == math.Float64bits(b.Q)
+}
+
+// TestProjectionPathsBitEqual pins the AVX2 projection against the
+// MulVecInto-over-Pᵀ fallback at the paper's shape (the 53-variable
+// monitor BenchmarkComputeInto scores, at A=20 and A=23): every
+// calibration row through ComputeInto, the calibration D/Q series and the
+// 99 % limits (percentile Q99 reads that series) must be bit-equal.
+func TestProjectionPathsBitEqual(t *testing.T) {
+	if !mat.HasAVX2() {
+		t.Log("CPU has no AVX2: ProjectInto runs the MulVecInto fallback only")
+		t.Skip("no AVX2 path to compare")
+	}
+	rng := rand.New(rand.NewSource(64))
+	x := correlatedNormal(rng, 20*53, 53, 3, 0.5)
+	for _, a := range []int{20, 23} {
+		for _, method := range []SPEMethod{SPEJacksonMudholkar, SPEPercentile} {
+			name := fmt.Sprintf("A=%d %v", a, method)
+			m, err := Calibrate(x, WithComponents(a), WithSPEMethod(method))
+			if err != nil {
+				t.Fatalf("%s: Calibrate: %v", name, err)
+			}
+			loadT := m.Model().Loadings().T()
+			scaled := make([]float64, 53)
+			scores := make([]float64, a)
+			for i := 0; i < x.Rows(); i++ {
+				got, err := m.ComputeInto(x.RowView(i), scaled, scores)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := fallbackStats(t, m, loadT, scaled, scores); !sameStats(got, want) {
+					t.Fatalf("%s row %d: ComputeInto %+v, fallback %+v", name, i, got, want)
+				}
+			}
+
+			calScaled, err := m.Scaler().Apply(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calD, calQ := m.CalibrationStats()
+			wantQ := make([]float64, len(calQ))
+			for i := range calD {
+				want := fallbackStats(t, m, loadT, calScaled.RowView(i), scores)
+				if !sameStats(Statistics{D: calD[i], Q: calQ[i]}, want) {
+					t.Fatalf("%s calibration row %d: D=%v Q=%v, fallback %+v", name, i, calD[i], calQ[i], want)
+				}
+				wantQ[i] = want.Q
+			}
+
+			wantD99, err := DLimit(x.Rows(), a, 0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantQ99 float64
+			if method == SPEPercentile {
+				wantQ99, err = stat.Quantile(wantQ, 0.99)
+			} else {
+				wantQ99, err = QLimitJacksonMudholkar(m.Model().ResidualEigenvalues(), 0.99)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lim := m.Limits(); math.Float64bits(lim.D99) != math.Float64bits(wantD99) || math.Float64bits(lim.Q99) != math.Float64bits(wantQ99) {
+				t.Fatalf("%s: D99=%v Q99=%v, fallback D99=%v Q99=%v", name, lim.D99, lim.Q99, wantD99, wantQ99)
 			}
 		}
 	}

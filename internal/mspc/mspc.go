@@ -309,9 +309,11 @@ func (m *Monitor) Compute(row []float64) (Statistics, error) {
 // dimension) receives the preprocessed row, scores (NComponents) the PCA
 // projection. This is the hot-path variant the per-stream detectors use:
 // the row is scaled with mat.SubDivInto, ‖x‖² is one DotUnrolled sweep and
-// the scores come from the model's register-blocked Pᵀ·x (ProjectInto) —
-// zero allocations, bit-identical to Compute (every accumulator still sums
-// in the same ascending-index order as the naive chained implementation).
+// the scores come from the model's Pᵀ·x (ProjectInto: the AVX2
+// mat.MulTVecInto where the CPU has it, else mat.MulVecInto over the cached
+// Pᵀ) — zero allocations, bit-identical to Compute (every accumulator still
+// sums in the same ascending-index order as the naive chained
+// implementation).
 //
 //pcslint:hotpath
 func (m *Monitor) ComputeInto(row, scaled, scores []float64) (Statistics, error) {

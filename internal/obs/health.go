@@ -43,12 +43,13 @@ const (
 // ID returns the unit's stream id.
 func (u *UnitHealth) ID() string { return u.id }
 
-// Observe records one scored observation: last-seen time, the two views'
-// chart statistics and whether the point exceeded a 99 % limit. NaN marks
-// a view as absent this step (its last value is retained).
-func (u *UnitHealth) Observe(now int64, ctrlD, ctrlQ, procD, procQ float64, over bool) {
+// Observe records n scored observations, the latest at now: last-seen
+// time, the two views' latest chart statistics and whether the latest
+// point exceeded a 99 % limit. NaN marks a view as absent from these
+// observations (its last value is retained).
+func (u *UnitHealth) Observe(now int64, n uint64, ctrlD, ctrlQ, procD, procQ float64, over bool) {
 	u.lastSeen.Store(now)
-	u.observations.Add(1)
+	u.observations.Add(n)
 	if !math.IsNaN(ctrlD) {
 		u.ctrlD.Store(math.Float64bits(ctrlD))
 		u.ctrlQ.Store(math.Float64bits(ctrlQ))

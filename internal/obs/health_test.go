@@ -15,7 +15,7 @@ func TestUnitHealthLifecycle(t *testing.T) {
 		t.Fatal("re-attach returned a different handle")
 	}
 	base := time.Now()
-	u.Observe(base.UnixNano(), 1.5, 0.2, 9.5, 3.1, true)
+	u.Observe(base.UnixNano(), 1, 1.5, 0.2, 9.5, 3.1, true)
 	u.SetLimits(8.0, 2.5)
 	u.Alarm(AlarmProc)
 	u.SetGeneration(3)
@@ -40,7 +40,7 @@ func TestUnitHealthLifecycle(t *testing.T) {
 	}
 
 	// NaN views keep the previous value.
-	u.Observe(base.UnixNano(), math.NaN(), math.NaN(), 4.0, 1.0, false)
+	u.Observe(base.UnixNano(), 1, math.NaN(), math.NaN(), 4.0, 1.0, false)
 	st = u.Status(base)
 	if st.CtrlD != 1.5 || st.ProcD != 4.0 {
 		t.Errorf("NaN hold-last broken: ctrl_d=%v proc_d=%v", st.CtrlD, st.ProcD)
@@ -100,7 +100,7 @@ func TestHealthRegistryConcurrent(t *testing.T) {
 			u := h.Attach("unit-" + string(rune('a'+n)))
 			now := time.Now().UnixNano()
 			for k := 0; k < 2000; k++ {
-				u.Observe(now, 1, 2, 3, 4, false)
+				u.Observe(now, 1, 1, 2, 3, 4, false)
 				u.Alarm(AlarmCtrl)
 			}
 		}(i)

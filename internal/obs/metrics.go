@@ -12,7 +12,8 @@
 //   - Recording must be allocation-free and lock-free: the fleet's scoring
 //     path holds a 0 allocs/observation invariant, and instrumentation
 //     rides inside it. Counter.Add, Gauge.Set and Histogram.Observe are a
-//     handful of atomic operations each.
+//     handful of atomic operations each; a HistogramBuffer batches a
+//     histogram's atomics for one goroutine.
 //   - Reading must not perturb recording: exposition walks the registry
 //     under a read lock that registration (setup-time only) takes for
 //     writing; the values themselves are atomic loads.
@@ -96,12 +97,21 @@ type Histogram struct {
 // are small by design (a dozen bounds), and a branchy binary search would
 // cost more than it saves.
 func (h *Histogram) Observe(v float64) {
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// bucket returns the index of v's bucket in counts.
+func (h *Histogram) bucket(v float64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	return i
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -109,6 +119,46 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// HistogramBuffer collects one goroutine's observations of a Histogram
+// and adds them in one Flush: a few atomic adds per flush instead of three
+// per observation, for recorders that work in batches. Observe and Flush
+// must not run concurrently; scrapes see the observations once flushed.
+type HistogramBuffer struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+	n      uint64
+}
+
+// Buffer returns an empty buffer over h.
+func (h *Histogram) Buffer() *HistogramBuffer {
+	return &HistogramBuffer{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one value in the buffer.
+func (b *HistogramBuffer) Observe(v float64) {
+	b.counts[b.h.bucket(v)]++
+	b.sum += v
+	b.n++
+}
+
+// Flush adds the buffered observations to the histogram and empties the
+// buffer.
+func (b *HistogramBuffer) Flush() {
+	if b.n == 0 {
+		return
+	}
+	for i, c := range b.counts {
+		if c != 0 {
+			b.h.counts[i].Add(c)
+			b.counts[i] = 0
+		}
+	}
+	b.h.count.Add(b.n)
+	b.h.addSum(b.sum)
+	b.sum, b.n = 0, 0
 }
 
 // Count returns the number of observations recorded.

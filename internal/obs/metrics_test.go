@@ -139,6 +139,7 @@ func TestRecordingAllocationFree(t *testing.T) {
 	c, _ := r.Counter("pcsmon_alloc_total", "x")
 	g, _ := r.Gauge("pcsmon_alloc_depth", "x")
 	h, _ := r.Histogram("pcsmon_alloc_latency_seconds", "x", ExpBuckets(1e-6, 10, 8))
+	hb := h.Buffer()
 	u := NewHealthRegistry().Attach("unit-000")
 	now := time.Now().UnixNano()
 	if n := testing.AllocsPerRun(200, func() {
@@ -146,10 +147,42 @@ func TestRecordingAllocationFree(t *testing.T) {
 		c.Add(3)
 		g.Set(1.5)
 		h.Observe(2e-4)
-		u.Observe(now, 1, 2, 3, 4, false)
+		hb.Observe(3e-5)
+		hb.Flush()
+		u.Observe(now, 1, 1, 2, 3, 4, false)
 		u.SetGeneration(1)
 	}); n > 0 {
 		t.Errorf("recording allocates %.1f times per op, want 0", n)
+	}
+}
+
+// TestHistogramBufferMatchesObserve pins that a flushed buffer leaves the
+// histogram exactly as observing each value directly would, and that
+// nothing shows before the flush.
+func TestHistogramBufferMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1, 2, 4, 8}
+	direct, _ := r.Histogram("pcsmon_direct_latency_seconds", "x", bounds)
+	buffered, _ := r.Histogram("pcsmon_buffered_latency_seconds", "x", bounds)
+	b := buffered.Buffer()
+	for round := 0; round < 3; round++ {
+		for _, v := range []float64{0.5, 1, 1.5, 3, 3, 7, 8, 9, 100} {
+			direct.Observe(v)
+			b.Observe(v)
+		}
+		if buffered.Count() != uint64(9*round) {
+			t.Fatalf("round %d: count %d before Flush, want %d", round, buffered.Count(), 9*round)
+		}
+		b.Flush()
+		b.Flush() // an empty flush adds nothing
+		if buffered.Count() != direct.Count() || buffered.Sum() != direct.Sum() {
+			t.Fatalf("round %d: count/sum %d/%v, direct %d/%v", round, buffered.Count(), buffered.Sum(), direct.Count(), direct.Sum())
+		}
+		for i := range direct.counts {
+			if got, want := buffered.counts[i].Load(), direct.counts[i].Load(); got != want {
+				t.Fatalf("round %d bucket %d: %d, direct %d", round, i, got, want)
+			}
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestEndpoints(t *testing.T) {
 	}
 	c.Add(9)
 	health := obs.NewHealthRegistry()
-	health.Attach("unit-1").Observe(time.Now().UnixNano(), 1, 2, 3, 4, false)
+	health.Attach("unit-1").Observe(time.Now().UnixNano(), 1, 1, 2, 3, 4, false)
 
 	s, err := Start("127.0.0.1:0", Options{
 		Metrics: reg,

@@ -30,7 +30,8 @@ var (
 // Model is a fitted PCA model.
 type Model struct {
 	loadings  *mat.Matrix // M×A loading matrix P
-	loadingsT *mat.Matrix // A×M transpose Pᵀ: the projection t = Pᵀ·x
+	loadingsT *mat.Matrix // A×M transpose Pᵀ: the scalar projection t = Pᵀ·x
+	lanes     *mat.Matrix // M×A4 copy of P, A4 = A rounded up to 4, zero-padded: the AVX2 projection
 	eigvals   []float64   // variances of the A retained score directions
 	allEig    []float64   // full spectrum (length M), descending
 	nobs      int         // calibration observations
@@ -121,9 +122,14 @@ func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
 			loadings.Set(i, j, vecs.At(i, j))
 		}
 	}
+	lanes := mat.MustNew(m, (a+3)&^3)
+	for i := 0; i < m; i++ {
+		copy(lanes.RowView(i), loadings.RowView(i))
+	}
 	return &Model{
 		loadings:  loadings,
 		loadingsT: loadings.T(),
+		lanes:     lanes,
 		eigvals:   append([]float64(nil), eig[:a]...),
 		allEig:    eig,
 		nobs:      n,
@@ -227,8 +233,10 @@ func (m *Model) Project(row []float64) ([]float64, error) {
 // ProjectInto is Project with a caller-provided destination of length
 // NComponents — the allocation-free hot-path variant.
 //
-// It multiplies by the cached Pᵀ with mat.MulVecInto, so each score is one
-// dot product over the variables in ascending order, bit-identical to the
+// On AVX2 hosts it runs mat.MulTVecInto over P, padded at fit time to a
+// multiple of 4 columns so every score sits in a whole ymm lane; elsewhere
+// it multiplies by the cached Pᵀ with mat.MulVecInto. Either way each score
+// is one chain over the variables in ascending order, bit-identical to the
 // naive column loop.
 func (m *Model) ProjectInto(row, dst []float64) error {
 	if len(row) != m.nvars {
@@ -236,6 +244,9 @@ func (m *Model) ProjectInto(row, dst []float64) error {
 	}
 	if len(dst) != m.NComponents() {
 		return fmt.Errorf("pca: Project dst len %d != %d components: %w", len(dst), m.NComponents(), ErrBadInput)
+	}
+	if mat.HasAVX2() {
+		return mat.MulTVecInto(m.lanes, row, dst)
 	}
 	return mat.MulVecInto(m.loadingsT, row, dst)
 }
