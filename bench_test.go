@@ -555,11 +555,11 @@ func BenchmarkFieldbusRoundTrip(b *testing.B) {
 	f := &fieldbus.Frame{Type: fieldbus.FrameSensor, Seq: 1, Values: values}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := f.Marshal()
+		data, err := f.MarshalTo(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fieldbus.Unmarshal(data); err != nil {
+		if err := (&fieldbus.Frame{}).UnmarshalInto(data); err != nil {
 			b.Fatal(err)
 		}
 	}

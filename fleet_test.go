@@ -91,9 +91,9 @@ func TestFleetFacadeLifecycle(t *testing.T) {
 		}
 	}()
 
-	row := make([]float64, pcsmon.NumVars)
-	copy(row, l.Template.BaseXMEAS())
-	copy(row[len(l.Template.BaseXMEAS()):], l.Template.BaseXMV())
+	// The calibration mean is the steady operating point.
+	_, means, _ := l.System.CalibrationMoments()
+	row := append([]float64(nil), means...)
 	if err := f.Attach("steady", 0); err != nil {
 		t.Fatal(err)
 	}

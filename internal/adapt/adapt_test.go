@@ -142,8 +142,8 @@ func TestTrackerLearnsAndSwaps(t *testing.T) {
 			t.Errorf("swap carries degenerate limits: %+v", s)
 		}
 	}
-	if a.Generation() != st.Generation {
-		t.Errorf("stream on generation %d, tracker at %d", a.Generation(), st.Generation)
+	if a.gen != st.Generation {
+		t.Errorf("stream on generation %d, tracker at %d", a.gen, st.Generation)
 	}
 	rep, err := a.Finish()
 	if err != nil {

@@ -95,10 +95,6 @@ func (a *Analyzer) Push(ctrl, proc []float64) (core.StepResult, error) {
 // Finish closes the stream and returns the classified report (idempotent).
 func (a *Analyzer) Finish() (*core.Report, error) { return a.oa.Finish() }
 
-// Generation returns the model generation the stream is currently scored
-// against.
-func (a *Analyzer) Generation() uint64 { return a.gen }
-
 // The read-only stream queries delegate to the wrapped analyzer, so the
 // scenario runner can drive frozen and adaptive streams through one code
 // path.

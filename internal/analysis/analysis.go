@@ -3,7 +3,9 @@
 // module and proves the project invariants the test suite otherwise only
 // checks at runtime — the zero-allocation hot paths, the
 // no-callbacks-under-locks rule, capture-clock discipline, ErrBadConfig
-// wrapping on validation paths and the pcsmon_ metric naming convention.
+// wrapping on validation paths and the pcsmon_ metric naming convention —
+// plus one it cannot check at all: no exported internal/ name is kept
+// alive only by tests (dead-export).
 //
 // Each invariant is one Analyzer. Findings are reported as
 // "file:line: analyzer: message" by cmd/pcslint, and deliberate exceptions
@@ -29,6 +31,7 @@ const (
 	ClockName        = "clock-discipline"
 	ErrWrapName      = "errbadconfig"
 	MetricNamesName  = "metric-names"
+	DeadExportName   = "dead-export"
 )
 
 // Finding is one diagnostic: a position, the analyzer that produced it and
@@ -63,6 +66,7 @@ func All() []Analyzer {
 		&ClockAnalyzer{},
 		&ErrWrapAnalyzer{},
 		&MetricNamesAnalyzer{},
+		&DeadExportAnalyzer{},
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,7 +29,8 @@ type Package struct {
 	Types     *types.Package
 	Info      *types.Info
 
-	imports []string // module-local import paths (load ordering)
+	imports  []string // import paths (load ordering)
+	referrer bool     // declared by a nested referrer module
 }
 
 // Module is a fully loaded module: every non-test package, parsed with
@@ -36,13 +38,21 @@ type Package struct {
 // resolved through compiler export data (`go list -export`), so the loader
 // needs only the go toolchain already required to build the module — no
 // x/tools, no third-party loader.
+//
+// A nested module whose go.mod replaces this module's path with its root
+// (`replace pcsmon => ../`) can import the module's internal packages, so
+// its non-test packages are loaded too, as Referrers: their references
+// count toward keeping exported names alive, but no analyzer reports on
+// them.
 type Module struct {
-	Path     string // module path from go.mod
-	Dir      string // module root (directory containing go.mod)
-	Fset     *token.FileSet
-	Packages []*Package // dependency order: imports precede importers
+	Path      string // module path from go.mod
+	Dir       string // module root (directory containing go.mod)
+	Fset      *token.FileSet
+	Packages  []*Package // dependency order: imports precede importers
+	Referrers []*Package // nested replace-module packages, dependency order
 
 	byPath map[string]*Package
+	nested []string // roots of the nested referrer modules
 	funcs  map[*types.Func]*FuncSource
 }
 
@@ -52,9 +62,6 @@ type FuncSource struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 }
-
-// Lookup returns the module package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // FuncDecl returns the syntax of a function object declared in the module,
 // or nil when the object is foreign (stdlib), interface-abstract or
@@ -82,12 +89,26 @@ func LoadModule(dir string) (*Module, error) {
 		byPath: make(map[string]*Package),
 		funcs:  make(map[*types.Func]*FuncSource),
 	}
-	if err := m.discover(); err != nil {
+	if err := m.discover(m.Dir, m.Path, false); err != nil {
 		return nil, err
 	}
 	exports, err := exportData(dir)
 	if err != nil {
 		return nil, err
+	}
+	for _, nd := range m.nested {
+		nestedPath, err := modulePath(filepath.Join(nd, "go.mod"))
+		if err != nil {
+			return nil, err
+		}
+		if err := m.discover(nd, nestedPath, true); err != nil {
+			return nil, err
+		}
+		more, err := exportData(nd)
+		if err != nil {
+			return nil, err
+		}
+		maps.Copy(exports, more)
 	}
 	if err := m.typecheck(exports); err != nil {
 		return nil, err
@@ -105,11 +126,7 @@ func modulePath(gomod string) (string, error) {
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			p := strings.TrimSpace(rest)
-			if unq, err := strconv.Unquote(p); err == nil {
-				p = unq
-			}
-			if p != "" {
+			if p := unquote(strings.TrimSpace(rest)); p != "" {
 				return p, nil
 			}
 		}
@@ -117,9 +134,46 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module line in %s", gomod)
 }
 
-// discover walks the module tree, parsing every buildable non-test package.
-func (m *Module) discover() error {
-	return filepath.WalkDir(m.Dir, func(path string, d fs.DirEntry, err error) error {
+func unquote(s string) string {
+	if unq, err := strconv.Unquote(s); err == nil {
+		return unq
+	}
+	return s
+}
+
+// replacesRoot reports whether the go.mod in dir replaces the module path
+// with the module root directory, in a single-line or block replace.
+func (m *Module) replacesRoot(dir string) bool {
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		old, target, ok := strings.Cut(line, "=>")
+		if !ok {
+			continue
+		}
+		oldFields := strings.Fields(strings.TrimPrefix(strings.TrimSpace(old), "replace"))
+		targetFields := strings.Fields(target)
+		if len(oldFields) == 0 || len(targetFields) != 1 || unquote(oldFields[0]) != m.Path {
+			continue
+		}
+		t := unquote(targetFields[0])
+		if !filepath.IsAbs(t) {
+			t = filepath.Join(dir, t)
+		}
+		if filepath.Clean(t) == m.Dir {
+			return true
+		}
+	}
+	return false
+}
+
+// discover walks one module tree rooted at root, parsing every buildable
+// non-test package. Walking the main module records nested modules that
+// replace it for loading as referrers; other nested modules are skipped.
+func (m *Module) discover(root, modPath string, referrer bool) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -127,22 +181,25 @@ func (m *Module) discover() error {
 			return nil
 		}
 		name := d.Name()
-		if path != m.Dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		if path != m.Dir {
+		if path != root {
 			// A nested module is not part of this one.
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				if !referrer && m.replacesRoot(path) {
+					m.nested = append(m.nested, path)
+				}
 				return filepath.SkipDir
 			}
 		}
-		return m.loadDir(path)
+		return m.loadDir(path, root, modPath, referrer)
 	})
 }
 
 // loadDir parses the buildable files of one directory, if it holds any.
-func (m *Module) loadDir(dir string) error {
+func (m *Module) loadDir(dir, root, modPath string, referrer bool) error {
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		if _, ok := err.(*build.NoGoError); ok {
@@ -150,15 +207,15 @@ func (m *Module) loadDir(dir string) error {
 		}
 		return fmt.Errorf("analysis: %s: %w", dir, err)
 	}
-	rel, err := filepath.Rel(m.Dir, dir)
+	rel, err := filepath.Rel(root, dir)
 	if err != nil {
 		return fmt.Errorf("analysis: %w", err)
 	}
-	ipath := m.Path
+	ipath := modPath
 	if rel != "." {
-		ipath = m.Path + "/" + filepath.ToSlash(rel)
+		ipath = modPath + "/" + filepath.ToSlash(rel)
 	}
-	pkg := &Package{Path: ipath, Dir: dir}
+	pkg := &Package{Path: ipath, Dir: dir, referrer: referrer}
 	seen := make(map[string]bool)
 	sort.Strings(bp.GoFiles)
 	for _, f := range bp.GoFiles {
@@ -174,13 +231,17 @@ func (m *Module) loadDir(dir string) error {
 			if err != nil {
 				continue
 			}
-			if (p == m.Path || strings.HasPrefix(p, m.Path+"/")) && !seen[p] {
+			if !seen[p] {
 				seen[p] = true
 				pkg.imports = append(pkg.imports, p)
 			}
 		}
 	}
-	m.Packages = append(m.Packages, pkg)
+	if referrer {
+		m.Referrers = append(m.Referrers, pkg)
+	} else {
+		m.Packages = append(m.Packages, pkg)
+	}
 	m.byPath[ipath] = pkg
 	return nil
 }
@@ -261,14 +322,27 @@ func (m *Module) typecheck(exports map[string]string) error {
 		pkg.Types = tpkg
 		pkg.Info = info
 	}
-	m.Packages = order
+	m.Packages, m.Referrers = nil, nil
+	for _, pkg := range order {
+		if pkg.referrer {
+			m.Referrers = append(m.Referrers, pkg)
+		} else {
+			m.Packages = append(m.Packages, pkg)
+		}
+	}
 	return nil
 }
 
-// depOrder topologically sorts packages so module-local imports are checked
-// before their importers.
+// allPackages returns the module's packages followed by its referrers'.
+func (m *Module) allPackages() []*Package {
+	return append(append([]*Package(nil), m.Packages...), m.Referrers...)
+}
+
+// depOrder topologically sorts the module and referrer packages so loaded
+// imports are checked before their importers.
 func (m *Module) depOrder() ([]*Package, error) {
-	sort.Slice(m.Packages, func(i, j int) bool { return m.Packages[i].Path < m.Packages[j].Path })
+	all := m.allPackages()
+	sort.Slice(all, func(i, j int) bool { return all[i].Path < all[j].Path })
 	const (
 		unvisited = 0
 		visiting  = 1
@@ -296,7 +370,7 @@ func (m *Module) depOrder() ([]*Package, error) {
 		order = append(order, p)
 		return nil
 	}
-	for _, p := range m.Packages {
+	for _, p := range all {
 		if err := visit(p); err != nil {
 			return nil, err
 		}

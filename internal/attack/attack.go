@@ -176,17 +176,6 @@ func NewInjector(direction Direction, specs []Spec) (*Injector, error) {
 	return inj, nil
 }
 
-// Active reports whether any attack on this injector's direction is active
-// at the given simulation hour.
-func (inj *Injector) Active(hour float64) bool {
-	for _, s := range inj.specs {
-		if inWindow(s, hour) {
-			return true
-		}
-	}
-	return false
-}
-
 func inWindow(s Spec, hour float64) bool {
 	if hour < s.StartHour {
 		return false

@@ -42,7 +42,7 @@ func TestIntegrityAttackWindow(t *testing.T) {
 	if v[1] != 20 {
 		t.Errorf("pre-attack value = %g, want 20", v[1])
 	}
-	if inj.Active(0.5) {
+	if inj.active[1] {
 		t.Error("Active before window")
 	}
 	// Inside: forged to 0.
@@ -53,7 +53,7 @@ func TestIntegrityAttackWindow(t *testing.T) {
 	if v[0] != 10 || v[2] != 30 {
 		t.Error("other channels must be untouched")
 	}
-	if !inj.Active(1.5) {
+	if !inj.active[1] {
 		t.Error("Active inside window")
 	}
 	// After: untouched again.

@@ -6,10 +6,10 @@
 // internal/fleet uses for workers inside one process to nodes across
 // processes, but swaps modulo placement for rendezvous (highest random
 // weight) hashing: each (node, unit) pair gets a deterministic FNV-1a
-// score and the unit lives on the highest-scoring node. Adding or
-// removing a node then moves only the units whose top score changed —
-// 1/N of the fleet on average — instead of reshuffling nearly everything
-// the way `hash % N` does.
+// score and the unit lives on the highest-scoring node. Adding a node then
+// moves only the units whose top score changed — 1/N of the fleet on
+// average — instead of reshuffling nearly everything the way `hash % N`
+// does.
 //
 // The Table is pure assignment arithmetic (deterministic, no I/O); the
 // Router binds a Table to per-node frame sinks so an ingest edge can
@@ -30,7 +30,7 @@ import (
 var (
 	// ErrBadNode is returned for empty/duplicate node names or an empty table.
 	ErrBadNode = errors.New("router: bad node")
-	// ErrUnknownNode is returned when removing or routing to an absent node.
+	// ErrUnknownNode is returned when routing to a node without a sink.
 	ErrUnknownNode = errors.New("router: unknown node")
 )
 
@@ -97,20 +97,6 @@ func (t *Table) Owner(unit uint8) string {
 	return t.owner[unit]
 }
 
-// Assignments returns the full unit→node map of the current membership —
-// the audit view a two-node deployment compares against its config.
-func (t *Table) Assignments() map[uint8]string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	m := make(map[uint8]string, 256)
-	for u := 0; u < 256; u++ {
-		if t.owner[u] != "" {
-			m[uint8(u)] = t.owner[u]
-		}
-	}
-	return m
-}
-
 // Add joins a node and returns the units that moved to it — the set the
 // operator must drain on their old owners before cutting traffic over.
 // Rendezvous hashing guarantees movement is only *onto* the new node.
@@ -127,21 +113,6 @@ func (t *Table) Add(node string) ([]uint8, error) {
 	}
 	t.nodes = append(t.nodes, node)
 	return t.rebuild(), nil
-}
-
-// Remove evicts a node and returns the units that moved off it, each now
-// owned by its next-highest-scoring survivor. Units on other nodes do not
-// move at all.
-func (t *Table) Remove(node string) ([]uint8, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, n := range t.nodes {
-		if n == node {
-			t.nodes = append(t.nodes[:i], t.nodes[i+1:]...)
-			return t.rebuild(), nil
-		}
-	}
-	return nil, fmt.Errorf("node %q: %w", node, ErrUnknownNode)
 }
 
 // rebuild recomputes the owner cache under t.mu, returning the units
@@ -171,9 +142,7 @@ type Sink func(f *fieldbus.Frame) error
 // concurrent use; sinks must be too.
 type Router struct {
 	table *Table
-
-	mu    sync.RWMutex
-	sinks map[string]Sink
+	sinks map[string]Sink // fixed at construction
 
 	forwarded atomic.Uint64
 	unrouted  atomic.Uint64
@@ -194,29 +163,12 @@ func NewRouter(table *Table, sinks map[string]Sink) (*Router, error) {
 	return r, nil
 }
 
-// Table returns the router's assignment table (shared, live).
-func (r *Router) Table() *Table { return r.table }
-
-// SetSink installs or replaces a node's sink — the membership-change hook
-// that accompanies Table.Add/Remove.
-func (r *Router) SetSink(node string, s Sink) error {
-	if node == "" || s == nil {
-		return fmt.Errorf("node %q: %w", node, ErrBadNode)
-	}
-	r.mu.Lock()
-	r.sinks[node] = s
-	r.mu.Unlock()
-	return nil
-}
-
 // Route forwards one frame to the owner of its unit. A frame whose owner
 // has no sink (membership changed under us) is counted as unrouted and
 // dropped — the caller's retention story, not the router's.
 func (r *Router) Route(f *fieldbus.Frame) error {
 	owner := r.table.Owner(f.Unit)
-	r.mu.RLock()
 	sink := r.sinks[owner]
-	r.mu.RUnlock()
 	if sink == nil {
 		r.unrouted.Add(1)
 		return fmt.Errorf("unit %d owner %q has no sink: %w", f.Unit, owner, ErrUnknownNode)

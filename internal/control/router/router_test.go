@@ -35,8 +35,14 @@ func TestOwnerDeterministicAndTotal(t *testing.T) {
 			t.Errorf("node %s owns %d of 256 units — distribution broken: %v", n, c, counts)
 		}
 	}
-	if got := len(a.Assignments()); got != 256 {
-		t.Errorf("Assignments() covers %d units, want 256", got)
+	got := 0
+	for _, o := range a.owner {
+		if o != "" {
+			got++
+		}
+	}
+	if got != 256 {
+		t.Errorf("owner table covers %d units, want 256", got)
 	}
 }
 
@@ -45,7 +51,7 @@ func TestMembershipChangeMovesMinimally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := tb.Assignments()
+	before := tb.owner // array copy: the assignment before the change
 
 	moved, err := tb.Add("node-c")
 	if err != nil {
@@ -69,20 +75,6 @@ func TestMembershipChangeMovesMinimally(t *testing.T) {
 	if len(moved) == 0 || len(moved) > 160 {
 		t.Errorf("adding a third node moved %d units, want roughly a third of 256", len(moved))
 	}
-
-	// Removing it moves exactly those units back to their previous owners.
-	after, err := tb.Remove("node-c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(moved) {
-		t.Errorf("remove moved %d units, add moved %d — should be symmetric", len(after), len(moved))
-	}
-	for u := 0; u < 256; u++ {
-		if tb.Owner(uint8(u)) != before[uint8(u)] {
-			t.Errorf("unit %d: %q after add+remove, want original %q", u, tb.Owner(uint8(u)), before[uint8(u)])
-		}
-	}
 }
 
 func TestTableValidation(t *testing.T) {
@@ -92,9 +84,6 @@ func TestTableValidation(t *testing.T) {
 	}
 	if _, err := tb.Add("a"); !errors.Is(err, ErrBadNode) {
 		t.Errorf("duplicate node: %v, want ErrBadNode", err)
-	}
-	if _, err := tb.Remove("ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("remove unknown: %v, want ErrUnknownNode", err)
 	}
 	if o := (&Table{}).Owner(3); o != "" {
 		t.Errorf("empty table owner = %q, want \"\"", o)
@@ -163,9 +152,5 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(tb, map[string]Sink{"a": nil}); !errors.Is(err, ErrBadNode) {
 		t.Errorf("nil sink: %v", err)
-	}
-	r, _ := NewRouter(tb, map[string]Sink{"a": func(*fieldbus.Frame) error { return nil }})
-	if err := r.SetSink("", nil); !errors.Is(err, ErrBadNode) {
-		t.Errorf("SetSink empty: %v", err)
 	}
 }

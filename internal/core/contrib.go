@@ -130,6 +130,8 @@ func (s *System) ContributeInto(rows [][]float64, cs *ContribScratch) (*Contribu
 
 // Contribute computes contribution profiles for a group of observations in
 // engineering units.
+//
+//pcslint:ignore dead-export -- oracle: TestContributeIntoMatchesContributeExact checks ContributeInto against it
 func (s *System) Contribute(rows [][]float64) (*Contributions, error) {
 	if s == nil || s.monitor == nil {
 		return nil, ErrNotCalibrated
@@ -189,10 +191,14 @@ func (s *System) Contribute(rows [][]float64) (*Contributions, error) {
 
 // TopD returns the indices of the largest positive D contributions, in
 // decreasing order, up to n entries.
+//
+//pcslint:ignore dead-export -- ROADMAP item 4 puts the top-k variables into the unit report
 func (c *Contributions) TopD(n int) []int { return topPositive(c.D, n) }
 
 // TopQ returns the indices of the largest |Q| contributions, in decreasing
 // order, up to n entries.
+//
+//pcslint:ignore dead-export -- ROADMAP item 4 puts the top-k variables into the unit report
 func (c *Contributions) TopQ(n int) []int {
 	idx := make([]int, len(c.Q))
 	for i := range idx {

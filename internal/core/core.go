@@ -557,44 +557,6 @@ func unionInts(a, b []int) []int {
 	return out
 }
 
-// CrossViewCheck is the extension the paper's discussion motivates: a
-// direct sample-wise comparison of the two views. It returns the
-// observation columns whose views diverge by more than tol calibration
-// standard deviations on average over the window [from, to). Any divergence
-// at all proves a forged channel — an attacker must forge both the
-// manipulated variable and the associated measurement to evade it.
-func (s *System) CrossViewCheck(ctrl, proc *dataset.Dataset, from, to int, tol float64) ([]int, error) {
-	if s == nil || s.monitor == nil {
-		return nil, ErrNotCalibrated
-	}
-	if ctrl == nil || proc == nil || ctrl.Rows() != proc.Rows() {
-		return nil, fmt.Errorf("core: views of different lengths: %w", ErrBadInput)
-	}
-	if from < 0 || to > ctrl.Rows() || from >= to {
-		return nil, fmt.Errorf("core: window [%d,%d) of %d rows: %w", from, to, ctrl.Rows(), ErrBadInput)
-	}
-	if tol <= 0 {
-		tol = 3
-	}
-	stds := s.monitor.Scaler().Stds()
-	m := ctrl.Cols()
-	acc := make([]float64, m)
-	for i := from; i < to; i++ {
-		cr, pr := ctrl.RowView(i), proc.RowView(i)
-		for j := 0; j < m; j++ {
-			acc[j] += math.Abs(cr[j] - pr[j])
-		}
-	}
-	n := float64(to - from)
-	var out []int
-	for j := 0; j < m; j++ {
-		if acc[j]/n > tol*stds[j] {
-			out = append(out, j)
-		}
-	}
-	return out, nil
-}
-
 // ChartSeries extracts the D and Q statistic series of one view for
 // plotting (the paper's Figure 1-style control charts).
 func (s *System) ChartSeries(view *dataset.Dataset) (d, q []float64, limits mspc.Limits, err error) {

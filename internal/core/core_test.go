@@ -289,41 +289,6 @@ func TestClassifyProfilesRules(t *testing.T) {
 	})
 }
 
-func TestCrossViewCheckFindsForgedChannel(t *testing.T) {
-	f := newSynthFixture(t, 106)
-	cd, pd := f.viewsWithShift(t, 50, 50, map[int]float64{7: -8}, nil)
-	cols, err := f.sys.CrossViewCheck(cd, pd, 50, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 1 || cols[0] != 7 {
-		t.Errorf("diverging cols = %v, want [7]", cols)
-	}
-	// No divergence in the clean window.
-	cols, err = f.sys.CrossViewCheck(cd, pd, 0, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 0 {
-		t.Errorf("clean window flagged %v", cols)
-	}
-}
-
-func TestCrossViewCheckValidation(t *testing.T) {
-	f := newSynthFixture(t, 107)
-	cd, pd := f.viewsWithShift(t, 10, 0, nil, nil)
-	if _, err := f.sys.CrossViewCheck(cd, pd, 5, 2, 3); !errors.Is(err, ErrBadInput) {
-		t.Errorf("bad window: want ErrBadInput, got %v", err)
-	}
-	short, err := dataset.New(historian.VarNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.sys.CrossViewCheck(cd, short, 0, 5, 3); !errors.Is(err, ErrBadInput) {
-		t.Errorf("length mismatch: want ErrBadInput, got %v", err)
-	}
-}
-
 func TestChartSeries(t *testing.T) {
 	f := newSynthFixture(t, 108)
 	cd, _ := f.viewsWithShift(t, 200, 0, nil, nil)

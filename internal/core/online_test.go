@@ -113,9 +113,14 @@ func TestOnlineUnequalViews(t *testing.T) {
 	f := newSynthFixture(t, 212)
 	shift := map[int]float64{te.XmeasAFeed: -12}
 	cd, pd := f.viewsWithShift(t, 100, 60, shift, shift)
-	short, err := pd.Slice(0, 130)
+	short, err := dataset.New(historian.VarNames())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 130; i++ {
+		if err := short.Append(pd.RowView(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	batch, err := f.sys.AnalyzeViews(cd, short, 100, time.Second)
 	if err != nil {

@@ -42,11 +42,6 @@ func New(names []string) (*Dataset, error) {
 	return &Dataset{names: append([]string(nil), names...)}, nil
 }
 
-// Names returns a copy of the column names.
-func (d *Dataset) Names() []string {
-	return append([]string(nil), d.names...)
-}
-
 // Cols returns the number of columns.
 func (d *Dataset) Cols() int { return len(d.names) }
 
@@ -78,19 +73,6 @@ func (d *Dataset) Matrix() (*mat.Matrix, error) {
 		return nil, ErrEmpty
 	}
 	return mat.FromRows(d.rows)
-}
-
-// Slice returns a new dataset containing rows [from, to).
-func (d *Dataset) Slice(from, to int) (*Dataset, error) {
-	if from < 0 || to > len(d.rows) || from > to {
-		return nil, fmt.Errorf("dataset: slice [%d,%d) of %d rows: %w", from, to, len(d.rows), ErrBadInput)
-	}
-	out := &Dataset{names: d.names}
-	out.rows = make([][]float64, 0, to-from)
-	for i := from; i < to; i++ {
-		out.rows = append(out.rows, append([]float64(nil), d.rows[i]...))
-	}
-	return out, nil
 }
 
 // WriteCSV writes the dataset with a header row.

@@ -62,13 +62,8 @@ func TestNamesCopied(t *testing.T) {
 	names := []string{"a", "b"}
 	d, _ := New(names)
 	names[0] = "zzz"
-	if d.Names()[0] != "a" {
+	if d.names[0] != "a" {
 		t.Error("New aliased names slice")
-	}
-	got := d.Names()
-	got[1] = "zzz"
-	if d.Names()[1] != "b" {
-		t.Error("Names returned aliasing slice")
 	}
 }
 
@@ -85,31 +80,6 @@ func TestMatrixConversion(t *testing.T) {
 	}
 	if m.At(1, 1) != 4 {
 		t.Errorf("matrix(1,1) = %g", m.At(1, 1))
-	}
-}
-
-func TestSlice(t *testing.T) {
-	d, _ := New([]string{"a"})
-	for i := 0; i < 10; i++ {
-		_ = d.Append([]float64{float64(i)})
-	}
-	s, err := d.Slice(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows() != 3 || s.RowView(0)[0] != 3 || s.RowView(2)[0] != 5 {
-		t.Errorf("slice contents wrong")
-	}
-	// Slice is a copy.
-	s.RowView(0)[0] = 99
-	if d.RowView(3)[0] != 3 {
-		t.Error("Slice aliased parent")
-	}
-	if _, err := d.Slice(6, 3); !errors.Is(err, ErrBadInput) {
-		t.Errorf("inverted: want ErrBadInput, got %v", err)
-	}
-	if _, err := d.Slice(0, 99); !errors.Is(err, ErrBadInput) {
-		t.Errorf("overflow: want ErrBadInput, got %v", err)
 	}
 }
 
@@ -137,7 +107,7 @@ func TestCSVRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if back.Names()[2] != "z" {
+	if back.names[2] != "z" {
 		t.Error("names lost in round trip")
 	}
 }
@@ -258,7 +228,7 @@ func checkMatchesReference(t *testing.T, in string) {
 	if err != nil {
 		return
 	}
-	if got := d.Names(); !reflect.DeepEqual(got, names) {
+	if got := d.names; !reflect.DeepEqual(got, names) {
 		t.Fatalf("%.80q: names %q, reference %q", in, got, names)
 	}
 	if d.Rows() != len(rows) {

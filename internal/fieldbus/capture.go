@@ -17,7 +17,7 @@ import (
 //	record:  8 bytes big-endian uint64 — monotonic timestamp, nanoseconds
 //	         since the capture's first frame (nondecreasing)
 //	         4 bytes big-endian uint32 — frame length in bytes
-//	         frame bytes — the Marshal() encoding, CRC-32 trailer included
+//	         frame bytes — the MarshalTo encoding, CRC-32 trailer included
 //
 // Timestamps are monotonic offsets, not wall-clock times: a capture is a
 // relative timeline, so replay maps it onto any clock at any speed-up and
@@ -60,10 +60,7 @@ type CaptureWriter struct {
 	bw      *bufio.Writer
 	scratch []byte
 	hdr     [captureRecHeader]byte
-	start   time.Time
-	started bool
 	last    time.Duration
-	frames  uint64
 }
 
 // NewCaptureWriter writes the capture header to w and returns the writer.
@@ -106,26 +103,8 @@ func (cw *CaptureWriter) WriteAt(f *Frame, at time.Duration) error {
 	if _, err := cw.bw.Write(data); err != nil {
 		return fmt.Errorf("fieldbus: write capture record: %w", err)
 	}
-	cw.frames++
 	return nil
 }
-
-// Record appends one frame stamped with the monotonic time elapsed since
-// the first Record call (which defines the capture's zero) — the live
-// recording entry point.
-func (cw *CaptureWriter) Record(f *Frame) error {
-	if !cw.started {
-		cw.start = time.Now()
-		cw.started = true
-	}
-	return cw.WriteAt(f, time.Since(cw.start))
-}
-
-// Frames returns the number of records written so far.
-func (cw *CaptureWriter) Frames() uint64 { return cw.frames }
-
-// Span returns the timestamp of the last record — the capture's duration.
-func (cw *CaptureWriter) Span() time.Duration { return cw.last }
 
 // Flush writes buffered records through to the underlying writer.
 func (cw *CaptureWriter) Flush() error {
@@ -141,12 +120,11 @@ func (cw *CaptureWriter) Flush() error {
 // damage, the codec's own errors for frame-level corruption); a clean end
 // of file yields io.EOF.
 type CaptureReader struct {
-	r      io.Reader
-	frame  Frame
-	data   []byte
-	hdr    [captureRecHeader]byte
-	last   time.Duration
-	frames uint64
+	r     io.Reader
+	frame Frame
+	data  []byte
+	hdr   [captureRecHeader]byte
+	last  time.Duration
 }
 
 // NewCaptureReader validates the capture header of r. Pass a buffered
@@ -199,9 +177,5 @@ func (cr *CaptureReader) Next() (time.Duration, *Frame, error) {
 		return 0, nil, err // the codec's typed corruption errors
 	}
 	cr.last = ts
-	cr.frames++
 	return ts, &cr.frame, nil
 }
-
-// Frames returns the number of records read so far.
-func (cr *CaptureReader) Frames() uint64 { return cr.frames }

@@ -3,6 +3,7 @@ package fieldbus
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,13 +12,28 @@ import (
 	"time"
 )
 
+// unmarshal decodes data into a fresh frame.
+func unmarshal(data []byte) (*Frame, error) {
+	f := &Frame{}
+	if err := f.UnmarshalInto(data); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeFrame writes one length-prefixed frame through a fresh scratch.
+func writeFrame(w io.Writer, f *Frame) error {
+	_, err := WriteFrameBuf(w, f, nil)
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	f := &Frame{Type: FrameSensor, Unit: 7, Seq: 42, Values: []float64{1.5, -2.25, 0, math.Pi}}
-	data, err := f.Marshal()
+	data, err := f.MarshalTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +64,14 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		for i := range f.Values {
 			f.Values[i] = rng.NormFloat64() * 1e6
 		}
-		data, err := f.Marshal()
+		data, err := f.MarshalTo(nil)
 		if err != nil {
 			return false
 		}
 		if len(data) != EncodedSize(n) {
 			return false
 		}
-		got, err := Unmarshal(data)
+		got, err := unmarshal(data)
 		if err != nil {
 			return false
 		}
@@ -72,41 +88,41 @@ func TestFrameRoundTripProperty(t *testing.T) {
 }
 
 func TestMarshalRejectsBadFrames(t *testing.T) {
-	if _, err := (&Frame{Type: 9, Values: []float64{1}}).Marshal(); !errors.Is(err, ErrBadFrame) {
+	if _, err := (&Frame{Type: 9, Values: []float64{1}}).MarshalTo(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad type: want ErrBadFrame, got %v", err)
 	}
-	if _, err := (&Frame{Type: FrameSensor}).Marshal(); !errors.Is(err, ErrBadFrame) {
+	if _, err := (&Frame{Type: FrameSensor}).MarshalTo(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("empty values: want ErrBadFrame, got %v", err)
 	}
-	if _, err := (&Frame{Type: FrameSensor, Values: make([]float64, MaxValues+1)}).Marshal(); !errors.Is(err, ErrBadFrame) {
+	if _, err := (&Frame{Type: FrameSensor, Values: make([]float64, MaxValues+1)}).MarshalTo(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("too many values: want ErrBadFrame, got %v", err)
 	}
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	f := &Frame{Type: FrameActuator, Values: []float64{1, 2, 3}}
-	data, err := f.Marshal()
+	data, err := f.MarshalTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(data[:5]); !errors.Is(err, ErrFrameTooShort) {
+	if _, err := unmarshal(data[:5]); !errors.Is(err, ErrFrameTooShort) {
 		t.Errorf("short: want ErrFrameTooShort, got %v", err)
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := unmarshal(bad); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("magic: want ErrBadMagic, got %v", err)
 	}
 	flip := append([]byte(nil), data...)
 	flip[20] ^= 0x01 // corrupt a payload byte
-	if _, err := Unmarshal(flip); !errors.Is(err, ErrBadCRC) {
+	if _, err := unmarshal(flip); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("crc: want ErrBadCRC, got %v", err)
 	}
 }
 
 func TestLinkPassThrough(t *testing.T) {
 	l := NewLink()
-	out, err := l.SendSensors([]float64{1, 2, 3})
+	out, err := l.SendSensorsInto([]float64{1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,27 +131,20 @@ func TestLinkPassThrough(t *testing.T) {
 			t.Errorf("value %d = %g, want %g", i, out[i], want)
 		}
 	}
-	last := l.LastSensor()
-	if last == nil || last[2] != 3 {
-		t.Errorf("LastSensor = %v", last)
-	}
-	if l.LastActuator() != nil {
-		t.Error("LastActuator should be nil before any actuator frame")
-	}
 }
 
 func TestLinkTapsRewriteTraffic(t *testing.T) {
 	l := NewLink()
 	l.SetSensorTap(func(f *Frame) { f.Values[0] = 0 })
 	l.SetActuatorTap(func(f *Frame) { f.Values[1] = 99 })
-	s, err := l.SendSensors([]float64{5, 6})
+	s, err := l.SendSensorsInto([]float64{5, 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s[0] != 0 || s[1] != 6 {
 		t.Errorf("sensor tap result %v", s)
 	}
-	a, err := l.SendActuators([]float64{7, 8})
+	a, err := l.SendActuatorsInto([]float64{7, 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestLinkTapsRewriteTraffic(t *testing.T) {
 	}
 	// Clearing the tap restores pass-through.
 	l.SetSensorTap(nil)
-	s, err = l.SendSensors([]float64{5, 6})
+	s, err = l.SendSensorsInto([]float64{5, 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +162,9 @@ func TestLinkTapsRewriteTraffic(t *testing.T) {
 	}
 }
 
-func TestLinkClose(t *testing.T) {
-	l := NewLink()
-	l.Close()
-	if _, err := l.SendSensors([]float64{1}); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
-	}
-}
-
 func TestLinkSendValidation(t *testing.T) {
 	l := NewLink()
-	if _, err := l.SendSensors(nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := l.SendSensorsInto(nil, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("want ErrBadFrame, got %v", err)
 	}
 }
@@ -171,16 +172,16 @@ func TestLinkSendValidation(t *testing.T) {
 func TestLinkReturnsIndependentCopies(t *testing.T) {
 	l := NewLink()
 	in := []float64{1, 2}
-	out, err := l.SendSensors(in)
+	out, err := l.SendSensorsInto(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out[0] = 99
-	if got := l.LastSensor(); got[0] != 1 {
+	if got := l.recvFrame.Values; got[0] != 1 {
 		t.Error("returned slice aliases internal state")
 	}
 	in[1] = 99
-	if got := l.LastSensor(); got[1] != 2 {
+	if got := l.sendFrame.Values; got[1] != 2 {
 		t.Error("input slice aliased")
 	}
 }
@@ -192,13 +193,13 @@ func TestWriteReadFrameStream(t *testing.T) {
 		{Type: FrameActuator, Seq: 2, Values: []float64{2, 3}},
 	}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
+		if err := writeFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range frames {
-		got, err := ReadFrame(&buf)
-		if err != nil {
+		var got Frame
+		if _, err := ReadFrameInto(&buf, &got, nil); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Seq != want.Seq || len(got.Values) != len(want.Values) {
@@ -299,70 +300,5 @@ func TestFrameTypeString(t *testing.T) {
 	}
 	if FrameType(9).String() == "" {
 		t.Error("unknown type should render")
-	}
-}
-
-func TestMitMProxyDropsFrames(t *testing.T) {
-	got := make(chan *Frame, 10)
-	srv, err := NewServer("127.0.0.1:0", func(f *Frame) { got <- f.Clone() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	proxy, err := NewMitMProxy("127.0.0.1:0", srv.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = proxy.Close() }()
-	// Drop every even-sequence actuator frame — the frame-level DoS.
-	proxy.SetDrop(func(f *Frame) bool {
-		return f.Type == FrameActuator && f.Seq%2 == 0
-	})
-
-	cli, err := Dial(proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cli.Close() }()
-	for seq := uint64(1); seq <= 6; seq++ {
-		if err := cli.Send(&Frame{Type: FrameActuator, Seq: seq, Values: []float64{1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seqs []uint64
-	deadline := time.After(3 * time.Second)
-	for len(seqs) < 3 {
-		select {
-		case f := <-got:
-			seqs = append(seqs, f.Seq)
-		case <-deadline:
-			t.Fatalf("received %v before timeout", seqs)
-		}
-	}
-	for _, s := range seqs {
-		if s%2 == 0 {
-			t.Errorf("even frame %d slipped through the drop filter", s)
-		}
-	}
-	// Frame 6 is dropped after frame 5 is forwarded, so the count can lag
-	// the third delivery; wait for it before clearing the predicate, or
-	// frame 6 could still be read under the cleared filter.
-	waitFor(t, "frame 6 to be dropped", func() bool { return proxy.Dropped() >= 3 })
-	if n := proxy.Dropped(); n != 3 {
-		t.Errorf("Dropped() = %d, want 3", n)
-	}
-	// Clearing the predicate restores forwarding.
-	proxy.SetDrop(nil)
-	if err := cli.Send(&Frame{Type: FrameActuator, Seq: 100, Values: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case f := <-got:
-		if f.Seq != 100 {
-			t.Errorf("unexpected frame %d", f.Seq)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("frame not forwarded after clearing the drop predicate")
 	}
 }

@@ -30,8 +30,6 @@ var (
 	ErrBadCRC = errors.New("fieldbus: CRC mismatch")
 	// ErrBadFrame is returned for other malformed frames.
 	ErrBadFrame = errors.New("fieldbus: malformed frame")
-	// ErrClosed is returned when operating on a closed link.
-	ErrClosed = errors.New("fieldbus: link closed")
 	// ErrTapViolation is returned when a MitM tap leaves a frame that can
 	// no longer be encoded (empty or oversized Values, broken type). The
 	// attacker model allows rewriting values in transit, not inventing
@@ -80,11 +78,6 @@ type Frame struct {
 	Values []float64
 }
 
-// Marshal encodes the frame with its CRC-32 trailer.
-func (f *Frame) Marshal() ([]byte, error) {
-	return f.MarshalTo(nil)
-}
-
 // MarshalTo encodes the frame into dst when its capacity suffices,
 // otherwise into a fresh buffer — the allocation-free path for per-sample
 // wire traffic. It returns the encoded slice.
@@ -118,15 +111,6 @@ func (f *Frame) MarshalTo(dst []byte) ([]byte, error) {
 	crc := crc32.ChecksumIEEE(buf[:off])
 	binary.BigEndian.PutUint32(buf[off:], crc)
 	return buf, nil
-}
-
-// Unmarshal decodes a frame, verifying magic and CRC.
-func Unmarshal(data []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := f.UnmarshalInto(data); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // UnmarshalInto decodes a frame into f, verifying magic and CRC. The

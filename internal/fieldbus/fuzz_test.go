@@ -26,14 +26,14 @@ func fuzzSeedFrames() []*Frame {
 // — NaN payloads included, since values travel as raw IEEE-754 bits.
 func FuzzFrameUnmarshal(f *testing.F) {
 	for _, fr := range fuzzSeedFrames() {
-		data, err := fr.Marshal()
+		data, err := fr.MarshalTo(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
 	// Corrupted seeds: truncation, bad magic, bad count, flipped CRC.
-	valid, _ := (&Frame{Type: FrameSensor, Seq: 1, Values: []float64{1, 2}}).Marshal()
+	valid, _ := (&Frame{Type: FrameSensor, Seq: 1, Values: []float64{1, 2}}).MarshalTo(nil)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:5])
 	bad := append([]byte(nil), valid...)
@@ -52,7 +52,7 @@ func FuzzFrameUnmarshal(f *testing.F) {
 		if len(fr.Values) == 0 || len(fr.Values) > MaxValues {
 			t.Fatalf("decoded %d values outside (0,%d]", len(fr.Values), MaxValues)
 		}
-		out, err := fr.Marshal()
+		out, err := fr.MarshalTo(nil)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded frame failed: %v", err)
 		}
@@ -88,7 +88,7 @@ func FuzzFrameUnmarshal(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	frame := func(fr *Frame) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
+		if err := writeFrame(&buf, fr); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -109,21 +109,17 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(fuzzSeedFrames()[1])[:10])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		fr, err := ReadFrame(r)
-		if err != nil {
-			if fr != nil {
-				t.Fatal("non-nil frame alongside error")
-			}
+		fr := &Frame{}
+		if _, err := ReadFrameInto(bytes.NewReader(data), fr, nil); err != nil {
 			return
 		}
 		// A parsed frame must survive the wire round trip unchanged.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
+		if err := writeFrame(&buf, fr); err != nil {
 			t.Fatalf("re-write of read frame failed: %v", err)
 		}
-		back, err := ReadFrame(&buf)
-		if err != nil {
+		back := &Frame{}
+		if _, err := ReadFrameInto(&buf, back, nil); err != nil {
 			t.Fatalf("re-read failed: %v", err)
 		}
 		if back.Type != fr.Type || back.Unit != fr.Unit || back.Seq != fr.Seq ||
@@ -320,14 +316,15 @@ func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(EncodedSize(MaxValues))+1)
 	buf.Write(lenBuf[:])
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrBadFrame) {
+	var f Frame
+	if _, err := ReadFrameInto(&buf, &f, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversized prefix: want ErrBadFrame, got %v", err)
 	}
 	binary.BigEndian.PutUint32(lenBuf[:], 0)
-	if _, err := ReadFrame(bytes.NewReader(lenBuf[:])); !errors.Is(err, ErrBadFrame) {
+	if _, err := ReadFrameInto(bytes.NewReader(lenBuf[:]), &f, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("zero prefix: want ErrBadFrame, got %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 1})); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrameInto(bytes.NewReader([]byte{0, 1}), &f, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated prefix: want ErrUnexpectedEOF, got %v", err)
 	}
 }

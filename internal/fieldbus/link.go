@@ -22,11 +22,6 @@ type Link struct {
 	actuatorTap Tap
 	sensorSeq   uint64
 	actuatorSeq uint64
-	closed      bool
-
-	// Last delivered blocks (what each end most recently received).
-	lastSensor   []float64
-	lastActuator []float64
 
 	// Per-link scratch buffers, reused across sends (guarded by mu): the
 	// closed-loop path transmits two frames per plant sample, so codec
@@ -55,28 +50,18 @@ func (l *Link) SetActuatorTap(t Tap) {
 	l.actuatorTap = t
 }
 
-// SendSensors transmits an XMEAS block from the process side and returns
-// the block as received by the controller side (after any tap). The
-// returned slice is owned by the caller.
-func (l *Link) SendSensors(values []float64) ([]float64, error) {
-	return l.send(FrameSensor, values, nil)
-}
-
-// SendSensorsInto is SendSensors delivering into dst when its capacity
-// suffices — the allocation-free path for per-sample closed loops. values
-// and dst must not alias.
+// SendSensorsInto transmits an XMEAS block from the process side and
+// returns the block as received by the controller side (after any tap),
+// delivered into dst when its capacity suffices — the allocation-free path
+// for per-sample closed loops. values and dst must not alias.
 func (l *Link) SendSensorsInto(values, dst []float64) ([]float64, error) {
 	return l.send(FrameSensor, values, dst)
 }
 
-// SendActuators transmits an XMV block from the controller side and
-// returns the block as received by the process side (after any tap).
-func (l *Link) SendActuators(values []float64) ([]float64, error) {
-	return l.send(FrameActuator, values, nil)
-}
-
-// SendActuatorsInto is SendActuators delivering into dst when its
-// capacity suffices. values and dst must not alias.
+// SendActuatorsInto transmits an XMV block from the controller side and
+// returns the block as received by the process side (after any tap),
+// delivered into dst when its capacity suffices. values and dst must not
+// alias.
 func (l *Link) SendActuatorsInto(values, dst []float64) ([]float64, error) {
 	return l.send(FrameActuator, values, dst)
 }
@@ -84,9 +69,6 @@ func (l *Link) SendActuatorsInto(values, dst []float64) ([]float64, error) {
 func (l *Link) send(t FrameType, values, dst []float64) ([]float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
 	if len(values) == 0 || len(values) > MaxValues {
 		return nil, fmt.Errorf("fieldbus: send %d values: %w", len(values), ErrBadFrame)
 	}
@@ -124,14 +106,7 @@ func (l *Link) send(t FrameType, values, dst []float64) ([]float64, error) {
 			return nil, err
 		}
 	}
-	out := reuseCopy(dst, l.recvFrame.Values)
-	switch t {
-	case FrameSensor:
-		l.lastSensor = reuseCopy(l.lastSensor, out)
-	case FrameActuator:
-		l.lastActuator = reuseCopy(l.lastActuator, out)
-	}
-	return out, nil
+	return reuseCopy(dst, l.recvFrame.Values), nil
 }
 
 // reuseCopy copies src into dst, reusing dst's backing array when its
@@ -144,33 +119,4 @@ func reuseCopy(dst, src []float64) []float64 {
 	}
 	copy(dst, src)
 	return dst
-}
-
-// LastSensor returns a copy of the sensor block most recently delivered to
-// the controller side (nil before the first transmission).
-func (l *Link) LastSensor() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lastSensor == nil {
-		return nil
-	}
-	return append([]float64(nil), l.lastSensor...)
-}
-
-// LastActuator returns a copy of the actuator block most recently delivered
-// to the process side.
-func (l *Link) LastActuator() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lastActuator == nil {
-		return nil
-	}
-	return append([]float64(nil), l.lastActuator...)
-}
-
-// Close shuts the link; subsequent sends fail with ErrClosed.
-func (l *Link) Close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = true
 }

@@ -470,13 +470,6 @@ func (st *CaptureStore) Abandon() {
 	st.removeAll()
 }
 
-// Frames returns the number of records written over the store's lifetime,
-// including records in segments since pruned.
-func (st *CaptureStore) Frames() uint64 { return st.frames }
-
-// Span returns the capture-relative timestamp of the newest record.
-func (st *CaptureStore) Span() time.Duration { return st.last }
-
 // Segments returns the number of segment files currently on disk, active
 // included.
 func (st *CaptureStore) Segments() int {

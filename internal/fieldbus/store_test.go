@@ -290,7 +290,7 @@ func TestCaptureStoreCrashRecovery(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	flushed := st.Frames()
+	flushed := st.frames
 	// SIGKILL: the store is never sealed, never closed — the *os.File is
 	// simply dropped. Data already flushed to the OS survives, like a dead
 	// process's page cache.

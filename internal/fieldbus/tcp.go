@@ -11,17 +11,11 @@ import (
 )
 
 // Wire format over TCP: each frame is length-prefixed with a big-endian
-// uint32, followed by the Marshal()ed frame bytes.
+// uint32, followed by the MarshalTo-encoded frame bytes.
 
-// WriteFrame writes one length-prefixed frame to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	_, err := WriteFrameBuf(w, f, nil)
-	return err
-}
-
-// WriteFrameBuf is WriteFrame encoding through buf — the allocation-free
-// path for per-frame wire traffic. It returns the (possibly grown) scratch
-// for the next call.
+// WriteFrameBuf writes one length-prefixed frame to w, encoding through
+// buf — the allocation-free path for per-frame wire traffic. It returns
+// the (possibly grown) scratch for the next call.
 func WriteFrameBuf(w io.Writer, f *Frame, buf []byte) ([]byte, error) {
 	data, err := f.MarshalTo(buf)
 	if err != nil {
@@ -36,15 +30,6 @@ func WriteFrameBuf(w io.Writer, f *Frame, buf []byte) ([]byte, error) {
 		return data, fmt.Errorf("fieldbus: write frame: %w", err)
 	}
 	return data, nil
-}
-
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	f := &Frame{}
-	if _, err := ReadFrameInto(r, f, nil); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // ReadFrameInto reads one length-prefixed frame from r into f, staging the
@@ -223,18 +208,14 @@ func (c *Client) Close() error {
 
 // MitMProxy is a transparent TCP proxy that decodes every frame, passes it
 // through a Tap, and forwards the (possibly rewritten) frame upstream — the
-// concrete realization of the paper's Figure 2 attacker. A Drop predicate
-// (SetDrop) additionally lets the attacker discard selected frames — the
-// frame-level denial of service.
+// concrete realization of the paper's Figure 2 attacker.
 type MitMProxy struct {
 	ln       net.Listener
 	upstream string
 	tap      Tap
 
 	mu         sync.Mutex
-	drop       func(*Frame) bool
-	dropped    uint64
-	violations uint64
+	violations uint64 // frames the tap left unencodable, discarded
 	closed     bool
 	conns      map[net.Conn]struct{}
 	wg         sync.WaitGroup
@@ -255,30 +236,6 @@ func NewMitMProxy(addr, upstream string, tap Tap) (*MitMProxy, error) {
 
 // Addr returns the proxy's listen address.
 func (p *MitMProxy) Addr() string { return p.ln.Addr().String() }
-
-// SetDrop installs (or clears, with nil) a predicate; frames for which it
-// returns true are silently discarded instead of forwarded.
-func (p *MitMProxy) SetDrop(drop func(*Frame) bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.drop = drop
-}
-
-// Dropped returns the number of frames discarded so far.
-func (p *MitMProxy) Dropped() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
-}
-
-// TapViolations returns the number of frames the tap left unencodable
-// (wrapped ErrTapViolation); such frames are discarded instead of killing
-// the proxied connection.
-func (p *MitMProxy) TapViolations() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.violations
-}
 
 func (p *MitMProxy) acceptLoop() {
 	defer p.wg.Done()
@@ -324,15 +281,6 @@ func (p *MitMProxy) proxyConn(down net.Conn) {
 		rbuf, err = ReadFrameInto(br, &frame, rbuf)
 		if err != nil {
 			return
-		}
-		p.mu.Lock()
-		drop := p.drop
-		p.mu.Unlock()
-		if drop != nil && drop(&frame) {
-			p.mu.Lock()
-			p.dropped++
-			p.mu.Unlock()
-			continue
 		}
 		if p.tap != nil {
 			p.tap(&frame)

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// UDP transport: one Marshal()ed frame per datagram, no length prefix —
-// the datagram boundary is the frame boundary. This is the lossy,
+// UDP transport: one encoded frame per datagram, no length prefix — the
+// datagram boundary is the frame boundary. This is the lossy,
 // unauthenticated fieldbus of the paper's threat model at its most
 // literal: datagrams may be dropped, duplicated or reordered by the
 // network, and a corrupt one carries no connection to tear down, so the
@@ -29,9 +29,6 @@ type UDPStats struct {
 	Datagrams uint64
 	Corrupt   uint64
 }
-
-// Frames returns the number of datagrams decoded and delivered.
-func (s UDPStats) Frames() uint64 { return s.Datagrams - s.Corrupt }
 
 // UDPServer receives fieldbus frames as datagrams and dispatches them to a
 // handler — the lossy-transport sibling of Server. A datagram that fails

@@ -172,7 +172,7 @@ func TestStressAdaptiveConcurrentSwaps(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.ModelGeneration == 0 {
-		t.Errorf("no candidate model was ever accepted: %+v (adapt: %+v)", st, p.AdaptStats())
+		t.Errorf("no candidate model was ever accepted: %+v (adapt: %+v)", st, p.tracker.Stats())
 	}
 	if st.ModelSwaps == 0 {
 		t.Error("no stream ever swapped models")
@@ -186,7 +186,7 @@ func TestStressAdaptiveConcurrentSwaps(t *testing.T) {
 	if uint64(events) != st.ModelSwaps {
 		t.Errorf("%d ModelSwapped events vs %d counted swaps", events, st.ModelSwaps)
 	}
-	ast := p.AdaptStats()
+	ast := p.tracker.Stats()
 	if ast.Learned == 0 || ast.Accepted == 0 {
 		t.Errorf("tracker inactive: %+v", ast)
 	}

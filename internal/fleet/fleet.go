@@ -758,15 +758,6 @@ func (p *Pool) Plants() []string {
 	return ids
 }
 
-// AdaptStats snapshots the shared tracker's drift-guard counters (zero
-// value when adaptation is disabled).
-func (p *Pool) AdaptStats() adapt.Stats {
-	if p.tracker == nil {
-		return adapt.Stats{}
-	}
-	return p.tracker.Stats()
-}
-
 // getBatch takes a Config.Batch-capacity batch box from the free-list.
 func (p *Pool) getBatch() *obsBatch {
 	if v := p.batches.Get(); v != nil {

@@ -52,19 +52,9 @@ func VarName(j int) string {
 // IsXMV reports whether observation column j is a manipulated variable.
 func IsXMV(j int) bool { return j >= te.NumXMEAS && j < NumVars }
 
-// Observation assembles the 53-variable observation vector from an XMEAS
-// block and an XMV block.
-func Observation(xmeas, xmv []float64) ([]float64, error) {
-	row := make([]float64, NumVars)
-	if err := assembleInto(row, xmeas, xmv); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // assembleInto validates the blocks and writes the observation layout
 // [XMEAS(1..41), XMV(1..12)] into dst (len NumVars) — the single source of
-// truth for the row format, shared by Observation and the recorders.
+// truth for the row format, shared by the recorders.
 func assembleInto(dst, xmeas, xmv []float64) error {
 	if len(xmeas) != te.NumXMEAS {
 		return fmt.Errorf("historian: xmeas len %d != %d: %w", len(xmeas), te.NumXMEAS, ErrBadInput)
@@ -110,13 +100,6 @@ func NewRecorder(decimate int) (*Recorder, error) {
 // a reused scratch buffer for the tap and memory stays O(1) regardless of
 // run length.
 func (r *Recorder) SetRetain(keep bool) { r.retain = keep }
-
-// Record stores one observation assembled from the given blocks, honouring
-// the decimation setting.
-func (r *Recorder) Record(xmeas, xmv []float64) error {
-	_, err := r.record(xmeas, xmv)
-	return err
-}
 
 // record assembles the observation into the scratch buffer and returns it,
 // or nil when the sample is decimated out. The returned slice is reused on

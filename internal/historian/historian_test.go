@@ -40,8 +40,8 @@ func TestObservationAssembly(t *testing.T) {
 	xmv := make([]float64, te.NumXMV)
 	xmeas[0] = 0.25
 	xmv[2] = 24.6
-	row, err := Observation(xmeas, xmv)
-	if err != nil {
+	row := make([]float64, NumVars)
+	if err := assembleInto(row, xmeas, xmv); err != nil {
 		t.Fatal(err)
 	}
 	if len(row) != NumVars {
@@ -50,10 +50,10 @@ func TestObservationAssembly(t *testing.T) {
 	if row[0] != 0.25 || row[te.NumXMEAS+2] != 24.6 {
 		t.Error("values misplaced")
 	}
-	if _, err := Observation(xmeas[:5], xmv); !errors.Is(err, ErrBadInput) {
+	if err := assembleInto(row, xmeas[:5], xmv); !errors.Is(err, ErrBadInput) {
 		t.Errorf("short xmeas: want ErrBadInput, got %v", err)
 	}
-	if _, err := Observation(xmeas, xmv[:5]); !errors.Is(err, ErrBadInput) {
+	if err := assembleInto(row, xmeas, xmv[:5]); !errors.Is(err, ErrBadInput) {
 		t.Errorf("short xmv: want ErrBadInput, got %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestRecorderDecimation(t *testing.T) {
 	xmv := make([]float64, te.NumXMV)
 	for i := 0; i < 10; i++ {
 		xmeas[0] = float64(i)
-		if err := r.Record(xmeas, xmv); err != nil {
+		if _, err := r.record(xmeas, xmv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestRecorderDefaultKeepsAll(t *testing.T) {
 	xmeas := make([]float64, te.NumXMEAS)
 	xmv := make([]float64, te.NumXMV)
 	for i := 0; i < 5; i++ {
-		if err := r.Record(xmeas, xmv); err != nil {
+		if _, err := r.record(xmeas, xmv); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,9 +99,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Dims returns the (rows, cols) of m.
-func (m *Matrix) Dims() (r, c int) { return m.rows, m.cols }
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -138,34 +135,6 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Row returns a copy of the i-th row.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.RowView(i))
-	return out
-}
-
-// Col returns a copy of the j-th column.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range for %d cols", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies src into row i. It returns ErrDimMismatch if len(src) != Cols.
-func (m *Matrix) SetRow(i int, src []float64) error {
-	if len(src) != m.cols {
-		return fmt.Errorf("mat: SetRow len %d != cols %d: %w", len(src), m.cols, ErrDimMismatch)
-	}
-	copy(m.RowView(i), src)
-	return nil
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
@@ -184,39 +153,9 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// Add returns a+b. Shapes must match.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("mat: add %dx%d with %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrDimMismatch)
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns a-b. Shapes must match.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("mat: sub %dx%d with %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrDimMismatch)
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
 // Mul returns the matrix product a·b.
+//
+//pcslint:ignore dead-export -- oracle: TestEigenSymReconstruction rebuilds V·Λ·Vᵀ and TestGramMatchesExplicit AᵀA with it
 func Mul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("mat: mul %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrDimMismatch)
@@ -239,6 +178,8 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 }
 
 // MulVec returns the matrix-vector product a·x.
+//
+//pcslint:ignore dead-export -- oracle: the reference product in kernels_test.go
 func MulVec(a *Matrix, x []float64) ([]float64, error) {
 	if a.cols != len(x) {
 		return nil, fmt.Errorf("mat: mulvec %dx%d by len %d: %w", a.rows, a.cols, len(x), ErrDimMismatch)
@@ -256,6 +197,8 @@ func MulVec(a *Matrix, x []float64) ([]float64, error) {
 }
 
 // VecMul returns the vector-matrix product xᵀ·a as a slice of length a.Cols.
+//
+//pcslint:ignore dead-export -- oracle: the orthonormality checks in pca_test.go
 func VecMul(x []float64, a *Matrix) ([]float64, error) {
 	if a.rows != len(x) {
 		return nil, fmt.Errorf("mat: vecmul len %d by %dx%d: %w", len(x), a.rows, a.cols, ErrDimMismatch)
@@ -274,6 +217,8 @@ func VecMul(x []float64, a *Matrix) ([]float64, error) {
 }
 
 // Gram returns aᵀ·a (the Gram matrix), exploiting symmetry.
+//
+//pcslint:ignore dead-export -- oracle: the orthonormality checks in pca_test.go
 func Gram(a *Matrix) *Matrix {
 	out := MustNew(a.cols, a.cols)
 	for i := 0; i < a.rows; i++ {
@@ -298,6 +243,8 @@ func Gram(a *Matrix) *Matrix {
 }
 
 // Dot returns the inner product of x and y.
+//
+//pcslint:ignore dead-export -- oracle: the orthonormality checks in pca_test.go
 func Dot(x, y []float64) (float64, error) {
 	if len(x) != len(y) {
 		return 0, fmt.Errorf("mat: dot len %d with len %d: %w", len(x), len(y), ErrDimMismatch)
@@ -310,6 +257,8 @@ func Dot(x, y []float64) (float64, error) {
 }
 
 // Norm2 returns the Euclidean norm of x.
+//
+//pcslint:ignore dead-export -- oracle: the orthonormality checks in pca_test.go
 func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {

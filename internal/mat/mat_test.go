@@ -16,8 +16,8 @@ func almostEqual(a, b, eps float64) bool {
 
 func matsAlmostEqual(t *testing.T, a, b *Matrix, eps float64) bool {
 	t.Helper()
-	ar, ac := a.Dims()
-	br, bc := b.Dims()
+	ar, ac := a.rows, a.cols
+	br, bc := b.rows, b.cols
 	if ar != br || ac != bc {
 		t.Fatalf("shape mismatch: %dx%d vs %dx%d", ar, ac, br, bc)
 	}
@@ -66,7 +66,7 @@ func TestFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromRows: %v", err)
 	}
-	if r, c := m.Dims(); r != 2 || c != 3 {
+	if r, c := m.rows, m.cols; r != 2 || c != 3 {
 		t.Fatalf("dims = %dx%d, want 2x3", r, c)
 	}
 	if got := m.At(1, 2); got != 6 {
@@ -96,7 +96,6 @@ func TestAtSetPanicOutOfRange(t *testing.T) {
 		func() { m.At(0, -1) },
 		func() { m.Set(-1, 0, 1) },
 		func() { m.RowView(5) },
-		func() { m.Col(9) },
 	} {
 		func() {
 			defer func() {
@@ -160,28 +159,6 @@ func TestVecMulKnown(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("VecMul[%d] = %g, want %g", i, got[i], want[i])
 		}
-	}
-}
-
-func TestAddSub(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{10, 20}, {30, 40}})
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(1, 1) != 44 {
-		t.Errorf("Add(1,1) = %g, want 44", sum.At(1, 1))
-	}
-	diff, err := Sub(b, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.At(0, 0) != 9 {
-		t.Errorf("Sub(0,0) = %g, want 9", diff.At(0, 0))
-	}
-	if _, err := Add(a, MustNew(3, 3)); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("want ErrDimMismatch, got %v", err)
 	}
 }
 
@@ -299,7 +276,7 @@ func TestEigenSymKnown2x2(t *testing.T) {
 		t.Errorf("eigenvalues = %v, want [3 1]", vals)
 	}
 	// First eigenvector should be ±[1,1]/√2.
-	v0 := vecs.Col(0)
+	v0 := []float64{vecs.At(0, 0), vecs.At(1, 0)}
 	if !almostEqual(math.Abs(v0[0]), 1/math.Sqrt2, 1e-8) || !almostEqual(math.Abs(v0[1]), 1/math.Sqrt2, 1e-8) {
 		t.Errorf("first eigenvector = %v", v0)
 	}
@@ -407,7 +384,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 1+rng.Intn(10), 1+rng.Intn(10))
 		tt := m.T().T()
-		r, c := m.Dims()
+		r, c := m.rows, m.cols
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
 				if m.At(i, j) != tt.At(i, j) {
@@ -459,41 +436,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestScale(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -2}})
-	m.Scale(3)
-	if m.At(0, 0) != 3 || m.At(0, 1) != -6 {
-		t.Errorf("Scale result %v", m.RowView(0))
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	m := MustNew(2, 3)
-	if err := m.SetRow(1, []float64{7, 8, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 2) != 9 {
-		t.Errorf("SetRow not applied: %v", m.Row(1))
-	}
-	if err := m.SetRow(0, []float64{1}); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("want ErrDimMismatch, got %v", err)
-	}
-}
-
-func TestRowColCopies(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(0)
-	r[0] = 99
-	if m.At(0, 0) != 1 {
-		t.Error("Row returned aliasing slice")
-	}
-	c := m.Col(1)
-	c[0] = 99
-	if m.At(0, 1) != 2 {
-		t.Error("Col returned aliasing slice")
 	}
 }
 

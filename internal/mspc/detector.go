@@ -164,9 +164,6 @@ func (d *Detector) newDetection(p Point) *Detection {
 	return &Detection{Index: d.index, RunStart: d.runStart, Charts: charts}
 }
 
-// Detection returns the latched first detection, or nil if none yet.
-func (d *Detector) Detection() *Detection { return d.detected }
-
 // Discard drops the latched detection and the current out-of-control run
 // without rewinding the stream position — the treatment of a pre-onset
 // false alarm in run-length accounting: note nothing and keep scanning for
@@ -174,17 +171,6 @@ func (d *Detector) Detection() *Detection { return d.detected }
 func (d *Detector) Discard() {
 	d.detected = nil
 	d.runLen = 0
-}
-
-// N returns the number of observations consumed.
-func (d *Detector) N() int { return d.index }
-
-// Reset clears the detector state for reuse on a new stream.
-func (d *Detector) Reset() {
-	d.index = 0
-	d.runLen = 0
-	d.runStart = 0
-	d.detected = nil
 }
 
 // RunLengthResult is the outcome of an ARL measurement on one stream.
@@ -211,6 +197,8 @@ type RunLengthResult struct {
 // a fresh run-rule pass and measures the run length from onset (the index
 // of the first anomalous observation) to detection. Detections that fire
 // before onset are reported as false alarms.
+//
+//pcslint:ignore dead-export -- ROADMAP item 7 measures ARL0 with it
 func MeasureRunLength(m *Monitor, rows [][]float64, onset int, k int, sample time.Duration) (RunLengthResult, error) {
 	if onset < 0 || onset >= len(rows) {
 		return RunLengthResult{}, fmt.Errorf("mspc: onset %d out of range [0,%d): %w", onset, len(rows), ErrBadInput)

@@ -22,7 +22,7 @@ func stepMonitor(t *testing.T, rng *rand.Rand) (*Monitor, func(shifted bool) []f
 	}
 	stds := mon.Scaler().Stds()
 	mkRow := func(shifted bool) []float64 {
-		row := x.Row(rng.Intn(n))
+		row := append([]float64(nil), x.RowView(rng.Intn(n))...)
 		if shifted {
 			row[2] += 12 * stds[2]
 		}
@@ -65,7 +65,7 @@ func TestDetectorRunRule(t *testing.T) {
 	if len(detection.Charts) == 0 {
 		t.Error("no charts recorded in detection")
 	}
-	if got := det.N(); got != 13 {
+	if got := det.index; got != 13 {
 		t.Errorf("observations consumed = %d, want 13", got)
 	}
 }
@@ -125,27 +125,8 @@ func TestDetectorLatchesFirstDetection(t *testing.T) {
 	if first == nil {
 		t.Fatal("no detection")
 	}
-	if det.Detection() != first {
+	if det.detected != first {
 		t.Error("detection not latched")
-	}
-}
-
-func TestDetectorReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	mon, mkRow := stepMonitor(t, rng)
-	det, err := NewDetector(mon, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := det.Step(mkRow(true)); err != nil {
-		t.Fatal(err)
-	}
-	if det.Detection() == nil {
-		t.Fatal("expected detection with k=1")
-	}
-	det.Reset()
-	if det.Detection() != nil || det.N() != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 
@@ -346,7 +327,7 @@ func TestDetectorDiscard(t *testing.T) {
 		t.Fatal("no detection on burst")
 	}
 	det.Discard()
-	if det.Detection() != nil {
+	if det.detected != nil {
 		t.Error("detection survived Discard")
 	}
 	// An in-control stretch, then the real event.

@@ -158,7 +158,7 @@ func TestCalibrationStatsMatchRowByRow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Calibrate A=%d: %v", a, err)
 		}
-		gotD, gotQ := m.CalibrationStats()
+		gotD, gotQ := m.calD, m.calQ
 		wantD, wantQ := refCalibrationStats(t, m, x)
 		if len(gotD) != len(wantD) || len(gotQ) != len(wantQ) {
 			t.Fatalf("A=%d: %d/%d stats, want %d", a, len(gotD), len(gotQ), len(wantD))
@@ -221,7 +221,7 @@ func TestProjectionPathsBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			calD, calQ := m.CalibrationStats()
+			calD, calQ := m.calD, m.calQ
 			wantQ := make([]float64, len(calQ))
 			for i := range calD {
 				want := fallbackStats(t, m, loadT, calScaled.RowView(i), scores)

@@ -279,18 +279,6 @@ func (m *Monitor) Model() *pca.Model { return m.model }
 // Scaler returns the frozen preprocessing parameters.
 func (m *Monitor) Scaler() *stat.Scaler { return m.scaler }
 
-// SPEMethod returns the configured Q-limit method.
-func (m *Monitor) SPEMethod() SPEMethod { return m.method }
-
-// CalibrationStats returns copies of the calibration D and Q series, or nil
-// when the monitor was calibrated from a covariance matrix.
-func (m *Monitor) CalibrationStats() (d, q []float64) {
-	if m.calD == nil {
-		return nil, nil
-	}
-	return append([]float64(nil), m.calD...), append([]float64(nil), m.calQ...)
-}
-
 // Compute returns the D and Q statistics for one observation in engineering
 // units.
 func (m *Monitor) Compute(row []float64) (Statistics, error) {
@@ -373,46 +361,6 @@ func DLimit(n, a int, alpha float64) (float64, error) {
 	nn := float64(n)
 	aa := float64(a)
 	return aa * (nn*nn - 1) / (nn * (nn - aa)) * f, nil
-}
-
-// DLimitPhaseI returns the phase-I (calibration-data) beta-distribution
-// control limit of the D-statistic:
-//
-//	UCL = (n−1)²/n · B_alpha(a/2, (n−a−1)/2)
-//
-// where B is the beta quantile, computed here by inverting RegIncBeta.
-func DLimitPhaseI(n, a int, alpha float64) (float64, error) {
-	if n <= a+1 {
-		return 0, fmt.Errorf("mspc: DLimitPhaseI needs n>a+1: %w", ErrBadInput)
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return 0, fmt.Errorf("mspc: DLimitPhaseI alpha=%g: %w", alpha, ErrBadInput)
-	}
-	q, err := betaQuantile(alpha, float64(a)/2, float64(n-a-1)/2)
-	if err != nil {
-		return 0, err
-	}
-	nn := float64(n)
-	return (nn - 1) * (nn - 1) / nn * q, nil
-}
-
-// betaQuantile inverts the regularized incomplete beta function by
-// bisection on [0,1].
-func betaQuantile(p, a, b float64) (float64, error) {
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		v, err := stat.RegIncBeta(mid, a, b)
-		if err != nil {
-			return math.NaN(), fmt.Errorf("mspc: betaQuantile: %w", err)
-		}
-		if v < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }
 
 // QLimitJacksonMudholkar returns the SPE control limit at confidence alpha

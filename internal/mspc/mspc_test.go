@@ -90,20 +90,6 @@ func TestDLimitErrors(t *testing.T) {
 	}
 }
 
-func TestDLimitPhaseIReasonable(t *testing.T) {
-	// Phase-I limit must be below the (N-1)²/N asymptote and positive.
-	got, err := DLimitPhaseI(50, 3, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got <= 0 || got >= 49.0*49.0/50.0 {
-		t.Errorf("phase-I limit = %g out of range", got)
-	}
-	if _, err := DLimitPhaseI(4, 3, 0.99); !errors.Is(err, ErrBadInput) {
-		t.Errorf("want ErrBadInput, got %v", err)
-	}
-}
-
 func TestQLimitBoxEqualEigenvalues(t *testing.T) {
 	// With all residual eigenvalues equal to λ, SPE/λ ~ χ²(r) exactly, and
 	// Box's approximation becomes exact: g=λ, h=r.
@@ -172,14 +158,10 @@ func TestFalseAlarmRateNearAlpha(t *testing.T) {
 	calib := mat.MustNew(2000, 10)
 	fresh := mat.MustNew(4000, 10)
 	for i := 0; i < 2000; i++ {
-		if err := calib.SetRow(i, all.RowView(i)); err != nil {
-			t.Fatal(err)
-		}
+		copy(calib.RowView(i), all.RowView(i))
 	}
 	for i := 0; i < 4000; i++ {
-		if err := fresh.SetRow(i, all.RowView(2000+i)); err != nil {
-			t.Fatal(err)
-		}
+		copy(fresh.RowView(i), all.RowView(2000+i))
 	}
 	mon, err := Calibrate(calib, WithComponents(3))
 	if err != nil {
@@ -218,7 +200,7 @@ func TestShiftedDataExceedsLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	mon, x := calibrated(t, rng, 1000, 8, 3, 3)
 	// Take a calibration row and shift one variable by 10 calibration sigmas.
-	row := x.Row(0)
+	row := append([]float64(nil), x.RowView(0)...)
 	stds := mon.Scaler().Stds()
 	row[4] += 10 * stds[4]
 	s, err := mon.Compute(row)
@@ -236,14 +218,15 @@ func TestCalibrationDStatisticMean(t *testing.T) {
 	// exactly A·(N-1)/N.
 	rng := rand.New(rand.NewSource(23))
 	mon, _ := calibrated(t, rng, 500, 8, 3, 3)
-	d, q := mon.CalibrationStats()
+	d, q := mon.calD, mon.calQ
 	if d == nil || q == nil {
 		t.Fatal("calibration stats missing")
 	}
-	meanD, err := stat.Mean(d)
-	if err != nil {
-		t.Fatal(err)
+	var meanD float64
+	for _, v := range d {
+		meanD += v
 	}
+	meanD /= float64(len(d))
 	want := 3.0 * 499.0 / 500.0
 	if math.Abs(meanD-want) > 0.05*want {
 		t.Errorf("mean calibration D = %g, want ≈ %g", meanD, want)
@@ -291,7 +274,7 @@ func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 		t.Errorf("Q99: %g vs %g", l1.Q99, l2.Q99)
 	}
 	// Same statistics on a probe row.
-	probe := x.Row(13)
+	probe := append([]float64(nil), x.RowView(13)...)
 	s1, err := m1.Compute(probe)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +302,7 @@ func TestPercentileSPEMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, q := mon.CalibrationStats()
+	q := mon.calQ
 	q99, err := stat.Quantile(q, 0.99)
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +310,8 @@ func TestPercentileSPEMethod(t *testing.T) {
 	if math.Abs(mon.Limits().Q99-q99) > 1e-12 {
 		t.Errorf("percentile Q99 = %g, want %g", mon.Limits().Q99, q99)
 	}
-	if mon.SPEMethod() != SPEPercentile {
-		t.Errorf("SPEMethod = %v", mon.SPEMethod())
+	if mon.method != SPEPercentile {
+		t.Errorf("SPEMethod = %v", mon.method)
 	}
 }
 

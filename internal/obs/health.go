@@ -40,9 +40,6 @@ const (
 	AlarmProc
 )
 
-// ID returns the unit's stream id.
-func (u *UnitHealth) ID() string { return u.id }
-
 // Observe records n scored observations, the latest at now: last-seen
 // time, the two views' latest chart statistics and whether the latest
 // point exceeded a 99 % limit. NaN marks a view as absent from these
@@ -189,13 +186,6 @@ func (h *HealthRegistry) Get(id string) *UnitHealth {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.units[id]
-}
-
-// Len returns the number of tracked units.
-func (h *HealthRegistry) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.units)
 }
 
 // Snapshot returns every unit's status at now, sorted by unit id.

@@ -68,8 +68,8 @@ func TestSnapshotSortedAndJSON(t *testing.T) {
 	for _, id := range []string{"unit-2", "unit-0", "unit-1"} {
 		h.Attach(id)
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", h.Len())
+	if len(h.units) != 3 {
+		t.Fatalf("Len = %d, want 3", len(h.units))
 	}
 	snap := h.Snapshot(time.Now())
 	if len(snap) != 3 || snap[0].Unit != "unit-0" || snap[2].Unit != "unit-2" {

@@ -1,7 +1,7 @@
 // Package obs is the monitor's observability core: a dependency-free
-// metrics registry (atomic counters, gauges and fixed-bucket histograms
-// with Prometheus text exposition — no client library import) plus a
-// per-unit health registry tracking every attached stream's live state.
+// metrics registry (scrape-time counters and gauges, fixed-bucket
+// histograms, Prometheus text exposition — no client library import) plus
+// a per-unit health registry tracking every attached stream's live state.
 //
 // The package exists so every layer of the pipeline — fleet scoring,
 // two-view pairing, the wire transports, the capture store, adaptive
@@ -11,9 +11,9 @@
 //
 //   - Recording must be allocation-free and lock-free: the fleet's scoring
 //     path holds a 0 allocs/observation invariant, and instrumentation
-//     rides inside it. Counter.Add, Gauge.Set and Histogram.Observe are a
-//     handful of atomic operations each; a HistogramBuffer batches a
-//     histogram's atomics for one goroutine.
+//     rides inside it. Histogram.Observe is a handful of atomic
+//     operations; a HistogramBuffer batches a histogram's atomics for one
+//     goroutine.
 //   - Reading must not perturb recording: exposition walks the registry
 //     under a read lock that registration (setup-time only) takes for
 //     writing; the values themselves are atomic loads.
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,32 +55,6 @@ var histogramUnits = []string{"_seconds", "_bytes", "_frames", "_observations"}
 type Label struct {
 	Key, Value string
 }
-
-// Counter is a monotonically increasing metric. The zero value is unusable;
-// obtain counters from Registry.Counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down, stored as float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Observe is allocation-free and
 // safe for concurrent use; exposition renders the Prometheus cumulative
@@ -182,11 +155,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // series is one labelled instance of a family: exactly one of the value
 // sources is set.
 type series struct {
-	labels  string // rendered {k="v",...} block, "" for the bare series
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	labels string // rendered {k="v",...} block, "" for the bare series
+	fn     func() float64
+	hist   *Histogram
 }
 
 // family is one named metric with its help text, type and series.
@@ -194,13 +165,6 @@ type family struct {
 	name, help, typ string
 	series          []*series
 	seen            map[string]bool // label-block dedup
-}
-
-// FamilyInfo describes one registered family — the introspection surface
-// the naming-lint tests and the catalog generator read.
-type FamilyInfo struct {
-	Name, Help, Type string
-	Series           int
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -320,24 +284,6 @@ func (r *Registry) register(name, help, typ string, labels []Label, s *series) e
 	return nil
 }
 
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) (*Counter, error) {
-	c := &Counter{}
-	if err := r.register(name, help, "counter", labels, &series{counter: c}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) (*Gauge, error) {
-	g := &Gauge{}
-	if err := r.register(name, help, "gauge", labels, &series{gauge: g}); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // CounterFunc registers a counter whose value is collected at scrape time
 // — the adapter over the pipeline's existing Stats() snapshots. fn must be
 // monotone non-decreasing and safe for concurrent use.
@@ -377,19 +323,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return h, nil
 }
 
-// Families lists the registered families sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FamilyInfo, 0, len(r.order))
-	for _, name := range r.order {
-		f := r.families[name]
-		out = append(out, FamilyInfo{Name: f.name, Help: f.help, Type: f.typ, Series: len(f.series)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4), families in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -402,10 +335,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
 		for _, s := range f.series {
 			switch {
-			case s.counter != nil:
-				writeSample(&b, f.name, "", s.labels, "", float64(s.counter.Value()))
-			case s.gauge != nil:
-				writeSample(&b, f.name, "", s.labels, "", s.gauge.Value())
 			case s.fn != nil:
 				//pcslint:ignore callback-under-lock -- scrape-time collectors are snapshot reads by contract (CounterFunc/GaugeFunc doc); registration is the only writer of r.mu and never runs inside a collector
 				writeSample(&b, f.name, "", s.labels, "", s.fn())

@@ -3,25 +3,24 @@ package obs
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c, err := r.Counter("pcsmon_test_frames_total", "frames seen")
-	if err != nil {
+	if err := r.CounterFunc("pcsmon_test_frames_total", "frames seen",
+		func() float64 { return 42 }); err != nil {
 		t.Fatal(err)
 	}
-	c.Add(41)
-	c.Inc()
-	g, err := r.Gauge("pcsmon_test_depth", "queue depth", Label{"worker", "0"})
-	if err != nil {
+	if err := r.GaugeFunc("pcsmon_test_depth", "queue depth",
+		func() float64 { return 3.5 }, Label{"worker", "0"}); err != nil {
 		t.Fatal(err)
 	}
-	g.Set(3.5)
 	if err := r.CounterFunc("pcsmon_test_scraped_total", "scrape-time counter",
 		func() float64 { return 7 }); err != nil {
 		t.Fatal(err)
@@ -82,16 +81,17 @@ func TestHistogramLabelsMerge(t *testing.T) {
 // not an after-the-fact lint.
 func TestMetricNamingEnforced(t *testing.T) {
 	r := NewRegistry()
+	zero := func() float64 { return 0 }
 	cases := []struct {
 		name string
 		reg  func() error
 	}{
-		{"missing prefix", func() error { _, err := r.Counter("frames_total", "x"); return err }},
-		{"not snake case", func() error { _, err := r.Counter("pcsmon_Frames_total", "x"); return err }},
-		{"double underscore", func() error { _, err := r.Counter("pcsmon_a__b_total", "x"); return err }},
-		{"trailing underscore", func() error { _, err := r.Counter("pcsmon_frames_total_", "x"); return err }},
-		{"counter without _total", func() error { _, err := r.Counter("pcsmon_frames", "x"); return err }},
-		{"gauge with _total", func() error { _, err := r.Gauge("pcsmon_depth_total", "x"); return err }},
+		{"missing prefix", func() error { return r.CounterFunc("frames_total", "x", zero) }},
+		{"not snake case", func() error { return r.CounterFunc("pcsmon_Frames_total", "x", zero) }},
+		{"double underscore", func() error { return r.CounterFunc("pcsmon_a__b_total", "x", zero) }},
+		{"trailing underscore", func() error { return r.CounterFunc("pcsmon_frames_total_", "x", zero) }},
+		{"counter without _total", func() error { return r.CounterFunc("pcsmon_frames", "x", zero) }},
+		{"gauge with _total", func() error { return r.GaugeFunc("pcsmon_depth_total", "x", zero) }},
 		{"histogram without unit", func() error {
 			_, err := r.Histogram("pcsmon_latency", "x", []float64{1})
 			return err
@@ -115,14 +115,15 @@ func TestMetricNamingEnforced(t *testing.T) {
 
 func TestDuplicateSeriesRejected(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.Counter("pcsmon_dup_total", "x"); err != nil {
+	zero := func() float64 { return 0 }
+	if err := r.CounterFunc("pcsmon_dup_total", "x", zero); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Counter("pcsmon_dup_total", "x"); !errors.Is(err, ErrBadMetric) {
+	if err := r.CounterFunc("pcsmon_dup_total", "x", zero); !errors.Is(err, ErrBadMetric) {
 		t.Errorf("duplicate bare series: %v, want ErrBadMetric", err)
 	}
 	// Same family, distinct labels: allowed.
-	if _, err := r.Counter("pcsmon_dup_total", "x", Label{"k", "a"}); err != nil {
+	if err := r.CounterFunc("pcsmon_dup_total", "x", zero, Label{"k", "a"}); err != nil {
 		t.Errorf("distinct labels rejected: %v", err)
 	}
 	// Same name, different type: rejected.
@@ -136,16 +137,11 @@ func TestDuplicateSeriesRejected(t *testing.T) {
 // counters, gauges, histograms and unit-health handles allocates nothing.
 func TestRecordingAllocationFree(t *testing.T) {
 	r := NewRegistry()
-	c, _ := r.Counter("pcsmon_alloc_total", "x")
-	g, _ := r.Gauge("pcsmon_alloc_depth", "x")
 	h, _ := r.Histogram("pcsmon_alloc_latency_seconds", "x", ExpBuckets(1e-6, 10, 8))
 	hb := h.Buffer()
 	u := NewHealthRegistry().Attach("unit-000")
 	now := time.Now().UnixNano()
 	if n := testing.AllocsPerRun(200, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(1.5)
 		h.Observe(2e-4)
 		hb.Observe(3e-5)
 		hb.Flush()
@@ -191,7 +187,10 @@ func TestHistogramBufferMatchesObserve(t *testing.T) {
 // monotone.
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	r := NewRegistry()
-	c, _ := r.Counter("pcsmon_race_total", "x")
+	var c atomic.Uint64
+	if err := r.CounterFunc("pcsmon_race_total", "x", func() float64 { return float64(c.Load()) }); err != nil {
+		t.Fatal(err)
+	}
 	h, _ := r.Histogram("pcsmon_race_latency_seconds", "x", []float64{1, 2, 4})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -200,13 +199,13 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 5000; n++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(1.5)
 			}
 		}()
 	}
 	go func() { wg.Wait(); close(done) }()
-	last := uint64(0)
+	last := 0.0
 	for running := true; running; {
 		select {
 		case <-done:
@@ -217,14 +216,18 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
-		if v := c.Value(); v < last {
-			t.Fatalf("counter went backwards: %d -> %d", last, v)
+		if v := scraped(t, b.String(), "pcsmon_race_total"); v < last {
+			t.Fatalf("counter went backwards: %v -> %v", last, v)
 		} else {
 			last = v
 		}
 	}
-	if c.Value() != 8*5000 {
-		t.Errorf("counter = %d, want %d", c.Value(), 8*5000)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if v := scraped(t, b.String(), "pcsmon_race_total"); v != 8*5000 {
+		t.Errorf("counter = %v, want %d", v, 8*5000)
 	}
 	if h.Count() == 0 || h.Sum() <= 0 {
 		t.Errorf("histogram recorded nothing under concurrency")
@@ -241,19 +244,18 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestFamiliesSorted(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Counter("pcsmon_zz_total", "last"); err != nil {
-		t.Fatal(err)
+// scraped parses the value of a bare series from exposition text.
+func scraped(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
 	}
-	if _, err := r.Gauge("pcsmon_aa_depth", "first"); err != nil {
-		t.Fatal(err)
-	}
-	fams := r.Families()
-	if len(fams) != 2 || fams[0].Name != "pcsmon_aa_depth" || fams[1].Name != "pcsmon_zz_total" {
-		t.Errorf("families not sorted: %+v", fams)
-	}
-	if fams[0].Type != "gauge" || fams[1].Type != "counter" {
-		t.Errorf("family types wrong: %+v", fams)
-	}
+	t.Fatalf("series %s missing from exposition", name)
+	return 0
 }

@@ -28,11 +28,10 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := reg.Counter("pcsmon_ops_frames_total", "frames")
-	if err != nil {
+	if err := reg.CounterFunc("pcsmon_ops_frames_total", "frames",
+		func() float64 { return 9 }); err != nil {
 		t.Fatal(err)
 	}
-	c.Add(9)
 	health := obs.NewHealthRegistry()
 	health.Attach("unit-1").Observe(time.Now().UnixNano(), 1, 1, 2, 3, 4, false)
 

@@ -67,15 +67,13 @@ func (f *fixture) anomalousScaled(t *testing.T, count, v int, sigmas float64) *m
 	stds := f.scaler.Stds()
 	out := mat.MustNew(count, f.base.Cols())
 	for i := 0; i < count; i++ {
-		row := f.base.Row(f.rng.Intn(f.base.Rows()))
+		row := append([]float64(nil), f.base.RowView(f.rng.Intn(f.base.Rows()))...)
 		row[v] += sigmas * stds[v]
 		scaled, err := f.scaler.ApplyRow(row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := out.SetRow(i, scaled); err != nil {
-			t.Fatal(err)
-		}
+		copy(out.RowView(i), scaled)
 	}
 	return out
 }
@@ -127,7 +125,7 @@ func TestComputeGroupMatchesCompute(t *testing.T) {
 	x := f.anomalousScaled(t, 10, 3, 6)
 	rows := make([][]float64, x.Rows())
 	for i := range rows {
-		rows[i] = x.Row(i)
+		rows[i] = append([]float64(nil), x.RowView(i)...)
 	}
 	v1, err := ComputeGroup(f.model, rows)
 	if err != nil {
@@ -173,12 +171,8 @@ func TestContrastGroupsCancel(t *testing.T) {
 	x := f.anomalousScaled(t, 10, 1, 6)
 	both := mat.MustNew(20, 6)
 	for i := 0; i < 10; i++ {
-		if err := both.SetRow(i, x.RowView(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := both.SetRow(10+i, x.RowView(i)); err != nil {
-			t.Fatal(err)
-		}
+		copy(both.RowView(i), x.RowView(i))
+		copy(both.RowView(10+i), x.RowView(i))
 	}
 	d := make([]float64, 20)
 	for i := 0; i < 10; i++ {
@@ -226,7 +220,11 @@ func TestHomogeneityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := 0.5 + 2*rng.Float64()
 		scaled := x.Clone()
-		scaled.Scale(c)
+		for i := 0; i < scaled.Rows(); i++ {
+			for j, v := range scaled.RowView(i) {
+				scaled.Set(i, j, c*v)
+			}
+		}
 		v1, err := Compute(f.model, x, allOnes(12))
 		if err != nil {
 			return false

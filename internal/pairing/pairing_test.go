@@ -654,12 +654,12 @@ func TestOfferFrameRoundTrip(t *testing.T) {
 	sf := &fieldbus.Frame{Type: fieldbus.FrameSensor, Unit: 5, Seq: 9, Values: row(3)}
 	af := &fieldbus.Frame{Type: fieldbus.FrameActuator, Unit: 5, Seq: 9, Values: row(4)}
 	for _, f := range []*fieldbus.Frame{sf, af} {
-		data, err := f.Marshal()
+		data, err := f.MarshalTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := fieldbus.Unmarshal(data)
-		if err != nil {
+		decoded := &fieldbus.Frame{}
+		if err := decoded.UnmarshalInto(data); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.OfferFrame(decoded); err != nil {

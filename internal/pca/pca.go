@@ -294,11 +294,3 @@ func (m *Model) Residual(row []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Scores returns the N×A score matrix T = X·P for preprocessed data x.
-func (m *Model) Scores(x *mat.Matrix) (*mat.Matrix, error) {
-	if x.Cols() != m.nvars {
-		return nil, fmt.Errorf("pca: Scores cols %d != nvars %d: %w", x.Cols(), m.nvars, ErrBadInput)
-	}
-	return mat.Mul(x, m.loadings)
-}

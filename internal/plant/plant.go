@@ -122,11 +122,6 @@ func (t *Template) BaseXMEAS() []float64 {
 	return append([]float64(nil), t.baseXMEAS...)
 }
 
-// BaseXMV returns the settled actuator positions.
-func (t *Template) BaseXMV() []float64 {
-	return append([]float64(nil), t.baseXMV...)
-}
-
 // StepSeconds returns the sampling interval of runs created from this
 // template.
 func (t *Template) StepSeconds() float64 { return t.cfg.StepSeconds }
@@ -339,6 +334,3 @@ func (r *Run) Shutdown() bool { return r.proc.Shutdown() }
 
 // ShutdownReason returns the interlock message, or "".
 func (r *Run) ShutdownReason() string { return r.proc.ShutdownReason() }
-
-// Process exposes the underlying process (read-only use intended).
-func (r *Run) Process() *te.Process { return r.proc }

@@ -70,7 +70,7 @@ func TestTemplateSettles(t *testing.T) {
 		}
 	}
 	// No valve may be saturated at the settled point.
-	for i, v := range tp.BaseXMV() {
+	for i, v := range tp.baseXMV {
 		if v <= 1 || v >= 99 {
 			t.Errorf("XMV(%d) settled saturated at %g%%", i+1, v)
 		}

@@ -79,15 +79,8 @@ func (c *PI) Update(pv, dt float64) float64 {
 // SetSP changes the setpoint.
 func (c *PI) SetSP(sp float64) { c.sp = sp }
 
-// SP returns the current setpoint.
-func (c *PI) SP() float64 { return c.sp }
-
 // Reset clears the integral accumulator.
 func (c *PI) Reset() { c.integ = 0 }
-
-// SetBias re-biases the controller (bumpless transfer to a new operating
-// point).
-func (c *PI) SetBias(bias float64) { c.bias = bias }
 
 // Clone returns an independent copy including the integrator state, so a
 // warmed-up controller can be reused as the starting point of many runs.

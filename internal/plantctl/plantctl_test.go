@@ -88,14 +88,14 @@ func TestPISettersAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi.SetSP(7)
-	if pi.SP() != 7 {
-		t.Errorf("SP = %g", pi.SP())
+	if pi.sp != 7 {
+		t.Errorf("SP = %g", pi.sp)
 	}
 	pi.Update(0, 0.5) // accumulate some integral
 	clone := pi.Clone()
 	// Diverge the original; the clone must keep its own state.
 	pi.Reset()
-	pi.SetBias(0)
+	pi.bias = 0
 	o1 := pi.Update(7, 0)
 	o2 := clone.Update(7, 0)
 	if o1 == o2 {

@@ -88,41 +88,6 @@ func TestBiasAttackSignFlip(t *testing.T) {
 	}
 }
 
-// TestCrossViewCheckOnScenarioData: the direct view-comparison extension
-// must pinpoint the forged channel on the XMV(3) integrity scenario.
-func TestCrossViewCheckOnScenarioData(t *testing.T) {
-	exp, res := fixture(t)
-	r := res["xmv3-integrity"].Runs[0]
-	_ = r
-	// Re-run one run to get the raw views (fixture outcomes don't retain
-	// them).
-	sc := PaperScenarios(testOnsetHour)[1]
-	run, err := exp.Template.NewRun(runCfg(sc, 9191, exp.Decimate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.RunHours(testOnsetHour + 2); err != nil {
-		t.Fatal(err)
-	}
-	ctrl := run.Views().Controller.Data()
-	proc := run.Views().Process.Data()
-	onsetIdx := int(testOnsetHour * 3600 / (exp.Template.StepSeconds() * float64(exp.Decimate)))
-	cols, err := exp.System.CrossViewCheck(ctrl, proc, onsetIdx+5, minInt(ctrl.Rows(), onsetIdx+200), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := te.NumXMEAS + te.XmvAFeed
-	found := false
-	for _, c := range cols {
-		if c == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("cross-view check flagged %v, want to include XMV(3)=%d", cols, want)
-	}
-}
-
 // TestARLSummaryStability: rerunning a scenario with the same seeds must
 // reproduce the aggregate numbers exactly (full determinism end to end).
 func TestARLSummaryStability(t *testing.T) {
@@ -154,11 +119,4 @@ func runCfg(sc Scenario, seed int64, decimate int) plant.RunConfig {
 		Attacks:  sc.Attacks,
 		Decimate: decimate,
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

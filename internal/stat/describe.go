@@ -6,66 +6,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs. It returns an error on an empty
-// sample.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return math.NaN(), fmt.Errorf("stat: Mean: %w", ErrEmpty)
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the sample variance (divisor N-1). A sample of fewer than
-// two points has zero variance by convention here.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return math.NaN(), fmt.Errorf("stat: Variance: %w", ErrEmpty)
-	}
-	if len(xs) < 2 {
-		return 0, nil
-	}
-	m, err := Mean(xs)
-	if err != nil {
-		return math.NaN(), err
-	}
-	var s float64
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1), nil
-}
-
-// StdDev returns the sample standard deviation (divisor N-1).
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return math.Sqrt(v), nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN(), fmt.Errorf("stat: MinMax: %w", ErrEmpty)
-	}
-	lo, hi = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi, nil
-}
-
 // Quantile returns the p-quantile of xs using linear interpolation between
 // order statistics (the common "type 7" definition used by R, NumPy and
 // MATLAB's linear method). The input is not modified.
@@ -94,56 +34,3 @@ func Quantile(xs []float64, p float64) (float64, error) {
 
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Summary holds descriptive statistics for a univariate sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Describe computes a Summary for xs.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, fmt.Errorf("stat: Describe: %w", ErrEmpty)
-	}
-	m, err := Mean(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	lo, hi, err := MinMax(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	q25, err := Quantile(xs, 0.25)
-	if err != nil {
-		return Summary{}, err
-	}
-	med, err := Median(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	q75, err := Quantile(xs, 0.75)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N: len(xs), Mean: m, StdDev: sd,
-		Min: lo, Q25: q25, Median: med, Q75: q75, Max: hi,
-	}, nil
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g q25=%.4g med=%.4g q75=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Q25, s.Median, s.Q75, s.Max)
-}

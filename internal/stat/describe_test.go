@@ -2,60 +2,14 @@ package stat
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestMeanVarianceKnown(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 5 {
-		t.Errorf("Mean = %g, want 5", m)
-	}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sum of squared deviations is 32; sample variance = 32/7.
-	if !closeTo(v, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %g, want %g", v, 32.0/7.0)
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closeTo(sd, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %g", sd)
-	}
-}
-
 func TestEmptySampleErrors(t *testing.T) {
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Mean(nil): want ErrEmpty, got %v", err)
-	}
-	if _, err := Variance(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Variance(nil): want ErrEmpty, got %v", err)
-	}
-	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("MinMax(nil): want ErrEmpty, got %v", err)
-	}
 	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Quantile(nil): want ErrEmpty, got %v", err)
-	}
-	if _, err := Describe(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Describe(nil): want ErrEmpty, got %v", err)
-	}
-}
-
-func TestSinglePointVariance(t *testing.T) {
-	v, err := Variance([]float64{42})
-	if err != nil || v != 0 {
-		t.Errorf("Variance single = %g, %v; want 0", v, err)
 	}
 }
 
@@ -117,28 +71,5 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s, err := Describe([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Describe = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String() empty")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %g,%g; want -1,7", lo, hi)
 	}
 }

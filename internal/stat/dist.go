@@ -246,51 +246,6 @@ func ChiSquareQuantile(p, df float64) (float64, error) {
 	return invertCDF(cdf, p, start)
 }
 
-// StudentTCDF returns P(T ≤ t) for T ~ t(df).
-func StudentTCDF(t, df float64) (float64, error) {
-	if df <= 0 {
-		return math.NaN(), fmt.Errorf("stat: StudentTCDF df=%g: %w", df, ErrDomain)
-	}
-	if t == 0 {
-		return 0.5, nil
-	}
-	x := df / (df + t*t)
-	ib, err := RegIncBeta(x, df/2, 0.5)
-	if err != nil {
-		return math.NaN(), err
-	}
-	if t > 0 {
-		return 1 - ib/2, nil
-	}
-	return ib / 2, nil
-}
-
-// StudentTQuantile returns the p-quantile of the t(df) distribution.
-func StudentTQuantile(p, df float64) (float64, error) {
-	if p <= 0 || p >= 1 || df <= 0 {
-		if p == 0 {
-			return math.Inf(-1), nil
-		}
-		if p == 1 {
-			return math.Inf(1), nil
-		}
-		return math.NaN(), fmt.Errorf("stat: StudentTQuantile(%g,%g): %w", p, df, ErrDomain)
-	}
-	if p == 0.5 {
-		return 0, nil
-	}
-	if p < 0.5 {
-		q, err := StudentTQuantile(1-p, df)
-		return -q, err
-	}
-	// Invert via the F relation: t_p(ν)² = F_{2p-1}(1, ν).
-	f, err := FQuantile(2*p-1, 1, df)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return math.Sqrt(f), nil
-}
-
 // FCDF returns P(X ≤ x) for X ~ F(d1, d2).
 func FCDF(x, d1, d2 float64) (float64, error) {
 	if d1 <= 0 || d2 <= 0 {

@@ -116,16 +116,3 @@ func (sc *Scaler) ApplyRow(row, dst []float64) ([]float64, error) {
 	}
 	return dst, nil
 }
-
-// Invert maps a scaled observation back to engineering units.
-func (sc *Scaler) Invert(row []float64) ([]float64, error) {
-	if len(row) != len(sc.means) {
-		return nil, fmt.Errorf("stat: Scaler.Invert len %d != dim %d: %w",
-			len(row), len(sc.means), ErrDomain)
-	}
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = v*sc.stds[j] + sc.means[j]
-	}
-	return out, nil
-}

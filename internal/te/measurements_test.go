@@ -7,13 +7,22 @@ import (
 
 // TestMeasurementUnitMappings checks the engineering-unit relations between
 // internal stream quantities and the XMEAS vector.
+// debugState reads the process internals the physics checks need:
+// reaction rates [r1..r4] in kmol/h, the reactor component holdups [A..H]
+// in kmol, the separator gas holdups, and key stream molar flows
+// [F6, F7, F5, F9, F10, F11, OV].
+func debugState(p *Process) (rates [4]float64, nR, nSg [8]float64, streams [7]float64) {
+	fl := &p.flows
+	return fl.rates, p.nR, p.nSg, [7]float64{fl.f6, fl.f7, fl.f5, fl.f9, fl.f10Mol, fl.f11Mol, fl.ovMol}
+}
+
 func TestMeasurementUnitMappings(t *testing.T) {
 	p := newTestProcess(t, Config{NoProcessNoise: true, NoMeasurementNoise: true})
 	if err := p.Step(); err != nil {
 		t.Fatal(err)
 	}
 	m := p.TrueMeasurements()
-	_, _, _, streams := p.Debug()
+	_, _, _, streams := debugState(p)
 	// Molar reactor feed (streams[0] = F6 in kmol/h) ↔ XMEAS(6) in kscmh.
 	if got, want := m[XmeasReactorFeed], streams[0]*kscmhPerKmol; math.Abs(got-want) > 1e-9 {
 		t.Errorf("XMEAS(6) = %g, want %g from F6", got, want)
@@ -111,7 +120,7 @@ func TestMassConservationClosedValves(t *testing.T) {
 		}
 	}
 	total := func() float64 {
-		_, nR, nSg, _ := p.Debug()
+		_, nR, nSg, _ := debugState(p)
 		var s float64
 		for c := 0; c < 8; c++ {
 			s += nR[c] + nSg[c]
@@ -143,7 +152,7 @@ func TestDebugAccessorShapes(t *testing.T) {
 	if err := p.Step(); err != nil {
 		t.Fatal(err)
 	}
-	rates, nR, nSg, streams := p.Debug()
+	rates, nR, nSg, streams := debugState(p)
 	for i, r := range rates {
 		if r < 0 {
 			t.Errorf("rate[%d] = %g < 0", i, r)

@@ -36,13 +36,6 @@ func (o *ou) step(dt float64, rng *rand.Rand) float64 {
 // value returns the current value without advancing.
 func (o *ou) value() float64 { return o.x }
 
-// reset returns the process to its mean.
-func (o *ou) reset() { o.x = o.mean }
-
-// boost multiplies the stationary σ (used when an IDV switches a channel
-// from background variation to "random variation" disturbance mode).
-func (o *ou) boost(factor float64) { o.sigma *= factor }
-
 // lag is a first-order lag y' = (u−y)/τ, used for valve actuators and
 // analyzer dynamics. A zero τ passes the input through.
 type lag struct {
@@ -71,9 +64,6 @@ func (l *lag) step(u, dt float64) float64 {
 	l.y += a * (u - l.y)
 	return l.y
 }
-
-// value returns the current output.
-func (l *lag) value() float64 { return l.y }
 
 // force sets the output directly (used to initialize at the base case).
 func (l *lag) force(v float64) { l.y = v; l.set = true }

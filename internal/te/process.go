@@ -939,14 +939,6 @@ func (p *Process) SetXMV(i int, v float64) error {
 	return nil
 }
 
-// XMV returns the currently commanded position of manipulated variable i.
-func (p *Process) XMV(i int) float64 {
-	if i < 0 || i >= NumXMV {
-		return math.NaN()
-	}
-	return p.cmd[i]
-}
-
 // XMVs returns a copy of all commanded positions.
 func (p *Process) XMVs() []float64 {
 	out := make([]float64, NumXMV)
@@ -1002,9 +994,6 @@ func (p *Process) IDV(i int) bool {
 // Hours returns the simulated time in hours.
 func (p *Process) Hours() float64 { return p.now }
 
-// StepSeconds returns the sampling interval in seconds.
-func (p *Process) StepSeconds() float64 { return p.cfg.StepSeconds }
-
 // Shutdown reports whether a safety interlock has tripped.
 func (p *Process) Shutdown() bool { return p.down }
 
@@ -1035,16 +1024,6 @@ func (p *Process) Clone(seed int64) *Process {
 	q.steamExtra = cpOU(p.steamExtra)
 	q.compExtra = cpOU(p.compExtra)
 	return &q
-}
-
-// Debug returns internal diagnostics for development tooling: reaction
-// rates [r1..r4] in kmol/h, the reactor component holdups [A..H] in kmol,
-// the separator gas holdups, and key stream molar flows
-// [F6, F7, F5, F9, F10, F11, OV].
-func (p *Process) Debug() (rates [4]float64, nR, nSg [8]float64, streams [7]float64) {
-	fl := &p.flows
-	return p.flows.rates, p.nR, p.nSg,
-		[7]float64{fl.f6, fl.f7, fl.f5, fl.f9, fl.f10Mol, fl.f11Mol, fl.ovMol}
 }
 
 // EnableNoise toggles process and measurement noise at runtime (used to

@@ -121,11 +121,9 @@ func TestStreamFeed(t *testing.T) {
 		t.Fatal("fixture mismatch; cannot test feed")
 	}
 	// A trivial single-view feed: three identical NOC rows then EOF.
-	row := make([]float64, pcsmon.NumVars)
-	base := l.Template.BaseXMEAS()
-	copy(row, base)
-	xmv := l.Template.BaseXMV()
-	copy(row[len(base):], xmv)
+	// The calibration mean is the steady operating point.
+	_, means, _ := l.System.CalibrationMoments()
+	row := append([]float64(nil), means...)
 	n := 0
 	rep, err := pcsmon.Stream(l.System, 0, 9*time.Second, func() (ctrl, proc []float64, err error) {
 		if n >= 50 {
