@@ -143,7 +143,7 @@ func runReplay(args []string, out io.Writer) error {
 		// post-mortem a replay is for. The readable prefix was scored; say
 		// so instead of discarding everything over the tail.
 		fmt.Fprintf(out, "warning: %s: %v — replaying the %d readable frames\n",
-			*capPath, terr, cr.Delivered())
+			*capPath, terr, p.Played())
 	}
 	if cr.SegmentsSkipped() > 0 {
 		fmt.Fprintf(out, "index seek: %d of %d segments skipped via index\n", cr.SegmentsSkipped(), cr.Segments())
@@ -156,7 +156,7 @@ func runReplay(args []string, out io.Writer) error {
 	}
 	t := p.Totals()
 	fmt.Fprintf(out, "\nreplay: %d frames, capture span %v in %v (%sx effective), %.0f plants, %.0f observations, %.0f alarms\n",
-		cr.Delivered(), span.Round(time.Millisecond), wall.Round(time.Millisecond),
+		p.Played(), span.Round(time.Millisecond), wall.Round(time.Millisecond),
 		effective, t["fleet_attached"], t["fleet_observations"], t["fleet_alarms"])
 	return nil
 }

@@ -60,8 +60,15 @@ type Options struct {
 // after each observation frame, so pair timeouts keep meaning capture
 // time at any speed-up. No wall-clock tick runs: it could orphan a mate
 // the frame-by-frame order would still pair.
+//
+// The play runs in two stages: a reader goroutine decodes the chain ahead
+// into a few fixed chunks while the pump offers the previous chunk's
+// frames, so the read (I/O, CRC, decode) overlaps pairing and scoring.
+// The pump still takes the frames one at a time in chain order.
 type Capture struct {
-	// Chain is read to EOF (the caller opens and closes it).
+	// Chain is read to EOF (the caller opens and closes it). The plane
+	// reads it ahead of what it has played; the reader is done with the
+	// chain once the plane has drained.
 	Chain *fieldbus.ChainReader
 	// Name describes the capture on the "replaying" line the plane prints
 	// just before reading the first frame.
@@ -122,8 +129,9 @@ type Plane struct {
 	// (-1 = inherit the global onset).
 	unitOnsets [256]atomic.Int64
 
-	lastSeen atomic.Int64 // UnixNano of the last accepted frame
-	capNow   atomic.Int64 // capture stamp of the frame being played
+	lastSeen atomic.Int64  // UnixNano of the last accepted frame
+	capNow   atomic.Int64  // capture stamp of the frame being played
+	played   atomic.Uint64 // capture frames the pump handed to offer
 	playDone chan struct{}
 	accepted atomic.Uint64
 	rejected atomic.Uint64 // frames refused because a drain began
@@ -486,38 +494,124 @@ func (p *Plane) play() {
 	_ = p.drain(err)
 }
 
+// The capture read-ahead: readDepth chunks of readChunk frames circulate
+// between the reader goroutine and the pump.
+const (
+	readChunk = 256
+	readDepth = 4
+)
+
+// frameChunk is a run of consecutive capture records, copied out of the
+// chain reader's scratch frame. err, when set, is the read error (io.EOF
+// at the end of the chain) that followed the chunk's n frames.
+type frameChunk struct {
+	n      int
+	ts     [readChunk]time.Duration
+	frames [readChunk]fieldbus.Frame
+	err    error
+}
+
+// fill reads the chunk's frames from chain, stopping early at a read
+// error. Values slices are reused once grown to the frame width.
+//
+//pcslint:hotpath
+func (ch *frameChunk) fill(chain *fieldbus.ChainReader) {
+	ch.n, ch.err = 0, nil
+	for ch.n < readChunk {
+		ts, f, err := chain.Next()
+		if err != nil {
+			ch.err = err
+			return
+		}
+		dst := &ch.frames[ch.n]
+		dst.Type, dst.Unit, dst.Seq = f.Type, f.Unit, f.Seq
+		dst.Values = append(dst.Values[:0], f.Values...)
+		ch.ts[ch.n] = ts
+		ch.n++
+	}
+}
+
+// readAhead is the reader stage: it fills free chunks and hands them to
+// full in chain order until a read error (io.EOF included) or stop, then
+// closes full. Every chunk in flight fits in full's buffer, so only the
+// wait for a free chunk watches stop.
+func readAhead(chain *fieldbus.ChainReader, free <-chan *frameChunk, full chan<- *frameChunk, stop <-chan struct{}) {
+	defer close(full)
+	for {
+		var ch *frameChunk
+		select {
+		case <-stop: // before free: a stopped pump may have left chunks there
+			return
+		default:
+		}
+		select {
+		case ch = <-free:
+		case <-stop:
+			return
+		}
+		ch.fill(chain)
+		full <- ch
+		if ch.err != nil {
+			return
+		}
+	}
+}
+
+// playChain plays the capture: readAhead decodes the chain while the pump
+// loop below offers the frames in order. Every frame read before a read
+// error is offered, none after it. The reader is joined before playChain
+// returns, on every exit, so the caller may close the chain once the
+// plane has drained.
 func (p *Plane) playChain(c *Capture) error {
 	timeout := p.config().PairTimeout()
 	fmt.Fprintf(p.out, "replaying %s\n", c.Name)
+	free := make(chan *frameChunk, readDepth)
+	full := make(chan *frameChunk, readDepth)
+	for range readDepth {
+		free <- new(frameChunk)
+	}
+	stop := make(chan struct{})
+	go readAhead(c.Chain, free, full, stop)
+	defer func() {
+		close(stop)
+		for range full { // join the reader: it closes full on exit
+		}
+	}()
 	//pcslint:ignore clock-discipline -- pacing maps capture time onto wall time
 	start := time.Now()
 	var first time.Duration
-	for n := 0; !p.draining.Load(); n++ {
-		ts, f, err := c.Chain.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			first = ts
-		}
-		if c.Speed > 0 {
-			if d := time.Until(start.Add(time.Duration(float64(ts-first) / c.Speed))); d > 0 {
-				time.Sleep(d)
+	for ch := range full {
+		for i := range ch.n {
+			if p.draining.Load() {
+				return nil
 			}
-		}
-		p.capNow.Store(int64(ts))
-		offered, err := p.offer(f)
-		if err != nil {
-			return err
-		}
-		if offered && timeout > 0 {
-			if err := p.cor.Tick(p.clock()); err != nil {
+			ts := ch.ts[i]
+			if p.played.Add(1) == 1 {
+				first = ts
+			}
+			if c.Speed > 0 {
+				if d := time.Until(start.Add(time.Duration(float64(ts-first) / c.Speed))); d > 0 {
+					time.Sleep(d)
+				}
+			}
+			p.capNow.Store(int64(ts))
+			offered, err := p.offer(&ch.frames[i])
+			if err != nil {
 				return err
 			}
+			if offered && timeout > 0 {
+				if err := p.cor.Tick(p.clock()); err != nil {
+					return err
+				}
+			}
 		}
+		if ch.err == io.EOF {
+			return nil
+		}
+		if ch.err != nil {
+			return ch.err
+		}
+		free <- ch
 	}
 	return nil
 }
@@ -722,6 +816,12 @@ func (p *Plane) OpsURL() string {
 
 // Accepted returns the number of observation frames accepted pre-drain.
 func (p *Plane) Accepted() uint64 { return p.accepted.Load() }
+
+// Played returns the number of capture frames the plane has played
+// (offered) so far — with Options.Capture, the replay's frame count. The
+// reader decodes ahead of the pump, so a drain in mid-replay leaves it
+// below the chain reader's Delivered; a replay played to EOF equals it.
+func (p *Plane) Played() uint64 { return p.played.Load() }
 
 // Reports snapshots the final per-unit reports (detached/drained units).
 func (p *Plane) Reports() map[string]UnitReport {

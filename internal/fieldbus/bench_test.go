@@ -63,8 +63,10 @@ func BenchmarkUDPIngest(b *testing.B) {
 }
 
 // BenchmarkCaptureReplay measures the capture read path: decoding
-// length-prefixed, CRC-checked records through the reader's scratch — the
-// floor on how fast `mspctool replay` can drive the pairing stack.
+// length-prefixed, CRC-checked records through the reader's scratch. In
+// `mspctool replay` this read runs on its own goroutine, ahead of the pump
+// that pairs the frames, so it bounds the reader stage only; the replay's
+// pace is set by the slower of the two stages.
 func BenchmarkCaptureReplay(b *testing.B) {
 	const batch = 512
 	var buf bytes.Buffer

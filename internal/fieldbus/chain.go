@@ -122,6 +122,7 @@ func OpenCaptureChain(base string, opts ChainOptions) (*ChainReader, error) {
 func (c *ChainReader) Next() (time.Duration, *Frame, error) {
 	for {
 		if c.cr == nil {
+			//pcslint:ignore hotpath -- opens a segment file once per segment; the per-record read below stays allocation-free
 			if err := c.openNext(); err != nil {
 				return 0, nil, err
 			}

@@ -10,14 +10,15 @@ import (
 
 // TestMetricsThroughputBudget is the regression backstop for the
 // observability budget: instrumented scoring (latency histogram, batch
-// occupancy, per-unit health stores) must stay within a fraction of the
-// bare pool's cost. The benchmarked overhead is a few percent — within the
-// <5% budget recorded next to BENCH_fleet.json — but wall-clock on shared
-// CI is noisy, so this guard only trips on a gross regression (a lock or
-// allocation sneaking onto the hot path shows up as 2x, not 1.1x). The
-// precise numbers come from comparing BenchmarkFleetThroughput against
-// BenchmarkFleetThroughputMetrics with benchstat; the hard zero-alloc
-// guarantee lives in TestSteadyStateZeroAllocPerObservation/metrics.
+// occupancy, per-unit health stores) must cost at most 1.5x the bare
+// pool's per-observation time. The paired median this test measures is
+// 1.12–1.27x (20 runs, single rounds 0.96–1.40x, on a 2-vCPU Xeon), and
+// wall-clock on shared CI is noisy, so the 1.5x bound only trips on a
+// gross regression (a lock or allocation sneaking onto the hot path shows
+// up as 2x). The precise numbers come from comparing
+// BenchmarkFleetThroughput against BenchmarkFleetThroughputMetrics with
+// benchstat; the hard zero-alloc guarantee lives in
+// TestSteadyStateZeroAllocPerObservation/metrics.
 func TestMetricsThroughputBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison skipped in -short")
@@ -99,6 +100,6 @@ func TestMetricsThroughputBudget(t *testing.T) {
 	ratio := ratios[rounds/2]
 	t.Logf("median ratio %.2fx (rounds %.2f..%.2fx)", ratio, ratios[0], ratios[rounds-1])
 	if ratio > 1.5 {
-		t.Errorf("instrumented scoring costs %.2fx the bare path, want gross parity (budget ~1.05x)", ratio)
+		t.Errorf("instrumented scoring costs %.2fx the bare path, want at most 1.5x (measured 1.12-1.27x)", ratio)
 	}
 }
