@@ -260,13 +260,13 @@ func BenchmarkAbl_RunRule(b *testing.B) {
 	}
 }
 
-// --- Streaming vs batch ---
+// --- Scenario runs ---
 
-// benchScenarioRun measures one full scenario run end to end (simulate +
-// analyze). With earlyStop the streaming path halts the simulation shortly
-// after the alarm; the samples/op metric shows the work saved against the
-// full-run batch protocol.
-func benchScenarioRun(b *testing.B, earlyStop bool) {
+// BenchmarkScenario_BatchFullRun measures one full scenario run end to end:
+// simulate the full horizon, record both views and analyze afterwards — the
+// paper's offline protocol. samples/op is the number of observations
+// scored.
+func BenchmarkScenario_BatchFullRun(b *testing.B) {
 	f := fixture(b)
 	sc := pcsmon.PaperScenarios(benchOnset)[1] // integrity on XMV(3)
 	exp := &scenario.Experiment{
@@ -277,7 +277,6 @@ func benchScenarioRun(b *testing.B, earlyStop bool) {
 		Decimate:  2,
 		SeedBase:  31337,
 		Workers:   1,
-		EarlyStop: earlyStop,
 	}
 	b.ResetTimer()
 	var samples int
@@ -287,20 +286,9 @@ func benchScenarioRun(b *testing.B, earlyStop bool) {
 			b.Fatal(err)
 		}
 		samples = res.Runs[0].Samples
-		if earlyStop && !res.Runs[0].Stopped {
-			b.Fatal("early-stop run was not stopped")
-		}
 	}
 	b.ReportMetric(float64(samples), "samples/op")
 }
-
-// BenchmarkScenario_BatchFullRun simulates the full horizon, records both
-// views and analyzes afterwards — the paper's offline protocol.
-func BenchmarkScenario_BatchFullRun(b *testing.B) { benchScenarioRun(b, false) }
-
-// BenchmarkScenario_StreamEarlyStop fuses simulation and monitoring and
-// stops as soon as the verdict is settled.
-func BenchmarkScenario_StreamEarlyStop(b *testing.B) { benchScenarioRun(b, true) }
 
 // BenchmarkOnlineAnalyzerStream measures the incremental analysis path over
 // a prerecorded run (per-observation scoring cost and allocations),

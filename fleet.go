@@ -2,21 +2,9 @@ package pcsmon
 
 import (
 	"fmt"
-	"sync"
 
 	"pcsmon/internal/core"
 	"pcsmon/internal/fleet"
-	"pcsmon/internal/scenario"
-)
-
-// Fleet-related sentinel errors, re-exported from the engine.
-var (
-	// ErrFleetClosed is returned when operating on a closed fleet.
-	ErrFleetClosed = fleet.ErrClosed
-	// ErrDuplicatePlant is returned when attaching an already-attached ID.
-	ErrDuplicatePlant = fleet.ErrDuplicatePlant
-	// ErrUnknownPlant is returned for operations on an unattached ID.
-	ErrUnknownPlant = fleet.ErrUnknownPlant
 )
 
 // PlantID returns the fleet plant id of a fieldbus unit ("unit-007").
@@ -42,9 +30,9 @@ type FleetOptions = fleet.Config
 
 // Fleet scores many concurrent plant streams against one calibrated
 // system: the library wrapper over the internal/fleet pool, translating its
-// events into the StreamEvent vocabulary. Create with NewFleet or drive
-// whole simulated fleets with Lab.RunFleet. All methods are safe for
-// concurrent use. (The control plane and mspctool run on the pool itself.)
+// events into the StreamEvent vocabulary. Create with NewFleet. All
+// methods are safe for concurrent use. (The control plane and mspctool run
+// on the pool itself.)
 type Fleet struct {
 	pool   *fleet.Pool
 	events chan FleetEvent
@@ -137,108 +125,4 @@ func (f *Fleet) Close() error {
 	}
 	<-f.done
 	return nil
-}
-
-// FleetRunOptions tunes Lab.RunFleet.
-type FleetRunOptions struct {
-	// FleetOptions sizes the scoring pool. Sample is derived from the
-	// lab's cadence and ignored here.
-	FleetOptions
-	// Hours is each run's maximum simulated duration (0 = 16 h past each
-	// scenario's onset).
-	Hours float64
-}
-
-// FleetRunResult aggregates a RunFleet campaign.
-type FleetRunResult struct {
-	// Reports maps plant ID ("<scenario-key>/<run>") to the classified
-	// report.
-	Reports map[string]*Report
-	// Outcomes maps plant ID to how its simulation ended.
-	Outcomes map[string]scenario.FeedOutcome
-	// Stats is the pool's counter snapshot at the end of the campaign.
-	Stats FleetStats
-}
-
-// RunFleet simulates runsEach runs of every scenario concurrently — one
-// plant-simulation goroutine per stream, all scored by one shared fleet
-// pool against the lab's calibrated system. Run i of a scenario is the
-// same seeded run RunScenario executes, so fleet verdicts are directly
-// comparable to (and bit-identical with) the single-plant protocols. emit,
-// if non-nil, observes the merged event stream from a single goroutine.
-func (l *Lab) RunFleet(scs []Scenario, runsEach int, opts FleetRunOptions, emit func(FleetEvent)) (*FleetRunResult, error) {
-	if len(scs) == 0 || runsEach < 1 {
-		return nil, fmt.Errorf("pcsmon: fleet needs scenarios and runs ≥ 1: %w", ErrBadConfig)
-	}
-	fopts := opts.FleetOptions
-	fopts.Sample = l.newExperiment(scs[0], opts.Hours).SampleInterval()
-	fl, err := NewFleet(l.System, fopts)
-	if err != nil {
-		return nil, err
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range fl.Events() {
-			if emit != nil {
-				emit(ev)
-			}
-		}
-	}()
-
-	type outcome struct {
-		id   string
-		rep  *Report
-		feed scenario.FeedOutcome
-		err  error
-	}
-	outcomes := make([]outcome, len(scs)*runsEach)
-	var wg sync.WaitGroup
-	for si, sc := range scs {
-		for i := 0; i < runsEach; i++ {
-			wg.Add(1)
-			go func(slot int, sc Scenario, i int) {
-				defer wg.Done()
-				out := &outcomes[slot]
-				out.id = fmt.Sprintf("%s/%02d", sc.Key, i)
-				exp := l.newExperiment(sc, opts.Hours)
-				if err := fl.Attach(out.id, exp.OnsetIndex()); err != nil {
-					out.err = err
-					return
-				}
-				feed, err := exp.Feed(sc, exp.RunSeed(int64(i)), func(idx int, ctrl, proc []float64) error {
-					return fl.Push(out.id, ctrl, proc)
-				})
-				if err != nil {
-					// Surface the simulation error, but still detach so the
-					// pool does not leak the stream.
-					_, _ = fl.Detach(out.id)
-					out.err = fmt.Errorf("pcsmon: %s: %w", out.id, err)
-					return
-				}
-				out.feed = *feed
-				out.rep, out.err = fl.Detach(out.id)
-			}(si*runsEach+i, sc, i)
-		}
-	}
-	wg.Wait()
-	stats := fl.Stats()
-	if err := fl.Close(); err != nil {
-		return nil, err
-	}
-	<-drained
-
-	res := &FleetRunResult{
-		Reports:  make(map[string]*Report, len(outcomes)),
-		Outcomes: make(map[string]scenario.FeedOutcome, len(outcomes)),
-		Stats:    stats,
-	}
-	for _, out := range outcomes {
-		if out.err != nil {
-			return nil, out.err
-		}
-		res.Reports[out.id] = out.rep
-		res.Outcomes[out.id] = out.feed
-	}
-	return res, nil
 }

@@ -8,17 +8,12 @@ import (
 )
 
 // Scorer is the common surface of a frozen core.OnlineAnalyzer and an
-// adaptive Analyzer — what streaming drivers (the scenario runner, the
-// facade's feed loop) program against so one code path serves both
-// engines.
+// adaptive Analyzer — what the facade's feed loop programs against so one
+// code path serves both engines.
 type Scorer interface {
 	Push(ctrl, proc []float64) (core.StepResult, error)
 	Finish() (*core.Report, error)
-	Settled() bool
-	Detected() bool
-	FirstAlarmIndex() int
 	N() int
-	DiagnosisWindows() (ctrl, proc [][]float64)
 }
 
 // NewScorer returns the scoring engine a stream should run against sys: a
@@ -95,22 +90,5 @@ func (a *Analyzer) Push(ctrl, proc []float64) (core.StepResult, error) {
 // Finish closes the stream and returns the classified report (idempotent).
 func (a *Analyzer) Finish() (*core.Report, error) { return a.oa.Finish() }
 
-// The read-only stream queries delegate to the wrapped analyzer, so the
-// scenario runner can drive frozen and adaptive streams through one code
-// path.
-
 // N returns the number of observations pushed.
 func (a *Analyzer) N() int { return a.oa.N() }
-
-// Detected reports whether either view has latched a post-onset alarm.
-func (a *Analyzer) Detected() bool { return a.oa.Detected() }
-
-// FirstAlarmIndex returns the stream index of the first post-onset alarm,
-// or -1.
-func (a *Analyzer) FirstAlarmIndex() int { return a.oa.FirstAlarmIndex() }
-
-// Settled reports that the final report can no longer change.
-func (a *Analyzer) Settled() bool { return a.oa.Settled() }
-
-// DiagnosisWindows returns copies of the per-view diagnosis rows.
-func (a *Analyzer) DiagnosisWindows() (ctrl, proc [][]float64) { return a.oa.DiagnosisWindows() }

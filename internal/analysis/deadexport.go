@@ -9,12 +9,15 @@ import (
 )
 
 // DeadExportAnalyzer flags exported package-level funcs, types, vars and
-// consts, and exported methods, declared under internal/ that no non-test
-// Go file refers to. Internal packages cannot be imported from outside the
-// module tree, so once the module's own packages and its nested referrer
-// modules (Module.Referrers) stop naming a declaration, only tests keep it
-// alive, and a test of code no program runs proves nothing about the
-// detector.
+// consts, and exported methods, that no non-test Go file refers to. It
+// covers the packages under internal/ and, when the module builds a main
+// package of its own, every other non-main package too (the root facade).
+// Internal packages cannot be imported from outside the module tree, and a
+// module that ships its programs is judged by what they call, so once the
+// module's own packages and its nested referrer modules (Module.Referrers)
+// stop naming a declaration, only tests keep it alive, and a test of code
+// no program runs proves nothing about the detector. A library module with
+// no program is left alone outside internal/: its exports are its product.
 //
 // A reference inside the declaration itself (recursion, a type's own
 // receivers) does not count. A method is also live when its receiver type
@@ -27,10 +30,10 @@ type DeadExportAnalyzer struct{}
 func (a *DeadExportAnalyzer) Name() string { return DeadExportName }
 
 func (a *DeadExportAnalyzer) Doc() string {
-	return "exported internal/... declarations must have a non-test referrer in the module or a nested replace module"
+	return "exported internal/... declarations, and every non-main package's when the module builds a program, must have a non-test referrer in the module or a nested replace module"
 }
 
-// exportDecl is one exported declaration under internal/: its object, the
+// exportDecl is one exported declaration in scope: its object, the
 // source spans whose references do not count, and the const group it
 // shares liveness with (nil outside a parenthesised const block).
 type exportDecl struct {
@@ -93,13 +96,22 @@ func (d *exportDecl) within(pos token.Pos) bool {
 }
 
 // exportedDecls collects every exported declaration of the module's
-// internal/ packages, in source order.
+// internal/ packages, plus those of its other non-main packages when the
+// module builds a main package, in source order.
 func exportedDecls(m *Module) []*exportDecl {
+	hasProgram := false
+	for _, pkg := range m.Packages {
+		if pkg.Types.Name() == "main" {
+			hasProgram = true
+			break
+		}
+	}
 	var out []*exportDecl
 	typeDecls := make(map[*types.TypeName]*exportDecl)
 	for _, pkg := range m.Packages {
 		rel := strings.TrimPrefix(pkg.Path, m.Path+"/")
-		if rel != "internal" && !strings.HasPrefix(rel, "internal/") {
+		internal := rel == "internal" || strings.HasPrefix(rel, "internal/")
+		if !internal && (!hasProgram || pkg.Types.Name() == "main") {
 			continue
 		}
 		var recvs []*ast.FuncDecl

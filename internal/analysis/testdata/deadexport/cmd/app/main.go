@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"fix.example/deadexport"
 	"fix.example/deadexport/internal/lib"
 )
 
@@ -13,4 +14,5 @@ func main() {
 	_, err := io.ReadAll(&lib.Src{})
 	fmt.Println(lib.T{}.Len(), s.Area(), lib.A, err)
 	lib.Used()
+	fmt.Println(deadexport.Greet())
 }

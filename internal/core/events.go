@@ -52,9 +52,6 @@ type VerdictReady struct {
 	Report *Report
 	// Samples is the number of observations scored.
 	Samples int
-	// Stopped reports that the run was halted early (streaming early-stop
-	// mode).
-	Stopped bool
 }
 
 func (SampleScored) streamEvent() {}

@@ -192,10 +192,6 @@ func (a *OnlineAnalyzer) TrySwap(sys *System) (bool, error) {
 // Detected reports whether either view has latched a post-onset alarm.
 func (a *OnlineAnalyzer) Detected() bool { return a.firstAlarm >= 0 }
 
-// FirstAlarmIndex returns the stream index of the first post-onset alarm in
-// either view, or -1 while the run is in control.
-func (a *OnlineAnalyzer) FirstAlarmIndex() int { return a.firstAlarm }
-
 // Settled reports that the final report can no longer change: both views
 // have latched detections and every evidence window is full. Callers may
 // stop feeding (and stop simulating) once it returns true.
@@ -203,25 +199,6 @@ func (a *OnlineAnalyzer) Settled() bool {
 	w := a.sys.cfg.DiagnoseWindow
 	return a.ctrl.settled(w) && a.proc.settled(w) &&
 		(a.win == nil && a.ctrl.ended && a.proc.ended || a.win != nil && a.win.n >= w)
-}
-
-// DiagnosisWindows returns copies of the per-view diagnosis rows (the first
-// out-of-control observations, up to DiagnoseWindow each) — what the
-// scenario runner pools across runs for the paper's Figures 4/5. A view
-// without a detection yields nil.
-func (a *OnlineAnalyzer) DiagnosisWindows() (ctrl, proc [][]float64) {
-	return copyRows(a.ctrl.diag), copyRows(a.proc.diag)
-}
-
-func copyRows(rows [][]float64) [][]float64 {
-	if rows == nil {
-		return nil
-	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out
 }
 
 // Finish closes the stream, runs diagnosis over the buffered windows and

@@ -5,16 +5,44 @@ import (
 
 	"pcsmon/internal/adapt"
 	"pcsmon/internal/core"
+	"pcsmon/internal/fleet"
+	"pcsmon/internal/te"
 )
 
 // adaptOptions are the adaptive settings the scenario tests share: refit
 // about once a simulated hour, remember ~2.5 h of in-control traffic.
-func adaptOptions() *adapt.Options {
-	return &adapt.Options{
+func adaptOptions() adapt.Options {
+	return adapt.Options{
 		Enabled:   true,
 		Every:     200,
 		Forget:    0.999,
 		MinWeight: 600,
+	}
+}
+
+// SlowDriftScenario returns the plant-aging situation the adaptive
+// recalibration layer exists for: from onsetHour a handful of correlated
+// process channels drift at a small fraction of a calibration σ per hour —
+// no disturbance, no attacker. A frozen model eventually walks out of its
+// own NOC region and false-alarms on healthy operation; an adaptive model
+// tracks the aging and stays quiet, which is why the ground-truth verdict
+// is Normal.
+func SlowDriftScenario(onsetHour float64) Scenario {
+	return Scenario{
+		Key:  "slow-drift",
+		Name: "Slow NOC aging: correlated sensor drift, no anomaly",
+		Drift: DriftSpec{
+			StartHour:    onsetHour,
+			SigmaPerHour: 0.06,
+			Channels: []int{
+				te.XmeasReactorTemp,
+				te.XmeasReactorPress,
+				te.XmeasSepTemp,
+				te.XmeasStripTemp,
+			},
+		},
+		Expected:    core.VerdictNormal,
+		AttackedVar: -1,
 	}
 }
 
@@ -27,30 +55,28 @@ func TestSlowDriftFrozenVsAdaptive(t *testing.T) {
 	exp, _ := fixture(t)
 	sc := SlowDriftScenario(testOnsetHour)
 
-	overCount := func(e *Experiment) (int, *RunOutcome) {
-		over := 0
-		out, err := e.Stream(sc, e.RunSeed(0), func(res core.StepResult) {
-			if res.Index < e.OnsetIndex() {
-				return
-			}
-			if (res.Ctrl != nil && res.Ctrl.Over()) || (res.Proc != nil && res.Proc.Over()) {
-				over++
+	// overCount scores the run on a one-worker pool, counting post-onset
+	// observations over a 99 % limit in either view and accepted swaps.
+	overCount := func(ao adapt.Options) (over, swaps int, rep *core.Report) {
+		reports, _ := runFleet(t, exp, []Scenario{sc}, 1, fleet.Config{Workers: 1, Adapt: ao}, func(ev fleet.Event) {
+			switch e := ev.(type) {
+			case *fleet.Scored:
+				res := e.Step
+				if res.Index < exp.OnsetIndex() {
+					return
+				}
+				if (res.Ctrl != nil && res.Ctrl.Over()) || (res.Proc != nil && res.Proc.Over()) {
+					over++
+				}
+			case fleet.ModelSwapped:
+				swaps++
 			}
 		})
-		if err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		return over, out
+		return over, swaps, reports[sc.Key+"/00"]
 	}
 
-	frozen := *exp
-	frozenOver, frozenOut := overCount(&frozen)
-
-	adaptive := *exp
-	adaptive.Adapt = adaptOptions()
-	swaps := 0
-	adaptive.OnSwap = func(adapt.Swap) { swaps++ }
-	adaptiveOver, adaptiveOut := overCount(&adaptive)
+	frozenOver, _, fr := overCount(adapt.Options{})
+	adaptiveOver, swaps, ar := overCount(adaptOptions())
 
 	t.Logf("post-onset over-limit observations: frozen=%d adaptive=%d (swaps=%d)",
 		frozenOver, adaptiveOver, swaps)
@@ -60,13 +86,12 @@ func TestSlowDriftFrozenVsAdaptive(t *testing.T) {
 	}
 	// The frozen model walks out of its own NOC region: it latches a
 	// detection on healthy (aging) operation.
-	fr := frozenOut.Report
 	if !fr.Controller.Detected && !fr.Process.Detected {
 		t.Error("frozen model never false-alarmed under slow drift (drift too mild for the test to mean anything)")
 	}
 	// The adaptive model tracks the aging and stays quiet.
-	if got := adaptiveOut.Report.Verdict; got != core.VerdictNormal {
-		t.Errorf("adaptive verdict under pure aging: %v (%s)", got, adaptiveOut.Report.Explanation)
+	if got := ar.Verdict; got != core.VerdictNormal {
+		t.Errorf("adaptive verdict under pure aging: %v (%s)", got, ar.Explanation)
 	}
 	if swaps == 0 {
 		t.Error("adaptive run never swapped models")
@@ -81,16 +106,11 @@ func TestSlowDriftFrozenVsAdaptive(t *testing.T) {
 func TestAdaptiveStillDetectsPaperScenarios(t *testing.T) {
 	exp, _ := fixture(t)
 	for _, sc := range PaperScenarios(testOnsetHour) {
-		sc := sc
 		t.Run(sc.Key, func(t *testing.T) {
-			e := *exp
-			e.Adapt = adaptOptions()
-			e.EarlyStop = true
-			out, err := e.Stream(sc, e.RunSeed(0), nil)
-			if err != nil {
-				t.Fatalf("stream: %v", err)
-			}
-			rep := out.Report
+			reports, _ := runFleet(t, exp, []Scenario{sc}, 1, fleet.Config{
+				Workers: 1, EmitEvery: -1, Adapt: adaptOptions(),
+			}, nil)
+			rep := reports[sc.Key+"/00"]
 			if !rep.Controller.Detected && !rep.Process.Detected {
 				t.Fatalf("%s: not detected under adaptation", sc.Key)
 			}

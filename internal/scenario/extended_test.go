@@ -3,10 +3,64 @@ package scenario
 import (
 	"testing"
 
+	"pcsmon/internal/attack"
 	"pcsmon/internal/core"
 	"pcsmon/internal/plant"
 	"pcsmon/internal/te"
 )
+
+// ExtendedScenarios returns additional situations beyond the paper's four:
+// more disturbances, a sensor-side DoS and a bias attack.
+func ExtendedScenarios(onsetHour float64) []Scenario {
+	return []Scenario{
+		{
+			Key:         "idv1",
+			Name:        "Disturbance IDV(1): A/C feed ratio step",
+			IDVs:        []plant.IDVEvent{{Index: 0, StartHour: onsetHour}},
+			Expected:    core.VerdictDisturbance,
+			AttackedVar: -1,
+		},
+		{
+			Key:         "idv4",
+			Name:        "Disturbance IDV(4): reactor CW inlet temperature step",
+			IDVs:        []plant.IDVEvent{{Index: 3, StartHour: onsetHour}},
+			Expected:    core.VerdictDisturbance,
+			AttackedVar: -1,
+		},
+		{
+			Key:         "idv8",
+			Name:        "Disturbance IDV(8): feed composition random variation",
+			IDVs:        []plant.IDVEvent{{Index: 7, StartHour: onsetHour}},
+			Expected:    core.VerdictDisturbance,
+			AttackedVar: -1,
+		},
+		{
+			Key:  "xmeas1-dos",
+			Name: "DoS on XMEAS(1): sensor value frozen",
+			Attacks: []attack.Spec{{
+				Kind:      attack.DoS,
+				Direction: attack.SensorLink,
+				Channel:   te.XmeasAFeed,
+				StartHour: onsetHour,
+			}},
+			Expected:    core.VerdictDoS,
+			AttackedVar: te.XmeasAFeed,
+		},
+		{
+			Key:  "xmeas9-bias",
+			Name: "Bias attack on XMEAS(9): reactor temperature reads 3 °C low",
+			Attacks: []attack.Spec{{
+				Kind:      attack.Bias,
+				Direction: attack.SensorLink,
+				Channel:   te.XmeasReactorTemp,
+				StartHour: onsetHour,
+				Value:     -3,
+			}},
+			Expected:    core.VerdictIntegrityAttack,
+			AttackedVar: te.XmeasReactorTemp,
+		},
+	}
+}
 
 // TestExtendedScenarios exercises the situations beyond the paper's four:
 // more disturbances, a sensor-side DoS, and a bias attack. Requirements are

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"pcsmon/internal/adapt"
 	"pcsmon/internal/attack"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
@@ -125,85 +124,6 @@ func PaperScenarios(onsetHour float64) []Scenario {
 	}
 }
 
-// ExtendedScenarios returns additional situations beyond the paper's four:
-// more disturbances, a sensor-side DoS, a bias attack and a replay attack.
-func ExtendedScenarios(onsetHour float64) []Scenario {
-	return []Scenario{
-		{
-			Key:         "idv1",
-			Name:        "Disturbance IDV(1): A/C feed ratio step",
-			IDVs:        []plant.IDVEvent{{Index: 0, StartHour: onsetHour}},
-			Expected:    core.VerdictDisturbance,
-			AttackedVar: -1,
-		},
-		{
-			Key:         "idv4",
-			Name:        "Disturbance IDV(4): reactor CW inlet temperature step",
-			IDVs:        []plant.IDVEvent{{Index: 3, StartHour: onsetHour}},
-			Expected:    core.VerdictDisturbance,
-			AttackedVar: -1,
-		},
-		{
-			Key:         "idv8",
-			Name:        "Disturbance IDV(8): feed composition random variation",
-			IDVs:        []plant.IDVEvent{{Index: 7, StartHour: onsetHour}},
-			Expected:    core.VerdictDisturbance,
-			AttackedVar: -1,
-		},
-		{
-			Key:  "xmeas1-dos",
-			Name: "DoS on XMEAS(1): sensor value frozen",
-			Attacks: []attack.Spec{{
-				Kind:      attack.DoS,
-				Direction: attack.SensorLink,
-				Channel:   te.XmeasAFeed,
-				StartHour: onsetHour,
-			}},
-			Expected:    core.VerdictDoS,
-			AttackedVar: te.XmeasAFeed,
-		},
-		{
-			Key:  "xmeas9-bias",
-			Name: "Bias attack on XMEAS(9): reactor temperature reads 3 °C low",
-			Attacks: []attack.Spec{{
-				Kind:      attack.Bias,
-				Direction: attack.SensorLink,
-				Channel:   te.XmeasReactorTemp,
-				StartHour: onsetHour,
-				Value:     -3,
-			}},
-			Expected:    core.VerdictIntegrityAttack,
-			AttackedVar: te.XmeasReactorTemp,
-		},
-	}
-}
-
-// SlowDriftScenario returns the plant-aging situation the adaptive
-// recalibration layer exists for: from onsetHour a handful of correlated
-// process channels drift at a small fraction of a calibration σ per hour —
-// no disturbance, no attacker. A frozen model eventually walks out of its
-// own NOC region and false-alarms on healthy operation; an adaptive model
-// tracks the aging and stays quiet, which is why the ground-truth verdict
-// is Normal.
-func SlowDriftScenario(onsetHour float64) Scenario {
-	return Scenario{
-		Key:  "slow-drift",
-		Name: "Slow NOC aging: correlated sensor drift, no anomaly",
-		Drift: DriftSpec{
-			StartHour:    onsetHour,
-			SigmaPerHour: 0.06,
-			Channels: []int{
-				te.XmeasReactorTemp,
-				te.XmeasReactorPress,
-				te.XmeasSepTemp,
-				te.XmeasStripTemp,
-			},
-		},
-		Expected:    core.VerdictNormal,
-		AttackedVar: -1,
-	}
-}
-
 // Experiment holds everything needed to execute scenarios.
 type Experiment struct {
 	// Template is the warmed-up plant.
@@ -220,25 +140,6 @@ type Experiment struct {
 	SeedBase int64
 	// Workers bounds parallel runs (0 = GOMAXPROCS).
 	Workers int
-	// EarlyStop switches Run to the streaming path and halts each
-	// simulation as soon as the verdict is settled or StopHorizon
-	// observations have passed since the first alarm — the online
-	// protocol's "operator reacts to the alarm" semantics. Simulation
-	// work drops accordingly; plant shutdown hours are then no longer
-	// observed for stopped runs.
-	EarlyStop bool
-	// StopHorizon is the number of retained observations to keep
-	// simulating after the first alarm in early-stop mode (0 = six
-	// diagnosis windows, comfortably past every evidence buffer).
-	StopHorizon int
-	// Adapt enables the adaptive recalibration layer on the streaming
-	// paths: each run gets a fresh tracker seeded from System, learns from
-	// in-control observations and swaps models at diagnosis-window
-	// boundaries. Nil keeps the paper's frozen model.
-	Adapt *adapt.Options
-	// OnSwap observes every accepted model swap of a streaming run (only
-	// meaningful with Adapt set).
-	OnSwap func(adapt.Swap)
 }
 
 // validate checks the experiment parameters, wrapping ErrBadConfig.
@@ -256,20 +157,13 @@ func (e *Experiment) validate(runs int) error {
 		return fmt.Errorf("scenario: decimate %d: %w", e.Decimate, ErrBadConfig)
 	case e.Workers < 0:
 		return fmt.Errorf("scenario: workers %d: %w", e.Workers, ErrBadConfig)
-	case e.StopHorizon < 0:
-		return fmt.Errorf("scenario: stop horizon %d: %w", e.StopHorizon, ErrBadConfig)
-	}
-	if e.Adapt != nil {
-		if err := e.Adapt.Validate(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
 	}
 	return nil
 }
 
 // runConfig turns a scenario into one run's plant configuration, converting
 // any σ-denominated drift spec into engineering units with the calibrated
-// scaler — the single place batch, streaming and feed runs share.
+// scaler — the single place batch and feed runs share.
 func (e *Experiment) runConfig(sc Scenario, seed int64, decimate int) (plant.RunConfig, error) {
 	cfg := plant.RunConfig{
 		Seed:     seed,
@@ -379,11 +273,8 @@ type RunOutcome struct {
 	Report       *core.Report
 	Shutdown     bool
 	ShutdownHour float64
-	// Samples is the number of retained observations the run scored —
-	// the work metric the early-stop mode reduces.
+	// Samples is the number of retained observations the run scored.
 	Samples int
-	// Stopped reports that the streaming path halted the simulation early.
-	Stopped bool
 	// FirstOOCCtrl/Proc are the diagnosis-window observations of each view
 	// (pooled by the caller across runs for the paper's Figures 4/5).
 	FirstOOCCtrl [][]float64
@@ -411,27 +302,15 @@ type Result struct {
 	Correct float64
 }
 
-// Run executes one scenario `runs` times in parallel and aggregates. With
-// EarlyStop set the runs go through the streaming path (simulation and
-// analysis fused, simulation halted once the verdict is settled); otherwise
-// each run is recorded in full and analyzed by the batch wrapper. Both
-// paths share the same incremental analysis implementation.
+// Run executes one scenario `runs` times in parallel and aggregates: each
+// run is recorded in full and analyzed by the batch wrapper.
 func (e *Experiment) Run(sc Scenario, runs int) (*Result, error) {
 	if err := e.validate(runs); err != nil {
 		return nil, err
 	}
 	outcomes := make([]RunOutcome, runs)
 	if err := forEachRun(runs, e.Workers, func(i int) error {
-		seed := e.RunSeed(int64(i))
-		var (
-			out *RunOutcome
-			err error
-		)
-		if e.EarlyStop {
-			out, err = e.streamOne(sc, seed, nil)
-		} else {
-			out, err = e.batchOne(sc, seed)
-		}
+		out, err := e.batchOne(sc, e.RunSeed(int64(i)))
 		if err != nil {
 			return err
 		}
@@ -444,7 +323,7 @@ func (e *Experiment) Run(sc Scenario, runs int) (*Result, error) {
 }
 
 // RunSeed derives the plant seed of run i — the one formula shared by Run
-// and by streaming callers that want to replay a specific run.
+// and by Feed callers that want to replay a specific run.
 func (e *Experiment) RunSeed(i int64) int64 { return e.SeedBase + 1000 + i }
 
 // batchOne simulates one full run, records both views and analyzes them
@@ -486,6 +365,8 @@ func (e *Experiment) batchOne(sc Scenario, seed int64) (*RunOutcome, error) {
 // scenario's anomaly begins under the experiment's sampling geometry —
 // what streaming consumers that hold their own analyzers (the fleet pool)
 // pass to NewOnlineAnalyzer.
+//
+//pcslint:ignore dead-export -- oracle: TestClusterTwoNodeParity checks control.Config's onset index against it
 func (e *Experiment) OnsetIndex() int {
 	_, _, onsetIdx := e.geometry()
 	return onsetIdx
@@ -493,6 +374,8 @@ func (e *Experiment) OnsetIndex() int {
 
 // SampleInterval returns the retained-observation interval under the
 // experiment's sampling geometry.
+//
+//pcslint:ignore dead-export -- oracle: TestClusterTwoNodeParity derives control.Config's sample cadence from it
 func (e *Experiment) SampleInterval() time.Duration {
 	_, sample, _ := e.geometry()
 	return sample
@@ -507,9 +390,9 @@ type FeedOutcome struct {
 }
 
 // Feed simulates one run of sc and delivers every retained paired
-// observation to tap in order — the simulation-only counterpart of Stream
-// for consumers that hold their own analyzers (the fleet pool scores many
-// Feed streams against one shared system). The tap's rows are reused
+// observation to tap in order — the simulation-only counterpart of Run for
+// consumers that hold their own analyzers (the fleet pool scores many Feed
+// streams against one shared system). The tap's rows are reused
 // buffers, valid only for the duration of the call; an error returned by
 // the tap aborts the simulation and propagates.
 func (e *Experiment) Feed(sc Scenario, seed int64, tap historian.Tap) (*FeedOutcome, error) {
@@ -540,87 +423,6 @@ func (e *Experiment) Feed(sc Scenario, seed int64, tap historian.Tap) (*FeedOutc
 		}
 	}
 	return &FeedOutcome{Shutdown: run.Shutdown(), Hours: run.Hours()}, nil
-}
-
-// StreamCallback observes every scored observation of a streaming run.
-type StreamCallback func(core.StepResult)
-
-// errStopEarly halts a streaming simulation from inside the historian tap.
-var errStopEarly = errors.New("scenario: early stop")
-
-// Stream executes one run of sc on the streaming path: the historian feeds
-// each retained observation straight into an online analyzer (no views are
-// materialized), cb — if non-nil — sees every scored sample, and with
-// EarlyStop set the simulation halts once the verdict is settled or
-// StopHorizon observations have passed since the first alarm.
-func (e *Experiment) Stream(sc Scenario, seed int64, cb StreamCallback) (*RunOutcome, error) {
-	if err := e.validate(1); err != nil {
-		return nil, err
-	}
-	return e.streamOne(sc, seed, cb)
-}
-
-func (e *Experiment) streamOne(sc Scenario, seed int64, cb StreamCallback) (*RunOutcome, error) {
-	decimate, sample, onsetIdx := e.geometry()
-	cfg, err := e.runConfig(sc, seed, decimate)
-	if err != nil {
-		return nil, err
-	}
-	run, err := e.Template.NewRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	oa, err := adapt.NewScorer(e.System, e.Adapt, onsetIdx, sample, e.OnSwap)
-	if err != nil {
-		return nil, err
-	}
-	horizon := e.StopHorizon
-	if horizon <= 0 {
-		horizon = 6 * e.System.Config().DiagnoseWindow
-	}
-	stopped := false
-	views := run.Views()
-	views.SetRetain(false)
-	views.SetTap(func(idx int, c, p []float64) error {
-		res, err := oa.Push(c, p)
-		if err != nil {
-			return err
-		}
-		if cb != nil {
-			cb(res)
-		}
-		if e.EarlyStop {
-			if fa := oa.FirstAlarmIndex(); fa >= 0 && (oa.Settled() || idx >= fa+horizon) {
-				stopped = true
-				return errStopEarly
-			}
-		}
-		return nil
-	})
-	for run.Hours() < e.Hours {
-		if err := run.Step(); err != nil {
-			if errors.Is(err, te.ErrShutdown) || errors.Is(err, errStopEarly) {
-				break
-			}
-			return nil, err
-		}
-	}
-	rep, err := oa.Finish()
-	if err != nil {
-		return nil, err
-	}
-	out := &RunOutcome{
-		Seed:     seed,
-		Report:   rep,
-		Shutdown: run.Shutdown(),
-		Samples:  oa.N(),
-		Stopped:  stopped,
-	}
-	if run.Shutdown() {
-		out.ShutdownHour = run.Hours()
-	}
-	out.FirstOOCCtrl, out.FirstOOCProc = oa.DiagnosisWindows()
-	return out, nil
 }
 
 // aggregate folds per-run outcomes into the scenario-level Result,

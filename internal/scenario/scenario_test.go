@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -224,6 +225,37 @@ func TestPaperScenarioDefinitions(t *testing.T) {
 	}
 	if len(ExtendedScenarios(10)) < 4 {
 		t.Error("expected several extended scenarios")
+	}
+}
+
+// TestExperimentValidation exercises the config validation satellites.
+func TestExperimentValidation(t *testing.T) {
+	exp, _ := fixture(t)
+	sc := PaperScenarios(testOnsetHour)[0]
+	cases := []struct {
+		name   string
+		mutate func(*Experiment)
+		runs   int
+	}{
+		{"no template", func(e *Experiment) { e.Template = nil }, 1},
+		{"no system", func(e *Experiment) { e.System = nil }, 1},
+		{"zero runs", func(e *Experiment) {}, 0},
+		{"zero hours", func(e *Experiment) { e.Hours = 0 }, 1},
+		{"negative onset", func(e *Experiment) { e.OnsetHour = -1 }, 1},
+		{"negative decimate", func(e *Experiment) { e.Decimate = -2 }, 1},
+		{"negative workers", func(e *Experiment) { e.Workers = -1 }, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := *exp
+			tc.mutate(&e)
+			if _, err := e.Run(sc, tc.runs); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("want ErrBadConfig, got %v", err)
+			}
+		})
+	}
+	if _, err := Calibrate(exp.Template, 1, 1, -1, 0, core.Config{}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("negative calibration decimate: want ErrBadConfig, got %v", err)
 	}
 }
 

@@ -44,8 +44,6 @@ type lag struct {
 	set bool
 }
 
-func newLag(tau float64) *lag { return &lag{tau: tau} }
-
 // step advances toward u by dt hours and returns the output.
 func (l *lag) step(u, dt float64) float64 {
 	if !l.set {

@@ -343,7 +343,7 @@ func TestOUVarianceMatchesSigma(t *testing.T) {
 }
 
 func TestLagConverges(t *testing.T) {
-	l := newLag(0.1)
+	l := &lag{tau: 0.1}
 	l.force(0)
 	for i := 0; i < 1000; i++ {
 		l.step(5, 0.01)
@@ -352,7 +352,7 @@ func TestLagConverges(t *testing.T) {
 		t.Errorf("lag output = %g, want 5", l.y)
 	}
 	// Zero tau = pass-through.
-	l2 := newLag(0)
+	l2 := &lag{tau: 0}
 	l2.force(0)
 	if got := l2.step(7, 0.01); got != 7 {
 		t.Errorf("zero-tau lag = %g, want 7", got)

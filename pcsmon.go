@@ -11,10 +11,11 @@
 // diagnosis, and a classifier that tells process disturbances apart from
 // intrusions.
 //
-// The package exposes the high-level workflow — the lab, the scenarios,
-// the streaming analyzer and Fleet, the library wrapper over the scoring
-// pool; the building blocks live in the internal packages (te, plantctl,
-// fieldbus, attack, plant, mspc, pca, omeda, core, scenario, fleet, obs).
+// The package exposes what the examples and commands drive — the lab, the
+// paper's scenarios, the streaming analyzer and Fleet, the library wrapper
+// over the scoring pool; the building blocks live in the internal packages
+// (te, plantctl, fieldbus, attack, plant, mspc, pca, omeda, core, scenario,
+// fleet, obs).
 // The live frame pipeline — dedup, two-view pairing, scoring on
 // internal/fleet's Pool, capture and the ops API over internal/obs — is
 // assembled once, by internal/control's Plane, which the socket and
@@ -25,14 +26,13 @@
 //
 //	lab, err := pcsmon.NewLab(pcsmon.LabConfig{})
 //	…
-//	res, err := lab.RunScenario(pcsmon.PaperScenarios(10)[0], 10)
+//	res, err := lab.RunScenarioFor(pcsmon.PaperScenarios(10)[0], 10, 26)
 //	fmt.Println(res.Runs[0].Report.Verdict)
 package pcsmon
 
 import (
 	"fmt"
 
-	"pcsmon/internal/attack"
 	"pcsmon/internal/core"
 	"pcsmon/internal/historian"
 	"pcsmon/internal/plant"
@@ -45,31 +45,17 @@ var ErrBadConfig = core.ErrBadConfig
 
 // Re-exported types: the stable public surface over the internal packages.
 type (
-	// Verdict is the classifier's conclusion about an anomaly.
-	Verdict = core.Verdict
 	// Report is the two-view detection/diagnosis result of one run.
 	Report = core.Report
-	// ViewAnalysis is the per-view part of a Report.
-	ViewAnalysis = core.ViewAnalysis
 	// MonitorConfig tunes the MSPC pipeline.
 	MonitorConfig = core.Config
 	// System is a calibrated two-view monitoring system.
 	System = core.System
-	// OnlineAnalyzer scores a run's two views incrementally.
-	OnlineAnalyzer = core.OnlineAnalyzer
 	// Scenario describes one anomalous situation (disturbance and/or
 	// attacks).
 	Scenario = scenario.Scenario
 	// ScenarioResult aggregates a scenario over several runs.
 	ScenarioResult = scenario.Result
-	// RunOutcome is the result of one scenario run.
-	RunOutcome = scenario.RunOutcome
-	// AttackSpec describes one attack on one channel.
-	AttackSpec = attack.Spec
-	// IDVEvent schedules a process disturbance.
-	IDVEvent = plant.IDVEvent
-	// DriftSpec schedules gradual NOC aging in a scenario.
-	DriftSpec = scenario.DriftSpec
 )
 
 // Verdict values.
@@ -81,21 +67,6 @@ const (
 	VerdictAnomaly         = core.VerdictAnomaly
 )
 
-// Attack kinds and directions.
-const (
-	AttackIntegrity = attack.Integrity
-	AttackDoS       = attack.DoS
-	AttackBias      = attack.Bias
-	AttackScale     = attack.Scale
-	AttackReplay    = attack.Replay
-
-	SensorLink   = attack.SensorLink
-	ActuatorLink = attack.ActuatorLink
-)
-
-// NumVars is the width of a monitored observation (41 XMEAS + 12 XMV).
-const NumVars = historian.NumVars
-
 // VarName returns the canonical name of observation column j
 // ("XMEAS(1)"…"XMV(12)").
 func VarName(j int) string { return historian.VarName(j) }
@@ -105,21 +76,6 @@ func VarName(j int) string { return historian.VarName(j) }
 // XMEAS(1), DoS on XMV(3).
 func PaperScenarios(onsetHour float64) []Scenario {
 	return scenario.PaperScenarios(onsetHour)
-}
-
-// ExtendedScenarios returns additional disturbances and attack variants
-// beyond the paper's four.
-func ExtendedScenarios(onsetHour float64) []Scenario {
-	return scenario.ExtendedScenarios(onsetHour)
-}
-
-// SlowDriftScenario returns the gradual plant-aging situation the adaptive
-// recalibration layer (StreamOptions.Adaptive, FleetOptions.Adapt)
-// exists for: correlated channels drift slowly with no disturbance and no
-// attacker, so the ground truth is Normal — a frozen model eventually
-// false-alarms on it while an adaptive model tracks the aging.
-func SlowDriftScenario(onsetHour float64) Scenario {
-	return scenario.SlowDriftScenario(onsetHour)
 }
 
 // LabConfig parameterizes NewLab. The zero value gives a laptop-friendly
@@ -205,14 +161,14 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 	return &Lab{Template: tmpl, System: cal.System, cfg: cfg}, nil
 }
 
-// newExperiment is the one place a Lab turns a scenario into a runnable
-// experiment: every scenario entry point (batch and streaming) shares its
-// onset/seed/decimation wiring.
-func (l *Lab) newExperiment(sc Scenario, hours float64) *scenario.Experiment {
+// RunScenarioFor executes a scenario runs times (the paper uses 10), each
+// run lasting hours (0 = 16 h past the scenario's onset), with anomalies
+// starting per the scenario definition.
+func (l *Lab) RunScenarioFor(sc Scenario, runs int, hours float64) (*ScenarioResult, error) {
 	if hours <= 0 {
 		hours = onsetOf(sc) + 16
 	}
-	return &scenario.Experiment{
+	exp := &scenario.Experiment{
 		Template:  l.Template,
 		System:    l.System,
 		Hours:     hours,
@@ -220,18 +176,7 @@ func (l *Lab) newExperiment(sc Scenario, hours float64) *scenario.Experiment {
 		Decimate:  l.cfg.Decimate,
 		SeedBase:  l.cfg.Seed + 7777,
 	}
-}
-
-// RunScenario executes a scenario runs times (the paper uses 10) with runs
-// lasting until 16 h past onset and anomalies starting per the scenario
-// definition.
-func (l *Lab) RunScenario(sc Scenario, runs int) (*ScenarioResult, error) {
-	return l.newExperiment(sc, 0).Run(sc, runs)
-}
-
-// RunScenarioFor is RunScenario with an explicit run duration in hours.
-func (l *Lab) RunScenarioFor(sc Scenario, runs int, hours float64) (*ScenarioResult, error) {
-	return l.newExperiment(sc, hours).Run(sc, runs)
+	return exp.Run(sc, runs)
 }
 
 // onsetOf extracts the earliest anomaly start from a scenario (0 when the

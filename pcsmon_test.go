@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pcsmon"
+	"pcsmon/internal/historian"
 )
 
 // The lab fixture is shared: template warmup plus calibration dominate the
@@ -70,9 +71,6 @@ func TestScenarioCatalogues(t *testing.T) {
 	if got := len(pcsmon.PaperScenarios(10)); got != 4 {
 		t.Errorf("paper scenarios: %d, want 4", got)
 	}
-	if got := len(pcsmon.ExtendedScenarios(10)); got < 4 {
-		t.Errorf("extended scenarios: %d, want ≥ 4", got)
-	}
 	for _, sc := range pcsmon.PaperScenarios(10) {
 		if sc.Key == "" || sc.Name == "" {
 			t.Errorf("scenario with empty identity: %+v", sc)
@@ -84,8 +82,8 @@ func TestVarNameBounds(t *testing.T) {
 	if pcsmon.VarName(0) != "XMEAS(1)" {
 		t.Errorf("VarName(0) = %q", pcsmon.VarName(0))
 	}
-	if pcsmon.VarName(pcsmon.NumVars-1) != "XMV(12)" {
-		t.Errorf("VarName(last) = %q", pcsmon.VarName(pcsmon.NumVars-1))
+	if pcsmon.VarName(historian.NumVars-1) != "XMV(12)" {
+		t.Errorf("VarName(last) = %q", pcsmon.VarName(historian.NumVars-1))
 	}
 }
 
