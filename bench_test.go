@@ -410,27 +410,30 @@ func benchFleetMatrixCell(b *testing.B, f *benchFixture, cores, streams, perStre
 				close(drained)
 			}()
 			errCh := make(chan error, producers)
+			handles := make([]*fleet.Stream, streams)
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
 					for s := p; s < streams; s += producers {
-						if err := fl.Attach(ids[s], 0); err != nil {
+						st, err := fl.Attach(ids[s], 0)
+						if err != nil {
 							errCh <- err
 							return
 						}
+						handles[s] = st
 					}
 					for i := 0; i < perStream; i++ {
 						for s := p; s < streams; s += producers {
-							if err := fl.Push(ids[s], ctrlRows[i], procRows[i]); err != nil {
+							if err := handles[s].Push(ctrlRows[i], procRows[i]); err != nil {
 								errCh <- err
 								return
 							}
 						}
 					}
 					for s := p; s < streams; s += producers {
-						if _, err := fl.Detach(ids[s]); err != nil {
+						if _, err := handles[s].Detach(); err != nil {
 							errCh <- err
 							return
 						}

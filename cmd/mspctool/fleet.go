@@ -18,7 +18,7 @@ import (
 )
 
 // runFleet implements the fleet subcommand: one calibrated model scoring
-// many interleaved plant streams through the sharded fleet pool.
+// many interleaved plant streams through the fleet scoring pool.
 //
 // Three ingestion modes share the pool:
 //
@@ -210,7 +210,7 @@ func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io
 		return fail(err)
 	}
 	onset := cfg.OnsetIndex()
-	seen := map[string]bool{}
+	streams := map[string]*fleet.Stream{}
 	for {
 		plant, row, err := stream.next()
 		if err == io.EOF {
@@ -219,26 +219,27 @@ func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io
 		if err != nil {
 			return fail(err)
 		}
-		if !seen[plant] {
-			if err := pool.Attach(plant, onset); err != nil {
+		st := streams[plant]
+		if st == nil {
+			if st, err = pool.Attach(plant, onset); err != nil {
 				return fail(err)
 			}
-			seen[plant] = true
+			streams[plant] = st
 			fmt.Fprintf(out, "plant %s attached\n", plant)
 		}
 		lastSeen.Store(time.Now().UnixNano())
-		if err := pool.Push(plant, row, row); err != nil {
+		if err := st.Push(row, row); err != nil {
 			return fail(err)
 		}
 	}
 	// Detach everything (events deliver the verdicts), then report.
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
+	ids := make([]string, 0, len(streams))
+	for id := range streams {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if _, err := pool.Detach(id); err != nil {
+		if _, err := streams[id].Detach(); err != nil {
 			return fail(err)
 		}
 	}

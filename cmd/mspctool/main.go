@@ -20,7 +20,7 @@
 // The fleet subcommand scales watch to many plants at once: interleaved
 // "plant,<53 vars>" CSV rows on stdin (or fieldbus frames on a TCP
 // listener and/or a lossy UDP listener, keyed by the frame's unit id) are
-// demuxed into a sharded scoring pool — one calibrated model, thousands
+// demuxed into a scoring pool — one calibrated model, thousands
 // of independent streams, per-plant verdicts plus aggregate throughput
 // counters. With -record, every received frame is appended to a capture
 // segment chain (plant.cap.00001.pcscap, ...):

@@ -346,7 +346,7 @@ func fig3(cfg config, tmpl *plant.Template, summary io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n := minI(len(sIdv), len(sAtk))
+	n := min(len(sIdv), len(sAtk))
 	for i := 0; i < n; i++ {
 		if err := d.Append([]float64{sIdv[i], sAtk[i]}); err != nil {
 			return err
@@ -496,7 +496,7 @@ func verdictTable(cfg config, results map[string]*scenario.Result, summary io.Wr
 // ablations: sensitivity of detection to the pipeline's knobs.
 func ablations(cfg config, tmpl *plant.Template, summary io.Writer) error {
 	var b strings.Builder
-	runsPer := minI(cfg.runs, 3)
+	runsPer := min(cfg.runs, 3)
 
 	b.WriteString("Ablation 1 — number of principal components (IDV(6) + DoS scenarios)\n")
 	fmt.Fprintf(&b, "%-6s %-6s %-22s %-22s\n", "A", "NOC-FA", "idv6 run length", "dos run length")
@@ -519,13 +519,13 @@ func ablations(cfg config, tmpl *plant.Template, summary io.Writer) error {
 	}
 
 	b.WriteString("\nAblation 3 — SPE control-limit method (99% limit value)\n")
-	cal, err := scenario.Calibrate(tmpl, minI(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, core.Config{})
+	cal, err := scenario.Calibrate(tmpl, min(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, core.Config{})
 	if err != nil {
 		return err
 	}
 	_ = cal
 	for _, m := range []mspc.SPEMethod{mspc.SPEJacksonMudholkar, mspc.SPEBox} {
-		c, err := scenario.Calibrate(tmpl, minI(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, core.Config{SPEMethod: m})
+		c, err := scenario.Calibrate(tmpl, min(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, core.Config{SPEMethod: m})
 		if err != nil {
 			return err
 		}
@@ -543,7 +543,7 @@ func ablations(cfg config, tmpl *plant.Template, summary io.Writer) error {
 // ablationLine calibrates with cfg2, measures the NOC false-alarm rate and
 // the run lengths on IDV(6) and DoS.
 func ablationLine(cfg config, tmpl *plant.Template, mcfg core.Config, runs int) (string, error) {
-	cal, err := scenario.Calibrate(tmpl, minI(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, mcfg)
+	cal, err := scenario.Calibrate(tmpl, min(cfg.calRuns, 3), minF(cfg.calHours, 24), cfg.decimate, cfg.seed, mcfg)
 	if err != nil {
 		return "", err
 	}
@@ -627,13 +627,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func minF(a, b float64) float64 {

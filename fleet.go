@@ -2,6 +2,7 @@ package pcsmon
 
 import (
 	"fmt"
+	"sync"
 
 	"pcsmon/internal/core"
 	"pcsmon/internal/fleet"
@@ -37,9 +38,12 @@ type Fleet struct {
 	pool   *fleet.Pool
 	events chan FleetEvent
 	done   chan struct{}
+
+	mu      sync.Mutex // guards streams
+	streams map[string]*fleet.Stream
 }
 
-// NewFleet builds a sharded scoring pool over a calibrated system. The
+// NewFleet builds a scoring pool over a calibrated system. The
 // caller must consume Events() until it closes (after Close); a stalled
 // consumer back-pressures producers rather than losing events.
 func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
@@ -48,9 +52,10 @@ func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
 		return nil, fmt.Errorf("pcsmon: %w", err)
 	}
 	f := &Fleet{
-		pool:   pool,
-		events: make(chan FleetEvent, max(opts.EventBuffer, 1)),
-		done:   make(chan struct{}),
+		pool:    pool,
+		events:  make(chan FleetEvent, max(opts.EventBuffer, 1)),
+		done:    make(chan struct{}),
+		streams: make(map[string]*fleet.Stream),
 	}
 	go f.convert()
 	return f, nil
@@ -85,9 +90,13 @@ func (f *Fleet) Events() <-chan FleetEvent { return f.events }
 // Attach registers a new plant stream. onset is the observation index at
 // which an anomaly is known to begin (0 if unknown).
 func (f *Fleet) Attach(plant string, onset int) error {
-	if err := f.pool.Attach(plant, onset); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st, err := f.pool.Attach(plant, onset)
+	if err != nil {
 		return fmt.Errorf("pcsmon: %w", err)
 	}
+	f.streams[plant] = st
 	return nil
 }
 
@@ -95,7 +104,13 @@ func (f *Fleet) Attach(plant string, onset int) error {
 // before Push returns; a single-view feed passes the same slice twice.
 // Push blocks when the plant's worker mailbox is full (back-pressure).
 func (f *Fleet) Push(plant string, ctrl, proc []float64) error {
-	if err := f.pool.Push(plant, ctrl, proc); err != nil {
+	f.mu.Lock()
+	st := f.streams[plant]
+	f.mu.Unlock()
+	if st == nil {
+		return fmt.Errorf("pcsmon: fleet: %q: %w", plant, fleet.ErrUnknownPlant)
+	}
+	if err := st.Push(ctrl, proc); err != nil {
 		return fmt.Errorf("pcsmon: %w", err)
 	}
 	return nil
@@ -103,7 +118,14 @@ func (f *Fleet) Push(plant string, ctrl, proc []float64) error {
 
 // Detach finalizes a plant's stream and returns its classified report.
 func (f *Fleet) Detach(plant string) (*Report, error) {
-	rep, err := f.pool.Detach(plant)
+	f.mu.Lock()
+	st := f.streams[plant]
+	delete(f.streams, plant)
+	f.mu.Unlock()
+	if st == nil {
+		return nil, fmt.Errorf("pcsmon: fleet: %q: %w", plant, fleet.ErrUnknownPlant)
+	}
+	rep, err := st.Detach()
 	if err != nil {
 		return nil, fmt.Errorf("pcsmon: %w", err)
 	}

@@ -159,20 +159,26 @@ func (p *Plane) route(ev pairing.Event) error {
 //
 //pcslint:hotpath
 func (p *Plane) push(ev pairing.Event) error {
-	id := fleet.PlantID(ev.Unit)
-	err := p.fl.Push(id, ev.Ctrl, ev.Proc)
+	err := fleet.ErrUnknownPlant // no handle: the unit is not attached
+	if st := p.streams[ev.Unit].Load(); st != nil {
+		err = st.Push(ev.Ctrl, ev.Proc)
+	}
 	if err != nil && errors.Is(err, fleet.ErrUnknownPlant) {
 		// Cold branch — first sight, or a detach landed since the unit's
-		// last observation: attach it and retry once. A unit drained
-		// meanwhile drops the observation.
-		live, err := p.attach(ev.Unit, false)
-		if !live {
-			if err == nil {
-				p.quiescedDrops.Add(1)
-			}
-			return err
+		// last observation: attach it and push under stateMu, so no detach
+		// can slip in between and refuse the retry. The push may wait on
+		// the mailbox; workers never take stateMu, so that wait ends, as
+		// detach's wait for the verdict does. A unit drained meanwhile
+		// drops the observation.
+		p.stateMu.Lock()
+		st, err := p.attachLocked(ev.Unit, false)
+		if st != nil {
+			err = st.Push(ev.Ctrl, ev.Proc)
+		} else if err == nil {
+			p.quiescedDrops.Add(1)
 		}
-		return p.fl.Push(id, ev.Ctrl, ev.Proc)
+		p.stateMu.Unlock()
+		return err
 	}
 	return err
 }
@@ -186,29 +192,30 @@ func (p *Plane) health(id string) *obs.UnitHealth {
 	return p.healthReg.Get(id)
 }
 
-// attach attaches a unit's stream and reports whether it is live. On
-// first sight (explicit false) a unit attached meanwhile is live and a
-// drained one stays down; the API's attach (explicit true) refuses a live
-// unit with ErrDuplicatePlant and lifts the drain mark. stateMu
-// serializes first-sight attachment with the API's attach/detach/drain,
-// and the drain mark changes only under it, only on success.
-func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
+// attachLocked attaches a unit's stream and returns its handle, nil when
+// the unit stays down. On first sight (explicit false) a unit attached
+// meanwhile returns its live handle and a drained one stays down; the
+// API's attach (explicit true) refuses a live unit with ErrDuplicatePlant
+// and lifts the drain mark. The caller holds stateMu, which serializes
+// first-sight attachment with the API's attach/detach/drain; the handle
+// table and the drain mark change only under it, only on success.
+func (p *Plane) attachLocked(unit uint8, explicit bool) (*fleet.Stream, error) {
 	id := fleet.PlantID(unit)
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
 	if !explicit && p.quiesced[unit].Load() {
-		return false, nil
+		return nil, nil
 	}
-	if err := p.fl.Attach(id, p.onset(unit)); err != nil {
+	st, err := p.fl.Attach(id, p.onset(unit))
+	if err != nil {
 		if !explicit && errors.Is(err, fleet.ErrDuplicatePlant) {
-			return true, nil
+			return p.streams[unit].Load(), nil
 		}
-		return false, fmt.Errorf("control: unit %s: %w", id, err)
+		return nil, fmt.Errorf("control: unit %s: %w", id, err)
 	}
+	p.streams[unit].Store(st)
 	p.quiesced[unit].Store(false)
 	fmt.Fprintf(p.out, "plant %s attached\n", id)
 	p.bus.publish(Event{Type: "attached", Unit: id}, json.Marshal)
-	return true, nil
+	return st, nil
 }
 
 // detach finalizes a unit's stream and returns its classified report:
@@ -217,10 +224,13 @@ func (p *Plane) attach(unit uint8, explicit bool) (bool, error) {
 // dropped at the door until the API attaches it again. Detaching a unit
 // that is not attached returns ErrUnknownPlant and changes nothing.
 func (p *Plane) detach(unit uint8, drain bool) (*core.Report, error) {
-	id := fleet.PlantID(unit)
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
-	rep, err := p.fl.Detach(id)
+	st := p.streams[unit].Swap(nil)
+	if st == nil {
+		return nil, fmt.Errorf("control: unit %s: %w", fleet.PlantID(unit), fleet.ErrUnknownPlant)
+	}
+	rep, err := st.Detach()
 	if err == nil && drain {
 		p.quiesced[unit].Store(true)
 	}

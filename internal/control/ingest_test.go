@@ -2,6 +2,7 @@ package control
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -239,15 +240,16 @@ func directReport(t *testing.T, sys *core.System, onset int, ctrl, proc [][]floa
 		for range fl.Events() {
 		}
 	}()
-	if err := fl.Attach("unit-000", onset); err != nil {
+	st, err := fl.Attach("unit-000", onset)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ctrl {
-		if err := fl.Push("unit-000", ctrl[i], proc[i]); err != nil {
+		if err := st.Push(ctrl[i], proc[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := fl.Detach("unit-000")
+	rep, err := st.Detach()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,4 +451,70 @@ func TestPlaneFailedUnitDrainKeepsIngest(t *testing.T) {
 	if !strings.Contains(logBuf.String(), "plant unit-009 attached") {
 		t.Errorf("no attach line for unit-009:\n%s", logBuf.String())
 	}
+}
+
+// TestPlaneDetachRacingIngestLosesNothing pins the plane's handle
+// protocol: one goroutine feeds a unit's two views through Ingest while
+// the test detaches the unit in a loop, so pushes keep landing on a handle
+// that was just detached and take the attach-and-retry branch. Oracle:
+// every observation the correlator handed on (paired or orphaned) is
+// scored into exactly one verdict.
+func TestPlaneDetachRacingIngestLosesNothing(t *testing.T) {
+	const (
+		unit = 3
+		rows = 20_000
+	)
+	sys := pairingTestSystem(t)
+	var samples int // written by the event pump, read after Close
+	cfg := &Config{SampleSeconds: 9, Pairing: Pairing{Window: 32, TimeoutSeconds: -1}, Fleet: FleetCfg{Workers: 2}}
+	p, err := New(cfg, Options{System: sys, OnEvent: func(ev fleet.Event) {
+		if v, ok := ev.(fleet.Verdict); ok {
+			samples += v.Samples
+		}
+	}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctrl, proc := pairingRows(5, 64, 0, 0, 0)
+	fed := make(chan error, 1)
+	go func() {
+		defer close(fed)
+		for i := 0; i < rows; i++ {
+			seq, r := uint64(i), i%len(ctrl)
+			if err := p.Ingest(obsFrame(fieldbus.FrameSensor, unit, seq, ctrl[r])); err != nil {
+				fed <- err
+				return
+			}
+			if err := p.Ingest(obsFrame(fieldbus.FrameActuator, unit, seq, proc[r])); err != nil {
+				fed <- err
+				return
+			}
+		}
+	}()
+	detaches := 0
+	for done := false; !done; {
+		select {
+		case err, open := <-fed:
+			if open {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+			if _, err := p.detach(unit, false); err == nil || !errors.Is(err, fleet.ErrUnknownPlant) {
+				detaches++
+			}
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if detaches == 0 {
+		t.Fatal("no detach landed while the feed ran")
+	}
+	st := p.cor.Stats()
+	if want := st.Paired + st.OrphanSensors + st.OrphanActuators; uint64(samples) != want {
+		t.Errorf("correlator handed on %d observations, verdicts scored %d: %d lost across %d detaches",
+			want, samples, int64(want)-int64(samples), detaches)
+	}
+	t.Logf("%d observations scored across %d detaches", samples, detaches)
 }

@@ -110,7 +110,10 @@ type Plane struct {
 	dedupMu sync.Mutex // guards dedup (listener goroutines offer concurrently)
 	dedup   *fieldbus.FrameDedup
 
-	stateMu sync.Mutex // serializes attach/detach; see attach
+	stateMu sync.Mutex // serializes attach/detach; see attachLocked
+	// streams holds each attached unit's pool handle, indexed by fieldbus
+	// unit. It changes only under stateMu; push loads it lock-free.
+	streams [256]atomic.Pointer[fleet.Stream]
 	// quiesced marks drained units, whose frames are dropped at the door
 	// and on residual correlator outcomes. It changes only under stateMu;
 	// lock-free reads keep stateMu off the per-frame path.
@@ -741,12 +744,12 @@ func (p *Plane) drain(srcErr error) error {
 		if ferr := p.cor.Flush(); ferr != nil && err == nil {
 			err = ferr
 		}
-		for _, id := range p.fl.Plants() {
-			if _, derr := p.fl.Detach(id); derr != nil {
+		for u := range p.streams {
+			if _, derr := p.detach(uint8(u), false); derr != nil && !errors.Is(derr, fleet.ErrUnknownPlant) {
 				// A unit with nothing scored (attached, never fed) has
 				// nothing to lose; any detach error is per-unit news — it
 				// lands in that unit's report, not in the drain's verdict.
-				fmt.Fprintf(p.out, "drain: detach %s: %v\n", id, derr)
+				fmt.Fprintf(p.out, "drain: detach %s: %v\n", fleet.PlantID(uint8(u)), derr)
 			}
 		}
 		if cerr := p.fl.Close(); cerr != nil && err == nil {
@@ -940,7 +943,10 @@ func (p *Plane) handleUnits(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusConflict, "plane is draining")
 			return
 		}
-		if _, err := p.attach(unit, true); err != nil {
+		p.stateMu.Lock()
+		_, err = p.attachLocked(unit, true)
+		p.stateMu.Unlock()
+		if err != nil {
 			if errors.Is(err, fleet.ErrDuplicatePlant) {
 				apiError(w, http.StatusConflict, "unit %s already attached", id)
 				return

@@ -2,11 +2,9 @@
 // unit→node assignment table plus a thin frame forwarder, so N serve
 // processes split one fleet of fieldbus units.
 //
-// The assignment generalizes the FNV shard-by-unit discipline
-// internal/fleet uses for workers inside one process to nodes across
-// processes, but swaps modulo placement for rendezvous (highest random
-// weight) hashing: each (node, unit) pair gets a deterministic FNV-1a
-// score and the unit lives on the highest-scoring node. Adding a node then
+// The assignment uses rendezvous (highest random weight) hashing rather
+// than modulo placement: each (node, unit) pair gets a deterministic
+// FNV-1a score and the unit lives on the highest-scoring node. Adding a node then
 // moves only the units whose top score changed — 1/N of the fleet on
 // average — instead of reshuffling nearly everything the way `hash % N`
 // does.

@@ -38,22 +38,25 @@ func TestAdaptiveParityAlwaysVeto(t *testing.T) {
 			t.Fatal(err)
 		}
 		collect := drain(p)
+		streams := make(map[string]*Stream, len(ids))
 		for _, id := range ids {
-			if err := p.Attach(id, onset); err != nil {
+			st, err := p.Attach(id, onset)
+			if err != nil {
 				t.Fatal(err)
 			}
+			streams[id] = st
 		}
 		for i := 0; i < rows; i++ {
 			for _, id := range ids {
 				c, pr := rowsFor(id)
-				if err := p.Push(id, c[i], pr[i]); err != nil {
+				if err := streams[id].Push(c[i], pr[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		out := make(map[string]*core.Report, len(ids))
 		for _, id := range ids {
-			rep, err := p.Detach(id)
+			rep, err := streams[id].Detach()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,17 +142,18 @@ func TestStressAdaptiveConcurrentSwaps(t *testing.T) {
 				delta, ch = 25, 1
 			}
 			ctrl, proc := plantRows(600+int64(s), rows, ch, onset, delta)
-			if err := p.Attach(id, onset); err != nil {
+			st, err := p.Attach(id, onset)
+			if err != nil {
 				errs[s] = err
 				return
 			}
 			for i := 0; i < rows; i++ {
-				if err := p.Push(id, ctrl[i], proc[i]); err != nil {
+				if err := st.Push(ctrl[i], proc[i]); err != nil {
 					errs[s] = err
 					return
 				}
 			}
-			reports[s], errs[s] = p.Detach(id)
+			reports[s], errs[s] = st.Detach()
 		}(s)
 	}
 	wg.Wait()

@@ -68,21 +68,22 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		collect := drain(p)
-		for _, pc := range cases {
-			if err := p.Attach(pc.id, onset); err != nil {
+		streams := make([]*Stream, len(cases))
+		for c, pc := range cases {
+			if streams[c], err = p.Attach(pc.id, onset); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < rows; i++ {
-			for _, pc := range cases {
-				if err := p.Push(pc.id, pc.ctrl[i], pc.proc[i]); err != nil {
+			for c, pc := range cases {
+				if err := streams[c].Push(pc.ctrl[i], pc.proc[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		out := make(map[string]interface{}, len(cases))
-		for _, pc := range cases {
-			rep, err := p.Detach(pc.id)
+		for c, pc := range cases {
+			rep, err := streams[c].Detach()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,11 +142,12 @@ func TestBatchFlushTickDelivers(t *testing.T) {
 			}
 		}
 	}()
-	if err := p.Attach("tick", 0); err != nil {
+	st, err := p.Attach("tick", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := p.Push("tick", ctrl[i], proc[i]); err != nil {
+		if err := st.Push(ctrl[i], proc[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +161,7 @@ func TestBatchFlushTickDelivers(t *testing.T) {
 			t.Fatalf("flush tick never delivered observation %d", want)
 		}
 	}
-	if _, err := p.Detach("tick"); err != nil {
+	if _, err := st.Detach(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -209,12 +211,13 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg Config) {
 			tokens <- struct{}{}
 		}
 	}()
-	if err := p.Attach("hot", 0); err != nil {
+	st, err := p.Attach("hot", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pushBatch := func() {
 		for i := 0; i < batch; i++ {
-			if err := p.Push("hot", ctrl[0], proc[0]); err != nil {
+			if err := st.Push(ctrl[0], proc[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -231,7 +234,7 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg Config) {
 	if perObs > 0.01 && !raceEnabled {
 		t.Errorf("steady-state scoring path allocates %.3f times per observation, want 0", perObs)
 	}
-	if _, err := p.Detach("hot"); err != nil {
+	if _, err := st.Detach(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {

@@ -1,20 +1,21 @@
 // Package fleet scales the paper's single-plant monitor to fleets: one
 // calibrated core.System is read-only after calibration, so it can legally
-// score thousands of independent plant streams at once. A Pool shards the
+// score thousands of independent plant streams at once. A Pool spreads the
 // streams over a fixed set of worker goroutines — each stream (one
 // core.OnlineAnalyzer plus its pending batch) is owned by exactly one
-// worker, selected by hashing the plant ID — and fans the per-observation
-// results in as typed events through one buffered, back-pressure-aware
-// channel.
+// worker, assigned round-robin in attach order — and fans the
+// per-observation results in as typed events through one buffered,
+// back-pressure-aware channel.
 //
 // Concurrency contract:
 //
 //   - A stream's analyzer is confined to its worker goroutine; no lock is
 //     ever taken around scoring.
-//   - The stream registry is sharded like the scoring: each worker owns the
-//     registry shard of its plants under its own mutex, so attach/push/
-//     detach of different shards never contend — there is no pool-global
-//     lock on the data path.
+//   - Attach returns the stream's handle, and the data path runs on it:
+//     Stream.Push takes only that stream's own pending-batch lock. The
+//     pool's one registry of attached streams (a mutex, a map by plant ID
+//     and the closed flag) serves Attach, Detach, Close, the flush tick and
+//     the snapshots — never an observation.
 //   - All messages for one plant flow through one FIFO mailbox, so a
 //     plant's observations are scored in the exact order they were pushed
 //     and its events are emitted in that order. Events of different plants
@@ -29,7 +30,8 @@
 //
 // A plant scored through a Pool produces a report bit-identical to the same
 // rows replayed through a lone core.OnlineAnalyzer (the golden parity the
-// package tests enforce): sharding changes scheduling, never results.
+// package tests enforce): worker assignment changes scheduling, never
+// results.
 //
 // With Config.Adapt enabled the pool additionally runs the adaptive
 // recalibration layer: one shared adapt.Tracker learns from in-control
@@ -134,7 +136,7 @@ func (Verdict) fleetEvent()      {}
 // Config parameterizes a Pool. The zero value selects GOMAXPROCS workers,
 // a 64-message mailbox per worker and a 256-event emitter buffer.
 type Config struct {
-	// Workers is the number of worker goroutines the streams are sharded
+	// Workers is the number of worker goroutines the streams are spread
 	// over (0 = GOMAXPROCS). More workers than streams is wasteful but
 	// harmless; each stream is pinned to exactly one worker.
 	Workers int
@@ -266,10 +268,12 @@ var plantIDs = func() (ids [256]string) {
 // PlantID returns the plant id of a fieldbus unit ("unit-007").
 func PlantID(unit uint8) string { return plantIDs[unit] }
 
-// stream is the per-plant state. The analyzer, samples counter, generation,
-// report and err fields are owned by the stream's worker goroutine; the
-// done channel hands the final state back to Detach.
-type stream struct {
+// Stream is one attached plant's handle and state, returned by
+// Pool.Attach; its methods are safe for concurrent use. The analyzer,
+// samples counter, generation, report and err fields are owned by the
+// stream's worker goroutine; the done channel hands the final state back to
+// Detach.
+type Stream struct {
 	id string
 	w  *worker
 
@@ -284,8 +288,8 @@ type stream struct {
 	// sealed, and serializes the mailbox sends that move a batch out, so a
 	// producer's full-batch send and the flush ticker's partial-batch send
 	// can never reorder one plant's observations. Detach and Close seal the
-	// stream before its finish message: a Push that looked the stream up
-	// before the detach then fails instead of queueing behind the finish.
+	// stream before its finish message: a Push that races the detach then
+	// fails instead of queueing behind the finish.
 	pendMu  sync.Mutex
 	pending *obsBatch
 	sealed  bool
@@ -339,12 +343,12 @@ func copyRow(dst, src []float64) []float64 {
 // message is one mailbox entry: a batch of observations or, when finish is
 // set, the detach request.
 type message struct {
-	st     *stream
+	st     *Stream
 	batch  *obsBatch
 	finish bool
 }
 
-// Pool shards plant streams over a fixed worker set. Create with NewPool;
+// Pool spreads plant streams over a fixed worker set. Create with NewPool;
 // all methods are safe for concurrent use.
 type Pool struct {
 	sys     *core.System
@@ -356,6 +360,14 @@ type Pool struct {
 	workers []*worker
 	started time.Time
 	wg      sync.WaitGroup
+
+	// regMu guards streams, the registry of attached plants by ID. Attach
+	// reads closed under it and Close collects the streams under it after
+	// setting closed, so an Attach either lands before Close collects the
+	// streams or sees the pool closed. Only Attach, Detach, Close, the
+	// flush tick and the snapshots take it.
+	regMu   sync.Mutex
+	streams map[string]*Stream
 
 	// closed gates Close's one-shot shutdown. sendMu guards the worker
 	// mailboxes' lifetime: sends hold the read side and re-check
@@ -384,16 +396,10 @@ type Pool struct {
 	modelSwaps   atomic.Uint64
 }
 
-// worker owns one shard: its mailbox, its streams' analyzers, and the
-// registry shard those streams live in (mu guards only the map and the
-// shard's closed flag — never scoring).
+// worker owns its mailbox and the analyzers of the streams assigned to it.
 type worker struct {
 	pool *Pool
 	in   chan message
-
-	mu      sync.Mutex
-	streams map[string]*stream
-	closed  bool
 
 	// Metering state, touched only by the worker goroutine: the scoring
 	// latencies not yet flushed (nil without metrics), the current
@@ -426,6 +432,7 @@ func NewPool(sys *core.System, cfg Config) (*Pool, error) {
 		cols:    sys.Monitor().Scaler().Dim(),
 		window:  sys.Config().DiagnoseWindow,
 		events:  make(chan Event, cfg.EventBuffer),
+		streams: make(map[string]*Stream),
 		started: time.Now(),
 	}
 	if p.window < 1 {
@@ -440,11 +447,7 @@ func NewPool(sys *core.System, cfg Config) (*Pool, error) {
 	}
 	p.workers = make([]*worker, cfg.Workers)
 	for i := range p.workers {
-		w := &worker{
-			pool:    p,
-			in:      make(chan message, cfg.Mailbox),
-			streams: make(map[string]*stream),
-		}
+		w := &worker{pool: p, in: make(chan message, cfg.Mailbox)}
 		p.workers[i] = w
 		p.wg.Add(1)
 		go w.run()
@@ -465,25 +468,14 @@ func NewPool(sys *core.System, cfg Config) (*Pool, error) {
 // last event.
 func (p *Pool) Events() <-chan Event { return p.events }
 
-// shard returns the worker owning plant id. The FNV-1a hash is inlined over
-// the string so the per-Push path neither boxes a hash.Hash nor converts the
-// id to []byte — same constants, same worker assignment as hash/fnv.
-func (p *Pool) shard(id string) *worker {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return p.workers[h%uint32(len(p.workers))]
-}
-
-// Attach registers a new plant stream. onset is the observation index at
-// which an anomaly is known to begin (0 if unknown), with the same
-// semantics as core.System.NewOnlineAnalyzer. An adaptive pool attaches the
-// stream to the current model generation.
-func (p *Pool) Attach(id string, onset int) error {
+// Attach registers a new plant stream and returns its handle. onset is the
+// observation index at which an anomaly is known to begin (0 if unknown),
+// with the same semantics as core.System.NewOnlineAnalyzer. An adaptive
+// pool attaches the stream to the current model generation. Streams are
+// assigned to workers round-robin in attach order.
+func (p *Pool) Attach(id string, onset int) (*Stream, error) {
 	if id == "" {
-		return fmt.Errorf("fleet: empty plant id: %w", ErrBadConfig)
+		return nil, fmt.Errorf("fleet: empty plant id: %w", ErrBadConfig)
 	}
 	sys, gen := p.sys, uint64(0)
 	if p.tracker != nil {
@@ -491,17 +483,16 @@ func (p *Pool) Attach(id string, onset int) error {
 	}
 	oa, err := sys.NewOnlineAnalyzer(onset, p.cfg.Sample)
 	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	w := p.shard(id)
-	st := &stream{id: id, w: w, oa: oa, gen: gen, done: make(chan struct{})}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
+	st := &Stream{id: id, oa: oa, gen: gen, done: make(chan struct{})}
+	p.regMu.Lock()
+	defer p.regMu.Unlock()
+	if p.closed.Load() {
+		return nil, ErrClosed
 	}
-	if _, ok := w.streams[id]; ok {
-		return fmt.Errorf("fleet: %q: %w", id, ErrDuplicatePlant)
+	if _, ok := p.streams[id]; ok {
+		return nil, fmt.Errorf("fleet: %q: %w", id, ErrDuplicatePlant)
 	}
 	// The health handle is touched only once the id is known to be free, so
 	// a refused duplicate never resets the live stream's generation/limits.
@@ -511,41 +502,33 @@ func (p *Pool) Attach(id string, onset int) error {
 		lim := sys.Monitor().Limits()
 		st.hp.SetLimits(lim.D99, lim.Q99)
 	}
-	w.streams[id] = st
-	p.attached.Add(1)
-	return nil
+	n := p.attached.Add(1)
+	st.w = p.workers[(n-1)%uint64(len(p.workers))]
+	p.streams[id] = st
+	return st, nil
 }
 
-// Push scores the next paired observation of plant id. The rows are copied
+// Push scores the stream's next paired observation. The rows are copied
 // into the stream's pending batch before Push returns; the caller may
 // reuse its slices. A nil row marks that view's stream as ended
 // (core.OnlineAnalyzer semantics); a single-view feed passes the same
-// slice twice. Push blocks when the plant's worker mailbox is full — the
-// back-pressure path.
+// slice twice. Push blocks when the stream's worker mailbox is full — the
+// back-pressure path. After Detach it returns ErrUnknownPlant, after the
+// pool's Close ErrClosed.
 //
-// Pushing concurrently with Detach of the same plant loses nothing
+// Pushing concurrently with Detach of the same stream loses nothing
 // silently: an observation either lands before the detach's finish
 // message (and is scored into the verdict) or Push returns
 // ErrUnknownPlant, exactly as if it had been called after the detach.
 //
 //pcslint:hotpath
-func (p *Pool) Push(id string, ctrl, proc []float64) error {
+func (st *Stream) Push(ctrl, proc []float64) error {
+	p := st.w.pool
 	if ctrl != nil && len(ctrl) != p.cols {
 		return fmt.Errorf("fleet: controller row has %d vars, want %d: %w", len(ctrl), p.cols, core.ErrBadInput)
 	}
 	if proc != nil && len(proc) != p.cols {
 		return fmt.Errorf("fleet: process row has %d vars, want %d: %w", len(proc), p.cols, core.ErrBadInput)
-	}
-	w := p.shard(id)
-	w.mu.Lock()
-	st, ok := w.streams[id]
-	closed := w.closed
-	w.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
 	}
 	// Append to the stream's pending batch and ship it once full. The
 	// mailbox send happens under the stream's pending lock — that lock, not
@@ -554,12 +537,11 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 	// the seal.
 	st.pendMu.Lock()
 	if st.sealed {
-		// Detached (or closing) since the registry lookup above.
 		st.pendMu.Unlock()
 		if p.closed.Load() {
 			return ErrClosed
 		}
-		return fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
+		return fmt.Errorf("fleet: %q: %w", st.id, ErrUnknownPlant)
 	}
 	b := st.pending
 	if b == nil {
@@ -572,7 +554,7 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 		return nil
 	}
 	st.pending = nil
-	ok = p.trySend(w, message{st: st, batch: b})
+	ok := p.trySend(st.w, message{st: st, batch: b})
 	st.pendMu.Unlock()
 	if !ok {
 		p.putBatch(b)
@@ -584,7 +566,7 @@ func (p *Pool) Push(id string, ctrl, proc []float64) error {
 // flushPending ships the stream's partially filled batch, if any; with seal
 // it also refuses every later Push. Detach and Close seal before the finish
 // message, so every observation a Push accepted is scored into the verdict.
-func (p *Pool) flushPending(st *stream, seal bool) {
+func (p *Pool) flushPending(st *Stream, seal bool) {
 	st.pendMu.Lock()
 	st.sealed = st.sealed || seal
 	b := st.pending
@@ -606,23 +588,21 @@ func (p *Pool) flushLoop() {
 	defer p.wg.Done()
 	tick := time.NewTicker(p.cfg.FlushEvery)
 	defer tick.Stop()
-	var snapshot []*stream
+	var snapshot []*Stream
 	for {
 		select {
 		case <-p.flushQuit:
 			return
 		case <-tick.C:
 		}
-		for _, w := range p.workers {
-			snapshot = snapshot[:0]
-			w.mu.Lock()
-			for _, st := range w.streams {
-				snapshot = append(snapshot, st)
-			}
-			w.mu.Unlock()
-			for _, st := range snapshot {
-				p.flushPending(st, false)
-			}
+		snapshot = snapshot[:0]
+		p.regMu.Lock()
+		for _, st := range p.streams {
+			snapshot = append(snapshot, st)
+		}
+		p.regMu.Unlock()
+		for _, st := range snapshot {
+			p.flushPending(st, false)
 		}
 	}
 }
@@ -640,22 +620,24 @@ func (p *Pool) trySend(w *worker, msg message) bool {
 	return true
 }
 
-// Detach finalizes plant id's stream: queued observations are scored, the
+// Detach finalizes the stream: queued observations are scored, the
 // diagnosis runs, a Verdict event is emitted and the classified report is
-// returned. Detach blocks until the verdict is out.
-func (p *Pool) Detach(id string) (*core.Report, error) {
-	w := p.shard(id)
-	w.mu.Lock()
-	st, ok := w.streams[id]
+// returned. Detach blocks until the verdict is out. Detaching a stream that
+// is no longer attached — detached before, or finalized by Close — returns
+// ErrUnknownPlant.
+func (st *Stream) Detach() (*core.Report, error) {
+	p := st.w.pool
+	p.regMu.Lock()
+	ok := p.streams[st.id] == st
 	if ok {
-		delete(w.streams, id)
+		delete(p.streams, st.id)
 	}
-	w.mu.Unlock()
+	p.regMu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("fleet: %q: %w", id, ErrUnknownPlant)
+		return nil, fmt.Errorf("fleet: %q: %w", st.id, ErrUnknownPlant)
 	}
 	p.flushPending(st, true)
-	if p.trySend(w, message{st: st, finish: true}) {
+	if p.trySend(st.w, message{st: st, finish: true}) {
 		<-st.done
 		return st.report, st.err
 	}
@@ -678,16 +660,13 @@ func (p *Pool) Close() error {
 	if !p.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	var rest []*stream
-	for _, w := range p.workers {
-		w.mu.Lock()
-		w.closed = true
-		for id, st := range w.streams {
-			rest = append(rest, st)
-			delete(w.streams, id)
-		}
-		w.mu.Unlock()
+	p.regMu.Lock()
+	rest := make([]*Stream, 0, len(p.streams))
+	for _, st := range p.streams {
+		rest = append(rest, st)
 	}
+	clear(p.streams)
+	p.regMu.Unlock()
 	for _, st := range rest {
 		// Close owns these streams (they were removed from the registry
 		// above) and the mailboxes are still open: the sends cannot fail.
@@ -700,9 +679,9 @@ func (p *Pool) Close() error {
 	if p.flushQuit != nil {
 		close(p.flushQuit)
 	}
-	// Exclude in-flight sends (a Push that read the shard open just before
-	// we flipped it), then shut the mailboxes down; later senders see
-	// mailboxesClosed and back off.
+	// Exclude in-flight sends (a Detach that took its stream out of the
+	// registry just before Close), then shut the mailboxes down; later
+	// senders see mailboxesClosed and back off.
 	p.sendMu.Lock()
 	p.mailboxesClosed = true
 	for _, w := range p.workers {
@@ -716,12 +695,6 @@ func (p *Pool) Close() error {
 
 // Stats snapshots the aggregate counters.
 func (p *Pool) Stats() Stats {
-	active := 0
-	for _, w := range p.workers {
-		w.mu.Lock()
-		active += len(w.streams)
-		w.mu.Unlock()
-	}
 	obs := p.observations.Load()
 	elapsed := time.Since(p.started).Seconds()
 	var rate float64
@@ -729,7 +702,7 @@ func (p *Pool) Stats() Stats {
 		rate = float64(obs) / elapsed
 	}
 	st := Stats{
-		Active:       active,
+		Active:       p.active(),
 		Attached:     p.attached.Load(),
 		Observations: obs,
 		Alarms:       p.alarms.Load(),
@@ -746,16 +719,21 @@ func (p *Pool) Stats() Stats {
 // Plants lists the ids of the currently attached streams, sorted — the
 // drain hook a control plane uses to detach everything deterministically.
 func (p *Pool) Plants() []string {
-	var ids []string
-	for _, w := range p.workers {
-		w.mu.Lock()
-		for id := range w.streams {
-			ids = append(ids, id)
-		}
-		w.mu.Unlock()
+	p.regMu.Lock()
+	ids := make([]string, 0, len(p.streams))
+	for id := range p.streams {
+		ids = append(ids, id)
 	}
+	p.regMu.Unlock()
 	sort.Strings(ids)
 	return ids
+}
+
+// active returns the number of attached streams.
+func (p *Pool) active() int {
+	p.regMu.Lock()
+	defer p.regMu.Unlock()
+	return len(p.streams)
 }
 
 // getBatch takes a Config.Batch-capacity batch box from the free-list.
@@ -834,7 +812,7 @@ func (w *worker) run() {
 // observation was scored.
 //
 //pcslint:hotpath
-func (w *worker) score(st *stream, cr, pr []float64) bool {
+func (w *worker) score(st *Stream, cr, pr []float64) bool {
 	p := w.pool
 	if st.finished {
 		// The stream failed on an earlier row (the error is in its
@@ -875,7 +853,7 @@ func (w *worker) score(st *stream, cr, pr []float64) bool {
 
 // observeHealth notes one step, scored at now (UnixNano), in the stream's
 // pending health — plain stores; publishHealth hands them to the handle.
-func (st *stream) observeHealth(res core.StepResult, now int64) {
+func (st *Stream) observeHealth(res core.StepResult, now int64) {
 	h := &st.health
 	if h.n == 0 {
 		h.ctrlD, h.ctrlQ = math.NaN(), math.NaN()
@@ -896,7 +874,7 @@ func (st *stream) observeHealth(res core.StepResult, now int64) {
 
 // publishHealth stores the pending health in the stream's handle — a
 // handful of atomic stores, no locks, no allocation — and clears it.
-func (st *stream) publishHealth() {
+func (st *Stream) publishHealth() {
 	h := &st.health
 	if h.n == 0 {
 		return
@@ -908,7 +886,7 @@ func (st *stream) publishHealth() {
 // adaptStep drives this stream through the shared tracker's per-observation
 // protocol (learn guard, due refit, boundary migration) and emits the swap
 // event when one lands.
-func (w *worker) adaptStep(st *stream, res core.StepResult, cr, pr []float64) {
+func (w *worker) adaptStep(st *Stream, res core.StepResult, cr, pr []float64) {
 	p := w.pool
 	var swap *adapt.Swap
 	st.gen, swap = p.tracker.Step(st.oa, res, cr, pr, p.window, st.gen)
@@ -926,7 +904,7 @@ func (w *worker) adaptStep(st *stream, res core.StepResult, cr, pr []float64) {
 // Scored thinning. The step's analyzer-scratch points are copied into the
 // pooled event's own storage before they cross the channel, so the
 // steady-state emission path allocates nothing when consumers Recycle.
-func (w *worker) emitStep(st *stream, res core.StepResult) {
+func (w *worker) emitStep(st *Stream, res core.StepResult) {
 	p := w.pool
 	every := p.cfg.EmitEvery
 	if every >= 0 && (every <= 1 || res.Index%every == 0) {
@@ -970,7 +948,7 @@ func (w *worker) emitStep(st *stream, res core.StepResult) {
 // finalize runs the stream's diagnosis + classification exactly once. It
 // must only be called by the goroutine that owns the stream at that
 // moment: its worker, or a Detach that outlived the workers.
-func (st *stream) finalize() {
+func (st *Stream) finalize() {
 	st.finished = true
 	if st.err == nil && st.report == nil {
 		rep, err := st.oa.Finish()
@@ -992,7 +970,7 @@ func (st *stream) finalize() {
 
 // finish closes a stream: diagnosis + classification, Verdict event, and
 // the done handshake Detach waits on.
-func (w *worker) finish(st *stream) {
+func (w *worker) finish(st *Stream) {
 	p := w.pool
 	st.finalize()
 	p.verdicts.Add(1)

@@ -110,28 +110,30 @@ func TestPoolLifecycle(t *testing.T) {
 	}
 	collect := drain(p)
 
-	if err := p.Attach("plant-a", 150); err != nil {
+	a, err := p.Attach("plant-a", 150)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Attach("plant-a", 150); !errors.Is(err, ErrDuplicatePlant) {
+	if _, err := p.Attach("plant-a", 150); !errors.Is(err, ErrDuplicatePlant) {
 		t.Errorf("duplicate attach: want ErrDuplicatePlant, got %v", err)
-	}
-	if err := p.Push("nope", nil, nil); !errors.Is(err, ErrUnknownPlant) {
-		t.Errorf("push unknown: want ErrUnknownPlant, got %v", err)
-	}
-	if _, err := p.Detach("nope"); !errors.Is(err, ErrUnknownPlant) {
-		t.Errorf("detach unknown: want ErrUnknownPlant, got %v", err)
 	}
 
 	ctrl, proc := plantRows(7, 220, 0, 150, 25)
 	for i := range ctrl {
-		if err := p.Push("plant-a", ctrl[i], proc[i]); err != nil {
+		if err := a.Push(ctrl[i], proc[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := p.Detach("plant-a")
+	rep, err := a.Detach()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The detached handle is stale: Push and a second Detach are refused.
+	if err := a.Push(ctrl[0], proc[0]); !errors.Is(err, ErrUnknownPlant) {
+		t.Errorf("push on detached handle: want ErrUnknownPlant, got %v", err)
+	}
+	if _, err := a.Detach(); !errors.Is(err, ErrUnknownPlant) {
+		t.Errorf("second detach: want ErrUnknownPlant, got %v", err)
 	}
 	if rep == nil || !rep.Controller.Detected {
 		t.Fatalf("diverging stream not detected: %+v", rep)
@@ -154,10 +156,10 @@ func TestPoolLifecycle(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Errorf("second close: %v", err)
 	}
-	if err := p.Attach("late", 0); !errors.Is(err, ErrClosed) {
+	if _, err := p.Attach("late", 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("attach after close: want ErrClosed, got %v", err)
 	}
-	if err := p.Push("plant-a", nil, nil); !errors.Is(err, ErrClosed) {
+	if err := a.Push(nil, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("push after close: want ErrClosed, got %v", err)
 	}
 
@@ -214,16 +216,17 @@ func TestPoolConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := drain(p)
-	if err := p.Attach("", 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := p.Attach("", 0); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty id: want ErrBadConfig, got %v", err)
 	}
-	if err := p.Attach("a", 0); err != nil {
+	a, err := p.Attach("a", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Push("a", make([]float64, 3), nil); !errors.Is(err, core.ErrBadInput) {
+	if err := a.Push(make([]float64, 3), nil); !errors.Is(err, core.ErrBadInput) {
 		t.Errorf("short ctrl row: want ErrBadInput, got %v", err)
 	}
-	if err := p.Push("a", nil, make([]float64, 3)); !errors.Is(err, core.ErrBadInput) {
+	if err := a.Push(nil, make([]float64, 3)); !errors.Is(err, core.ErrBadInput) {
 		t.Errorf("short proc row: want ErrBadInput, got %v", err)
 	}
 	if err := p.Close(); err != nil {
@@ -241,10 +244,11 @@ func TestDetachWithoutObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := drain(p)
-	if err := p.Attach("empty", 0); err != nil {
+	st, err := p.Attach("empty", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Detach("empty")
+	rep, err := st.Detach()
 	if err == nil || rep != nil {
 		t.Fatalf("empty detach: rep=%v err=%v", rep, err)
 	}
@@ -276,19 +280,26 @@ func TestCloseFinishesRemainingStreams(t *testing.T) {
 	collect := drain(p)
 	const n = 12
 	ctrl, proc := plantRows(3, 40, 0, 0, 0)
+	var last *Stream
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("p%02d", i)
-		if err := p.Attach(id, 0); err != nil {
+		st, err := p.Attach(id, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for r := range ctrl {
-			if err := p.Push(id, ctrl[r], proc[r]); err != nil {
+			if err := st.Push(ctrl[r], proc[r]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		last = st
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Close finalized the live handles: Push on one is refused as closed.
+	if err := last.Push(ctrl[0], proc[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("push on a handle Close finalized: want ErrClosed, got %v", err)
 	}
 	verdicts := map[string]int{}
 	for _, ev := range collect() {
@@ -324,16 +335,17 @@ func TestScoredThinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := drain(p)
-	if err := p.Attach("a", 150); err != nil {
+	a, err := p.Attach("a", 150)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl, proc := plantRows(7, 220, 0, 150, 25)
 	for i := range ctrl {
-		if err := p.Push("a", ctrl[i], proc[i]); err != nil {
+		if err := a.Push(ctrl[i], proc[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.Detach("a"); err != nil {
+	if _, err := a.Detach(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {

@@ -44,15 +44,7 @@ func (p *Pool) registerObs() error {
 		fn         func() float64
 	}{
 		{"pcsmon_fleet_active_streams", "Currently attached streams.",
-			func() float64 {
-				n := 0
-				for _, w := range p.workers {
-					w.mu.Lock()
-					n += len(w.streams)
-					w.mu.Unlock()
-				}
-				return float64(n)
-			}},
+			func() float64 { return float64(p.active()) }},
 		{"pcsmon_fleet_model_generation", "Current adaptive model generation.",
 			func() float64 {
 				if p.tracker == nil {

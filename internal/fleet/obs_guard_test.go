@@ -49,17 +49,18 @@ func TestMetricsThroughputBudget(t *testing.T) {
 					}
 					close(drained)
 				}()
-				if err := p.Attach("hot", 0); err != nil {
+				st, err := p.Attach("hot", 0)
+				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				for i := 0; i < rows; i++ {
-					if err := p.Push("hot", ctrl[0], proc[0]); err != nil {
+					if err := st.Push(ctrl[0], proc[0]); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				if _, err := p.Detach("hot"); err != nil {
+				if _, err := st.Detach(); err != nil {
 					b.Fatal(err)
 				}
 				if err := p.Close(); err != nil {

@@ -8,7 +8,7 @@ import (
 	"pcsmon/internal/core"
 )
 
-// TestGoldenParityFleetVsSingleStream: a plant scored through the sharded
+// TestGoldenParityFleetVsSingleStream: a plant scored through the fleet
 // pool must produce a report bit-identical to the same rows replayed
 // through a lone OnlineAnalyzer. Several plants with different anomalies
 // run concurrently so the parity holds under real interleaving, not just
@@ -64,20 +64,21 @@ func TestGoldenParityFleetVsSingleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := drain(p)
-	for _, pc := range cases {
-		if err := p.Attach(pc.id, onset); err != nil {
+	streams := make([]*Stream, len(cases))
+	for c, pc := range cases {
+		if streams[c], err = p.Attach(pc.id, onset); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < rows; i++ {
-		for _, pc := range cases {
-			if err := p.Push(pc.id, pc.ctrl[i], pc.proc[i]); err != nil {
+		for c, pc := range cases {
+			if err := streams[c].Push(pc.ctrl[i], pc.proc[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, pc := range cases {
-		rep, err := p.Detach(pc.id)
+	for c, pc := range cases {
+		rep, err := streams[c].Detach()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,8 @@ func TestParityRowBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := drain(p)
-	if err := p.Attach("reuse", onset); err != nil {
+	st, err := p.Attach("reuse", onset)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cbuf := make([]float64, len(ctrl[0]))
@@ -141,7 +143,7 @@ func TestParityRowBufferReuse(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		copy(cbuf, ctrl[i])
 		copy(pbuf, proc[i])
-		if err := p.Push("reuse", cbuf, pbuf); err != nil {
+		if err := st.Push(cbuf, pbuf); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over the caller's buffers immediately: if Push aliased
@@ -151,7 +153,7 @@ func TestParityRowBufferReuse(t *testing.T) {
 			pbuf[j] = 1e9
 		}
 	}
-	rep, err := p.Detach("reuse")
+	rep, err := st.Detach()
 	if err != nil {
 		t.Fatal(err)
 	}

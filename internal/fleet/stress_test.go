@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // TestStressManyConcurrentStreams is the engine's concurrency proof: 256+
-// plant streams, each driven by its own producer goroutine, sharded over a
+// plant streams, each driven by its own producer goroutine, spread over a
 // handful of workers while a consumer drains the fan-in channel. Run under
 // the race detector (`go test -race ./internal/fleet -run Stress`) this
 // exercises every cross-goroutine edge: attach/push/detach on the
@@ -89,17 +90,18 @@ func TestStressManyConcurrentStreams(t *testing.T) {
 			if attacked {
 				ctrl, proc = ctrlA, procA
 			}
-			if err := p.Attach(id, onset); err != nil {
+			st, err := p.Attach(id, onset)
+			if err != nil {
 				errs[s] = err
 				return
 			}
 			for i := 0; i < rows; i++ {
-				if err := p.Push(id, ctrl[i], proc[i]); err != nil {
+				if err := st.Push(ctrl[i], proc[i]); err != nil {
 					errs[s] = err
 					return
 				}
 			}
-			reports[s], errs[s] = p.Detach(id)
+			reports[s], errs[s] = st.Detach()
 		}(s)
 	}
 	wg.Wait()
@@ -187,14 +189,15 @@ func TestStressCloseRacesProducers(t *testing.T) {
 				defer wg.Done()
 				for r := 0; ; r++ {
 					id := fmt.Sprintf("race-%d-%d-%d", round, g, r)
-					if err := p.Attach(id, 0); err != nil {
+					st, err := p.Attach(id, 0)
+					if err != nil {
 						if !errors.Is(err, ErrClosed) {
 							errCh <- err
 						}
 						return
 					}
 					for i := range ctrl {
-						if err := p.Push(id, ctrl[i], proc[i]); err != nil {
+						if err := st.Push(ctrl[i], proc[i]); err != nil {
 							if !errors.Is(err, ErrClosed) {
 								errCh <- err
 								return
@@ -202,7 +205,7 @@ func TestStressCloseRacesProducers(t *testing.T) {
 							break
 						}
 					}
-					if _, err := p.Detach(id); err != nil &&
+					if _, err := st.Detach(); err != nil &&
 						!errors.Is(err, ErrClosed) &&
 						!errors.Is(err, ErrUnknownPlant) &&
 						!errors.Is(err, core.ErrBadInput) { // detached with nothing scored
@@ -267,17 +270,18 @@ func TestStressConcurrentAttachDetachChurn(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				id := fmt.Sprintf("churn-%02d-%02d", g, r)
-				if err := p.Attach(id, 0); err != nil {
+				st, err := p.Attach(id, 0)
+				if err != nil {
 					errCh <- err
 					return
 				}
 				for i := range ctrl {
-					if err := p.Push(id, ctrl[i], proc[i]); err != nil {
+					if err := st.Push(ctrl[i], proc[i]); err != nil {
 						errCh <- err
 						return
 					}
 				}
-				if _, err := p.Detach(id); err != nil {
+				if _, err := st.Detach(); err != nil {
 					errCh <- err
 					return
 				}
@@ -337,17 +341,18 @@ func TestStressScrapeUnderLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			id := fmt.Sprintf("unit-%d", g)
-			if err := p.Attach(id, 0); err != nil {
+			st, err := p.Attach(id, 0)
+			if err != nil {
 				errCh <- err
 				return
 			}
 			for i := range ctrl {
-				if err := p.Push(id, ctrl[i], proc[i]); err != nil {
+				if err := st.Push(ctrl[i], proc[i]); err != nil {
 					errCh <- err
 					return
 				}
 			}
-			if _, err := p.Detach(id); err != nil {
+			if _, err := st.Detach(); err != nil {
 				errCh <- err
 				return
 			}
@@ -404,10 +409,11 @@ func TestStressScrapeUnderLoad(t *testing.T) {
 }
 
 // TestPushRacingDetachLosesNothing pins the Push/Detach race of one plant:
-// a producer pushes flat out, re-attaching whenever Push reports the plant
-// gone, while the main goroutine detaches it in a loop under the mutex the
-// re-attach takes — the shape of a control plane whose API detaches a unit
-// its ingest keeps feeding. Oracle: every Push that returned nil is scored
+// a producer pushes flat out on the current handle, re-attaching whenever
+// Push reports the plant gone, while the main goroutine detaches it in a
+// loop under the mutex the re-attach takes — the shape of a control plane
+// whose API detaches a unit its ingest keeps feeding, sharing the handle
+// through an atomic pointer as the plane does. Oracle: every Push that returned nil is scored
 // into exactly one verdict, so the verdicts' sample counts sum to the
 // accepted pushes.
 func TestPushRacingDetachLosesNothing(t *testing.T) {
@@ -431,8 +437,33 @@ func TestPushRacingDetachLosesNothing(t *testing.T) {
 		}
 	}()
 	var mu sync.Mutex // serializes attach and detach, never held by Push
-	if err := p.Attach(id, 0); err != nil {
+	var cur atomic.Pointer[Stream]
+	st, err := p.Attach(id, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cur.Store(st)
+	// push is the plane's protocol: push on the current handle; when there
+	// is none or it is detached, attach under mu (unless the handle was
+	// replaced meanwhile) and retry once.
+	push := func(row []float64) error {
+		if st := cur.Load(); st != nil {
+			if err := st.Push(row, row); !errors.Is(err, ErrUnknownPlant) {
+				return err
+			}
+		}
+		mu.Lock()
+		st := cur.Load()
+		if st == nil {
+			var err error
+			if st, err = p.Attach(id, 0); err != nil {
+				mu.Unlock()
+				return err
+			}
+			cur.Store(st)
+		}
+		mu.Unlock()
+		return st.Push(row, row)
 	}
 	ctrl, _ := plantRows(60, 64, 0, 0, 0)
 	var accepted int
@@ -440,16 +471,7 @@ func TestPushRacingDetachLosesNothing(t *testing.T) {
 	go func() {
 		defer close(pushErr)
 		for i := 0; i < pushes; i++ {
-			row := ctrl[i%len(ctrl)]
-			err := p.Push(id, row, row)
-			if errors.Is(err, ErrUnknownPlant) {
-				mu.Lock()
-				err = p.Attach(id, 0)
-				mu.Unlock()
-				if err == nil || errors.Is(err, ErrDuplicatePlant) {
-					err = p.Push(id, row, row)
-				}
-			}
+			err := push(ctrl[i%len(ctrl)])
 			if err != nil && !errors.Is(err, ErrUnknownPlant) {
 				pushErr <- err
 				return
@@ -469,8 +491,10 @@ func TestPushRacingDetachLosesNothing(t *testing.T) {
 			done = true
 		default:
 			mu.Lock()
-			if _, err := p.Detach(id); err == nil || !errors.Is(err, ErrUnknownPlant) {
-				detaches++
+			if st := cur.Swap(nil); st != nil {
+				if _, err := st.Detach(); err == nil || !errors.Is(err, ErrUnknownPlant) {
+					detaches++
+				}
 			}
 			mu.Unlock()
 		}

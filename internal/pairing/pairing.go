@@ -127,7 +127,7 @@ func (o Outcome) String() string {
 // Event is one correlation outcome. For Paired and the orphan outcomes,
 // Ctrl and Proc carry the controller-view and process-view rows to score;
 // they reference correlator-owned buffers that are reused after the sink
-// returns — copy what must outlive the call (fleet.Pool.Push copies).
+// returns — copy what must outlive the call (fleet.Stream.Push copies).
 type Event struct {
 	Unit uint8
 	// Seq is the observation's sequence number (for GapDetected, the first
@@ -628,12 +628,12 @@ func (c *Correlator) quarantine(u *unitState, unit uint8, typ fieldbus.FrameType
 	w := uint64(c.cfg.Window)
 	inRegion := u.jumpRun > 0 &&
 		seq+w > u.jumpLow && seq < u.jumpLow+w &&
-		maxU64(u.jumpHigh, seq)-minU64(u.jumpLow, seq) < w
+		max(u.jumpHigh, seq)-min(u.jumpLow, seq) < w
 	if !inRegion {
 		u.jumpLow, u.jumpHigh, u.jumpRun = seq, seq, 1
 	} else {
-		u.jumpLow = minU64(u.jumpLow, seq)
-		u.jumpHigh = maxU64(u.jumpHigh, seq)
+		u.jumpLow = min(u.jumpLow, seq)
+		u.jumpHigh = max(u.jumpHigh, seq)
 		u.jumpRun++
 	}
 	if u.jumpRun < epochFrames {
@@ -662,20 +662,6 @@ func (c *Correlator) quarantine(u *unitState, unit uint8, typ fieldbus.FrameType
 		return true, c.sink(Event{Unit: unit, Seq: from, Outcome: GapDetected, Span: span})
 	}
 	return true, c.sink(Event{Unit: unit, Seq: u.jumpLow, Outcome: EpochReset})
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // rebaseDown slides the window start down to seq — legal only before the

@@ -71,7 +71,7 @@ func ASCIIChart(title string, series []float64, limits map[string]float64, width
 	}
 	// Downsample the series to the panel width.
 	for c := 0; c < width; c++ {
-		idx := c * (len(series) - 1) / maxInt(width-1, 1)
+		idx := c * (len(series) - 1) / max(width-1, 1)
 		grid[rowOf(series[idx])][c] = '*'
 	}
 
@@ -146,13 +146,6 @@ func ASCIITimeSeries(caption string, panels map[string][]float64, width, height 
 	return b.String(), nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SVGChart renders a series with limit lines as a standalone SVG document.
 func SVGChart(title string, series []float64, limits map[string]float64, width, height int) (string, error) {
 	if len(series) == 0 {
@@ -179,7 +172,7 @@ func SVGChart(title string, series []float64, limits map[string]float64, width, 
 	const margin = 40.0
 	w, h := float64(width), float64(height)
 	x := func(i int) float64 {
-		return margin + (w-2*margin)*float64(i)/float64(maxInt(len(series)-1, 1))
+		return margin + (w-2*margin)*float64(i)/float64(max(len(series)-1, 1))
 	}
 	y := func(v float64) float64 {
 		return h - margin - (h-2*margin)*(v-lo)/(hi-lo)

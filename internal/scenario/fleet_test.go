@@ -52,15 +52,16 @@ func runFleet(t *testing.T, exp *Experiment, scs []Scenario, runsEach int, cfg f
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if out.err = pool.Attach(out.id, exp.OnsetIndex()); out.err != nil {
+				st, err := pool.Attach(out.id, exp.OnsetIndex())
+				if out.err = err; err != nil {
 					return
 				}
 				_, feedErr := exp.Feed(sc, exp.RunSeed(int64(i)), func(_ int, ctrl, proc []float64) error {
-					return pool.Push(out.id, ctrl, proc)
+					return st.Push(ctrl, proc)
 				})
 				// Detach even after a failed feed so the pool does not leak
 				// the stream.
-				rep, err := pool.Detach(out.id)
+				rep, err := st.Detach()
 				out.rep, out.err = rep, errors.Join(feedErr, err)
 			}()
 		}

@@ -52,7 +52,8 @@ func replayThroughPairing(t *testing.T, exp *Experiment, frames []replayFrame, c
 		}
 	}()
 	const id = "unit-000"
-	if err := pool.Attach(id, exp.OnsetIndex()); err != nil {
+	st, err := pool.Attach(id, exp.OnsetIndex())
+	if err != nil {
 		t.Fatal(err)
 	}
 	cor, err := pairing.NewCorrelator(pairing.Config{
@@ -60,7 +61,7 @@ func replayThroughPairing(t *testing.T, exp *Experiment, frames []replayFrame, c
 	}, func(ev pairing.Event) error {
 		switch ev.Outcome {
 		case pairing.Paired, pairing.OrphanSensor, pairing.OrphanActuator:
-			return pool.Push(id, ev.Ctrl, ev.Proc)
+			return st.Push(ev.Ctrl, ev.Proc)
 		}
 		return nil
 	})
@@ -79,7 +80,7 @@ func replayThroughPairing(t *testing.T, exp *Experiment, frames []replayFrame, c
 	if err := cor.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pool.Detach(id)
+	rep, err := st.Detach()
 	if err != nil {
 		t.Fatal(err)
 	}

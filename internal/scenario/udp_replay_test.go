@@ -32,7 +32,8 @@ func newReplayPool(t *testing.T, exp *Experiment, cols, window int) (*pairing.Co
 		}
 	}()
 	const id = "unit-000"
-	if err := pool.Attach(id, exp.OnsetIndex()); err != nil {
+	st, err := pool.Attach(id, exp.OnsetIndex())
+	if err != nil {
 		t.Fatal(err)
 	}
 	cor, err := pairing.NewCorrelator(pairing.Config{
@@ -40,7 +41,7 @@ func newReplayPool(t *testing.T, exp *Experiment, cols, window int) (*pairing.Co
 	}, func(ev pairing.Event) error {
 		switch ev.Outcome {
 		case pairing.Paired, pairing.OrphanSensor, pairing.OrphanActuator:
-			return pool.Push(id, ev.Ctrl, ev.Proc)
+			return st.Push(ev.Ctrl, ev.Proc)
 		}
 		return nil
 	})
@@ -51,7 +52,7 @@ func newReplayPool(t *testing.T, exp *Experiment, cols, window int) (*pairing.Co
 		if err := cor.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := pool.Detach(id)
+		rep, err := st.Detach()
 		if err != nil {
 			t.Fatal(err)
 		}
