@@ -3,13 +3,18 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pcsmon"
+	"pcsmon/internal/adapt"
+	"pcsmon/internal/control"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/historian"
 )
@@ -203,5 +208,162 @@ func TestWatchSubcommandAdaptive(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "normal") {
 		t.Errorf("NOC watch not normal:\n%s", out.String())
+	}
+}
+
+// watchReport runs watch with args over the stdin CSV at ctrl and returns
+// its whole output and the report it printed after the end-of-stream line.
+func watchReport(t *testing.T, ctrl string, args []string) (text, report string) {
+	t.Helper()
+	in, err := os.Open(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = in.Close() }()
+	var out bytes.Buffer
+	if err := runWatch(args, in, &out); err != nil {
+		t.Fatalf("watch: %v\n%s", err, out.String())
+	}
+	text = out.String()
+	_, report, ok := strings.Cut(text, "end of stream after ")
+	if !ok {
+		t.Fatalf("watch printed no end-of-stream line:\n%s", text)
+	}
+	_, report, _ = strings.Cut(report, "\n\n")
+	return text, report
+}
+
+// TestWatchMatchesBatch: the report watch prints at end of stream is the
+// batch analysis of the same CSVs, byte for byte — on the two-view inputs
+// of TestWatchSubcommand and the single-view inputs of TestWatchSingleView.
+func TestWatchMatchesBatch(t *testing.T) {
+	cases := []struct {
+		name, verdict   string
+		seed            int64
+		rows, ch, shift int
+		ctrlD, procD    float64
+		twoView         bool
+		args            []string
+	}{
+		{"two-view", "integrity-attack", 3, 300, 0, 150, -25, +25, true,
+			[]string{"-onset-hour", "0.375", "-sample", "9", "-every", "100"}},
+		{"single-view", "disturbance", 7, 260, 2, 130, -30, 0, false,
+			[]string{"-sample", "9"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cal := filepath.Join(dir, "cal.csv")
+			ctrl := filepath.Join(dir, "ctrl.csv")
+			proc := ctrl
+			writeSynthetic(t, cal, c.seed, 800, -1, -1, 0)
+			writeSynthetic(t, ctrl, c.seed, c.rows, c.ch, c.shift, c.ctrlD)
+			args := append([]string{"-cal", cal}, c.args...)
+			if c.twoView {
+				proc = filepath.Join(dir, "proc.csv")
+				writeSynthetic(t, proc, c.seed, c.rows, c.ch, c.shift, c.procD)
+				args = append(args, "-proc", proc)
+			}
+			_, got := watchReport(t, ctrl, args)
+
+			sys, err := control.Calibrate(cal, 0, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cd, err := readCSV(ctrl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pd, err := readCSV(proc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onset := 0
+			if c.twoView {
+				onset = onsetIndex(0.375, 9)
+			}
+			rep, err := sys.AnalyzeViews(cd, pd, onset, 9*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := rep.Render(); got != want {
+				t.Errorf("watch report differs from batch\nwatch:\n%s\nbatch:\n%s", got, want)
+			}
+			if rep.Verdict.String() != c.verdict {
+				t.Errorf("verdict %v, want %s", rep.Verdict, c.verdict)
+			}
+		})
+	}
+}
+
+// TestWatchAdaptiveMatchesTracker: a NOC stream long enough for adaptive
+// refits to land. The expected MODEL SWAP lines and final report come from
+// the reference protocol — adapt.Tracker.Step driven over one
+// core.OnlineAnalyzer — not from watch itself.
+func TestWatchAdaptiveMatchesTracker(t *testing.T) {
+	dir := t.TempDir()
+	cal := filepath.Join(dir, "cal.csv")
+	live := filepath.Join(dir, "live.csv")
+	writeSynthetic(t, cal, 1, 600, -1, -1, 0)
+	writeSynthetic(t, live, 1, 2000, -1, -1, 0)
+	text, got := watchReport(t, live, []string{
+		"-cal", cal, "-sample", "9",
+		"-adapt-every", "64", "-adapt-forget", "0.999",
+	})
+
+	sys, err := control.Calibrate(cal, 0, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := adapt.NewTracker(sys, adapt.Options{Enabled: true, Every: 64, Forget: 0.999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, gen := tracker.System()
+	oa, err := cur.NewOnlineAnalyzer(0, 9*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := max(sys.Config().DiagnoseWindow, 1)
+	d, err := readCSV(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < d.Rows(); i++ {
+		row := d.Row(i)
+		res, err := oa.Push(row, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var swap *adapt.Swap
+		if gen, swap = tracker.Step(oa, res, row, row, window, gen); swap != nil {
+			want = append(want, fmt.Sprintf("MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)",
+				swap.At, swap.Generation, swap.D99, swap.Q99))
+		}
+	}
+	rep, err := oa.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("reference stream never swapped: the case is too short to reach the adaptive path")
+	}
+	t.Logf("reference protocol swapped %d times", len(want))
+	var swaps []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "MODEL SWAP") {
+			swaps = append(swaps, line)
+		}
+	}
+	if strings.Join(swaps, "\n") != strings.Join(want, "\n") {
+		t.Errorf("watch swaps differ from the tracker protocol\nwatch:\n%s\nwant:\n%s",
+			strings.Join(swaps, "\n"), strings.Join(want, "\n"))
+	}
+	if !strings.Contains(text, "end of stream after 2000 observations") {
+		t.Errorf("watch did not score all 2000 observations:\n%s", text)
+	}
+	if want := rep.Render(); got != want {
+		t.Errorf("watch report differs from the tracker protocol\nwatch:\n%s\nwant:\n%s", got, want)
 	}
 }
