@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,7 +133,7 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 		Ops:           control.Ops{Addr: *metricsAddr},
 		Pairing:       pairingConfig(*pairWindow, *pairTimeout, *dedup),
 		Fleet:         control.FleetCfg{Workers: *workers, Batch: *batch, EmitEvery: max(*every, 0)},
-		Adapt:         control.Adapt{Every: adaptive.Every, Forget: adaptive.Forget},
+		Adapt:         adaptive,
 		Record: control.Record{
 			Path:               *record,
 			SegmentBytes:       *recSegBytes,
@@ -153,103 +155,156 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 // before calibration so an unusable -metrics address fails up front; its
 // totals fill in once the pool exists.
 func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io.Reader, out io.Writer) error {
-	var fl atomic.Pointer[fleet.Pool]
-	totals := func() map[string]float64 {
-		m := map[string]float64{}
-		if pool := fl.Load(); pool != nil {
-			pool.Stats().AddTotals(m)
-		}
-		return m
-	}
-	pc := cfg.PoolConfig()
-	var lastSeen atomic.Int64 // /healthz stall probe
-	lastSeen.Store(time.Now().UnixNano())
+	s := &scoring{cfg: cfg, pc: cfg.PoolConfig(), out: out}
+	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out)}
+	rows.lastSeen.Store(time.Now().UnixNano()) // /healthz stall probe
 	if cfg.Ops.Addr != "" {
-		pc.Metrics, pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
-		ops, err := startOps("mspctool fleet", cfg.Ops.Addr, pc.Metrics, pc.Health, totals,
-			func() time.Time { return time.Unix(0, lastSeen.Load()) }, out)
+		s.pc.Metrics, s.pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
+		ops, err := startOps("mspctool fleet", cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
+			func() time.Time { return time.Unix(0, rows.lastSeen.Load()) }, out)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = ops.Close() }()
 	}
-	sys, err := control.Calibrate(cfg.Calibration, cfg.Components, out)
+	stopStats := startStatsTicker(statsEvery, s.totals, out)
+	defer stopStats()
+	if err := s.run(rows); err != nil {
+		return err
+	}
+	rows.v.print()
+	printFleetSummary(out, s.totals())
+	return nil
+}
+
+// rowFeed is one CSV command's side of scoring.run: the rows to score and
+// the lines to print about them.
+type rowFeed interface {
+	// open reads the input's header; run calls it once the pool is up.
+	open() error
+	// next returns the next observation and the plant it belongs to;
+	// io.EOF ends the feed. The rows may be reused on the next call.
+	next() (plant string, ctrl, proc []float64, err error)
+	// attached notes a plant's first observation before it is pushed.
+	attached(plant string)
+	// event sees every pool event, in order, on the one event consumer.
+	event(ev fleet.Event)
+}
+
+// scoring is the scoring skeleton watch and CSV fleet share: calibrate
+// cfg's model, build the pool pc describes, consume its events, push a
+// feed's rows and detach every plant at end of input.
+type scoring struct {
+	cfg  *control.Config
+	pc   fleet.Config
+	out  io.Writer
+	pool atomic.Pointer[fleet.Pool] // set once calibrated; read by totals
+}
+
+// totals returns the pool's /status aggregate totals, empty until the
+// pool exists.
+func (s *scoring) totals() map[string]float64 {
+	m := map[string]float64{}
+	if pool := s.pool.Load(); pool != nil {
+		pool.Stats().AddTotals(m)
+	}
+	return m
+}
+
+// run calibrates, builds the pool and hands its events to rows on one
+// consumer goroutine, then pushes the feed — attaching each plant on first
+// sight — detaches every plant in name order and closes the pool. The
+// verdicts arrive as events; on an error the pool is closed all the same.
+func (s *scoring) run(rows rowFeed) error {
+	sys, err := control.Calibrate(s.cfg.Calibration, s.cfg.Components, s.out)
 	if err != nil {
 		return err
 	}
-	pool, err := fleet.NewPool(sys, pc)
+	pool, err := fleet.NewPool(sys, s.pc)
 	if err != nil {
-		return fmt.Errorf("mspctool fleet: %w", err)
+		return err
 	}
-	fl.Store(pool)
-	stopStats := startStatsTicker(statsEvery, totals, out)
-	defer stopStats()
-
-	// The single consumer of the pool's events: live alarm and swap lines,
-	// plus the per-plant summary.
-	v := newVerdicts(every, out)
+	s.pool.Store(pool)
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		for ev := range pool.Events() {
-			control.LogEvent(out, ev)
-			v.event(ev)
+			rows.event(ev)
 			pool.Recycle(ev)
 		}
 	}()
-	fail := func(err error) error {
-		_ = pool.Close()
-		<-consumed
+	err = s.push(pool, rows)
+	if cerr := pool.Close(); err == nil {
+		err = cerr
+	}
+	<-consumed
+	return err
+}
+
+// push feeds every row to its plant's stream, then detaches the streams.
+func (s *scoring) push(pool *fleet.Pool, rows rowFeed) error {
+	if err := rows.open(); err != nil {
 		return err
 	}
-
-	// Push each single-view observation, attaching the plant on first
-	// sight.
-	stream, err := newCSVStream(in, true)
-	if err != nil {
-		return fail(err)
-	}
-	onset := cfg.OnsetIndex()
+	onset := s.cfg.OnsetIndex()
 	streams := map[string]*fleet.Stream{}
 	for {
-		plant, row, err := stream.next()
+		plant, ctrl, proc, err := rows.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		st := streams[plant]
 		if st == nil {
 			if st, err = pool.Attach(plant, onset); err != nil {
-				return fail(err)
+				return err
 			}
 			streams[plant] = st
-			fmt.Fprintf(out, "plant %s attached\n", plant)
+			rows.attached(plant)
 		}
-		lastSeen.Store(time.Now().UnixNano())
-		if err := st.Push(row, row); err != nil {
-			return fail(err)
+		if err := st.Push(ctrl, proc); err != nil {
+			return err
 		}
 	}
-	// Detach everything (events deliver the verdicts), then report.
-	ids := make([]string, 0, len(streams))
-	for id := range streams {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(streams)) {
 		if _, err := streams[id].Detach(); err != nil {
-			return fail(err)
+			return err
 		}
 	}
-	if err := pool.Close(); err != nil {
-		return err
-	}
-	<-consumed
-	v.print()
-	printFleetSummary(out, totals())
 	return nil
+}
+
+// fleetRows is CSV fleet's rowFeed: interleaved "plant,<53 vars>" rows,
+// each a single-view observation of the plant its first column names.
+type fleetRows struct {
+	in       io.Reader
+	out      io.Writer
+	v        *verdicts
+	stream   *csvStream
+	lastSeen atomic.Int64 // UnixNano of the last row read
+}
+
+func (f *fleetRows) open() (err error) {
+	f.stream, err = newCSVStream(f.in, true)
+	return err
+}
+
+func (f *fleetRows) next() (plant string, ctrl, proc []float64, err error) {
+	plant, row, err := f.stream.next()
+	if err != nil {
+		return "", nil, nil, err
+	}
+	f.lastSeen.Store(time.Now().UnixNano())
+	return plant, row, row, nil
+}
+
+func (f *fleetRows) attached(plant string) { fmt.Fprintf(f.out, "plant %s attached\n", plant) }
+
+func (f *fleetRows) event(ev fleet.Event) {
+	control.LogEvent(f.out, ev)
+	f.v.event(ev)
 }
 
 // runFleetLive runs the frame modes on a control plane until the feed is

@@ -61,6 +61,7 @@ import (
 	"pcsmon/internal/control"
 	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
+	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
 	"pcsmon/internal/plot"
 )
@@ -135,7 +136,7 @@ func run(args []string) error {
 	printReport(rep)
 
 	if *charts {
-		if err := printCharts(sys, ctrl, proc, rep); err != nil {
+		if err := printCharts(sys, ctrl, rep); err != nil {
 			return err
 		}
 	}
@@ -147,7 +148,9 @@ func run(args []string) error {
 // alarms print the moment the run rule fires, the classified report at end
 // of stream. With -proc a process-view CSV is consumed in lockstep so the
 // two-view diagnosis can localize forged channels; without it the stdin
-// rows serve as both views (plain single-stream MSPC monitoring).
+// rows serve as both views (plain single-stream MSPC monitoring). The rows
+// are scored as one stream on a one-worker pool, the same engine CSV fleet
+// runs.
 func runWatch(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("mspctool watch", flag.ContinueOnError)
 	var (
@@ -174,69 +177,103 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sys, err := control.Calibrate(*calPath, *components, out)
-	if err != nil {
+	cfg := &control.Config{
+		Calibration:   *calPath,
+		SampleSeconds: *sampleSec,
+		OnsetHour:     *onsetHour,
+		Components:    *components,
+		Fleet:         control.FleetCfg{Workers: 1, EmitEvery: max(*every, 0)},
+		Adapt:         adaptive,
+	}
+	rows := &watchRows{in: in, procPath: *procPath, out: out}
+	defer rows.close()
+	if err := (&scoring{cfg: cfg, pc: cfg.PoolConfig(), out: out}).run(rows); err != nil {
 		return err
 	}
-
-	ctrlFeed, err := newCSVStream(in, false)
-	if err != nil {
-		return fmt.Errorf("stdin: %w", err)
+	rep := rows.verdict.Report
+	if rep == nil {
+		return fmt.Errorf("mspctool watch: no observations on stdin: %w", core.ErrBadInput)
 	}
-	var procFeed *csvStream
-	if *procPath != "" {
-		f, err := os.Open(*procPath)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = f.Close() }()
-		procFeed, err = newCSVStream(f, false)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *procPath, err)
-		}
-	}
-	feed := func() (ctrl, proc []float64, err error) {
-		_, crow, err := ctrlFeed.next()
-		if err != nil {
-			return nil, nil, err // io.EOF ends the stream
-		}
-		if procFeed == nil {
-			return crow, crow, nil
-		}
-		_, prow, err := procFeed.next()
-		if err == io.EOF {
-			return crow, nil, nil // process view exhausted; keep watching stdin
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return crow, prow, nil
-	}
-	emit := func(ev pcsmon.StreamEvent) {
-		switch e := ev.(type) {
-		case pcsmon.SampleScored:
-			if *every > 0 && e.Index%*every == 0 {
-				fmt.Fprintf(out, "obs %6d  ctrl D=%8.2f Q=%8.2f   proc D=%8.2f Q=%8.2f\n",
-					e.Index, e.CtrlD, e.CtrlQ, e.ProcD, e.ProcQ)
-			}
-		case pcsmon.AlarmRaised:
-			fmt.Fprintf(out, "ALARM [%s] at obs %d (run start %d, charts %v)\n",
-				e.View, e.Index, e.RunStart, e.Charts)
-		case pcsmon.ModelSwapped:
-			fmt.Fprintf(out, "MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-				e.Index, e.Generation, e.D99, e.Q99)
-		case pcsmon.VerdictReady:
-			fmt.Fprintf(out, "\nend of stream after %d observations\n\n", e.Samples)
-		}
-	}
-	onset := onsetIndex(*onsetHour, *sampleSec)
-	sample := time.Duration(*sampleSec * float64(time.Second))
-	rep, err := pcsmon.StreamAdaptive(sys, onset, sample, adaptive, feed, emit)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(out, "\nend of stream after %d observations\n\n", rows.verdict.Samples)
 	fmt.Fprint(out, rep.Render())
 	return nil
+}
+
+// watchRows is watch's rowFeed: stdin's rows are the controller view and
+// -proc's, read in lockstep, the process view until they run out (stdin's
+// rows serve both views without -proc). Every row belongs to one stream.
+type watchRows struct {
+	in       io.Reader
+	procPath string
+	out      io.Writer
+
+	ctrl, proc *csvStream
+	procFile   *os.File
+	verdict    fleet.Verdict
+}
+
+func (w *watchRows) open() error {
+	var err error
+	if w.ctrl, err = newCSVStream(w.in, false); err != nil {
+		return fmt.Errorf("stdin: %w", err)
+	}
+	if w.procPath == "" {
+		return nil
+	}
+	if w.procFile, err = os.Open(w.procPath); err != nil {
+		return err
+	}
+	if w.proc, err = newCSVStream(w.procFile, false); err != nil {
+		return fmt.Errorf("%s: %w", w.procPath, err)
+	}
+	return nil
+}
+
+func (w *watchRows) close() {
+	if w.procFile != nil {
+		_ = w.procFile.Close()
+	}
+}
+
+func (w *watchRows) next() (plant string, ctrl, proc []float64, err error) {
+	_, crow, err := w.ctrl.next()
+	if err == io.EOF {
+		return "", nil, nil, err // end of stream
+	}
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("stdin: %w", err)
+	}
+	if w.proc == nil {
+		return "stdin", crow, crow, nil
+	}
+	_, prow, err := w.proc.next()
+	if err == io.EOF {
+		return "stdin", crow, nil, nil // process view exhausted; keep watching stdin
+	}
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("%s: %w", w.procPath, err)
+	}
+	return "stdin", crow, prow, nil
+}
+
+func (w *watchRows) attached(string) {}
+
+func (w *watchRows) event(ev fleet.Event) {
+	switch e := ev.(type) {
+	case *fleet.Scored:
+		s := core.ScoredEvent(e.Step)
+		fmt.Fprintf(w.out, "obs %6d  ctrl D=%8.2f Q=%8.2f   proc D=%8.2f Q=%8.2f\n",
+			s.Index, s.CtrlD, s.CtrlQ, s.ProcD, s.ProcQ)
+	case fleet.Alarm:
+		a := core.AlarmEvent(e.View, e.Detection)
+		fmt.Fprintf(w.out, "ALARM [%s] at obs %d (run start %d, charts %v)\n",
+			a.View, a.Index, a.RunStart, a.Charts)
+	case fleet.ModelSwapped:
+		fmt.Fprintf(w.out, "MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
+			e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
+	case fleet.Verdict:
+		w.verdict = e
+	}
 }
 
 // modelFlags validates the sampling, onset and model-size flags shared by
@@ -255,9 +292,9 @@ func modelFlags(cmd string, sampleSec, onsetHour float64, components int) error 
 }
 
 // adaptiveFlags validates and converts the shared -adapt-every/-adapt-forget
-// flag pair (watch and fleet subcommands) into facade options, wrapping
-// pcsmon.ErrBadConfig on misuse.
-func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (pcsmon.AdaptiveOptions, error) {
+// flag pair (watch and fleet subcommands) into the pool's adapt block,
+// wrapping pcsmon.ErrBadConfig on misuse.
+func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (control.Adapt, error) {
 	forgetSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "adapt-forget" {
@@ -266,16 +303,13 @@ func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (pcs
 	})
 	switch {
 	case every < 0:
-		return pcsmon.AdaptiveOptions{}, fmt.Errorf("%s: -adapt-every %d must be >= 0: %w", cmd, every, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("%s: -adapt-every %d must be >= 0: %w", cmd, every, pcsmon.ErrBadConfig)
 	case forgetSet && (forget <= 0 || forget > 1):
-		return pcsmon.AdaptiveOptions{}, fmt.Errorf("%s: -adapt-forget %g must be in (0,1]: %w", cmd, forget, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("%s: -adapt-forget %g must be in (0,1]: %w", cmd, forget, pcsmon.ErrBadConfig)
 	case forgetSet && every == 0:
-		return pcsmon.AdaptiveOptions{}, fmt.Errorf("%s: -adapt-forget requires -adapt-every: %w", cmd, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("%s: -adapt-forget requires -adapt-every: %w", cmd, pcsmon.ErrBadConfig)
 	}
-	if every == 0 {
-		return pcsmon.AdaptiveOptions{}, nil
-	}
-	return pcsmon.AdaptiveOptions{Enabled: true, Every: every, Forget: forget}, nil
+	return control.Adapt{Every: every, Forget: forget}, nil
 }
 
 // onsetIndex converts an anomaly onset in hours to a retained-observation
@@ -357,7 +391,7 @@ func printReport(rep *core.Report) {
 	fmt.Print(rep.Render())
 }
 
-func printCharts(sys *core.System, ctrl, proc *dataset.Dataset, rep *core.Report) error {
+func printCharts(sys *core.System, ctrl *dataset.Dataset, rep *core.Report) error {
 	d, q, lim, err := sys.ChartSeries(ctrl)
 	if err != nil {
 		return err
@@ -389,7 +423,6 @@ func printCharts(sys *core.System, ctrl, proc *dataset.Dataset, rep *core.Report
 		}
 		fmt.Println(bars)
 	}
-	_ = proc
 	return nil
 }
 

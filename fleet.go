@@ -11,6 +11,16 @@ import (
 // PlantID returns the fleet plant id of a fieldbus unit ("unit-007").
 func PlantID(unit uint8) string { return fleet.PlantID(unit) }
 
+// Stream events, re-exported from the engine: the fleet facade and the
+// control plane's SSE feed share one vocabulary.
+type (
+	// StreamEvent is a typed stream event: the engine's SampleScored,
+	// AlarmRaised or ModelSwapped, or a VerdictReady.
+	StreamEvent = core.StreamEvent
+	// VerdictReady carries a stream's final classified report.
+	VerdictReady = core.VerdictReady
+)
+
 // FleetStats is a snapshot of a fleet's aggregate counters.
 type FleetStats = fleet.Stats
 
@@ -19,7 +29,7 @@ type FleetStats = fleet.Stats
 type FleetEvent struct {
 	// Plant identifies the stream the event belongs to.
 	Plant string
-	// Event is a SampleScored, AlarmRaised or VerdictReady.
+	// Event is a SampleScored, AlarmRaised, ModelSwapped or VerdictReady.
 	Event StreamEvent
 }
 
@@ -135,8 +145,7 @@ func (f *Fleet) Detach(plant string) (*Report, error) {
 // Stats snapshots the fleet's aggregate counters.
 func (f *Fleet) Stats() FleetStats { return f.pool.Stats() }
 
-// Plants lists the currently attached plant ids, sorted — the drain hook
-// a control plane uses to detach everything deterministically.
+// Plants lists the currently attached plant ids, sorted.
 func (f *Fleet) Plants() []string { return f.pool.Plants() }
 
 // Close finalizes every remaining stream, stops the workers and closes the

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFleetFacadeLifecycle drives the Fleet wrapper directly with a
-// steady-state single-view feed, mirroring TestStreamFeed.
+// steady-state single-view feed.
 func TestFleetFacadeLifecycle(t *testing.T) {
 	l := testLab(t)
 	f, err := pcsmon.NewFleet(l.System, pcsmon.FleetOptions{Workers: 2, Sample: 9 * time.Second})

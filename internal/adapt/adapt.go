@@ -135,7 +135,7 @@ func (o Options) Validate() error {
 }
 
 // Swap describes one accepted model swap on one stream — the payload of the
-// ModelSwapped events the facade and fleet emit.
+// fleet's ModelSwapped events.
 type Swap struct {
 	// At is the stream index of the diagnosis-window boundary at which the
 	// swap landed.

@@ -78,6 +78,43 @@ func nocRows(seed int64, n, shiftCh, shiftFrom int, delta float64) (ctrl, proc [
 	return ctrl, proc
 }
 
+// testStream drives one core.OnlineAnalyzer through Tracker.Step, as a
+// fleet worker drives each of its streams: score, then learn, refit and
+// swap at window boundaries. onSwap, if non-nil, sees each landed swap.
+type testStream struct {
+	tracker *Tracker
+	oa      *core.OnlineAnalyzer
+	window  int
+	gen     uint64
+	onSwap  func(Swap)
+}
+
+// newTestStream starts a stream on the tracker's current model; onset and
+// sample have core.System.NewOnlineAnalyzer semantics.
+func newTestStream(tb testing.TB, t *Tracker, onset int, sample time.Duration, onSwap func(Swap)) *testStream {
+	tb.Helper()
+	sys, gen := t.System()
+	oa, err := sys.NewOnlineAnalyzer(onset, sample)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &testStream{tracker: t, oa: oa, window: max(sys.Config().DiagnoseWindow, 1), gen: gen, onSwap: onSwap}
+}
+
+func (s *testStream) Push(ctrl, proc []float64) (core.StepResult, error) {
+	res, err := s.oa.Push(ctrl, proc)
+	if err != nil {
+		return res, err
+	}
+	var swap *Swap
+	if s.gen, swap = s.tracker.Step(s.oa, res, ctrl, proc, s.window, s.gen); swap != nil && s.onSwap != nil {
+		s.onSwap(*swap)
+	}
+	return res, nil
+}
+
+func (s *testStream) Finish() (*core.Report, error) { return s.oa.Finish() }
+
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{
 		{Every: -1},
@@ -100,7 +137,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestTrackerLearnsAndSwaps drives an adaptive analyzer over a long NOC
+// TestTrackerLearnsAndSwaps drives an adaptive stream over a long NOC
 // stream with an aggressive cadence: the tracker must accept candidate
 // models (generation advances), the stream must migrate at diagnosis-window
 // boundaries (swap events), and the verdict must stay Normal.
@@ -113,10 +150,7 @@ func TestTrackerLearnsAndSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var swaps []Swap
-	a, err := NewAnalyzer(tracker, 0, time.Second, func(s Swap) { swaps = append(swaps, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTestStream(t, tracker, 0, time.Second, func(s Swap) { swaps = append(swaps, s) })
 	ctrl, proc := nocRows(1, 600, 0, 0, 0)
 	for i := range ctrl {
 		if _, err := a.Push(ctrl[i], proc[i]); err != nil {
@@ -168,10 +202,7 @@ func TestDriftGuardRefusesAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	const onset = 200
-	a, err := NewAnalyzer(tracker, onset, time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTestStream(t, tracker, onset, time.Second, nil)
 	ctrl, proc := nocRows(2, 320, 1, onset, 25)
 	for i := 0; i < onset; i++ {
 		if _, err := a.Push(ctrl[i], proc[i]); err != nil {
@@ -250,12 +281,9 @@ func TestSwapParityDisabledGuards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := NewAnalyzer(tracker, onset, sample, func(s Swap) {
+			a := newTestStream(t, tracker, onset, sample, func(s Swap) {
 				t.Errorf("always-veto tracker swapped: %+v", s)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := range ctrl {
 				if _, err := a.Push(ctrl[i], proc[i]); err != nil {
 					t.Fatal(err)
@@ -313,8 +341,5 @@ func TestNewTrackerValidation(t *testing.T) {
 	sys := testSystem(t)
 	if _, err := NewTracker(sys, Options{Forget: 2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad forget: %v", err)
-	}
-	if _, err := NewAnalyzer(nil, 0, time.Second, nil); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("nil tracker: %v", err)
 	}
 }

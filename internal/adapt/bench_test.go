@@ -20,10 +20,7 @@ func BenchmarkAdaptiveSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := NewAnalyzer(tracker, 0, time.Second, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := newTestStream(b, tracker, 0, time.Second, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -40,9 +37,9 @@ func BenchmarkAdaptiveSwap(b *testing.B) {
 	b.ReportMetric(float64(tracker.Stats().Accepted)/float64(b.N), "swaps/op")
 }
 
-// BenchmarkAdaptiveOverhead compares the per-observation cost of the
-// adaptive analyzer (learn guard + accumulator, no refit due) against the
-// frozen analyzer it wraps.
+// BenchmarkAdaptiveOverhead compares the per-observation cost of an
+// adaptive stream (scoring plus Tracker.Step's learn guard + accumulator,
+// no refit due) against the frozen analyzer alone.
 func BenchmarkAdaptiveOverhead(b *testing.B) {
 	sys := testSystem(b)
 	const rows = 256
@@ -69,10 +66,7 @@ func BenchmarkAdaptiveOverhead(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			a, err := NewAnalyzer(tracker, 0, time.Second, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			a := newTestStream(b, tracker, 0, time.Second, nil)
 			for i := 0; i < rows; i++ {
 				if _, err := a.Push(ctrl[i], proc[i]); err != nil {
 					b.Fatal(err)

@@ -259,10 +259,9 @@ func (t *Tracker) finishRefit(cand *core.System, veto string) bool {
 // caller owns: the learn guard (Observe with the in-control predicate over
 // the scoring result), a due Refit, and — at a window boundary — the
 // migration to the current generation. It returns the stream's (possibly
-// advanced) generation and, when a swap landed, its description. Both the
-// lone adapt.Analyzer and every fleet worker drive their streams through
-// this one implementation, so the never-learn-an-attack guard and the swap
-// protocol cannot diverge between the two.
+// advanced) generation and, when a swap landed, its description. Every
+// fleet worker drives its streams through this one implementation, so the
+// never-learn-an-attack guard and the swap protocol live in one place.
 func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, window int, gen uint64) (uint64, *Swap) {
 	// Learn from the process view (the ground-truth side the calibration
 	// campaign uses); a single-view feed learns from what it has.

@@ -78,9 +78,9 @@ type Event interface {
 	fleetEvent()
 }
 
-// Scored reports one scored observation of one plant — the fleet analogue
-// of the facade's SampleScored. The step's point values are copies, safe to
-// retain while the event is held.
+// Scored reports one scored observation of one plant: its step result,
+// whose core.ScoredEvent is the chart statistics. The step's point values
+// are copies, safe to retain while the event is held.
 //
 // Scored events are delivered as *Scored drawn from a pool, so the
 // steady-state emission path allocates nothing. A consumer that is done
@@ -716,8 +716,7 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// Plants lists the ids of the currently attached streams, sorted — the
-// drain hook a control plane uses to detach everything deterministically.
+// Plants lists the ids of the currently attached streams, sorted.
 func (p *Pool) Plants() []string {
 	p.regMu.Lock()
 	ids := make([]string, 0, len(p.streams))

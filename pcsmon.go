@@ -12,8 +12,9 @@
 // intrusions.
 //
 // The package exposes what the examples and commands drive — the lab, the
-// paper's scenarios, the streaming analyzer and Fleet, the library wrapper
-// over the scoring pool; the building blocks live in the internal packages
+// paper's scenarios and Fleet, the library wrapper over the scoring pool
+// that every streaming score runs on; the building blocks live in the
+// internal packages
 // (te, plantctl, fieldbus, attack, plant, mspc, pca, omeda, core, scenario,
 // fleet, obs).
 // The live frame pipeline — dedup, two-view pairing, scoring on

@@ -1,6 +1,7 @@
 package pcsmon_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -90,5 +91,21 @@ func TestVarNameBounds(t *testing.T) {
 func TestNewLabPropagatesErrors(t *testing.T) {
 	if _, err := pcsmon.NewLab(pcsmon.LabConfig{StepSeconds: -3}); err == nil {
 		t.Error("negative step accepted")
+	}
+}
+
+// TestLabConfigValidation covers the facade's config validation satellite.
+func TestLabConfigValidation(t *testing.T) {
+	cases := []pcsmon.LabConfig{
+		{StepSeconds: -3},
+		{WarmupHours: -1},
+		{CalibrationRuns: -2},
+		{CalibrationHours: -5},
+		{Decimate: -1},
+	}
+	for _, cfg := range cases {
+		if _, err := pcsmon.NewLab(cfg); !errors.Is(err, pcsmon.ErrBadConfig) {
+			t.Errorf("%+v: want ErrBadConfig, got %v", cfg, err)
+		}
 	}
 }
