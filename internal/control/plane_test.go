@@ -625,7 +625,11 @@ func TestPlaneCloseKeepsSSETail(t *testing.T) {
 // generator reading "scored".Index) parse these documents.
 func TestPlaneSSEPayloadKeys(t *testing.T) {
 	cfg := testPlaneConfig(t, t.TempDir())
-	cfg.Fleet.EmitEvery = 1
+	// One scored event in 16 keeps the stream inside the subscriber's
+	// 256-frame buffer; the adaptive refits give the quiet unit its
+	// model-swapped events.
+	cfg.Fleet.EmitEvery = 16
+	cfg.Adapt = Adapt{Every: 300}
 	p, err := New(cfg, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -659,9 +663,10 @@ func TestPlaneSSEPayloadKeys(t *testing.T) {
 			t.Fatal("the /events subscriber never registered")
 		}
 	}
-	// 120 observations keep the scored events inside the subscriber's
-	// buffer; the divergence from row 60 on raises the alarms.
-	for _, f := range syntheticFrames(1, 22, 120, 60) {
+	// Unit 1 diverges from row 60 on and raises the alarms; unit 2 stays
+	// in control long enough for refits to land as swaps.
+	frames := append(syntheticFrames(1, 22, 120, 60), syntheticFrames(2, 23, 1000, -1)...)
+	for _, f := range frames {
 		if err := p.Ingest(f); err != nil {
 			t.Fatal(err)
 		}
@@ -676,9 +681,10 @@ func TestPlaneSSEPayloadKeys(t *testing.T) {
 		t.Fatal("the /events stream did not end after Close")
 	}
 	want := map[string][]string{
-		"scored":  {"Index", "CtrlD", "CtrlQ", "ProcD", "ProcQ", "CtrlOver", "ProcOver"},
-		"alarm":   {"View", "Index", "RunStart", "Charts"},
-		"verdict": {"unit", "verdict", "attacked_var", "explanation", "detached_at"},
+		"scored":        {"Index", "CtrlD", "CtrlQ", "ProcD", "ProcQ", "CtrlOver", "ProcOver"},
+		"alarm":         {"View", "Index", "RunStart", "Charts"},
+		"model-swapped": {"Index", "Generation", "D99", "Q99"},
+		"verdict":       {"unit", "verdict", "attacked_var", "explanation", "detached_at"},
 	}
 	for typ, keys := range want {
 		line, ok := seen[typ]
