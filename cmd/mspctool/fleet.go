@@ -413,15 +413,14 @@ func newVerdicts(every int, out io.Writer) *verdicts {
 }
 
 func (v *verdicts) event(ev fleet.Event) {
-	switch e := ev.(type) {
-	case *fleet.Scored:
+	switch e := ev.Event.(type) {
+	case *core.SampleScored:
 		if v.every > 0 {
-			s := core.ScoredEvent(e.Step)
-			fmt.Fprintf(v.out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n", e.Plant, s.Index, s.CtrlD, s.CtrlQ)
+			fmt.Fprintf(v.out, "[%s] obs %6d  ctrl D=%8.2f Q=%8.2f\n", ev.Plant, e.Index, e.CtrlD, e.CtrlQ)
 		}
-	case fleet.Verdict:
-		v.reports[e.Plant] = e.Report
-		v.samples[e.Plant] = e.Samples
+	case core.VerdictReady:
+		v.reports[ev.Plant] = e.Report
+		v.samples[ev.Plant] = e.Samples
 	}
 }
 

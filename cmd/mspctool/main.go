@@ -209,7 +209,7 @@ type watchRows struct {
 
 	ctrl, proc *csvStream
 	procFile   *os.File
-	verdict    fleet.Verdict
+	verdict    core.VerdictReady
 }
 
 func (w *watchRows) open() error {
@@ -259,19 +259,17 @@ func (w *watchRows) next() (plant string, ctrl, proc []float64, err error) {
 func (w *watchRows) attached(string) {}
 
 func (w *watchRows) event(ev fleet.Event) {
-	switch e := ev.(type) {
-	case *fleet.Scored:
-		s := core.ScoredEvent(e.Step)
+	switch e := ev.Event.(type) {
+	case *core.SampleScored:
 		fmt.Fprintf(w.out, "obs %6d  ctrl D=%8.2f Q=%8.2f   proc D=%8.2f Q=%8.2f\n",
-			s.Index, s.CtrlD, s.CtrlQ, s.ProcD, s.ProcQ)
-	case fleet.Alarm:
-		a := core.AlarmEvent(e.View, e.Detection)
+			e.Index, e.CtrlD, e.CtrlQ, e.ProcD, e.ProcQ)
+	case core.AlarmRaised:
 		fmt.Fprintf(w.out, "ALARM [%s] at obs %d (run start %d, charts %v)\n",
-			a.View, a.Index, a.RunStart, a.Charts)
-	case fleet.ModelSwapped:
+			e.View, e.Index, e.RunStart, e.Charts)
+	case core.ModelSwapped:
 		fmt.Fprintf(w.out, "MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-			e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
-	case fleet.Verdict:
+			e.Index, e.Generation, e.D99, e.Q99)
+	case core.VerdictReady:
 		w.verdict = e
 	}
 }

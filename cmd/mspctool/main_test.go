@@ -15,6 +15,7 @@ import (
 	"pcsmon"
 	"pcsmon/internal/adapt"
 	"pcsmon/internal/control"
+	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/historian"
 )
@@ -336,10 +337,10 @@ func TestWatchAdaptiveMatchesTracker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var swap *adapt.Swap
+		var swap *core.ModelSwapped
 		if gen, swap = tracker.Step(oa, res, row, row, window, gen); swap != nil {
 			want = append(want, fmt.Sprintf("MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)",
-				swap.At, swap.Generation, swap.D99, swap.Q99))
+				swap.Index, swap.Generation, swap.D99, swap.Q99))
 		}
 	}
 	rep, err := oa.Finish()

@@ -11,27 +11,17 @@ import (
 // PlantID returns the fleet plant id of a fieldbus unit ("unit-007").
 func PlantID(unit uint8) string { return fleet.PlantID(unit) }
 
-// Stream events, re-exported from the engine: the fleet facade and the
-// control plane's SSE feed share one vocabulary.
-type (
-	// StreamEvent is a typed stream event: the engine's SampleScored,
-	// AlarmRaised or ModelSwapped, or a VerdictReady.
-	StreamEvent = core.StreamEvent
-	// VerdictReady carries a stream's final classified report.
-	VerdictReady = core.VerdictReady
-)
+// VerdictReady carries a stream's final classified report: the last event
+// of each plant on a fleet's event stream.
+type VerdictReady = core.VerdictReady
 
 // FleetStats is a snapshot of a fleet's aggregate counters.
 type FleetStats = fleet.Stats
 
-// FleetEvent pairs a plant ID with a facade stream event — the fan-in
-// element of a fleet's event stream.
-type FleetEvent struct {
-	// Plant identifies the stream the event belongs to.
-	Plant string
-	// Event is a SampleScored, AlarmRaised, ModelSwapped or VerdictReady.
-	Event StreamEvent
-}
+// FleetEvent pairs a plant ID with one of the engine's (internal/core)
+// stream events — a *SampleScored, AlarmRaised, ModelSwapped or
+// VerdictReady — and is the fan-in element of a fleet's event stream.
+type FleetEvent = fleet.Event
 
 // FleetOptions tunes NewFleet: it is the scoring pool's own config. The
 // zero value selects GOMAXPROCS workers, a 64-message mailbox per worker,
@@ -40,14 +30,11 @@ type FleetEvent struct {
 type FleetOptions = fleet.Config
 
 // Fleet scores many concurrent plant streams against one calibrated
-// system: the library wrapper over the internal/fleet pool, translating its
-// events into the StreamEvent vocabulary. Create with NewFleet. All
-// methods are safe for concurrent use. (The control plane and mspctool run
-// on the pool itself.)
+// system: the library wrapper over the internal/fleet pool, whose events it
+// hands out as they come. Create with NewFleet. All methods are safe for
+// concurrent use. (The control plane and mspctool run on the pool itself.)
 type Fleet struct {
-	pool   *fleet.Pool
-	events chan FleetEvent
-	done   chan struct{}
+	pool *fleet.Pool
 
 	mu      sync.Mutex // guards streams
 	streams map[string]*fleet.Stream
@@ -61,41 +48,11 @@ func NewFleet(sys *System, opts FleetOptions) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pcsmon: %w", err)
 	}
-	f := &Fleet{
-		pool:    pool,
-		events:  make(chan FleetEvent, max(opts.EventBuffer, 1)),
-		done:    make(chan struct{}),
-		streams: make(map[string]*fleet.Stream),
-	}
-	go f.convert()
-	return f, nil
-}
-
-// convert translates engine events into facade events, preserving order.
-func (f *Fleet) convert() {
-	defer close(f.done)
-	defer close(f.events)
-	for ev := range f.pool.Events() {
-		fe := FleetEvent{Plant: ev.PlantID()}
-		switch e := ev.(type) {
-		case *fleet.Scored:
-			fe.Event = core.ScoredEvent(e.Step)
-		case fleet.Alarm:
-			fe.Event = core.AlarmEvent(e.View, e.Detection)
-		case fleet.ModelSwapped:
-			fe.Event = e.Swap.Event()
-		case fleet.Verdict:
-			// Failed streams surface their error via Detach; the event
-			// stream reports what was scored.
-			fe.Event = VerdictReady{Report: e.Report, Samples: e.Samples}
-		}
-		f.pool.Recycle(ev) // fe copied everything it needs
-		f.events <- fe
-	}
+	return &Fleet{pool: pool, streams: make(map[string]*fleet.Stream)}, nil
 }
 
 // Events returns the fan-in event channel, closed after Close.
-func (f *Fleet) Events() <-chan FleetEvent { return f.events }
+func (f *Fleet) Events() <-chan FleetEvent { return f.pool.Events() }
 
 // Attach registers a new plant stream. onset is the observation index at
 // which an anomaly is known to begin (0 if unknown).
@@ -154,6 +111,5 @@ func (f *Fleet) Close() error {
 	if err := f.pool.Close(); err != nil {
 		return fmt.Errorf("pcsmon: %w", err)
 	}
-	<-f.done
 	return nil
 }

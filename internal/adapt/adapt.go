@@ -37,8 +37,6 @@ package adapt
 import (
 	"errors"
 	"fmt"
-
-	"pcsmon/internal/core"
 )
 
 // Package-level sentinel errors.
@@ -132,22 +130,4 @@ func (o Options) Validate() error {
 		return fmt.Errorf("adapt: prior weight %g: %w", o.PriorWeight, ErrBadConfig)
 	}
 	return nil
-}
-
-// Swap describes one accepted model swap on one stream — the payload of the
-// fleet's ModelSwapped events.
-type Swap struct {
-	// At is the stream index of the diagnosis-window boundary at which the
-	// swap landed.
-	At int
-	// Generation is the model generation the stream migrated to (the
-	// calibration-time model is generation 0).
-	Generation uint64
-	// D99 and Q99 are the new model's 99 % control limits, for audit logs.
-	D99, Q99 float64
-}
-
-// Event converts the swap into the stream event that reports it.
-func (s Swap) Event() core.ModelSwapped {
-	return core.ModelSwapped{Index: s.At, Generation: s.Generation, D99: s.D99, Q99: s.Q99}
 }

@@ -86,12 +86,12 @@ type testStream struct {
 	oa      *core.OnlineAnalyzer
 	window  int
 	gen     uint64
-	onSwap  func(Swap)
+	onSwap  func(core.ModelSwapped)
 }
 
 // newTestStream starts a stream on the tracker's current model; onset and
 // sample have core.System.NewOnlineAnalyzer semantics.
-func newTestStream(tb testing.TB, t *Tracker, onset int, sample time.Duration, onSwap func(Swap)) *testStream {
+func newTestStream(tb testing.TB, t *Tracker, onset int, sample time.Duration, onSwap func(core.ModelSwapped)) *testStream {
 	tb.Helper()
 	sys, gen := t.System()
 	oa, err := sys.NewOnlineAnalyzer(onset, sample)
@@ -106,7 +106,7 @@ func (s *testStream) Push(ctrl, proc []float64) (core.StepResult, error) {
 	if err != nil {
 		return res, err
 	}
-	var swap *Swap
+	var swap *core.ModelSwapped
 	if s.gen, swap = s.tracker.Step(s.oa, res, ctrl, proc, s.window, s.gen); swap != nil && s.onSwap != nil {
 		s.onSwap(*swap)
 	}
@@ -149,8 +149,8 @@ func TestTrackerLearnsAndSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var swaps []Swap
-	a := newTestStream(t, tracker, 0, time.Second, func(s Swap) { swaps = append(swaps, s) })
+	var swaps []core.ModelSwapped
+	a := newTestStream(t, tracker, 0, time.Second, func(s core.ModelSwapped) { swaps = append(swaps, s) })
 	ctrl, proc := nocRows(1, 600, 0, 0, 0)
 	for i := range ctrl {
 		if _, err := a.Push(ctrl[i], proc[i]); err != nil {
@@ -169,8 +169,8 @@ func TestTrackerLearnsAndSwaps(t *testing.T) {
 	}
 	window := sys.Config().DiagnoseWindow
 	for _, s := range swaps {
-		if s.At%window != 0 {
-			t.Errorf("swap at %d is not a diagnosis-window boundary (window %d)", s.At, window)
+		if s.Index%window != 0 {
+			t.Errorf("swap at %d is not a diagnosis-window boundary (window %d)", s.Index, window)
 		}
 		if s.D99 <= 0 || s.Q99 <= 0 {
 			t.Errorf("swap carries degenerate limits: %+v", s)
@@ -281,7 +281,7 @@ func TestSwapParityDisabledGuards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := newTestStream(t, tracker, onset, sample, func(s Swap) {
+			a := newTestStream(t, tracker, onset, sample, func(s core.ModelSwapped) {
 				t.Errorf("always-veto tracker swapped: %+v", s)
 			})
 			for i := range ctrl {

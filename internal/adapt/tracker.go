@@ -259,10 +259,10 @@ func (t *Tracker) finishRefit(cand *core.System, veto string) bool {
 // caller owns: the learn guard (Observe with the in-control predicate over
 // the scoring result), a due Refit, and — at a window boundary — the
 // migration to the current generation. It returns the stream's (possibly
-// advanced) generation and, when a swap landed, its description. Every
+// advanced) generation and, when a swap landed, the event reporting it. Every
 // fleet worker drives its streams through this one implementation, so the
 // never-learn-an-attack guard and the swap protocol live in one place.
-func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, window int, gen uint64) (uint64, *Swap) {
+func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, window int, gen uint64) (uint64, *core.ModelSwapped) {
 	// Learn from the process view (the ground-truth side the calibration
 	// campaign uses); a single-view feed learns from what it has.
 	row := proc
@@ -289,7 +289,7 @@ func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc 
 		return gen, nil // not quiescent (or incompatible): retry at a later boundary
 	}
 	lim := sys.Monitor().Limits()
-	return cur, &Swap{At: oa.N(), Generation: cur, D99: lim.D99, Q99: lim.Q99}
+	return cur, &core.ModelSwapped{Index: oa.N(), Generation: cur, D99: lim.D99, Q99: lim.Q99}
 }
 
 // Stats snapshots the tracker's counters.

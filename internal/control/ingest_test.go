@@ -91,8 +91,8 @@ func ingestPlane(t *testing.T, sys *core.System, onset int, pairing Pairing, fc 
 	}
 	reports := map[string]*core.Report{}
 	p, err := New(cfg, Options{System: sys, OnEvent: func(ev fleet.Event) {
-		if v, ok := ev.(fleet.Verdict); ok {
-			reports[v.Plant] = v.Report
+		if v, ok := ev.Event.(core.VerdictReady); ok {
+			reports[ev.Plant] = v.Report
 		}
 	}})
 	if err != nil {
@@ -468,7 +468,7 @@ func TestPlaneDetachRacingIngestLosesNothing(t *testing.T) {
 	var samples int // written by the event pump, read after Close
 	cfg := &Config{SampleSeconds: 9, Pairing: Pairing{Window: 32, TimeoutSeconds: -1}, Fleet: FleetCfg{Workers: 2}}
 	p, err := New(cfg, Options{System: sys, OnEvent: func(ev fleet.Event) {
-		if v, ok := ev.(fleet.Verdict); ok {
+		if v, ok := ev.Event.(core.VerdictReady); ok {
 			samples += v.Samples
 		}
 	}})

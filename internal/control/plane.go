@@ -629,18 +629,18 @@ func (p *Plane) pump() {
 			p.opts.OnEvent(ev)
 		}
 		LogEvent(p.out, ev)
-		switch e := ev.(type) {
-		case *fleet.Scored:
-			p.bus.publish(Event{Type: "scored", Unit: e.Plant, Data: core.ScoredEvent(e.Step)}, json.Marshal)
-		case fleet.Alarm:
-			p.bus.publish(Event{Type: "alarm", Unit: e.Plant, Data: core.AlarmEvent(e.View, e.Detection)}, json.Marshal)
-		case fleet.ModelSwapped:
-			p.bus.publish(Event{Type: "model-swapped", Unit: e.Plant, Data: e.Swap.Event()}, json.Marshal)
-		case fleet.Verdict:
+		switch e := ev.Event.(type) {
+		case *core.SampleScored:
+			p.bus.publish(Event{Type: "scored", Unit: ev.Plant, Data: e}, json.Marshal)
+		case core.AlarmRaised:
+			p.bus.publish(Event{Type: "alarm", Unit: ev.Plant, Data: e}, json.Marshal)
+		case core.ModelSwapped:
+			p.bus.publish(Event{Type: "model-swapped", Unit: ev.Plant, Data: e}, json.Marshal)
+		case core.VerdictReady:
 			// A stream that never scored an observation finishes without a
 			// report; it still gets a terminal entry so GET /units answers.
 			rep := UnitReport{
-				Unit:        e.Plant,
+				Unit:        ev.Plant,
 				Verdict:     "error",
 				AttackedVar: -1,
 				Explanation: "stream finished without a classifiable report",
@@ -652,10 +652,10 @@ func (p *Plane) pump() {
 				rep.Explanation = e.Report.Explanation
 			}
 			p.repMu.Lock()
-			p.reports[e.Plant] = rep
+			p.reports[ev.Plant] = rep
 			p.repMu.Unlock()
-			fmt.Fprintf(p.out, "unit %s: %s after %d observations\n", e.Plant, rep.Verdict, e.Samples)
-			p.bus.publish(Event{Type: "verdict", Unit: e.Plant, Data: rep}, json.Marshal)
+			fmt.Fprintf(p.out, "unit %s: %s after %d observations\n", ev.Plant, rep.Verdict, e.Samples)
+			p.bus.publish(Event{Type: "verdict", Unit: ev.Plant, Data: rep}, json.Marshal)
 		}
 		p.fl.Recycle(ev)
 	}
@@ -666,14 +666,13 @@ func (p *Plane) pump() {
 // nothing for the other events. The plane's pump and CSV `mspctool fleet`
 // both log through it.
 func LogEvent(out io.Writer, ev fleet.Event) {
-	switch e := ev.(type) {
-	case fleet.Alarm:
-		a := core.AlarmEvent(e.View, e.Detection)
+	switch e := ev.Event.(type) {
+	case core.AlarmRaised:
 		fmt.Fprintf(out, "ALARM [%s/%s] at obs %d (run start %d, charts %v)\n",
-			e.Plant, a.View, a.Index, a.RunStart, a.Charts)
-	case fleet.ModelSwapped:
+			ev.Plant, e.View, e.Index, e.RunStart, e.Charts)
+	case core.ModelSwapped:
 		fmt.Fprintf(out, "MODEL SWAP [%s] at obs %d -> generation %d (D99=%.2f Q99=%.2f)\n",
-			e.Plant, e.Swap.At, e.Swap.Generation, e.Swap.D99, e.Swap.Q99)
+			ev.Plant, e.Index, e.Generation, e.D99, e.Q99)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pcsmon/internal/core"
 	"pcsmon/internal/fieldbus"
 	"pcsmon/internal/fleet"
 )
@@ -64,7 +65,7 @@ func capturePlane(t *testing.T, base string, speed float64) (*Plane, *fieldbus.C
 		Out:     &syncBuffer{},
 		Capture: &Capture{Chain: cr, Name: base, Speed: speed},
 		OnEvent: func(ev fleet.Event) {
-			if _, ok := ev.(fleet.Verdict); ok {
+			if _, ok := ev.Event.(core.VerdictReady); ok {
 				*verdicts++
 			}
 		},

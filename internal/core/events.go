@@ -3,8 +3,8 @@ package core
 import "pcsmon/internal/mspc"
 
 // StreamEvent is a typed event of one monitored stream — the vocabulary
-// the streaming facade emits and the control plane publishes on its SSE
-// feed. The concrete types are SampleScored, AlarmRaised, ModelSwapped and
+// the scoring pool emits and the control plane publishes on its SSE feed.
+// The concrete types are *SampleScored, AlarmRaised, ModelSwapped and
 // VerdictReady.
 type StreamEvent interface{ streamEvent() }
 
@@ -52,12 +52,17 @@ type VerdictReady struct {
 	Report *Report
 	// Samples is the number of observations scored.
 	Samples int
+	// Err is non-nil when the stream failed (e.g. it ended before any
+	// observation); Report is nil then.
+	Err error
 }
 
-func (SampleScored) streamEvent() {}
-func (AlarmRaised) streamEvent()  {}
-func (ModelSwapped) streamEvent() {}
-func (VerdictReady) streamEvent() {}
+// SampleScored is an event only by pointer: the scoring pool recycles it,
+// and a consumer switching on the value type would miss every one.
+func (*SampleScored) streamEvent() {}
+func (AlarmRaised) streamEvent()   {}
+func (ModelSwapped) streamEvent()  {}
+func (VerdictReady) streamEvent()  {}
 
 // ScoredEvent converts one scoring step into its chart-statistics event.
 func ScoredEvent(res StepResult) SampleScored {

@@ -115,12 +115,12 @@ func TestStressAdaptiveConcurrentSwaps(t *testing.T) {
 	go func() {
 		defer close(consumerDone)
 		for ev := range p.Events() {
-			if s, ok := ev.(ModelSwapped); ok {
+			if s, ok := ev.Event.(core.ModelSwapped); ok {
 				smu.Lock()
-				swapEvents[s.Plant]++
+				swapEvents[ev.Plant]++
 				smu.Unlock()
-				if s.Swap.At%window != 0 {
-					t.Errorf("%s: swap at %d not on a window boundary", s.Plant, s.Swap.At)
+				if s.Index%window != 0 {
+					t.Errorf("%s: swap at %d not on a window boundary", ev.Plant, s.Index)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pcsmon/internal/core"
 	"pcsmon/internal/obs"
 )
 
@@ -123,7 +124,7 @@ func TestBatchedParityAcrossBatchSizes(t *testing.T) {
 
 // TestBatchFlushTickDelivers: with a batch far larger than the pushed
 // observation count, the flush ticker alone must get the observations
-// scored — consumers see Scored events without any Detach.
+// scored — consumers see SampleScored events without any Detach.
 func TestBatchFlushTickDelivers(t *testing.T) {
 	sys := testSystem(t)
 	ctrl, proc := plantRows(41, 5, 0, 0, 0)
@@ -136,9 +137,9 @@ func TestBatchFlushTickDelivers(t *testing.T) {
 	scored := make(chan int, 16)
 	go func() {
 		for ev := range p.Events() {
-			if s, ok := ev.(*Scored); ok {
-				scored <- s.Step.Index
-				p.Recycle(s)
+			if s, ok := ev.Event.(*core.SampleScored); ok {
+				scored <- s.Index
+				p.Recycle(ev)
 			}
 		}
 	}()
@@ -155,7 +156,7 @@ func TestBatchFlushTickDelivers(t *testing.T) {
 		select {
 		case idx := <-scored:
 			if idx != want {
-				t.Fatalf("Scored index %d, want %d", idx, want)
+				t.Fatalf("SampleScored index %d, want %d", idx, want)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("flush tick never delivered observation %d", want)
@@ -179,7 +180,7 @@ func TestBatchConfigValidation(t *testing.T) {
 
 // TestSteadyStateZeroAllocPerObservation pins tentpole item (3): once the
 // pools are warm, pushing, batching, scoring and emitting one observation —
-// with the consumer recycling its Scored events — performs zero allocations
+// with the consumer recycling its SampleScored events — performs zero allocations
 // end to end.
 func TestSteadyStateZeroAllocPerObservation(t *testing.T) {
 	// The metrics variant pins the observability tentpole's headline

@@ -4,7 +4,7 @@
 // streams over a fixed set of worker goroutines — each stream (one
 // core.OnlineAnalyzer plus its pending batch) is owned by exactly one
 // worker, assigned round-robin in attach order — and fans the
-// per-observation results in as typed events through one buffered,
+// per-observation results in as core's stream events through one buffered,
 // back-pressure-aware channel.
 //
 // Concurrency contract:
@@ -38,8 +38,13 @@
 // observations across every stream, refits candidate models on the
 // configured cadence, and each stream migrates to accepted generations at
 // its own diagnosis-window boundaries (ModelSwapped events record every
-// migration). Adaptation is fleet-wide state — enabling it trades the
-// bit-reproducibility of the frozen model for drift tracking.
+// migration). Adaptation is fleet-wide state, so output depends on the
+// cross-plant order in which the tracker learns observations: that order
+// decides when refits land and which candidates pass, hence where each
+// stream swaps, and it can change verdicts. Several workers, or a flush
+// tick that decides which plant's partial batch reaches the tracker first,
+// make the order vary from run to run. One worker at Batch 1 learns in push
+// order, so the same pushes give the same output.
 package fleet
 
 import (
@@ -54,7 +59,6 @@ import (
 
 	"pcsmon/internal/adapt"
 	"pcsmon/internal/core"
-	"pcsmon/internal/mspc"
 	"pcsmon/internal/obs"
 )
 
@@ -70,68 +74,19 @@ var (
 	ErrUnknownPlant = errors.New("fleet: unknown plant")
 )
 
-// Event is a typed fan-in event from one plant's stream. The concrete
-// types are Scored, Alarm, ModelSwapped and Verdict.
-type Event interface {
-	// PlantID identifies the stream the event belongs to.
-	PlantID() string
-	fleetEvent()
-}
-
-// Scored reports one scored observation of one plant: its step result,
-// whose core.ScoredEvent is the chart statistics. The step's point values
-// are copies, safe to retain while the event is held.
+// Event is one fan-in event: the plant it belongs to and one of core's
+// stream events — *core.SampleScored, core.AlarmRaised, core.ModelSwapped
+// or core.VerdictReady.
 //
-// Scored events are delivered as *Scored drawn from a pool, so the
-// steady-state emission path allocates nothing. A consumer that is done
-// with one may hand it back via Pool.Recycle (after which the event and its
-// points must no longer be touched); consumers that don't recycle simply
-// let the garbage collector take the event — correctness never depends on
-// recycling.
-type Scored struct {
+// SampleScored events are drawn from a pool, so the steady-state emission
+// path allocates nothing. A consumer that is done with one may hand the
+// event back via Pool.Recycle (after which the SampleScored must no longer
+// be touched); consumers that don't recycle simply let the garbage
+// collector take it — correctness never depends on recycling.
+type Event struct {
 	Plant string
-	Step  core.StepResult
-
-	// ctrlPt/procPt are the event-owned storage Step.Ctrl/Step.Proc point
-	// into, so emitting a step copies the analyzer-scratch points without a
-	// separate allocation per view.
-	ctrlPt, procPt mspc.Point
+	Event core.StreamEvent
 }
-
-// Alarm reports that one view of one plant latched a run-rule detection.
-type Alarm struct {
-	Plant string
-	// View is "controller" or "process".
-	View      string
-	Detection mspc.Detection
-}
-
-// ModelSwapped reports that one plant's stream migrated to a new model
-// generation at a diagnosis-window boundary (adaptive pools only).
-type ModelSwapped struct {
-	Plant string
-	Swap  adapt.Swap
-}
-
-// Verdict carries a detached stream's final classified report. Err is
-// non-nil when the stream failed (e.g. detached before any observation).
-type Verdict struct {
-	Plant   string
-	Report  *core.Report
-	Samples int
-	Err     error
-}
-
-// PlantID implements Event.
-func (e *Scored) PlantID() string      { return e.Plant }
-func (e Alarm) PlantID() string        { return e.Plant }
-func (e ModelSwapped) PlantID() string { return e.Plant }
-func (e Verdict) PlantID() string      { return e.Plant }
-
-func (*Scored) fleetEvent()      {}
-func (Alarm) fleetEvent()        {}
-func (ModelSwapped) fleetEvent() {}
-func (Verdict) fleetEvent()      {}
 
 // Config parameterizes a Pool. The zero value selects GOMAXPROCS workers,
 // a 64-message mailbox per worker and a 256-event emitter buffer.
@@ -162,9 +117,9 @@ type Config struct {
 	EventBuffer int
 	// Sample is the observation interval reported in the final reports.
 	Sample time.Duration
-	// EmitEvery thins Scored events to one in N observations per plant
-	// (0 or 1 = every observation, negative = none). Alarm, ModelSwapped
-	// and Verdict events are always emitted.
+	// EmitEvery thins SampleScored events to one in N observations per
+	// plant (0 or 1 = every observation, negative = none). AlarmRaised,
+	// ModelSwapped and VerdictReady events are always emitted.
 	EmitEvery int
 	// Adapt enables the fleet-wide adaptive recalibration layer (zero =
 	// frozen model, the bit-reproducible default).
@@ -296,7 +251,7 @@ type Stream struct {
 
 	report *core.Report
 	err    error
-	done   chan struct{} // closed by the worker after the Verdict event
+	done   chan struct{} // closed by the worker after the VerdictReady event
 }
 
 // pendingHealth is what a stream's worker has scored since it last
@@ -379,7 +334,7 @@ type Pool struct {
 	mailboxesClosed bool
 
 	batches sync.Pool // *obsBatch boxes of cfg.Batch capacity
-	scored  sync.Pool // *Scored emission boxes, refilled by Recycle
+	scored  sync.Pool // *core.SampleScored events, refilled by Recycle
 
 	// Observability hooks wired by registerObs (all nil/no-op when
 	// Config.Metrics / Config.Health are unset); the scoring-latency
@@ -621,7 +576,7 @@ func (p *Pool) trySend(w *worker, msg message) bool {
 }
 
 // Detach finalizes the stream: queued observations are scored, the
-// diagnosis runs, a Verdict event is emitted and the classified report is
+// diagnosis runs, a VerdictReady event is emitted and the classified report is
 // returned. Detach blocks until the verdict is out. Detaching a stream that
 // is no longer attached — detached before, or finalized by Close — returns
 // ErrUnknownPlant.
@@ -644,7 +599,7 @@ func (st *Stream) Detach() (*core.Report, error) {
 	// The pool shut down between our registry removal and the send: no
 	// worker will ever see the finish message. Wait for the workers to
 	// drain their mailboxes and exit, then finalize inline — the stream is
-	// quiescent by then. No Verdict event is emitted (the event channel is
+	// quiescent by then. No VerdictReady event is emitted (the event channel is
 	// closing), but the caller still gets the report.
 	p.wg.Wait()
 	st.finalize()
@@ -652,7 +607,7 @@ func (st *Stream) Detach() (*core.Report, error) {
 	return st.report, st.err
 }
 
-// Close detaches every remaining stream (emitting their Verdict events),
+// Close detaches every remaining stream (emitting their VerdictReady events),
 // stops the workers and closes the event channel. The consumer must keep
 // draining Events() while Close runs. Close is idempotent; operations
 // after it return ErrClosed.
@@ -760,11 +715,11 @@ func (p *Pool) putBatch(b *obsBatch) {
 }
 
 // Recycle hands a delivered event back to the pool's emission free-list.
-// Only pooled event types (Scored) are recycled; any other event is a
-// no-op, so consumers may call it unconditionally on every event they have
+// Only *core.SampleScored events are recycled; any other event is a no-op,
+// so consumers may call it unconditionally on every event they have
 // finished with. After Recycle the event must no longer be used.
 func (p *Pool) Recycle(ev Event) {
-	if s, ok := ev.(*Scored); ok {
+	if s, ok := ev.Event.(*core.SampleScored); ok {
 		p.scored.Put(s)
 	}
 }
@@ -815,13 +770,13 @@ func (w *worker) score(st *Stream, cr, pr []float64) bool {
 	p := w.pool
 	if st.finished {
 		// The stream failed on an earlier row (the error is in its
-		// Verdict); drop the rest.
+		// VerdictReady); drop the rest.
 		return false
 	}
 	res, err := st.oa.Push(cr, pr)
 	if err != nil {
 		// Row-shape errors are caught in Push; anything here poisons
-		// the stream and surfaces in the Verdict.
+		// the stream and surfaces in the VerdictReady.
 		st.finished = true
 		st.err = fmt.Errorf("fleet: %q: %w", st.id, err)
 		return false
@@ -887,7 +842,7 @@ func (st *Stream) publishHealth() {
 // event when one lands.
 func (w *worker) adaptStep(st *Stream, res core.StepResult, cr, pr []float64) {
 	p := w.pool
-	var swap *adapt.Swap
+	var swap *core.ModelSwapped
 	st.gen, swap = p.tracker.Step(st.oa, res, cr, pr, p.window, st.gen)
 	if swap != nil {
 		p.modelSwaps.Add(1)
@@ -895,52 +850,42 @@ func (w *worker) adaptStep(st *Stream, res core.StepResult, cr, pr []float64) {
 			st.hp.SetGeneration(swap.Generation)
 			st.hp.SetLimits(swap.D99, swap.Q99)
 		}
-		p.events <- ModelSwapped{Plant: st.id, Swap: *swap}
+		p.events <- Event{Plant: st.id, Event: *swap}
 	}
 }
 
 // emitStep converts one StepResult into fan-in events, honouring the
-// Scored thinning. The step's analyzer-scratch points are copied into the
-// pooled event's own storage before they cross the channel, so the
-// steady-state emission path allocates nothing when consumers Recycle.
+// SampleScored thinning. The chart statistics go out in a pooled event, so
+// the steady-state emission path allocates nothing when consumers Recycle.
 func (w *worker) emitStep(st *Stream, res core.StepResult) {
 	p := w.pool
 	every := p.cfg.EmitEvery
 	if every >= 0 && (every <= 1 || res.Index%every == 0) {
-		var ev *Scored
+		var ev *core.SampleScored
 		if v := p.scored.Get(); v != nil {
-			ev = v.(*Scored)
+			ev = v.(*core.SampleScored)
 		} else {
-			//pcslint:ignore hotpath -- free-list miss: Scored events are pooled via Recycle; allocation stops once consumers return them
-			ev = &Scored{}
+			//pcslint:ignore hotpath -- free-list miss: SampleScored events are pooled via Recycle; allocation stops once consumers return them
+			ev = &core.SampleScored{}
 		}
-		ev.Plant = st.id
-		ev.Step = res
-		if res.Ctrl != nil {
-			ev.ctrlPt = *res.Ctrl
-			ev.Step.Ctrl = &ev.ctrlPt
-		}
-		if res.Proc != nil {
-			ev.procPt = *res.Proc
-			ev.Step.Proc = &ev.procPt
-		}
-		p.events <- ev
+		*ev = core.ScoredEvent(res)
+		p.events <- Event{Plant: st.id, Event: ev}
 	}
 	if res.CtrlAlarm != nil {
 		p.alarms.Add(1)
 		if st.hp != nil {
 			st.hp.Alarm(obs.AlarmCtrl)
 		}
-		//pcslint:ignore hotpath -- alarms are rare by construction (ARL-tuned limits); boxing one Alarm per detection is not steady-state work
-		p.events <- Alarm{Plant: st.id, View: "controller", Detection: *res.CtrlAlarm}
+		//pcslint:ignore hotpath -- alarms are rare by construction (ARL-tuned limits); building one AlarmRaised per detection is not steady-state work
+		p.events <- Event{Plant: st.id, Event: core.AlarmEvent("controller", *res.CtrlAlarm)}
 	}
 	if res.ProcAlarm != nil {
 		p.alarms.Add(1)
 		if st.hp != nil {
 			st.hp.Alarm(obs.AlarmProc)
 		}
-		//pcslint:ignore hotpath -- alarms are rare by construction (ARL-tuned limits); boxing one Alarm per detection is not steady-state work
-		p.events <- Alarm{Plant: st.id, View: "process", Detection: *res.ProcAlarm}
+		//pcslint:ignore hotpath -- alarms are rare by construction (ARL-tuned limits); building one AlarmRaised per detection is not steady-state work
+		p.events <- Event{Plant: st.id, Event: core.AlarmEvent("process", *res.ProcAlarm)}
 	}
 }
 
@@ -967,12 +912,12 @@ func (st *Stream) finalize() {
 	}
 }
 
-// finish closes a stream: diagnosis + classification, Verdict event, and
-// the done handshake Detach waits on.
+// finish closes a stream: diagnosis + classification, VerdictReady event,
+// and the done handshake Detach waits on.
 func (w *worker) finish(st *Stream) {
 	p := w.pool
 	st.finalize()
 	p.verdicts.Add(1)
-	p.events <- Verdict{Plant: st.id, Report: st.report, Samples: st.samples, Err: st.err}
+	p.events <- Event{Plant: st.id, Event: core.VerdictReady{Report: st.report, Samples: st.samples, Err: st.err}}
 	close(st.done)
 }

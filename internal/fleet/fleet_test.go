@@ -163,24 +163,24 @@ func TestPoolLifecycle(t *testing.T) {
 		t.Errorf("push after close: want ErrClosed, got %v", err)
 	}
 
-	// Per-plant event stream: Scored indices strictly increasing, alarms
+	// Per-plant event stream: SampleScored indices strictly increasing, alarms
 	// after their index was scored, verdict last.
 	events := collect()
 	lastIdx := -1
 	sawVerdict := false
 	for _, ev := range events {
-		switch e := ev.(type) {
-		case *Scored:
+		switch e := ev.Event.(type) {
+		case *core.SampleScored:
 			if sawVerdict {
-				t.Fatal("Scored after Verdict")
+				t.Fatal("SampleScored after VerdictReady")
 			}
-			if e.Step.Index != lastIdx+1 {
-				t.Fatalf("scored index %d after %d", e.Step.Index, lastIdx)
+			if e.Index != lastIdx+1 {
+				t.Fatalf("scored index %d after %d", e.Index, lastIdx)
 			}
-			lastIdx = e.Step.Index
-		case Verdict:
+			lastIdx = e.Index
+		case core.VerdictReady:
 			if sawVerdict {
-				t.Fatal("duplicate Verdict")
+				t.Fatal("duplicate VerdictReady")
 			}
 			sawVerdict = true
 			if e.Samples != 220 {
@@ -236,7 +236,7 @@ func TestPoolConfigValidation(t *testing.T) {
 }
 
 // TestDetachWithoutObservations: an empty stream cannot be diagnosed; the
-// error must surface both from Detach and in the Verdict event.
+// error must surface both from Detach and in the VerdictReady event.
 func TestDetachWithoutObservations(t *testing.T) {
 	sys := testSystem(t)
 	p, err := NewPool(sys, Config{Workers: 1})
@@ -257,7 +257,7 @@ func TestDetachWithoutObservations(t *testing.T) {
 	}
 	found := false
 	for _, ev := range collect() {
-		if v, ok := ev.(Verdict); ok && v.Plant == "empty" {
+		if v, ok := ev.Event.(core.VerdictReady); ok && ev.Plant == "empty" {
 			found = true
 			if v.Err == nil {
 				t.Error("verdict event carries no error for empty stream")
@@ -265,11 +265,11 @@ func TestDetachWithoutObservations(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("no Verdict event for empty stream")
+		t.Error("no VerdictReady event for empty stream")
 	}
 }
 
-// TestCloseFinishesRemainingStreams: Close must emit a Verdict for every
+// TestCloseFinishesRemainingStreams: Close must emit a VerdictReady for every
 // still-attached stream.
 func TestCloseFinishesRemainingStreams(t *testing.T) {
 	sys := testSystem(t)
@@ -303,13 +303,13 @@ func TestCloseFinishesRemainingStreams(t *testing.T) {
 	}
 	verdicts := map[string]int{}
 	for _, ev := range collect() {
-		if v, ok := ev.(Verdict); ok {
-			verdicts[v.Plant]++
+		if v, ok := ev.Event.(core.VerdictReady); ok {
+			verdicts[ev.Plant]++
 			if v.Err != nil {
-				t.Errorf("%s: verdict error %v", v.Plant, v.Err)
+				t.Errorf("%s: verdict error %v", ev.Plant, v.Err)
 			}
 			if v.Report == nil || v.Report.Verdict != core.VerdictNormal {
-				t.Errorf("%s: NOC stream not classified normal: %+v", v.Plant, v.Report)
+				t.Errorf("%s: NOC stream not classified normal: %+v", ev.Plant, v.Report)
 			}
 		}
 	}
@@ -326,8 +326,8 @@ func TestCloseFinishesRemainingStreams(t *testing.T) {
 	}
 }
 
-// TestScoredThinning: EmitEvery must thin Scored events without touching
-// Alarm or Verdict events.
+// TestScoredThinning: EmitEvery must thin SampleScored events without
+// touching AlarmRaised or VerdictReady events.
 func TestScoredThinning(t *testing.T) {
 	sys := testSystem(t)
 	p, err := NewPool(sys, Config{Workers: 1, EmitEvery: 50, Sample: 9 * time.Second})
@@ -353,12 +353,12 @@ func TestScoredThinning(t *testing.T) {
 	}
 	scored, alarms, verdicts := 0, 0, 0
 	for _, ev := range collect() {
-		switch ev.(type) {
-		case *Scored:
+		switch ev.Event.(type) {
+		case *core.SampleScored:
 			scored++
-		case Alarm:
+		case core.AlarmRaised:
 			alarms++
-		case Verdict:
+		case core.VerdictReady:
 			verdicts++
 		}
 	}

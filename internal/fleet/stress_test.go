@@ -54,19 +54,19 @@ func TestStressManyConcurrentStreams(t *testing.T) {
 		defer close(consumerDone)
 		for ev := range p.Events() {
 			tmu.Lock()
-			tl := tallies[ev.PlantID()]
+			tl := tallies[ev.Plant]
 			if tl == nil {
 				tl = &plantTally{lastIdx: -1, ordered: true}
-				tallies[ev.PlantID()] = tl
+				tallies[ev.Plant] = tl
 			}
-			switch e := ev.(type) {
-			case *Scored:
-				if e.Step.Index <= tl.lastIdx {
+			switch e := ev.Event.(type) {
+			case *core.SampleScored:
+				if e.Index <= tl.lastIdx {
 					tl.ordered = false
 				}
-				tl.lastIdx = e.Step.Index
+				tl.lastIdx = e.Index
 				tl.scored++
-			case Verdict:
+			case core.VerdictReady:
 				tl.verdicts++
 			}
 			tmu.Unlock()
@@ -431,7 +431,7 @@ func TestPushRacingDetachLosesNothing(t *testing.T) {
 	go func() {
 		defer close(consumed)
 		for ev := range p.Events() {
-			if v, ok := ev.(Verdict); ok {
+			if v, ok := ev.Event.(core.VerdictReady); ok {
 				scored += v.Samples
 			}
 		}

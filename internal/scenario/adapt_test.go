@@ -59,16 +59,15 @@ func TestSlowDriftFrozenVsAdaptive(t *testing.T) {
 	// observations over a 99 % limit in either view and accepted swaps.
 	overCount := func(ao adapt.Options) (over, swaps int, rep *core.Report) {
 		reports, _ := runFleet(t, exp, []Scenario{sc}, 1, fleet.Config{Workers: 1, Adapt: ao}, func(ev fleet.Event) {
-			switch e := ev.(type) {
-			case *fleet.Scored:
-				res := e.Step
-				if res.Index < exp.OnsetIndex() {
+			switch e := ev.Event.(type) {
+			case *core.SampleScored:
+				if e.Index < exp.OnsetIndex() {
 					return
 				}
-				if (res.Ctrl != nil && res.Ctrl.Over()) || (res.Proc != nil && res.Proc.Over()) {
+				if e.CtrlOver || e.ProcOver {
 					over++
 				}
-			case fleet.ModelSwapped:
+			case core.ModelSwapped:
 				swaps++
 			}
 		})

@@ -101,8 +101,8 @@ func TestRunFleetMatchesSingleStream(t *testing.T) {
 
 	verdictEvents := map[string]int{}
 	reports, stats := runFleet(t, exp, scs, runsEach, fleet.Config{Workers: 2, EmitEvery: -1}, func(ev fleet.Event) {
-		if _, ok := ev.(fleet.Verdict); ok {
-			verdictEvents[ev.PlantID()]++
+		if _, ok := ev.Event.(core.VerdictReady); ok {
+			verdictEvents[ev.Plant]++
 		}
 	})
 	if len(reports) != len(golden) {
@@ -184,7 +184,7 @@ func TestRunFleetBatchedAdaptiveParity(t *testing.T) {
 			EmitEvery: -1, Batch: batch,
 			Adapt: adapt.Options{Enabled: true, Every: 256, Forget: 0.999},
 		}, func(ev fleet.Event) {
-			if _, ok := ev.(fleet.ModelSwapped); ok {
+			if _, ok := ev.Event.(core.ModelSwapped); ok {
 				swaps++
 			}
 		})
@@ -216,9 +216,9 @@ func TestRunFleetAdaptive(t *testing.T) {
 		EmitEvery: -1,
 		Adapt:     adapt.Options{Enabled: true, Every: 256, Forget: 0.999},
 	}, func(ev fleet.Event) {
-		if s, ok := ev.(fleet.ModelSwapped); ok {
-			swapPlants[s.Plant]++
-			if s.Swap.Generation == 0 || s.Swap.D99 <= 0 || s.Swap.Q99 <= 0 {
+		if s, ok := ev.Event.(core.ModelSwapped); ok {
+			swapPlants[ev.Plant]++
+			if s.Generation == 0 || s.D99 <= 0 || s.Q99 <= 0 {
 				t.Errorf("malformed swap event: %+v", s)
 			}
 		}
@@ -255,7 +255,7 @@ func TestRunFleetAdaptiveVetoParity(t *testing.T) {
 			MinWeight: 1, MinExplainedVar: 2, // always veto
 		},
 	}, func(ev fleet.Event) {
-		if s, ok := ev.(fleet.ModelSwapped); ok {
+		if s, ok := ev.Event.(core.ModelSwapped); ok {
 			t.Errorf("always-veto stream swapped: %+v", s)
 		}
 	})
