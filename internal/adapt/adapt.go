@@ -57,10 +57,6 @@ type Options struct {
 	// 0.999, an effective memory of ~1000 observations; 1 = infinite
 	// memory, i.e. a plain growing average).
 	Forget float64
-	// LearnEvery thins learning to one in N in-control observations
-	// (0 or 1 = every one) — the knob trading tracker freshness against
-	// accumulator cost on very hot fleets.
-	LearnEvery int
 	// MinWeight is the minimum accumulated EWMA weight before a candidate
 	// may be fitted (0 = 4×NumVars). Below it every refit is vetoed.
 	MinWeight float64
@@ -69,27 +65,13 @@ type Options struct {
 	// is vetoed (0 = 0.5). Values above 1 veto every candidate — the
 	// always-veto configuration the parity tests use.
 	MinExplainedVar float64
-	// MaxLimitDrift is the stability band: a candidate whose 99 % D or Q
-	// limit differs from the incumbent's by more than this factor is vetoed
-	// (0 = 8). A model that moves its limits an order of magnitude in one
-	// cadence is tracking an incident, not aging.
-	MaxLimitDrift float64
-	// PriorWeight blends the calibration covariance into every candidate at
-	// this persistent weight (recursive-PCA style): candidate covariance =
-	// (PriorWeight·calibration + liveWeight·EWMA)/(PriorWeight+liveWeight),
-	// while the candidate means track the live EWMA alone. Aging moves the
-	// operating point much faster than it changes the noise/correlation
-	// structure, and a short single-stream memory systematically
-	// *underestimates* the NOC variance (in-control samples are
-	// autocorrelated; the calibration campaign spans runs) — the persistent
-	// prior is what keeps that bias from quietly tightening the control
-	// limits refit after refit. 0 = min(calibration N, 1/(1−Forget)).
-	PriorWeight float64
-	// NoPrior fits candidates from the live statistics alone — for streams
-	// whose covariance structure is known to differ from the calibration
-	// campaign's.
-	NoPrior bool
 }
+
+// maxLimitDrift is the stability band: a candidate whose 99 % D or Q limit
+// differs from the incumbent's by more than this factor is vetoed. A model
+// that moves its limits an order of magnitude in one cadence is tracking an
+// incident, not aging.
+const maxLimitDrift = 8.0
 
 func (o Options) withDefaults() Options {
 	if o.Every == 0 {
@@ -98,14 +80,8 @@ func (o Options) withDefaults() Options {
 	if o.Forget == 0 {
 		o.Forget = 0.999
 	}
-	if o.LearnEvery == 0 {
-		o.LearnEvery = 1
-	}
 	if o.MinExplainedVar == 0 {
 		o.MinExplainedVar = 0.5
-	}
-	if o.MaxLimitDrift == 0 {
-		o.MaxLimitDrift = 8
 	}
 	return o
 }
@@ -118,16 +94,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("adapt: refit cadence %d: %w", o.Every, ErrBadConfig)
 	case o.Forget < 0 || o.Forget > 1:
 		return fmt.Errorf("adapt: forget factor %g not in (0,1]: %w", o.Forget, ErrBadConfig)
-	case o.LearnEvery < 0:
-		return fmt.Errorf("adapt: learn-every %d: %w", o.LearnEvery, ErrBadConfig)
 	case o.MinWeight < 0:
 		return fmt.Errorf("adapt: min weight %g: %w", o.MinWeight, ErrBadConfig)
 	case o.MinExplainedVar < 0:
 		return fmt.Errorf("adapt: explained-variance floor %g: %w", o.MinExplainedVar, ErrBadConfig)
-	case o.MaxLimitDrift != 0 && o.MaxLimitDrift < 1:
-		return fmt.Errorf("adapt: limit-drift band %g < 1: %w", o.MaxLimitDrift, ErrBadConfig)
-	case o.PriorWeight < 0:
-		return fmt.Errorf("adapt: prior weight %g: %w", o.PriorWeight, ErrBadConfig)
 	}
 	return nil
 }

@@ -120,10 +120,8 @@ func TestOptionsValidate(t *testing.T) {
 		{Every: -1},
 		{Forget: -0.1},
 		{Forget: 1.5},
-		{LearnEvery: -2},
 		{MinWeight: -1},
 		{MinExplainedVar: -0.5},
-		{MaxLimitDrift: 0.5},
 	} {
 		if err := o.Validate(); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%+v: want ErrBadConfig, got %v", o, err)

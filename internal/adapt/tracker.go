@@ -48,19 +48,26 @@ type Tracker struct {
 	base core.Config
 	cols int
 
-	// Persistent calibration prior: the generation-0 covariance, blended
-	// into every candidate at priorW so refits track the operating point
-	// without inheriting the variance-shrinkage bias of a short
-	// single-stream memory. Nil with NoPrior (or a prior-less system).
+	// priorCov is the persistent calibration prior: the generation-0
+	// covariance, blended into every candidate at weight priorW =
+	// min(calibration N, 1/(1−Forget)) (recursive-PCA style): candidate
+	// covariance = (priorW·calibration + liveWeight·EWMA)/(priorW +
+	// liveWeight), while the candidate means track the live EWMA alone.
+	// Aging moves the operating point much faster than it changes the
+	// noise/correlation structure, and a short single-stream memory
+	// systematically underestimates the NOC variance (in-control samples
+	// are autocorrelated; the calibration campaign spans runs): the
+	// persistent prior keeps that bias from quietly tightening the control
+	// limits refit after refit. Nil for a system without calibration
+	// moments.
 	priorCov *mat.Matrix
 	priorW   float64
 
 	cur atomic.Pointer[generation]
 
-	// Lock-free counters: rejection and LearnEvery thinning happen before
-	// the mutex, so a hot fleet only contends on the lock for observations
-	// that are actually learned.
-	offered  atomic.Uint64 // in-control observations offered (for LearnEvery)
+	// Lock-free counters: rejection happens before the mutex, so a hot
+	// fleet only contends on the lock for observations that are actually
+	// learned.
 	rejected atomic.Uint64
 	learned  atomic.Uint64
 
@@ -91,21 +98,10 @@ func NewTracker(sys *core.System, cfg Options) (*Tracker, error) {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	t := &Tracker{cfg: cfg, base: sys.Config(), cols: cols, acc: acc}
-	if !cfg.NoPrior {
-		if cov, _, n := sys.CalibrationMoments(); cov != nil && n > 1 {
-			w := cfg.PriorWeight
-			if w == 0 {
-				w = float64(n)
-				if cfg.Forget < 1 {
-					if mem := 1 / (1 - cfg.Forget); mem < w {
-						w = mem
-					}
-				}
-			}
-			if w > 0 {
-				t.priorCov = cov.Clone()
-				t.priorW = w
-			}
+	if cov, _, n := sys.CalibrationMoments(); cov != nil && n > 1 {
+		t.priorCov, t.priorW = cov.Clone(), float64(n)
+		if cfg.Forget < 1 {
+			t.priorW = min(t.priorW, 1/(1-cfg.Forget))
 		}
 	}
 	t.cur.Store(&generation{sys: sys})
@@ -133,9 +129,6 @@ func (t *Tracker) Generation() uint64 { return t.cur.Load().gen }
 func (t *Tracker) Observe(row []float64, inControl bool) bool {
 	if !inControl {
 		t.rejected.Add(1)
-		return false
-	}
-	if le := t.cfg.LearnEvery; le > 1 && (t.offered.Add(1)-1)%uint64(le) != 0 {
 		return false
 	}
 	t.mu.Lock()
@@ -227,8 +220,8 @@ func (t *Tracker) vetCandidate(cand *core.System) string {
 		if lim.in <= 0 || lim.cand <= 0 {
 			return fmt.Sprintf("%s limit degenerate (candidate %.4g, incumbent %.4g)", lim.name, lim.cand, lim.in)
 		}
-		if r := lim.cand / lim.in; r > t.cfg.MaxLimitDrift || r < 1/t.cfg.MaxLimitDrift {
-			return fmt.Sprintf("%s limit moved %.2f× (band %.1f×)", lim.name, r, t.cfg.MaxLimitDrift)
+		if r := lim.cand / lim.in; r > maxLimitDrift || r < 1/maxLimitDrift {
+			return fmt.Sprintf("%s limit moved %.2f× (band %.1f×)", lim.name, r, maxLimitDrift)
 		}
 	}
 	if math.IsNaN(cl.D99) || math.IsNaN(cl.Q99) {
