@@ -93,34 +93,34 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 	out = &syncWriter{w: out}
 	if *calPath == "" {
 		fs.Usage()
-		return fmt.Errorf("mspctool fleet: -cal is required: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-cal is required: %w", pcsmon.ErrBadConfig)
 	}
 	live := *listen != "" || *listenUDP != ""
 	// Validate the flags up front (wrapped ErrBadConfig) so a bad
 	// invocation fails before calibration. Live mode leaves the rest to
 	// the plane's config validation, which also runs before calibration.
-	if err := modelFlags("mspctool fleet", *sampleSec, *onsetHour, *components); err != nil {
+	if err := modelFlags(*sampleSec, *onsetHour, *components); err != nil {
 		return err
 	}
 	switch {
 	case *workers < 0:
-		return fmt.Errorf("mspctool fleet: -workers %d must be >= 0: %w", *workers, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-workers %d must be >= 0: %w", *workers, pcsmon.ErrBadConfig)
 	case *batch < 0:
-		return fmt.Errorf("mspctool fleet: -batch %d must be >= 0: %w", *batch, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-batch %d must be >= 0: %w", *batch, pcsmon.ErrBadConfig)
 	case *statsEvery < 0:
-		return fmt.Errorf("mspctool fleet: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
 	case *maxObs < 0:
-		return fmt.Errorf("mspctool fleet: -max-obs %d must be >= 0: %w", *maxObs, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-max-obs %d must be >= 0: %w", *maxObs, pcsmon.ErrBadConfig)
 	case *idle <= 0:
-		return fmt.Errorf("mspctool fleet: -idle %v must be positive: %w", *idle, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-idle %v must be positive: %w", *idle, pcsmon.ErrBadConfig)
 	case *pairWindow <= 0:
-		return fmt.Errorf("mspctool fleet: -pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
 	case *pairTimeout < 0:
-		return fmt.Errorf("mspctool fleet: -pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
 	case !live && liveFlagSet(fs):
-		return fmt.Errorf("mspctool fleet: -record*/-dedup/-max-obs/-idle/-pair-window/-pair-timeout only apply with -listen/-listen-udp: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-record*/-dedup/-max-obs/-idle/-pair-window/-pair-timeout only apply with -listen/-listen-udp: %w", pcsmon.ErrBadConfig)
 	}
-	adaptive, err := adaptiveFlags(fs, "mspctool fleet", *adaptEvery, *adaptForget)
+	adaptive, err := adaptiveFlags(fs, *adaptEvery, *adaptForget)
 	if err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io
 	rows.lastSeen.Store(time.Now().UnixNano()) // /healthz stall probe
 	if cfg.Ops.Addr != "" {
 		s.pc.Metrics, s.pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
-		ops, err := startOps("mspctool fleet", cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
+		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
 			func() time.Time { return time.Unix(0, rows.lastSeen.Load()) }, out)
 		if err != nil {
 			return err
@@ -313,13 +313,13 @@ func runFleetLive(cfg *control.Config, every int, maxObs int64, idle, statsEvery
 	v := newVerdicts(every, out)
 	p, err := control.New(cfg, control.Options{Out: out, OnEvent: v.event})
 	if err != nil {
-		return fmt.Errorf("mspctool fleet: %w", err)
+		return err
 	}
 	stopStats := startStatsTicker(statsEvery, p.Totals, out)
 	awaitFeed(p, maxObs, idle)
 	stopStats()
 	if err := p.Close(); err != nil {
-		return fmt.Errorf("mspctool fleet: %w", err)
+		return err
 	}
 	v.print()
 	printFleetSummary(out, p.Totals())

@@ -68,27 +68,37 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mspctool:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
+// run dispatches to the subcommand args name, or to the batch analysis,
+// and prefixes the error once with the command that failed
+// ("mspctool watch: ...", "mspctool: ..." for the batch analysis).
 func run(args []string) error {
-	if len(args) > 0 && args[0] == "watch" {
-		return runWatch(args[1:], os.Stdin, os.Stdout)
+	subcommands := map[string]func([]string) error{
+		"watch":  func(a []string) error { return runWatch(a, os.Stdin, os.Stdout) },
+		"fleet":  func(a []string) error { return runFleet(a, os.Stdin, os.Stdout) },
+		"replay": func(a []string) error { return runReplay(a, os.Stdout) },
+		"status": func(a []string) error { return runStatus(a, os.Stdout) },
+		"serve":  func(a []string) error { return runServe(a, os.Stdout) },
 	}
-	if len(args) > 0 && args[0] == "fleet" {
-		return runFleet(args[1:], os.Stdin, os.Stdout)
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		if err := subcommands[args[0]](args[1:]); err != nil {
+			return fmt.Errorf("mspctool %s: %w", args[0], err)
+		}
+		return nil
 	}
-	if len(args) > 0 && args[0] == "replay" {
-		return runReplay(args[1:], os.Stdout)
+	if err := runBatch(args); err != nil {
+		return fmt.Errorf("mspctool: %w", err)
 	}
-	if len(args) > 0 && args[0] == "status" {
-		return runStatus(args[1:], os.Stdout)
-	}
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], os.Stdout)
-	}
+	return nil
+}
+
+// runBatch is the batch two-view analysis: calibrate, score both views of
+// a recorded run and print the classified report.
+func runBatch(args []string) error {
 	fs := flag.NewFlagSet("mspctool", flag.ContinueOnError)
 	var (
 		calPath    = fs.String("cal", "", "NOC calibration CSV (required)")
@@ -104,9 +114,9 @@ func run(args []string) error {
 	}
 	if *calPath == "" || *ctrlPath == "" {
 		fs.Usage()
-		return fmt.Errorf("mspctool: -cal and -ctrl are required: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-cal and -ctrl are required: %w", pcsmon.ErrBadConfig)
 	}
-	if err := modelFlags("mspctool", *sampleSec, *onsetHour, *components); err != nil {
+	if err := modelFlags(*sampleSec, *onsetHour, *components); err != nil {
 		return err
 	}
 	if *procPath == "" {
@@ -168,12 +178,12 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 	}
 	if *calPath == "" {
 		fs.Usage()
-		return fmt.Errorf("mspctool watch: -cal is required: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-cal is required: %w", pcsmon.ErrBadConfig)
 	}
-	if err := modelFlags("mspctool watch", *sampleSec, *onsetHour, *components); err != nil {
+	if err := modelFlags(*sampleSec, *onsetHour, *components); err != nil {
 		return err
 	}
-	adaptive, err := adaptiveFlags(fs, "mspctool watch", *adaptEvery, *adaptForget)
+	adaptive, err := adaptiveFlags(fs, *adaptEvery, *adaptForget)
 	if err != nil {
 		return err
 	}
@@ -192,7 +202,7 @@ func runWatch(args []string, in io.Reader, out io.Writer) error {
 	}
 	rep := rows.verdict.Report
 	if rep == nil {
-		return fmt.Errorf("mspctool watch: no observations on stdin: %w", core.ErrBadInput)
+		return fmt.Errorf("no observations on stdin: %w", core.ErrBadInput)
 	}
 	fmt.Fprintf(out, "\nend of stream after %d observations\n\n", rows.verdict.Samples)
 	fmt.Fprint(out, rep.Render())
@@ -277,14 +287,14 @@ func (w *watchRows) event(ev fleet.Event) {
 // modelFlags validates the sampling, onset and model-size flags shared by
 // the batch, watch and fleet subcommands, wrapping pcsmon.ErrBadConfig, so
 // a bad invocation fails before calibration.
-func modelFlags(cmd string, sampleSec, onsetHour float64, components int) error {
+func modelFlags(sampleSec, onsetHour float64, components int) error {
 	switch {
 	case sampleSec <= 0:
-		return fmt.Errorf("%s: -sample %g must be positive: %w", cmd, sampleSec, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-sample %g must be positive: %w", sampleSec, pcsmon.ErrBadConfig)
 	case onsetHour < 0:
-		return fmt.Errorf("%s: -onset-hour %g must be >= 0: %w", cmd, onsetHour, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-onset-hour %g must be >= 0: %w", onsetHour, pcsmon.ErrBadConfig)
 	case components < 0:
-		return fmt.Errorf("%s: -components %d must be >= 0: %w", cmd, components, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-components %d must be >= 0: %w", components, pcsmon.ErrBadConfig)
 	}
 	return nil
 }
@@ -292,7 +302,7 @@ func modelFlags(cmd string, sampleSec, onsetHour float64, components int) error 
 // adaptiveFlags validates and converts the shared -adapt-every/-adapt-forget
 // flag pair (watch and fleet subcommands) into the pool's adapt block,
 // wrapping pcsmon.ErrBadConfig on misuse.
-func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (control.Adapt, error) {
+func adaptiveFlags(fs *flag.FlagSet, every int, forget float64) (control.Adapt, error) {
 	forgetSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "adapt-forget" {
@@ -301,11 +311,11 @@ func adaptiveFlags(fs *flag.FlagSet, cmd string, every int, forget float64) (con
 	})
 	switch {
 	case every < 0:
-		return control.Adapt{}, fmt.Errorf("%s: -adapt-every %d must be >= 0: %w", cmd, every, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("-adapt-every %d must be >= 0: %w", every, pcsmon.ErrBadConfig)
 	case forgetSet && (forget <= 0 || forget > 1):
-		return control.Adapt{}, fmt.Errorf("%s: -adapt-forget %g must be in (0,1]: %w", cmd, forget, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("-adapt-forget %g must be in (0,1]: %w", forget, pcsmon.ErrBadConfig)
 	case forgetSet && every == 0:
-		return control.Adapt{}, fmt.Errorf("%s: -adapt-forget requires -adapt-every: %w", cmd, pcsmon.ErrBadConfig)
+		return control.Adapt{}, fmt.Errorf("-adapt-forget requires -adapt-every: %w", pcsmon.ErrBadConfig)
 	}
 	return control.Adapt{Every: every, Forget: forget}, nil
 }

@@ -167,6 +167,36 @@ func TestMspctoolMissingFile(t *testing.T) {
 	}
 }
 
+// TestErrorPrefixOncePerCommand: the line main prints for a failed
+// command names that command once, whether the error is the command's own
+// (a missing required flag) or one it passes through from below (a
+// calibration file that does not exist).
+func TestErrorPrefixOncePerCommand(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope.csv")
+	for _, tc := range []struct {
+		prefix string
+		args   []string
+	}{
+		{"mspctool: ", nil},
+		{"mspctool watch: ", []string{"watch"}},
+		{"mspctool fleet: ", []string{"fleet"}},
+		{"mspctool replay: ", []string{"replay"}},
+		{"mspctool serve: ", []string{"serve"}},
+		{"mspctool status: ", []string{"status"}},
+		{"mspctool fleet: ", []string{"fleet", "-cal", missing}},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("%v: no error", tc.args)
+			continue
+		}
+		line := err.Error()
+		if !strings.HasPrefix(line, tc.prefix) || strings.Count(line, "mspctool") != 1 {
+			t.Errorf("%v: printed %q, want one %q prefix and no other mspctool", tc.args, line, tc.prefix)
+		}
+	}
+}
+
 // TestWatchAdaptiveFlagValidation: the watch subcommand shares the adapt
 // and model flag validation with fleet.
 func TestWatchAdaptiveFlagValidation(t *testing.T) {

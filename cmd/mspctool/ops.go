@@ -16,7 +16,7 @@ import (
 // health dump on /status and the net/http/pprof pages. An unusable
 // address is a configuration error, reported before any scoring starts.
 // (Frame-fed runs get the same endpoints from their control plane.)
-func startOps(cmd, addr string, metrics *obs.Registry, health *obs.HealthRegistry,
+func startOps(addr string, metrics *obs.Registry, health *obs.HealthRegistry,
 	totals func() map[string]float64, lastActivity func() time.Time, out io.Writer) (*opsserver.Server, error) {
 	srv, err := opsserver.Start(addr, opsserver.Options{
 		Metrics:      metrics,
@@ -25,7 +25,7 @@ func startOps(cmd, addr string, metrics *obs.Registry, health *obs.HealthRegistr
 		LastActivity: lastActivity,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: -metrics %s: %v: %w", cmd, addr, err, pcsmon.ErrBadConfig)
+		return nil, fmt.Errorf("-metrics %s: %v: %w", addr, err, pcsmon.ErrBadConfig)
 	}
 	fmt.Fprintf(out, "ops listening on %s (/metrics /healthz /status /debug/pprof/)\n", srv.URL())
 	return srv, nil

@@ -56,23 +56,23 @@ func runReplay(args []string, out io.Writer) error {
 	switch {
 	case *calPath == "" || *capPath == "":
 		fs.Usage()
-		return fmt.Errorf("mspctool replay: -cal and -capture are required: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-cal and -capture are required: %w", pcsmon.ErrBadConfig)
 	case *speed < 0:
-		return fmt.Errorf("mspctool replay: -speed %g must be >= 0: %w", *speed, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-speed %g must be >= 0: %w", *speed, pcsmon.ErrBadConfig)
 	case *sampleSec <= 0:
-		return fmt.Errorf("mspctool replay: -sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-sample %g must be positive: %w", *sampleSec, pcsmon.ErrBadConfig)
 	case *pairWindow <= 0:
-		return fmt.Errorf("mspctool replay: -pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-pair-window %d must be positive: %w", *pairWindow, pcsmon.ErrBadConfig)
 	case *pairTimeout < 0:
-		return fmt.Errorf("mspctool replay: -pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-pair-timeout %v must be >= 0: %w", *pairTimeout, pcsmon.ErrBadConfig)
 	case *from < 0 || *to < 0:
-		return fmt.Errorf("mspctool replay: -from %v / -to %v must be >= 0: %w", *from, *to, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-from %v / -to %v must be >= 0: %w", *from, *to, pcsmon.ErrBadConfig)
 	case *to > 0 && *to < *from:
-		return fmt.Errorf("mspctool replay: -to %v is before -from %v: %w", *to, *from, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-to %v is before -from %v: %w", *to, *from, pcsmon.ErrBadConfig)
 	case *unit < -1 || *unit > 255:
-		return fmt.Errorf("mspctool replay: -unit %d must be a fieldbus unit id (0-255) or -1: %w", *unit, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-unit %d must be a fieldbus unit id (0-255) or -1: %w", *unit, pcsmon.ErrBadConfig)
 	case *statsEvery < 0:
-		return fmt.Errorf("mspctool replay: -stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-stats-every %v must be >= 0: %w", *statsEvery, pcsmon.ErrBadConfig)
 	}
 
 	// A chain reader replays either a single capture file or the rotated
@@ -84,7 +84,7 @@ func runReplay(args []string, out io.Writer) error {
 	}
 	cr, err := fieldbus.OpenCaptureChain(*capPath, copts)
 	if err != nil {
-		return fmt.Errorf("mspctool replay: %w", err)
+		return err
 	}
 	defer func() { _ = cr.Close() }()
 
@@ -124,7 +124,7 @@ func runReplay(args []string, out io.Writer) error {
 		Capture: &control.Capture{Chain: cr, Name: name, Speed: *speed},
 	})
 	if err != nil {
-		return fmt.Errorf("mspctool replay: %w", err)
+		return err
 	}
 	start := time.Now()
 	stopStats := startStatsTicker(*statsEvery, p.Totals, out)
@@ -135,7 +135,7 @@ func runReplay(args []string, out io.Writer) error {
 		// Mid-chain damage is real corruption; the one legitimate form of
 		// damage — a truncated tail in an unsealed final segment — the
 		// chain reader tolerates by itself (see below).
-		return fmt.Errorf("mspctool replay: %w", err)
+		return err
 	}
 	if terr := cr.Truncated(); terr != nil {
 		// A recording monitor that died uncleanly (kill, crash, power loss)

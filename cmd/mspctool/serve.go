@@ -39,7 +39,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 	if *cfgPath == "" {
 		fs.Usage()
-		return fmt.Errorf("mspctool serve: -config is required: %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("-config is required: %w", pcsmon.ErrBadConfig)
 	}
 	cfg, err := control.Load(*cfgPath)
 	if err != nil {

@@ -34,13 +34,13 @@ func runStatus(args []string, out io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("mspctool status: exactly one <addr> argument (the -metrics address of a running monitor): %w", pcsmon.ErrBadConfig)
+		return fmt.Errorf("exactly one <addr> argument (the -metrics address of a running monitor): %w", pcsmon.ErrBadConfig)
 	}
 	if *watch < 0 {
-		return fmt.Errorf("mspctool status: -watch %v must be >= 0: %w", *watch, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-watch %v must be >= 0: %w", *watch, pcsmon.ErrBadConfig)
 	}
 	if *n < 0 {
-		return fmt.Errorf("mspctool status: -n %d must be >= 0: %w", *n, pcsmon.ErrBadConfig)
+		return fmt.Errorf("-n %d must be >= 0: %w", *n, pcsmon.ErrBadConfig)
 	}
 	url := fs.Arg(0)
 	if !strings.Contains(url, "://") {
@@ -84,15 +84,15 @@ func printStatus(url string, raw bool, out io.Writer) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
-		return fmt.Errorf("mspctool status: %w", err)
+		return err
 	}
 	defer func() { _ = resp.Body.Close() }()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("mspctool status: read %s: %w", url, err)
+		return fmt.Errorf("read %s: %w", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("mspctool status: %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
+		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	if raw {
 		_, err := out.Write(body)
@@ -100,7 +100,7 @@ func printStatus(url string, raw bool, out io.Writer) error {
 	}
 	var doc obs.StatusDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("mspctool status: %s is not a status document: %w", url, err)
+		return fmt.Errorf("%s is not a status document: %w", url, err)
 	}
 	renderStatus(out, &doc)
 	return nil
