@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -551,6 +552,40 @@ func TestFleetSubcommandAdaptive(t *testing.T) {
 	}
 	if !strings.Contains(text, "MODEL SWAP [") {
 		t.Errorf("no model swaps surfaced:\n%s", text)
+	}
+}
+
+// TestFleetAdaptiveOneWorkerBatchOneReproducible: the shared tracker's
+// swaps depend on the cross-plant order in which it learns observations.
+// One worker at batch 1 learns them in push order, so two runs of the same
+// multi-plant feed print the same lines, swaps and verdicts included; only
+// the closing obs/sec figure may differ.
+func TestFleetAdaptiveOneWorkerBatchOneReproducible(t *testing.T) {
+	dir := t.TempDir()
+	cal := filepath.Join(dir, "cal.csv")
+	writeSynthetic(t, cal, 3, 800, -1, -1, 0)
+	stream := interleavedCSV(t, 3, []string{"alpha", "beta", "gamma"}, 400, 0, 200, -30,
+		map[string]bool{"gamma": true})
+	rate := regexp.MustCompile(`[0-9.e+]+ obs/sec`)
+	var first string
+	for run := 0; run < 2; run++ {
+		var out bytes.Buffer
+		err := runFleet([]string{
+			"-cal", cal, "-sample", "9", "-onset-hour", "0.5",
+			"-workers", "1", "-batch", "1", "-adapt-every", "64",
+		}, strings.NewReader(stream), &out)
+		if err != nil {
+			t.Fatalf("runFleet: %v\n%s", err, out.String())
+		}
+		text := rate.ReplaceAllString(out.String(), "R obs/sec")
+		if !strings.Contains(text, "MODEL SWAP [") {
+			t.Fatalf("no model swaps: the feed never reaches the adaptive path\n%s", text)
+		}
+		if run == 0 {
+			first = text
+		} else if text != first {
+			t.Errorf("run %d differs from run 0:\n--- run 0\n%s\n--- run %d\n%s", run, first, run, text)
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ type FleetCfg struct {
 	FlushEveryMS float64 `json:"flush_every_ms,omitempty"`
 	// EventBuffer is the event fan-in depth (0 = 256).
 	EventBuffer int `json:"event_buffer,omitempty"`
-	// EmitEvery streams one Scored event per N observations per unit onto
+	// EmitEvery streams one scored event per N observations per unit onto
 	// /events subscribers (0 = none — serve mode defaults to alarms,
 	// verdicts and swaps only, so the SSE stream is not a firehose).
 	EmitEvery int `json:"emit_every,omitempty"`
@@ -372,7 +372,7 @@ func (c *Config) UnitOnsets() [256]int {
 }
 
 // PoolConfig maps the config onto the scoring pool's settings: emit_every
-// 0 = no Scored events (a service's event stream gets per-observation
+// 0 = no scored events (a service's event stream gets per-observation
 // scores only when asked for), adapt.every 0 = frozen model,
 // flush_every_ms in milliseconds, sample_seconds 0 = 4.5 s. The caller
 // sets Metrics and Health.
