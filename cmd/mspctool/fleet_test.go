@@ -522,7 +522,11 @@ func TestFleetFlagValidation(t *testing.T) {
 
 // TestFleetSubcommandAdaptive: the -adapt-every/-adapt-forget pair must
 // drive the adaptive pool end to end — NOC plants classified normal, the
-// attacked plant still localized.
+// attacked plant still flagged, model swaps logged. The shared tracker's
+// swaps depend on the cross-plant order in which it learns observations;
+// one worker at batch 1 learns them in push order, so a second run of the
+// same feed must print the same lines, swaps and verdicts included (only
+// the closing obs/sec figure may differ).
 func TestFleetSubcommandAdaptive(t *testing.T) {
 	dir := t.TempDir()
 	cal := filepath.Join(dir, "cal.csv")
@@ -530,61 +534,40 @@ func TestFleetSubcommandAdaptive(t *testing.T) {
 	plants := []string{"alpha", "beta"}
 	stream := interleavedCSV(t, 3, plants, 260, 0, 130, -30,
 		map[string]bool{"beta": true})
-	var out bytes.Buffer
-	err := runFleet([]string{
-		"-cal", cal,
-		"-sample", "9",
-		"-onset-hour", "0.325",
-		"-adapt-every", "64",
-		"-adapt-forget", "0.999",
-	}, strings.NewReader(stream), &out)
-	if err != nil {
-		t.Fatalf("runFleet: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	if !strings.Contains(text, "plant alpha: normal") {
-		t.Errorf("alpha not normal:\n%s", text)
-	}
-	// Single-view streams cannot diverge, so the shifted plant reads as an
-	// anomaly/disturbance — it must alarm and must not be normal.
-	if !strings.Contains(text, "ALARM [beta/") || strings.Contains(text, "plant beta: normal") {
-		t.Errorf("beta not flagged:\n%s", text)
-	}
-	if !strings.Contains(text, "MODEL SWAP [") {
-		t.Errorf("no model swaps surfaced:\n%s", text)
-	}
-}
-
-// TestFleetAdaptiveOneWorkerBatchOneReproducible: the shared tracker's
-// swaps depend on the cross-plant order in which it learns observations.
-// One worker at batch 1 learns them in push order, so two runs of the same
-// multi-plant feed print the same lines, swaps and verdicts included; only
-// the closing obs/sec figure may differ.
-func TestFleetAdaptiveOneWorkerBatchOneReproducible(t *testing.T) {
-	dir := t.TempDir()
-	cal := filepath.Join(dir, "cal.csv")
-	writeSynthetic(t, cal, 3, 800, -1, -1, 0)
-	stream := interleavedCSV(t, 3, []string{"alpha", "beta", "gamma"}, 400, 0, 200, -30,
-		map[string]bool{"gamma": true})
 	rate := regexp.MustCompile(`[0-9.e+]+ obs/sec`)
 	var first string
 	for run := 0; run < 2; run++ {
 		var out bytes.Buffer
 		err := runFleet([]string{
-			"-cal", cal, "-sample", "9", "-onset-hour", "0.5",
-			"-workers", "1", "-batch", "1", "-adapt-every", "64",
+			"-cal", cal,
+			"-sample", "9",
+			"-onset-hour", "0.325",
+			"-workers", "1",
+			"-batch", "1",
+			"-adapt-every", "64",
+			"-adapt-forget", "0.999",
 		}, strings.NewReader(stream), &out)
 		if err != nil {
 			t.Fatalf("runFleet: %v\n%s", err, out.String())
 		}
 		text := rate.ReplaceAllString(out.String(), "R obs/sec")
-		if !strings.Contains(text, "MODEL SWAP [") {
-			t.Fatalf("no model swaps: the feed never reaches the adaptive path\n%s", text)
+		if run > 0 {
+			if text != first {
+				t.Errorf("run %d differs from run 0:\n--- run 0\n%s\n--- run %d\n%s", run, first, run, text)
+			}
+			continue
 		}
-		if run == 0 {
-			first = text
-		} else if text != first {
-			t.Errorf("run %d differs from run 0:\n--- run 0\n%s\n--- run %d\n%s", run, first, run, text)
+		first = text
+		if !strings.Contains(text, "plant alpha: normal") {
+			t.Errorf("alpha not normal:\n%s", text)
+		}
+		// Single-view streams cannot diverge, so the shifted plant reads as an
+		// anomaly/disturbance — it must alarm and must not be normal.
+		if !strings.Contains(text, "ALARM [beta/") || strings.Contains(text, "plant beta: normal") {
+			t.Errorf("beta not flagged:\n%s", text)
+		}
+		if !strings.Contains(text, "MODEL SWAP [") {
+			t.Errorf("no model swaps surfaced:\n%s", text)
 		}
 	}
 }
