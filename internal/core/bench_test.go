@@ -15,12 +15,11 @@ import (
 // service setup at the shape the services actually calibrate on.
 const benchCalRows = 19200
 
-// syntheticCalibrationCSV renders benchCalRows × 53 correlated NOC-like
-// observations through Dataset.WriteCSV: 8 latent factors with per-variable
-// offsets and scales spanning the magnitudes of the TE measurements, so
-// every field is a full shortest-round-trip float like a real file's.
-func syntheticCalibrationCSV(b *testing.B) []byte {
-	b.Helper()
+// syntheticCalibration returns benchCalRows × 53 correlated NOC-like
+// observations: 8 latent factors with per-variable offsets and scales
+// spanning the magnitudes of the TE measurements.
+func syntheticCalibration(tb testing.TB) *dataset.Dataset {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	const factors = 8
 	w := make([]float64, factors*historian.NumVars)
@@ -35,7 +34,7 @@ func syntheticCalibrationCSV(b *testing.B) []byte {
 	}
 	d, err := dataset.New(historian.VarNames())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	row := make([]float64, historian.NumVars)
 	z := make([]float64, factors)
@@ -51,12 +50,20 @@ func syntheticCalibrationCSV(b *testing.B) []byte {
 			row[j] = offset[j] + scale[j]*v
 		}
 		if err := d.Append(row); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return d
+}
+
+// syntheticCalibrationCSV renders syntheticCalibration through
+// Dataset.WriteCSV, so every field is a full shortest-round-trip float like
+// a real file's.
+func syntheticCalibrationCSV(tb testing.TB) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		b.Fatal(err)
+	if err := syntheticCalibration(tb).WriteCSV(&buf); err != nil {
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }

@@ -205,6 +205,42 @@ func TestColMeansStds(t *testing.T) {
 	}
 }
 
+// TestColMeansConstantColumnExact: a column that holds one value c must
+// have mean exactly c — not c plus the rounding of a 19 201-term sum — and
+// therefore an exactly-zero covariance row and column, whatever the
+// magnitude of c. Columns alternate held values with noisy ones so both
+// the blocked and the tail rows of Covariance run.
+func TestColMeansConstantColumnExact(t *testing.T) {
+	held := []float64{22.21, 40.064, 0.1, -0.3, 3.3e-7, 2748.25123, 1e6 + 0.1, -7.77e12}
+	const n = 19201
+	cols := 2 * len(held)
+	m := MustNew(n, cols)
+	rng := rand.New(rand.NewSource(19201))
+	for i := 0; i < n; i++ {
+		row := m.RowView(i)
+		for k, c := range held {
+			row[2*k] = c
+			row[2*k+1] = c + rng.NormFloat64()
+		}
+	}
+	means := ColMeans(m)
+	cov, err := Covariance(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range held {
+		j := 2 * k
+		if means[j] != c {
+			t.Errorf("ColMeans of a column of %v = %v (off by %g)", c, means[j], means[j]-c)
+		}
+		for q := 0; q < cols; q++ {
+			if cov.At(j, q) != 0 || cov.At(q, j) != 0 {
+				t.Errorf("column of %v: covariance (%d,%d) = %g, (%d,%d) = %g, want 0", c, j, q, cov.At(j, q), q, j, cov.At(q, j))
+			}
+		}
+	}
+}
+
 func TestCovarianceKnown(t *testing.T) {
 	// Perfectly correlated columns: covariance matrix is rank one.
 	m, _ := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
