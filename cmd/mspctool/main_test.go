@@ -217,6 +217,38 @@ func TestWatchAdaptiveFlagValidation(t *testing.T) {
 	}
 }
 
+// TestAdaptForgetBelowMinWeightRefused: -adapt-forget 0.99 caps the EWMA
+// weight at 100, under the default minimum weight of 212 on 53 variables,
+// so watch and CSV fleet must fail when they build the tracker — before
+// the first row is scored — instead of vetoing every refit in silence.
+func TestAdaptForgetBelowMinWeightRefused(t *testing.T) {
+	dir := t.TempDir()
+	cal := filepath.Join(dir, "cal.csv")
+	live := filepath.Join(dir, "live.csv")
+	writeSynthetic(t, cal, 1, 600, -1, -1, 0)
+	writeSynthetic(t, live, 1, 100, -1, -1, 0)
+	data, err := os.ReadFile(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-cal", cal, "-sample", "9", "-adapt-every", "64", "-adapt-forget", "0.99"}
+	var out bytes.Buffer
+	if err := runWatch(args, bytes.NewReader(data), &out); !errors.Is(err, adapt.ErrBadConfig) {
+		t.Errorf("watch: want adapt.ErrBadConfig, got %v", err)
+	}
+	if strings.Contains(out.String(), "end of stream") {
+		t.Errorf("watch scored rows:\n%s", out.String())
+	}
+	out.Reset()
+	stream := interleavedCSV(t, 1, []string{"alpha"}, 50, 0, 0, 0, nil)
+	if err := runFleet(args, strings.NewReader(stream), &out); !errors.Is(err, adapt.ErrBadConfig) {
+		t.Errorf("fleet: want adapt.ErrBadConfig, got %v", err)
+	}
+	if strings.Contains(out.String(), "plant alpha") {
+		t.Errorf("fleet scored rows:\n%s", out.String())
+	}
+}
+
 // TestWatchSubcommandAdaptive: watch with adaptation enabled still scores a
 // NOC stream quiet end to end.
 func TestWatchSubcommandAdaptive(t *testing.T) {
@@ -355,7 +387,6 @@ func TestWatchAdaptiveMatchesTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := max(sys.Config().DiagnoseWindow, 1)
 	d, err := readCSV(live)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +399,7 @@ func TestWatchAdaptiveMatchesTracker(t *testing.T) {
 			t.Fatal(err)
 		}
 		var swap *core.ModelSwapped
-		if gen, swap = tracker.Step(oa, res, row, row, window, gen); swap != nil {
+		if gen, swap = tracker.Step(oa, res, row, row, gen); swap != nil {
 			want = append(want, fmt.Sprintf("MODEL SWAP at obs %d -> generation %d (D99=%.2f Q99=%.2f)",
 				swap.Index, swap.Generation, swap.D99, swap.Q99))
 		}

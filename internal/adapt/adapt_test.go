@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -84,7 +85,6 @@ func nocRows(seed int64, n, shiftCh, shiftFrom int, delta float64) (ctrl, proc [
 type testStream struct {
 	tracker *Tracker
 	oa      *core.OnlineAnalyzer
-	window  int
 	gen     uint64
 	onSwap  func(core.ModelSwapped)
 }
@@ -98,7 +98,7 @@ func newTestStream(tb testing.TB, t *Tracker, onset int, sample time.Duration, o
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &testStream{tracker: t, oa: oa, window: max(sys.Config().DiagnoseWindow, 1), gen: gen, onSwap: onSwap}
+	return &testStream{tracker: t, oa: oa, gen: gen, onSwap: onSwap}
 }
 
 func (s *testStream) Push(ctrl, proc []float64) (core.StepResult, error) {
@@ -107,7 +107,7 @@ func (s *testStream) Push(ctrl, proc []float64) (core.StepResult, error) {
 		return res, err
 	}
 	var swap *core.ModelSwapped
-	if s.gen, swap = s.tracker.Step(s.oa, res, ctrl, proc, s.window, s.gen); swap != nil && s.onSwap != nil {
+	if s.gen, swap = s.tracker.Step(s.oa, res, ctrl, proc, s.gen); swap != nil && s.onSwap != nil {
 		s.onSwap(*swap)
 	}
 	return res, nil
@@ -165,7 +165,7 @@ func TestTrackerLearnsAndSwaps(t *testing.T) {
 	if len(swaps) == 0 {
 		t.Fatal("no swap events")
 	}
-	window := sys.Config().DiagnoseWindow
+	window := core.DiagnoseWindow
 	for _, s := range swaps {
 		if s.Index%window != 0 {
 			t.Errorf("swap at %d is not a diagnosis-window boundary (window %d)", s.Index, window)
@@ -307,10 +307,12 @@ func TestSwapParityDisabledGuards(t *testing.T) {
 }
 
 // TestRefitVetoInsufficientWeight: before enough in-control traffic has
-// accumulated, every candidate is vetoed with a weight reason.
+// accumulated, every candidate is vetoed with a weight reason. Forget 1
+// (no forgetting) leaves the weight unbounded, so the minimum is reachable
+// in principle and NewTracker accepts it.
 func TestRefitVetoInsufficientWeight(t *testing.T) {
 	sys := testSystem(t)
-	tracker, err := NewTracker(sys, Options{Enabled: true, Every: 8, MinWeight: 1e6})
+	tracker, err := NewTracker(sys, Options{Enabled: true, Every: 8, Forget: 1, MinWeight: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,5 +341,29 @@ func TestNewTrackerValidation(t *testing.T) {
 	sys := testSystem(t)
 	if _, err := NewTracker(sys, Options{Forget: 2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad forget: %v", err)
+	}
+	// The EWMA weight saturates at 1/(1−λ); the default minimum weight on
+	// the 53-variable plant is 4·53 = 212. λ = 0.995 caps the weight at
+	// 200, so no refit could ever pass: refused up front, naming why.
+	for _, forget := range []float64{0.99, 0.995} {
+		_, err := NewTracker(sys, Options{Enabled: true, Forget: forget})
+		if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("forget %g: want ErrBadConfig, got %v", forget, err)
+			continue
+		}
+		for _, want := range []string{fmt.Sprint(forget), "1/(1−λ)", "212.0"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("forget %g: error %q does not name %q", forget, err, want)
+			}
+		}
+	}
+	for _, forget := range []float64{0.996, 0.999, 1} {
+		if _, err := NewTracker(sys, Options{Enabled: true, Forget: forget}); err != nil {
+			t.Errorf("forget %g: %v", forget, err)
+		}
+	}
+	// An explicit minimum weight moves the bound with it.
+	if _, err := NewTracker(sys, Options{Enabled: true, Forget: 0.99, MinWeight: 64}); err != nil {
+		t.Errorf("forget 0.99, min weight 64: %v", err)
 	}
 }

@@ -93,6 +93,12 @@ func NewTracker(sys *core.System, cfg Options) (*Tracker, error) {
 	if cfg.MinWeight == 0 {
 		cfg.MinWeight = 4 * float64(cols)
 	}
+	// The EWMA weight w ← λw + 1 approaches 1/(1−λ) from below: a forget
+	// factor whose ceiling is at or under MinWeight would veto every refit.
+	if cfg.Forget < 1 && 1/(1-cfg.Forget) <= cfg.MinWeight {
+		return nil, fmt.Errorf("adapt: forget factor %g caps the EWMA weight at 1/(1−λ) = %.1f, not above the minimum weight %.1f, so no refit could ever be accepted: %w",
+			cfg.Forget, 1/(1-cfg.Forget), cfg.MinWeight, ErrBadConfig)
+	}
 	acc, err := mat.NewEWMACovAccumulator(cols, cfg.Forget)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
@@ -250,12 +256,12 @@ func (t *Tracker) finishRefit(cand *core.System, veto string) bool {
 
 // Step runs the per-observation adaptive protocol for one stream the
 // caller owns: the learn guard (Observe with the in-control predicate over
-// the scoring result), a due Refit, and — at a window boundary — the
-// migration to the current generation. It returns the stream's (possibly
+// the scoring result), a due Refit, and — at a core.DiagnoseWindow
+// boundary — the migration to the current generation. It returns the stream's (possibly
 // advanced) generation and, when a swap landed, the event reporting it. Every
 // fleet worker drives its streams through this one implementation, so the
 // never-learn-an-attack guard and the swap protocol live in one place.
-func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, window int, gen uint64) (uint64, *core.ModelSwapped) {
+func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, gen uint64) (uint64, *core.ModelSwapped) {
 	// Learn from the process view (the ground-truth side the calibration
 	// campaign uses); a single-view feed learns from what it has.
 	row := proc
@@ -270,7 +276,7 @@ func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc 
 			t.Refit()
 		}
 	}
-	if window < 1 || oa.N()%window != 0 {
+	if oa.N()%core.DiagnoseWindow != 0 {
 		return gen, nil
 	}
 	sys, cur := t.System()

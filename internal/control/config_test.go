@@ -73,9 +73,9 @@ func TestPoolConfig(t *testing.T) {
 			fleet.Config{EmitEvery: 50, Sample: 4500 * time.Millisecond}},
 		{"adapt.every 0 with forget", func(c *Config) { c.Adapt.Forget = 0.99 },
 			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond}},
-		{"adapt.every N", func(c *Config) { c.Adapt = Adapt{Every: 64, Forget: 0.99} },
+		{"adapt.every N", func(c *Config) { c.Adapt = Adapt{Every: 64, Forget: 0.999} },
 			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond,
-				Adapt: adapt.Options{Enabled: true, Every: 64, Forget: 0.99}}},
+				Adapt: adapt.Options{Enabled: true, Every: 64, Forget: 0.999}}},
 		{"flush_every_ms", func(c *Config) { c.Fleet.FlushEveryMS = 2.5 },
 			fleet.Config{EmitEvery: -1, Sample: 4500 * time.Millisecond, FlushEvery: 2500 * time.Microsecond}},
 		{"flush_every_ms negative", func(c *Config) { c.Fleet.FlushEveryMS = -1 },

@@ -95,39 +95,32 @@ type Config struct {
 	RunLength int
 	// SPEMethod selects the Q-limit method (0 = Jackson–Mudholkar).
 	SPEMethod mspc.SPEMethod
-	// DiagnoseWindow is the number of observations from the start of the
-	// out-of-control run used for oMEDA (0 = 20).
-	DiagnoseWindow int
-	// TopFrac: variables with |bar| ≥ TopFrac·max|bar| count as implicated
-	// (0 = 0.5).
-	TopFrac float64
-	// DominanceMin: below this oMEDA dominance ratio a diagnosis counts as
-	// diffuse — the DoS signature (0 = 15).
-	DominanceMin float64
-	// SlowSamples: detections with run length beyond this many samples
-	// count as slow, reinforcing the DoS verdict (0 = 300, i.e. ~9
-	// minutes at the paper's 1.8 s cadence).
-	SlowSamples int
 }
 
 func (c Config) withDefaults() Config {
 	if c.RunLength == 0 {
 		c.RunLength = mspc.DefaultRunLength
 	}
-	if c.DiagnoseWindow == 0 {
-		c.DiagnoseWindow = 20
-	}
-	if c.TopFrac == 0 {
-		c.TopFrac = 0.5
-	}
-	if c.DominanceMin == 0 {
-		c.DominanceMin = 15
-	}
-	if c.SlowSamples == 0 {
-		c.SlowSamples = 300
-	}
 	return c
 }
+
+// DiagnoseWindow is the number of observations from the start of the
+// out-of-control run that diagnosis (oMEDA, contributions, the
+// frozen/diverged evidence) judges.
+const DiagnoseWindow = 20
+
+// The classifier's fixed thresholds.
+const (
+	// topFrac: variables with |bar| ≥ topFrac·max|bar| count as implicated.
+	topFrac = 0.5
+	// dominanceMin: below this oMEDA dominance ratio a diagnosis counts as
+	// diffuse — the DoS signature.
+	dominanceMin = 15
+	// slowSamples: detections with run length beyond this many samples
+	// count as slow, reinforcing the DoS verdict (~9 minutes at the
+	// paper's 1.8 s cadence).
+	slowSamples = 300
+)
 
 // System is a calibrated two-view monitoring system. It is safe for
 // concurrent use after calibration.
@@ -136,7 +129,9 @@ type System struct {
 	monitor *mspc.Monitor
 
 	// Calibration moments (engineering units), retained so the adaptive
-	// recalibration layer can seed its tracker with the calibration prior.
+	// recalibration layer can seed its tracker with the calibration prior;
+	// the covariance diagonal also tells the cross-view evidence which
+	// channels never moved in calibration.
 	calCov   *mat.Matrix
 	calMeans []float64
 	calN     int
@@ -144,7 +139,9 @@ type System struct {
 
 // Calibrate builds the MSPC model from normal-operation observations
 // (53-variable rows as produced by the historian; under NOC the two views
-// are identical, so either serves as calibration data).
+// are identical, so either serves as calibration data). It takes one
+// covariance of the rows and fits it with CalibrateCov, so a model served
+// from a file is the one an accumulator over the same rows would give.
 func Calibrate(noc *dataset.Dataset, cfg Config) (*System, error) {
 	if noc == nil || noc.Rows() < 10 {
 		return nil, fmt.Errorf("core: calibration needs data: %w", ErrBadInput)
@@ -153,19 +150,7 @@ func Calibrate(noc *dataset.Dataset, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: calibration has %d cols, want %d: %w",
 			noc.Cols(), historian.NumVars, ErrBadInput)
 	}
-	cfg = cfg.withDefaults()
 	x, err := noc.Matrix()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	opts := []mspc.Option{}
-	if cfg.Components > 0 {
-		opts = append(opts, mspc.WithComponents(cfg.Components))
-	}
-	if cfg.SPEMethod != 0 {
-		opts = append(opts, mspc.WithSPEMethod(cfg.SPEMethod))
-	}
-	mon, err := mspc.Calibrate(x, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -173,15 +158,13 @@ func Calibrate(noc *dataset.Dataset, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &System{
-		cfg: cfg, monitor: mon,
-		calCov: cov, calMeans: mat.ColMeans(x), calN: x.Rows(),
-	}, nil
+	return CalibrateCov(cov, mat.ColMeans(x), x.Rows(), cfg)
 }
 
-// CalibrateCov builds the system from streamed covariance statistics
-// (means + covariance + count), the memory-bounded path for paper-scale
-// calibration data.
+// CalibrateCov builds the system from the calibration moments (means +
+// covariance + count): the one fit behind Calibrate, scenario calibration
+// (a streaming accumulator, the memory-bounded path for paper-scale data)
+// and every adaptive refit.
 func CalibrateCov(cov *mat.Matrix, means []float64, n int, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	opts := []mspc.Option{}
@@ -232,7 +215,7 @@ type ViewAnalysis struct {
 	Charts []mspc.Chart
 	// OMEDA is the diagnosis profile over the 53 variables.
 	OMEDA []float64
-	// Top lists implicated variable indices (|bar| ≥ TopFrac·max).
+	// Top lists implicated variable indices (|bar| ≥ topFrac·max).
 	Top []int
 	// Dominance is the oMEDA dominance ratio (max/median of |bars|).
 	Dominance float64
@@ -309,7 +292,8 @@ func (s *System) AnalyzeViews(ctrl, proc *dataset.Dataset, onset int, sample tim
 }
 
 // minUsefulStd guards against channels that are constant in calibration
-// (their scaler divisor is a placeholder 1).
+// (their scaler divisor is a placeholder 1): a channel whose calibration
+// standard deviation is at most this carries no frozen/diverged evidence.
 const minUsefulStd = 1e-9
 
 // DiagnoseGroup computes the oMEDA profile of a group of observations in
@@ -361,8 +345,7 @@ func (s *System) classify(rep *Report) {
 			historian.VarName(j))
 		return
 	}
-	verdict, attacked, why := ClassifyProfiles(
-		rep.Controller, rep.Process, s.cfg)
+	verdict, attacked, why := ClassifyProfiles(rep.Controller, rep.Process)
 	// Fallback: when the oMEDA profiles alone read "disturbance" or
 	// "anomaly" but the raw views demonstrably diverged, forgery is proven
 	// (a disturbance cannot make the two views disagree). This is the
@@ -413,8 +396,7 @@ func absAt(vals []float64, j int) float64 {
 //  5. Views agree (top variables of each view deviate in the same
 //     direction in the other view) → Disturbance.
 //  6. Otherwise → Anomaly (detected, unclassified).
-func ClassifyProfiles(ctrl, proc ViewAnalysis, cfg Config) (Verdict, int, string) {
-	cfg = cfg.withDefaults()
+func ClassifyProfiles(ctrl, proc ViewAnalysis) (Verdict, int, string) {
 	if !ctrl.Detected && !proc.Detected {
 		return VerdictNormal, -1, "no chart exceeded its control limit with the run rule"
 	}
@@ -465,10 +447,10 @@ func ClassifyProfiles(ctrl, proc ViewAnalysis, cfg Config) (Verdict, int, string
 		if !v.Detected {
 			continue
 		}
-		if v.Dominance >= cfg.DominanceMin {
+		if v.Dominance >= dominanceMin {
 			diffuse = false
 		}
-		if v.RunLengthSamples < cfg.SlowSamples {
+		if v.RunLengthSamples < slowSamples {
 			slow = false
 		}
 	}

@@ -235,7 +235,6 @@ func TestClassifyProfilesRules(t *testing.T) {
 			Dominance: dom, RunLengthSamples: rl,
 		}
 	}
-	cfg := Config{}
 	vals := func(pairs map[int]float64) []float64 {
 		v := make([]float64, historian.NumVars)
 		for j, x := range pairs {
@@ -245,7 +244,7 @@ func TestClassifyProfilesRules(t *testing.T) {
 	}
 
 	t.Run("normal", func(t *testing.T) {
-		v, _, _ := ClassifyProfiles(mkVA(false, nil, nil, 0, 0), mkVA(false, nil, nil, 0, 0), cfg)
+		v, _, _ := ClassifyProfiles(mkVA(false, nil, nil, 0, 0), mkVA(false, nil, nil, 0, 0))
 		if v != VerdictNormal {
 			t.Errorf("got %v", v)
 		}
@@ -253,7 +252,7 @@ func TestClassifyProfilesRules(t *testing.T) {
 	t.Run("sign flip wins", func(t *testing.T) {
 		c := mkVA(true, vals(map[int]float64{3: -100}), []int{3}, 50, 5)
 		p := mkVA(true, vals(map[int]float64{3: +80}), []int{3}, 50, 5)
-		v, ch, _ := ClassifyProfiles(c, p, cfg)
+		v, ch, _ := ClassifyProfiles(c, p)
 		if v != VerdictIntegrityAttack || ch != 3 {
 			t.Errorf("got %v on %d", v, ch)
 		}
@@ -261,7 +260,7 @@ func TestClassifyProfilesRules(t *testing.T) {
 	t.Run("agreement is disturbance", func(t *testing.T) {
 		c := mkVA(true, vals(map[int]float64{3: -100, 45: 30}), []int{3}, 50, 5)
 		p := mkVA(true, vals(map[int]float64{3: -90, 45: 25}), []int{3}, 50, 5)
-		v, _, _ := ClassifyProfiles(c, p, cfg)
+		v, _, _ := ClassifyProfiles(c, p)
 		if v != VerdictDisturbance {
 			t.Errorf("got %v", v)
 		}
@@ -273,7 +272,7 @@ func TestClassifyProfilesRules(t *testing.T) {
 		}
 		c := mkVA(true, flat, []int{0}, 1.4, 2000)
 		p := mkVA(true, flat, []int{0}, 1.4, 2000)
-		v, _, _ := ClassifyProfiles(c, p, cfg)
+		v, _, _ := ClassifyProfiles(c, p)
 		if v != VerdictDoS {
 			t.Errorf("got %v", v)
 		}
@@ -282,7 +281,7 @@ func TestClassifyProfilesRules(t *testing.T) {
 		xmv := te.NumXMEAS + 2
 		c := mkVA(true, vals(map[int]float64{xmv: 60}), []int{xmv}, 40, 50)
 		p := mkVA(false, nil, nil, 0, 0)
-		v, ch, _ := ClassifyProfiles(c, p, cfg)
+		v, ch, _ := ClassifyProfiles(c, p)
 		if v != VerdictDoS || ch != xmv {
 			t.Errorf("got %v on %d", v, ch)
 		}
@@ -336,9 +335,7 @@ func TestVerdictString(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.RunLength != mspc.DefaultRunLength || c.DiagnoseWindow != 20 ||
-		c.TopFrac != 0.5 || c.DominanceMin != 15 || c.SlowSamples != 300 {
+	if c := (Config{}).withDefaults(); c != (Config{RunLength: mspc.DefaultRunLength}) {
 		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -186,3 +186,81 @@ func TestFreezeFarFromMeanIsNotDoS(t *testing.T) {
 		t.Errorf("verdict = %v (%s), want integrity-attack", rep.Verdict, rep.Explanation)
 	}
 }
+
+// TestConstantChannelCarriesNoEvidence: a channel that never moved in
+// calibration (TE holds XMV(5) at 22.21 and XMV(12) at 50) has no
+// calibration spread to judge a freeze or a divergence against, so it must
+// never enter FrozenProc, FrozenCtrl or Diverged — even when one view holds
+// it while the other drifts away, the pattern that flags a live channel.
+func TestConstantChannelCarriesNoEvidence(t *testing.T) {
+	f := newSynthFixture(t, 305)
+	held := map[int]float64{te.NumXMEAS + 4: 22.21, te.NumXMEAS + 11: 50}
+	holdRow := func() []float64 {
+		row := f.nocRow()
+		for j, c := range held {
+			row[j] = c
+		}
+		return row
+	}
+	cal, err := dataset.New(historian.VarNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		if err := cal.Append(holdRow()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := Calibrate(cal, Config{Components: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stds := sys.Monitor().Scaler().Stds()
+	const normal, anomalous = 120, 60
+	for _, freezeProc := range []bool{true, false} {
+		cd, err := dataset.New(historian.VarNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := dataset.New(historian.VarNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < normal+anomalous; i++ {
+			crow := holdRow()
+			prow := append([]float64(nil), crow...)
+			if i >= normal {
+				for j, c := range held {
+					drift := c + 2 + 0.02*float64(i-normal)
+					if freezeProc {
+						crow[j] = drift
+					} else {
+						prow[j] = drift
+					}
+				}
+				crow[5] += 8 * stds[5]
+				prow[5] += 8 * stds[5]
+			}
+			if err := cd.Append(crow); err != nil {
+				t.Fatal(err)
+			}
+			if err := pd.Append(prow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := sys.AnalyzeViews(cd, pd, normal, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Controller.Detected && !rep.Process.Detected {
+			t.Fatalf("freezeProc %v: no detection, so no evidence window was judged", freezeProc)
+		}
+		for name, cols := range map[string][]int{"FrozenProc": rep.FrozenProc, "FrozenCtrl": rep.FrozenCtrl, "Diverged": rep.Diverged} {
+			for _, j := range cols {
+				if _, ok := held[j]; ok {
+					t.Errorf("freezeProc %v: %s lists %s, constant in calibration", freezeProc, name, historian.VarName(j))
+				}
+			}
+		}
+	}
+}

@@ -99,14 +99,14 @@ func (a *OnlineAnalyzer) Push(ctrlRow, procRow []float64) (StepResult, error) {
 		return StepResult{}, fmt.Errorf("core: process row has %d vars, want %d: %w", len(procRow), a.cols, ErrBadInput)
 	}
 	idx := a.n
-	w := a.sys.cfg.DiagnoseWindow
+	const w = DiagnoseWindow
 	res := StepResult{Index: idx}
 	var err error
-	res.Ctrl, res.CtrlAlarm, err = a.ctrl.push(ctrlRow, a.onset, w)
+	res.Ctrl, res.CtrlAlarm, err = a.ctrl.push(ctrlRow, a.onset)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: detection at row %d: %w", idx, err)
 	}
-	res.Proc, res.ProcAlarm, err = a.proc.push(procRow, a.onset, w)
+	res.Proc, res.ProcAlarm, err = a.proc.push(procRow, a.onset)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: detection at row %d: %w", idx, err)
 	}
@@ -159,8 +159,7 @@ func (a *OnlineAnalyzer) N() int { return a.n }
 //
 // It returns (false, nil) when the stream is not quiescent — callers retry
 // at a later window boundary — and an error only for incompatible systems
-// (different dimension, run length or diagnosis window) or a finished
-// stream.
+// (different dimension or run length) or a finished stream.
 func (a *OnlineAnalyzer) TrySwap(sys *System) (bool, error) {
 	if sys == nil || sys.monitor == nil {
 		return false, ErrNotCalibrated
@@ -171,8 +170,8 @@ func (a *OnlineAnalyzer) TrySwap(sys *System) (bool, error) {
 	if dim := sys.monitor.Scaler().Dim(); dim != a.cols {
 		return false, fmt.Errorf("core: swap system has %d vars, want %d: %w", dim, a.cols, ErrBadInput)
 	}
-	if sys.cfg.RunLength != a.sys.cfg.RunLength || sys.cfg.DiagnoseWindow != a.sys.cfg.DiagnoseWindow {
-		return false, fmt.Errorf("core: swap system run-rule/window config differs: %w", ErrBadInput)
+	if sys.cfg.RunLength != a.sys.cfg.RunLength {
+		return false, fmt.Errorf("core: swap system run length %d, want %d: %w", sys.cfg.RunLength, a.sys.cfg.RunLength, ErrBadInput)
 	}
 	if a.firstAlarm >= 0 || a.win != nil ||
 		a.ctrl.detection != nil || a.proc.detection != nil ||
@@ -196,9 +195,8 @@ func (a *OnlineAnalyzer) Detected() bool { return a.firstAlarm >= 0 }
 // have latched detections and every evidence window is full. Callers may
 // stop feeding (and stop simulating) once it returns true.
 func (a *OnlineAnalyzer) Settled() bool {
-	w := a.sys.cfg.DiagnoseWindow
-	return a.ctrl.settled(w) && a.proc.settled(w) &&
-		(a.win == nil && a.ctrl.ended && a.proc.ended || a.win != nil && a.win.n >= w)
+	return a.ctrl.settled() && a.proc.settled() &&
+		(a.win == nil && a.ctrl.ended && a.proc.ended || a.win != nil && a.win.n >= DiagnoseWindow)
 }
 
 // Finish closes the stream, runs diagnosis over the buffered windows and
@@ -238,7 +236,7 @@ type viewState struct {
 	pt        mspc.Point // scratch for the returned step point (reused)
 }
 
-func (v *viewState) push(row []float64, onset, diagW int) (*mspc.Point, *mspc.Detection, error) {
+func (v *viewState) push(row []float64, onset int) (*mspc.Point, *mspc.Detection, error) {
 	if row == nil {
 		v.ended = true
 		return nil, nil, nil
@@ -271,13 +269,13 @@ func (v *viewState) push(row []float64, onset, diagW int) (*mspc.Point, *mspc.De
 		//pcslint:ignore hotpath -- detection snapshot: runs once per alarm, never on the per-sample path
 		d.Charts = append([]mspc.Chart(nil), det.Charts...)
 		v.detection = &d
-		for t := d.RunStart; t < v.n && len(v.diag) < diagW; t++ {
-			//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by diagW)
+		for t := d.RunStart; t < v.n && len(v.diag) < DiagnoseWindow; t++ {
+			//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by DiagnoseWindow)
 			v.diag = append(v.diag, append([]float64(nil), v.rowAt(t)...))
 		}
 		alarm = v.detection
-	case v.detection != nil && len(v.diag) < diagW:
-		//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by diagW)
+	case v.detection != nil && len(v.diag) < DiagnoseWindow:
+		//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by DiagnoseWindow)
 		v.diag = append(v.diag, append([]float64(nil), row...))
 	}
 	v.pt = pt
@@ -294,8 +292,8 @@ func (v *viewState) rowAt(t int) []float64 {
 	return v.ring[t%k]
 }
 
-func (v *viewState) settled(diagW int) bool {
-	return v.ended || (v.detection != nil && len(v.diag) >= diagW)
+func (v *viewState) settled() bool {
+	return v.ended || (v.detection != nil && len(v.diag) >= DiagnoseWindow)
 }
 
 // analysis freezes the per-view result: detection bookkeeping plus oMEDA
@@ -316,7 +314,7 @@ func (v *viewState) analysis(s *System, onset int, sample time.Duration, cs *Con
 		return nil, err
 	}
 	va.OMEDA = vals
-	va.Top, err = omeda.TopVariables(vals, s.cfg.TopFrac)
+	va.Top, err = omeda.TopVariables(vals, topFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +385,7 @@ func (s *System) applyPairEvidence(rep *Report, w *pairWindow) {
 		nearSigmas = 4.0
 	)
 	for j := range w.sumC {
-		if calStds[j] <= minUsefulStd {
+		if s.calCov.At(j, j) <= minUsefulStd*minUsefulStd {
 			continue // channel constant already in calibration
 		}
 		sc, mc := w.stdMean(w.sumC, w.sqC, j)

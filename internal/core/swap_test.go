@@ -43,7 +43,7 @@ func TestTrySwapIdenticalModelParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapAt := f.sys.Config().DiagnoseWindow * 2 // a quiet pre-onset boundary
+	swapAt := DiagnoseWindow * 2 // a quiet pre-onset boundary
 	for i := 0; i < cd.Rows(); i++ {
 		if _, err := oa.Push(cd.RowView(i), pd.RowView(i)); err != nil {
 			t.Fatal(err)
@@ -107,8 +107,8 @@ func TestTrySwapRefusedMidIncident(t *testing.T) {
 	}
 }
 
-// TestTrySwapIncompatibleSystem: a system with different run-rule or window
-// geometry must be rejected with an error, leaving the stream untouched.
+// TestTrySwapIncompatibleSystem: a system with a different run length must
+// be rejected with an error, leaving the stream untouched.
 func TestTrySwapIncompatibleSystem(t *testing.T) {
 	f := newSynthFixture(t, 403)
 	oa, err := f.sys.NewOnlineAnalyzer(0, time.Second)

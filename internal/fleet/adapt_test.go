@@ -108,7 +108,7 @@ func TestStressAdaptiveConcurrentSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	window := sys.Config().DiagnoseWindow
+	window := core.DiagnoseWindow
 	swapEvents := map[string]int{}
 	var smu sync.Mutex
 	consumerDone := make(chan struct{})

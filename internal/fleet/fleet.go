@@ -309,7 +309,6 @@ type Pool struct {
 	sys     *core.System
 	cfg     Config
 	cols    int
-	window  int            // diagnosis window = swap boundary cadence
 	tracker *adapt.Tracker // nil when adaptation is disabled
 	events  chan Event
 	workers []*worker
@@ -385,13 +384,9 @@ func NewPool(sys *core.System, cfg Config) (*Pool, error) {
 		sys:     sys,
 		cfg:     cfg,
 		cols:    sys.Monitor().Scaler().Dim(),
-		window:  sys.Config().DiagnoseWindow,
 		events:  make(chan Event, cfg.EventBuffer),
 		streams: make(map[string]*Stream),
 		started: time.Now(),
-	}
-	if p.window < 1 {
-		p.window = 1
 	}
 	if cfg.Adapt.Enabled {
 		tracker, err := adapt.NewTracker(sys, cfg.Adapt)
@@ -843,7 +838,7 @@ func (st *Stream) publishHealth() {
 func (w *worker) adaptStep(st *Stream, res core.StepResult, cr, pr []float64) {
 	p := w.pool
 	var swap *core.ModelSwapped
-	st.gen, swap = p.tracker.Step(st.oa, res, cr, pr, p.window, st.gen)
+	st.gen, swap = p.tracker.Step(st.oa, res, cr, pr, st.gen)
 	if swap != nil {
 		p.modelSwaps.Add(1)
 		if st.hp != nil {

@@ -406,7 +406,10 @@ func extractEigen(a, v *Matrix) ([]float64, *Matrix, error) {
 	return sortedVals, vecs, nil
 }
 
-// ColMeans returns the per-column means of m.
+// ColMeans returns the per-column means of m. A second pass adds back the
+// mean residual, so a column that holds one value c gets exactly c rather
+// than c plus the rounding of an N-term sum — and so, in Covariance, an
+// exactly-zero variance instead of a rounding-level one.
 func ColMeans(m *Matrix) []float64 {
 	out := make([]float64, m.cols)
 	if m.rows == 0 {
@@ -422,31 +425,17 @@ func ColMeans(m *Matrix) []float64 {
 	for j := range out {
 		out[j] *= inv
 	}
-	return out
-}
-
-// ColStds returns the per-column sample standard deviations (divisor N-1) of
-// m, given precomputed column means. Columns with zero variance yield 0.
-func ColStds(m *Matrix, means []float64) ([]float64, error) {
-	if len(means) != m.cols {
-		return nil, fmt.Errorf("mat: means len %d != cols %d: %w", len(means), m.cols, ErrDimMismatch)
-	}
-	out := make([]float64, m.cols)
-	if m.rows < 2 {
-		return out, nil
-	}
+	resid := make([]float64, m.cols)
 	for i := 0; i < m.rows; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
-			d := v - means[j]
-			out[j] += d * d
+			resid[j] += v - out[j]
 		}
 	}
-	inv := 1 / float64(m.rows-1)
 	for j := range out {
-		out[j] = math.Sqrt(out[j] * inv)
+		out[j] += resid[j] * inv
 	}
-	return out, nil
+	return out
 }
 
 // Covariance returns the sample covariance matrix (divisor N-1) of the rows

@@ -196,12 +196,13 @@ func TestColMeansStds(t *testing.T) {
 	if means[0] != 3 || means[1] != 20 {
 		t.Errorf("means = %v, want [3 20]", means)
 	}
-	stds, err := ColStds(m, means)
+	// Standard deviations are the square roots of the covariance diagonal.
+	cov, err := Covariance(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(stds[0], 2, tol) || !almostEqual(stds[1], 10, tol) {
-		t.Errorf("stds = %v, want [2 10]", stds)
+	if s0, s1 := math.Sqrt(cov.At(0, 0)), math.Sqrt(cov.At(1, 1)); !almostEqual(s0, 2, tol) || !almostEqual(s1, 10, tol) {
+		t.Errorf("stds = [%v %v], want [2 10]", s0, s1)
 	}
 }
 

@@ -16,7 +16,7 @@ func stepMonitor(t *testing.T, rng *rand.Rand) (*Monitor, func(shifted bool) []f
 	t.Helper()
 	n, m := 500, 6
 	x := correlatedNormal(rng, n, m, 2, 0.3)
-	mon, err := Calibrate(x, WithComponents(2))
+	mon, err := calibrate(x, WithComponents(2))
 	if err != nil {
 		t.Fatal(err)
 	}

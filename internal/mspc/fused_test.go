@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pcsmon/internal/mat"
-	"pcsmon/internal/stat"
 )
 
 // refCompute is the fused ComputeInto sweep this package ran before the
@@ -39,49 +38,6 @@ func refCompute(m *Monitor, row []float64) Statistics {
 	return Statistics{D: d, Q: q}
 }
 
-// refCalibrationStats recomputes the calibration D/Q series row by row the
-// way Calibrate did before the blocked projection: scale the whole matrix,
-// project each row with a zeroed AxpyInto sweep, then sum D, ‖x‖² and ‖t‖²
-// in separate ascending loops.
-func refCalibrationStats(t *testing.T, m *Monitor, x *mat.Matrix) (d, q []float64) {
-	t.Helper()
-	scaled, err := m.Scaler().Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := m.Model().Loadings()
-	eig := m.Model().Eigenvalues()
-	scores := make([]float64, len(eig))
-	for i := 0; i < scaled.Rows(); i++ {
-		row := scaled.RowView(i)
-		for a := range scores {
-			scores[a] = 0
-		}
-		for j, v := range row {
-			mat.AxpyInto(scores, v, load.RowView(j))
-		}
-		var di, x2, t2 float64
-		for a, tv := range scores {
-			if eig[a] > 1e-12 {
-				di += tv * tv / eig[a]
-			}
-		}
-		for _, v := range row {
-			x2 += v * v
-		}
-		for _, v := range scores {
-			t2 += v * v
-		}
-		qi := x2 - t2
-		if qi < 0 {
-			qi = 0
-		}
-		d = append(d, di)
-		q = append(q, qi)
-	}
-	return d, q
-}
-
 // checkComputeExact scores fresh rows through ComputeInto, Compute and the
 // pre-blocking reference sweep and requires all three to agree exactly.
 func checkComputeExact(t *testing.T, name string, m *Monitor, fresh *mat.Matrix) {
@@ -108,9 +64,9 @@ func checkComputeExact(t *testing.T, name string, m *Monitor, fresh *mat.Matrix)
 // TestComputeIntoMatchesComputeExact pins ComputeInto and the chained
 // Compute path (ApplyRow → Project → statsFrom) against the pre-blocking
 // fused sweep with exact equality — the blocked projection must not change
-// a single bit of any D or Q value, on both calibration paths (data and
-// covariance) and at the paper's 53 variables for every remainder of the
-// 4-score block.
+// a single bit of any D or Q value, for moments from the batch covariance
+// and from a streaming accumulator, and at the paper's 53 variables for
+// every remainder of the 4-score block.
 func TestComputeIntoMatchesComputeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	mon, x := calibrated(t, rng, 300, 13, 3, 4)
@@ -134,40 +90,16 @@ func TestComputeIntoMatchesComputeExact(t *testing.T) {
 	}
 	fresh := correlatedNormal(rng, 500, 13, 3, 0.5)
 	checkComputeExact(t, "13 vars", mon, fresh)
-	checkComputeExact(t, "13 vars, covariance path", monCov, fresh)
+	checkComputeExact(t, "13 vars, accumulator moments", monCov, fresh)
 
 	paper := correlatedNormal(rng, 400, 53, 8, 0.5)
 	freshPaper := correlatedNormal(rng, 300, 53, 8, 0.5)
 	for _, a := range []int{1, 3, 4, 5, 17, 20, 23} {
-		m, err := Calibrate(paper, WithComponents(a))
+		m, err := calibrate(paper, WithComponents(a))
 		if err != nil {
-			t.Fatalf("Calibrate A=%d: %v", a, err)
+			t.Fatalf("CalibrateCov A=%d: %v", a, err)
 		}
 		checkComputeExact(t, fmt.Sprintf("53 vars A=%d", a), m, freshPaper)
-	}
-}
-
-// TestCalibrationStatsMatchRowByRow pins the calibration D/Q series, now
-// projected through the blocked kernel into one reused score buffer,
-// against a naive row-by-row recomputation.
-func TestCalibrationStatsMatchRowByRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	x := correlatedNormal(rng, 401, 53, 8, 0.5)
-	for _, a := range []int{1, 4, 17, 20, 23} {
-		m, err := Calibrate(x, WithComponents(a))
-		if err != nil {
-			t.Fatalf("Calibrate A=%d: %v", a, err)
-		}
-		gotD, gotQ := m.calD, m.calQ
-		wantD, wantQ := refCalibrationStats(t, m, x)
-		if len(gotD) != len(wantD) || len(gotQ) != len(wantQ) {
-			t.Fatalf("A=%d: %d/%d stats, want %d", a, len(gotD), len(gotQ), len(wantD))
-		}
-		for i := range wantD {
-			if gotD[i] != wantD[i] || gotQ[i] != wantQ[i] {
-				t.Fatalf("A=%d row %d: D=%v Q=%v, reference D=%v Q=%v", a, i, gotD[i], gotQ[i], wantD[i], wantQ[i])
-			}
-		}
 	}
 }
 
@@ -188,8 +120,8 @@ func sameStats(a, b Statistics) bool {
 // TestProjectionPathsBitEqual pins the AVX2 projection against the
 // MulVecInto-over-Pᵀ fallback at the paper's shape (the 53-variable
 // monitor BenchmarkComputeInto scores, at A=20 and A=23): every
-// calibration row through ComputeInto, the calibration D/Q series and the
-// 99 % limits (percentile Q99 reads that series) must be bit-equal.
+// calibration row through ComputeInto and the 99 % limits must be
+// bit-equal.
 func TestProjectionPathsBitEqual(t *testing.T) {
 	if !mat.HasAVX2() {
 		t.Log("CPU has no AVX2: ProjectInto runs the MulVecInto fallback only")
@@ -198,55 +130,34 @@ func TestProjectionPathsBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	x := correlatedNormal(rng, 20*53, 53, 3, 0.5)
 	for _, a := range []int{20, 23} {
-		for _, method := range []SPEMethod{SPEJacksonMudholkar, SPEPercentile} {
-			name := fmt.Sprintf("A=%d %v", a, method)
-			m, err := Calibrate(x, WithComponents(a), WithSPEMethod(method))
+		name := fmt.Sprintf("A=%d", a)
+		m, err := calibrate(x, WithComponents(a))
+		if err != nil {
+			t.Fatalf("%s: CalibrateCov: %v", name, err)
+		}
+		loadT := m.Model().Loadings().T()
+		scaled := make([]float64, 53)
+		scores := make([]float64, a)
+		for i := 0; i < x.Rows(); i++ {
+			got, err := m.ComputeInto(x.RowView(i), scaled, scores)
 			if err != nil {
-				t.Fatalf("%s: Calibrate: %v", name, err)
+				t.Fatal(err)
 			}
-			loadT := m.Model().Loadings().T()
-			scaled := make([]float64, 53)
-			scores := make([]float64, a)
-			for i := 0; i < x.Rows(); i++ {
-				got, err := m.ComputeInto(x.RowView(i), scaled, scores)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := fallbackStats(t, m, loadT, scaled, scores); !sameStats(got, want) {
-					t.Fatalf("%s row %d: ComputeInto %+v, fallback %+v", name, i, got, want)
-				}
+			if want := fallbackStats(t, m, loadT, scaled, scores); !sameStats(got, want) {
+				t.Fatalf("%s row %d: ComputeInto %+v, fallback %+v", name, i, got, want)
 			}
+		}
 
-			calScaled, err := m.Scaler().Apply(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			calD, calQ := m.calD, m.calQ
-			wantQ := make([]float64, len(calQ))
-			for i := range calD {
-				want := fallbackStats(t, m, loadT, calScaled.RowView(i), scores)
-				if !sameStats(Statistics{D: calD[i], Q: calQ[i]}, want) {
-					t.Fatalf("%s calibration row %d: D=%v Q=%v, fallback %+v", name, i, calD[i], calQ[i], want)
-				}
-				wantQ[i] = want.Q
-			}
-
-			wantD99, err := DLimit(x.Rows(), a, 0.99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantQ99 float64
-			if method == SPEPercentile {
-				wantQ99, err = stat.Quantile(wantQ, 0.99)
-			} else {
-				wantQ99, err = QLimitJacksonMudholkar(m.Model().ResidualEigenvalues(), 0.99)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lim := m.Limits(); math.Float64bits(lim.D99) != math.Float64bits(wantD99) || math.Float64bits(lim.Q99) != math.Float64bits(wantQ99) {
-				t.Fatalf("%s: D99=%v Q99=%v, fallback D99=%v Q99=%v", name, lim.D99, lim.Q99, wantD99, wantQ99)
-			}
+		wantD99, err := DLimit(x.Rows(), a, 0.99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQ99, err := QLimitJacksonMudholkar(m.Model().ResidualEigenvalues(), 0.99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lim := m.Limits(); math.Float64bits(lim.D99) != math.Float64bits(wantD99) || math.Float64bits(lim.Q99) != math.Float64bits(wantQ99) {
+			t.Fatalf("%s: D99=%v Q99=%v, fallback D99=%v Q99=%v", name, lim.D99, lim.Q99, wantD99, wantQ99)
 		}
 	}
 }
@@ -262,7 +173,7 @@ func BenchmarkComputeInto(b *testing.B) {
 	}{{"toy", 16, 5}, {"paper", 53, 20}} {
 		rng := rand.New(rand.NewSource(64))
 		x := correlatedNormal(rng, 20*c.vars, c.vars, 3, 0.5)
-		mon, err := Calibrate(x, WithComponents(c.comps))
+		mon, err := calibrate(x, WithComponents(c.comps))
 		if err != nil {
 			b.Fatal(err)
 		}

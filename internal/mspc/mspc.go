@@ -1,9 +1,13 @@
 // Package mspc implements PCA-based Multivariate Statistical Process
 // Control: the D-statistic (Hotelling's T²) on the PCA scores, the
-// Q-statistic (SPE) on the residuals, their theoretical and empirical
-// control limits, and the run-rule detector used by the paper (an event is
-// anomalous when three consecutive observations exceed the 99 % limit in
-// either chart).
+// Q-statistic (SPE) on the residuals, their theoretical control limits,
+// and the run-rule detector used by the paper (an event is anomalous when
+// three consecutive observations exceed the 99 % limit in either chart).
+//
+// A Monitor is calibrated from the moments of normal-operation data
+// (CalibrateCov): mean-centring and auto-scaling come from the means and
+// the covariance diagonal, and the PCA model from the matching correlation
+// matrix. No scaled copy of the calibration data is ever made.
 //
 // References: Hotelling (1947); Jackson & Mudholkar (1979); MacGregor &
 // Kourti (1995); Camacho et al., MEDA Toolbox (2015).
@@ -38,10 +42,6 @@ const (
 	// SPEBox uses Box's weighted chi-squared approximation: g·χ²(h) with
 	// g=θ2/θ1, h=θ1²/θ2.
 	SPEBox
-	// SPEPercentile uses the empirical percentile of the calibration
-	// Q-statistics. Requires calibration data (not available on the
-	// streaming path).
-	SPEPercentile
 )
 
 // String implements fmt.Stringer.
@@ -51,8 +51,6 @@ func (m SPEMethod) String() string {
 		return "jackson-mudholkar"
 	case SPEBox:
 		return "box"
-	case SPEPercentile:
-		return "percentile"
 	default:
 		return fmt.Sprintf("SPEMethod(%d)", int(m))
 	}
@@ -80,15 +78,11 @@ type Monitor struct {
 	limits Limits
 	method SPEMethod
 
-	// Calibration D/Q series, retained when calibrated from data (used for
-	// empirical limits and phase-I charts). Nil on the streaming path.
-	calD, calQ []float64
-
-	// Hot-path caches filled by initHot at calibration time, so
-	// ComputeInto and statsFrom read plain slices instead of the copying
-	// accessors (Scaler.Means, Model.Eigenvalues, …): frozen scaling
-	// parameters and the retained eigenvalues. All read-only after
-	// calibration, like the rest of the monitor.
+	// Hot-path caches filled at calibration time, so ComputeInto and
+	// statsFrom read plain slices instead of the copying accessors
+	// (Scaler.Means, Model.Eigenvalues, …): frozen scaling parameters and
+	// the retained eigenvalues. All read-only after calibration, like the
+	// rest of the monitor.
 	hotMeans []float64
 	hotStds  []float64
 	hotEig   []float64
@@ -100,7 +94,7 @@ type config struct {
 	speMethod SPEMethod
 }
 
-// Option configures Calibrate.
+// Option configures CalibrateCov.
 type Option func(*config)
 
 // WithComponents fixes the number of principal components.
@@ -121,56 +115,12 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// Calibrate fits the full MSPC pipeline on calibration data x (rows =
-// observations in engineering units): autoscaling, PCA, control limits.
-func Calibrate(x *mat.Matrix, opts ...Option) (*Monitor, error) {
-	if x == nil || x.Rows() < 3 {
-		return nil, fmt.Errorf("mspc: calibration needs ≥3 observations: %w", ErrBadInput)
-	}
-	cfg := buildConfig(opts)
-	scaler, err := stat.FitScaler(x)
-	if err != nil {
-		return nil, fmt.Errorf("mspc: scaler: %w", err)
-	}
-	scaled, err := scaler.Apply(x)
-	if err != nil {
-		return nil, fmt.Errorf("mspc: scaling: %w", err)
-	}
-	var model *pca.Model
-	if cfg.ncomp > 0 {
-		model, err = pca.Fit(scaled, cfg.ncomp)
-	} else {
-		model, err = pca.FitAuto(scaled, pca.CumVarianceRule(0.9))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("mspc: pca: %w", err)
-	}
-	m := &Monitor{scaler: scaler, model: model, method: cfg.speMethod}
-	m.initHot()
-
-	// Calibration statistics (needed for percentile limits and phase-I
-	// charts; cheap to keep in all cases).
-	m.calD = make([]float64, scaled.Rows())
-	m.calQ = make([]float64, scaled.Rows())
-	t := make([]float64, m.ncomp)
-	for i := range m.calD {
-		row := scaled.RowView(i)
-		if err := model.ProjectInto(row, t); err != nil {
-			return nil, fmt.Errorf("mspc: %w", err)
-		}
-		s := m.statsFrom(row, t)
-		m.calD[i] = s.D
-		m.calQ[i] = s.Q
-	}
-	if err := m.setLimits(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// CalibrateCov fits the MSPC pipeline from a streamed covariance matrix,
-// column means and observation count — the path used when calibration data
-// is too large to hold in memory. SPEPercentile is not available here.
+// CalibrateCov fits the MSPC pipeline from the covariance matrix, column
+// means and observation count of the calibration data (engineering units):
+// auto-scaling by the square roots of the covariance diagonal, PCA on the
+// matching correlation matrix, control limits. It is the one calibration
+// fit: the moments may come from mat.Covariance of a data matrix or from a
+// streaming accumulator.
 func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Monitor, error) {
 	if cov == nil || cov.IsEmpty() || cov.Rows() != cov.Cols() {
 		return nil, fmt.Errorf("mspc: invalid covariance: %w", ErrBadInput)
@@ -179,9 +129,6 @@ func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Mon
 		return nil, fmt.Errorf("mspc: means len %d != cov dim %d: %w", len(means), cov.Rows(), ErrBadInput)
 	}
 	cfg := buildConfig(opts)
-	if cfg.speMethod == SPEPercentile {
-		return nil, fmt.Errorf("mspc: percentile SPE limit needs calibration data: %w", ErrBadConfig)
-	}
 	// Standard deviations from the covariance diagonal.
 	stds := make([]float64, cov.Rows())
 	for j := range stds {
@@ -216,21 +163,15 @@ func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Mon
 	if err != nil {
 		return nil, fmt.Errorf("mspc: pca: %w", err)
 	}
-	m := &Monitor{scaler: scaler, model: model, method: cfg.speMethod}
-	m.initHot()
+	m := &Monitor{
+		scaler: scaler, model: model, method: cfg.speMethod,
+		hotMeans: scaler.Means(), hotStds: scaler.Stds(),
+		hotEig: model.Eigenvalues(), ncomp: model.NComponents(),
+	}
 	if err := m.setLimits(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// initHot snapshots the scaling parameters and retained eigenvalues into
-// flat slices for ComputeInto and the calibration statistics.
-func (m *Monitor) initHot() {
-	m.hotMeans = m.scaler.Means()
-	m.hotStds = m.scaler.Stds()
-	m.hotEig = m.model.Eigenvalues()
-	m.ncomp = m.model.NComponents()
 }
 
 func (m *Monitor) setLimits() error {
@@ -250,11 +191,6 @@ func (m *Monitor) setLimits() error {
 			return QLimitJacksonMudholkar(resid, alpha)
 		case SPEBox:
 			return QLimitBox(resid, alpha)
-		case SPEPercentile:
-			if m.calQ == nil {
-				return 0, fmt.Errorf("mspc: percentile limit without calibration data: %w", ErrBadConfig)
-			}
-			return stat.Quantile(m.calQ, alpha)
 		default:
 			return 0, fmt.Errorf("mspc: unknown SPE method %v: %w", m.method, ErrBadConfig)
 		}

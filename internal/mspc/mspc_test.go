@@ -37,22 +37,38 @@ func correlatedNormal(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 	return x
 }
 
+// calibrate fits x through CalibrateCov from its batch covariance and
+// column means, as core.Calibrate does.
+func calibrate(x *mat.Matrix, opts ...Option) (*Monitor, error) {
+	cov, err := mat.Covariance(x)
+	if err != nil {
+		return nil, err
+	}
+	return CalibrateCov(cov, mat.ColMeans(x), x.Rows(), opts...)
+}
+
 func calibrated(t *testing.T, rng *rand.Rand, n, m, k, a int) (*Monitor, *mat.Matrix) {
 	t.Helper()
 	x := correlatedNormal(rng, n, m, k, 0.5)
-	mon, err := Calibrate(x, WithComponents(a))
+	mon, err := calibrate(x, WithComponents(a))
 	if err != nil {
-		t.Fatalf("Calibrate: %v", err)
+		t.Fatalf("CalibrateCov: %v", err)
 	}
 	return mon, x
 }
 
 func TestCalibrateRejectsBadInput(t *testing.T) {
-	if _, err := Calibrate(nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil: want ErrBadInput, got %v", err)
+	if _, err := CalibrateCov(nil, nil, 10); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil covariance: want ErrBadInput, got %v", err)
 	}
-	if _, err := Calibrate(mat.MustNew(2, 3)); !errors.Is(err, ErrBadInput) {
-		t.Errorf("2 rows: want ErrBadInput, got %v", err)
+	if _, err := CalibrateCov(mat.MustNew(2, 3), []float64{0, 0}, 10); !errors.Is(err, ErrBadInput) {
+		t.Errorf("2×3 covariance: want ErrBadInput, got %v", err)
+	}
+	if _, err := CalibrateCov(mat.Identity(3), []float64{0, 0}, 10); !errors.Is(err, ErrBadInput) {
+		t.Errorf("2 means for 3 variables: want ErrBadInput, got %v", err)
+	}
+	if _, err := CalibrateCov(mat.Identity(3), []float64{0, 0, 0}, 1, WithComponents(1)); err == nil {
+		t.Error("one observation: want an error")
 	}
 }
 
@@ -163,7 +179,7 @@ func TestFalseAlarmRateNearAlpha(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		copy(fresh.RowView(i), all.RowView(2000+i))
 	}
-	mon, err := Calibrate(calib, WithComponents(3))
+	mon, err := calibrate(calib, WithComponents(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +233,16 @@ func TestCalibrationDStatisticMean(t *testing.T) {
 	// For autoscaled calibration data, mean of D over calibration points is
 	// exactly A·(N-1)/N.
 	rng := rand.New(rand.NewSource(23))
-	mon, _ := calibrated(t, rng, 500, 8, 3, 3)
-	d, q := mon.calD, mon.calQ
-	if d == nil || q == nil {
-		t.Fatal("calibration stats missing")
-	}
+	mon, x := calibrated(t, rng, 500, 8, 3, 3)
 	var meanD float64
-	for _, v := range d {
-		meanD += v
+	for i := 0; i < x.Rows(); i++ {
+		s, err := mon.Compute(x.RowView(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meanD += s.D
 	}
-	meanD /= float64(len(d))
+	meanD /= float64(x.Rows())
 	want := 3.0 * 499.0 / 500.0
 	if math.Abs(meanD-want) > 0.05*want {
 		t.Errorf("mean calibration D = %g, want ≈ %g", meanD, want)
@@ -241,10 +257,12 @@ func TestComputeDimensionError(t *testing.T) {
 	}
 }
 
+// TestCalibrateCovMatchesCalibrate: the moments of a streaming accumulator
+// and of the batch covariance give the same monitor up to rounding.
 func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	x := correlatedNormal(rng, 800, 7, 3, 0.4)
-	m1, err := Calibrate(x, WithComponents(3))
+	m1, err := calibrate(x, WithComponents(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +283,6 @@ func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same limits (both use model-based limits).
 	l1, l2 := m1.Limits(), m2.Limits()
 	if math.Abs(l1.D99-l2.D99) > 1e-9*l1.D99 {
 		t.Errorf("D99: %g vs %g", l1.D99, l2.D99)
@@ -288,37 +305,9 @@ func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 	}
 }
 
-func TestCalibrateCovRejectsPercentile(t *testing.T) {
-	cov := mat.Identity(3)
-	if _, err := CalibrateCov(cov, []float64{0, 0, 0}, 100, WithSPEMethod(SPEPercentile)); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("want ErrBadConfig, got %v", err)
-	}
-}
-
-func TestPercentileSPEMethod(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	x := correlatedNormal(rng, 1000, 6, 2, 0.5)
-	mon, err := Calibrate(x, WithComponents(2), WithSPEMethod(SPEPercentile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mon.calQ
-	q99, err := stat.Quantile(q, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mon.Limits().Q99-q99) > 1e-12 {
-		t.Errorf("percentile Q99 = %g, want %g", mon.Limits().Q99, q99)
-	}
-	if mon.method != SPEPercentile {
-		t.Errorf("SPEMethod = %v", mon.method)
-	}
-}
-
 func TestSPEMethodString(t *testing.T) {
 	if SPEJacksonMudholkar.String() != "jackson-mudholkar" ||
-		SPEBox.String() != "box" ||
-		SPEPercentile.String() != "percentile" {
+		SPEBox.String() != "box" {
 		t.Error("SPEMethod.String mismatch")
 	}
 	if SPEMethod(99).String() == "" {

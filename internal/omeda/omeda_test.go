@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"pcsmon/internal/mat"
+	"pcsmon/internal/mspc"
 	"pcsmon/internal/pca"
 	"pcsmon/internal/stat"
 )
@@ -45,19 +46,15 @@ func newFixture(t *testing.T, seed int64, n, m, k int) *fixture {
 			row[j] = row[j]*2 + 0.4*rng.NormFloat64() + 50
 		}
 	}
-	scaler, err := stat.FitScaler(x)
+	cov, err := mat.Covariance(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := scaler.Apply(x)
+	mon, err := mspc.CalibrateCov(cov, mat.ColMeans(x), n, mspc.WithComponents(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := pca.Fit(scaled, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{model: model, scaler: scaler, base: x, rng: rng}
+	return &fixture{model: mon.Model(), scaler: mon.Scaler(), base: x, rng: rng}
 }
 
 // anomalousScaled returns count preprocessed observations with variable v

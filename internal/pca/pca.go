@@ -2,13 +2,14 @@
 // X = T·Pᵀ + E with T = X·P, where the loading columns P are the leading
 // eigenvectors of the calibration covariance matrix.
 //
-// The model is fitted by an exact eigendecomposition of the covariance
-// matrix — calibration matrices in MSPC have few columns.
-//
-// Inputs are expected to be preprocessed (mean-centered, usually
-// auto-scaled); pair the model with stat.Scaler. The model keeps the full
-// eigenvalue spectrum — the trailing (discarded) eigenvalues are exactly
-// what the Jackson–Mudholkar SPE control limit needs.
+// The model is fitted by an exact eigendecomposition of a covariance
+// matrix — calibration matrices in MSPC have few columns. The caller
+// supplies that matrix (mspc fits the correlation matrix, the covariance
+// of the auto-scaled calibration data) and preprocesses observations the
+// same way before projecting them; pair the model with stat.Scaler. The
+// model keeps the full eigenvalue spectrum — the trailing (discarded)
+// eigenvalues are exactly what the Jackson–Mudholkar SPE control limit
+// needs.
 package pca
 
 import (
@@ -68,40 +69,15 @@ func CumVarianceRule(frac float64) ComponentRule {
 	}
 }
 
-// Fit performs PCA on the preprocessed data matrix x, retaining a
-// components. It decomposes the sample covariance of x.
-func Fit(x *mat.Matrix, a int) (*Model, error) {
-	if x == nil || x.IsEmpty() {
-		return nil, fmt.Errorf("pca: Fit on empty data: %w", ErrBadInput)
-	}
-	if x.Rows() < 2 {
-		return nil, fmt.Errorf("pca: Fit needs ≥2 rows, got %d: %w", x.Rows(), ErrBadInput)
-	}
-	cov, err := mat.Covariance(x)
-	if err != nil {
-		return nil, fmt.Errorf("pca: covariance: %w", err)
-	}
-	return FitCov(cov, x.Rows(), a)
-}
-
-// FitCov performs PCA given a precomputed covariance matrix and the number
-// of observations n it was estimated from. This is the streaming-calibration
-// path: accumulate covariance with mat.CovAccumulator over millions of rows,
-// then fit here in O(M³).
+// FitCov performs PCA given a covariance matrix and the number of
+// observations n it was estimated from, retaining a components. The
+// covariance may come from mat.Covariance of a data matrix or from
+// mat.CovAccumulator streamed over millions of rows; either way the fit is
+// O(M³).
 func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
-	if cov == nil || cov.IsEmpty() {
-		return nil, fmt.Errorf("pca: FitCov on empty covariance: %w", ErrBadInput)
-	}
-	m := cov.Rows()
-	if cov.Cols() != m {
-		return nil, fmt.Errorf("pca: covariance %dx%d not square: %w", cov.Rows(), cov.Cols(), ErrBadInput)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("pca: n=%d observations: %w", n, ErrBadInput)
-	}
-	maxA := m
-	if n-1 < maxA {
-		maxA = n - 1
+	maxA, err := checkCov(cov, n)
+	if err != nil {
+		return nil, err
 	}
 	if a < 1 || a > maxA {
 		return nil, fmt.Errorf("pca: a=%d not in [1,%d]: %w", a, maxA, ErrBadComponents)
@@ -110,12 +86,54 @@ func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
 	}
+	return newModel(eig, vecs, n, a), nil
+}
+
+// FitCovAuto fits PCA from a covariance matrix choosing the number of
+// components with rule. The one eigendecomposition serves both the rule
+// and the model, which is identical to FitCov's at the chosen A.
+func FitCovAuto(cov *mat.Matrix, n int, rule ComponentRule) (*Model, error) {
+	if rule == nil {
+		return nil, fmt.Errorf("pca: nil component rule: %w", ErrBadInput)
+	}
+	maxA, err := checkCov(cov, n)
+	if err != nil {
+		return nil, err
+	}
+	eig, vecs, err := mat.EigenSym(cov)
+	if err != nil {
+		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
+	}
+	a := min(max(rule(eig), 1), maxA)
+	return newModel(eig, vecs, n, a), nil
+}
+
+// checkCov validates a covariance matrix estimated from n observations
+// and returns the largest number of components it supports, min(n−1, M).
+func checkCov(cov *mat.Matrix, n int) (int, error) {
+	if cov == nil || cov.IsEmpty() {
+		return 0, fmt.Errorf("pca: empty covariance: %w", ErrBadInput)
+	}
+	m := cov.Rows()
+	if cov.Cols() != m {
+		return 0, fmt.Errorf("pca: covariance %dx%d not square: %w", cov.Rows(), cov.Cols(), ErrBadInput)
+	}
+	if n < 2 {
+		return 0, fmt.Errorf("pca: n=%d observations: %w", n, ErrBadInput)
+	}
+	return min(m, n-1), nil
+}
+
+// newModel keeps the a leading eigenpairs of a full decomposition (eig
+// descending, eigenvectors in the columns of vecs).
+func newModel(eig []float64, vecs *mat.Matrix, n, a int) *Model {
 	// Clamp tiny negative eigenvalues arising from round-off.
 	for i, v := range eig {
 		if v < 0 {
 			eig[i] = 0
 		}
 	}
+	m := vecs.Rows()
 	loadings := mat.MustNew(m, a)
 	for i := 0; i < m; i++ {
 		for j := 0; j < a; j++ {
@@ -134,46 +152,7 @@ func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
 		allEig:    eig,
 		nobs:      n,
 		nvars:     m,
-	}, nil
-}
-
-// FitAuto fits PCA choosing the number of components with rule.
-func FitAuto(x *mat.Matrix, rule ComponentRule) (*Model, error) {
-	if x == nil || x.IsEmpty() || x.Rows() < 2 {
-		return nil, fmt.Errorf("pca: FitAuto on invalid data: %w", ErrBadInput)
 	}
-	cov, err := mat.Covariance(x)
-	if err != nil {
-		return nil, fmt.Errorf("pca: covariance: %w", err)
-	}
-	return FitCovAuto(cov, x.Rows(), rule)
-}
-
-// FitCovAuto fits PCA from a covariance matrix choosing the number of
-// components with rule.
-func FitCovAuto(cov *mat.Matrix, n int, rule ComponentRule) (*Model, error) {
-	if rule == nil {
-		return nil, fmt.Errorf("pca: nil component rule: %w", ErrBadInput)
-	}
-	if cov == nil || cov.IsEmpty() || cov.Rows() != cov.Cols() {
-		return nil, fmt.Errorf("pca: invalid covariance: %w", ErrBadInput)
-	}
-	eig, _, err := mat.EigenSym(cov)
-	if err != nil {
-		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
-	}
-	a := rule(eig)
-	maxA := cov.Rows()
-	if n-1 < maxA {
-		maxA = n - 1
-	}
-	if a < 1 {
-		a = 1
-	}
-	if a > maxA {
-		a = maxA
-	}
-	return FitCov(cov, n, a)
 }
 
 // NComponents returns the number of retained principal components A.

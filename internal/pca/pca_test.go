@@ -4,11 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"pcsmon/internal/mat"
-	"pcsmon/internal/stat"
 )
 
 // lowRankData generates n observations of m variables driven by k latent
@@ -31,36 +31,55 @@ func lowRankData(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 			x.Set(i, j, row[j]+noise*rng.NormFloat64())
 		}
 	}
-	sc, err := stat.FitScaler(x)
+	cov, err := mat.Covariance(x)
 	if err != nil {
 		panic(err)
 	}
-	scaled, err := sc.Apply(x)
-	if err != nil {
-		panic(err)
+	means := mat.ColMeans(x)
+	for i := 0; i < n; i++ {
+		row := x.RowView(i)
+		for j := range row {
+			row[j] = (row[j] - means[j]) / math.Sqrt(cov.At(j, j))
+		}
 	}
-	return scaled
+	return x
+}
+
+// fit performs PCA on the preprocessed data matrix x, retaining a
+// components, from its sample covariance.
+func fit(x *mat.Matrix, a int) (*Model, error) {
+	cov, err := mat.Covariance(x)
+	if err != nil {
+		return nil, err
+	}
+	return FitCov(cov, x.Rows(), a)
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit(nil, 1); !errors.Is(err, ErrBadInput) {
+	if _, err := FitCov(nil, 10, 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil: want ErrBadInput, got %v", err)
 	}
-	if _, err := Fit(mat.MustNew(1, 3), 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("1 row: want ErrBadInput, got %v", err)
+	if _, err := FitCov(mat.MustNew(2, 3), 10, 1); !errors.Is(err, ErrBadInput) {
+		t.Errorf("2×3 covariance: want ErrBadInput, got %v", err)
+	}
+	if _, err := FitCov(mat.Identity(3), 1, 1); !errors.Is(err, ErrBadInput) {
+		t.Errorf("1 observation: want ErrBadInput, got %v", err)
+	}
+	if _, err := FitCovAuto(mat.Identity(3), 1, CumVarianceRule(0.9)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("auto, 1 observation: want ErrBadInput, got %v", err)
 	}
 	x := lowRankData(rand.New(rand.NewSource(1)), 20, 5, 2, 0.1)
-	if _, err := Fit(x, 0); !errors.Is(err, ErrBadComponents) {
+	if _, err := fit(x, 0); !errors.Is(err, ErrBadComponents) {
 		t.Errorf("a=0: want ErrBadComponents, got %v", err)
 	}
-	if _, err := Fit(x, 6); !errors.Is(err, ErrBadComponents) {
+	if _, err := fit(x, 6); !errors.Is(err, ErrBadComponents) {
 		t.Errorf("a=6 > m: want ErrBadComponents, got %v", err)
 	}
 }
 
 func TestLoadingsOrthonormal(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(2)), 100, 8, 3, 0.2)
-	model, err := Fit(x, 3)
+	model, err := fit(x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +100,7 @@ func TestLoadingsOrthonormal(t *testing.T) {
 
 func TestScoreVariancesMatchEigenvalues(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(3)), 300, 10, 3, 0.3)
-	model, err := Fit(x, 4)
+	model, err := fit(x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +108,13 @@ func TestScoreVariancesMatchEigenvalues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sds, err := mat.ColStds(scores, mat.ColMeans(scores))
+	scov, err := mat.Covariance(scores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eig := model.Eigenvalues()
 	for a := 0; a < 4; a++ {
-		v := sds[a] * sds[a]
+		v := scov.At(a, a)
 		if math.Abs(v-eig[a]) > 1e-6*math.Max(1, eig[a]) {
 			t.Errorf("score var[%d] = %g, eigenvalue = %g", a, v, eig[a])
 		}
@@ -104,7 +123,7 @@ func TestScoreVariancesMatchEigenvalues(t *testing.T) {
 
 func TestScoresUncorrelated(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(4)), 400, 8, 3, 0.2)
-	model, err := Fit(x, 3)
+	model, err := fit(x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +149,7 @@ func TestScoresUncorrelated(t *testing.T) {
 
 func TestResidualOrthogonalToReconstruction(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(5)), 50, 7, 2, 0.5)
-	model, err := Fit(x, 2)
+	model, err := fit(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +181,7 @@ func TestResidualOrthogonalToReconstruction(t *testing.T) {
 
 func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(6)), 200, 9, 3, 0.4)
-	model, err := Fit(x, 3)
+	model, err := fit(x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +212,7 @@ func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 
 func TestResidualEigenvaluesPartition(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(7)), 100, 6, 2, 0.3)
-	model, err := Fit(x, 2)
+	model, err := fit(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,38 +224,44 @@ func TestResidualEigenvaluesPartition(t *testing.T) {
 	}
 }
 
-func TestFitCovMatchesFit(t *testing.T) {
+// TestFitCovAutoMatchesFitCov: the automatic fit decomposes once and
+// keeps the components its rule chose; the model must be bit-identical to
+// FitCov's at that number of components.
+func TestFitCovAutoMatchesFitCov(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(8)), 150, 7, 3, 0.2)
-	m1, err := Fit(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cov, err := mat.Covariance(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := FitCov(cov, x.Rows(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2 := m1.Eigenvalues(), m2.Eigenvalues()
-	for i := range e1 {
-		if math.Abs(e1[i]-e2[i]) > 1e-10 {
-			t.Errorf("eig[%d]: %g vs %g", i, e1[i], e2[i])
+	for _, frac := range []float64{0.5, 0.85, 0.9, 1} {
+		auto, err := FitCovAuto(cov, x.Rows(), CumVarianceRule(frac))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FitCov(cov, x.Rows(), auto.NComponents())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(auto, want) {
+			t.Errorf("rule %.2f: FitCovAuto differs from FitCov at A=%d", frac, auto.NComponents())
 		}
 	}
 }
 
 func TestFitAutoRules(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(9)), 300, 10, 3, 0.15)
-	model, err := FitAuto(x, CumVarianceRule(0.85))
+	cov, err := mat.Covariance(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := FitCovAuto(cov, x.Rows(), CumVarianceRule(0.85))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a := model.NComponents(); a < 1 || a > 10 {
 		t.Errorf("CumVarianceRule chose %d components", a)
 	}
-	if _, err := FitAuto(x, nil); !errors.Is(err, ErrBadInput) {
+	if _, err := FitCovAuto(cov, x.Rows(), nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil rule: want ErrBadInput, got %v", err)
 	}
 }
@@ -256,7 +281,7 @@ func TestComponentRulesDirect(t *testing.T) {
 
 func TestProjectDimensionError(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(10)), 30, 5, 2, 0.2)
-	model, err := Fit(x, 2)
+	model, err := fit(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +294,7 @@ func TestProjectDimensionError(t *testing.T) {
 // projection is idempotent for any observation.
 func TestProjectionIdempotentProperty(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(13)), 80, 6, 2, 0.4)
-	model, err := Fit(x, 3)
+	model, err := fit(x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +329,7 @@ func TestProjectionIdempotentProperty(t *testing.T) {
 // model/residual split) for any observation.
 func TestVarianceDecompositionProperty(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(15)), 60, 5, 2, 0.3)
-	model, err := Fit(x, 2)
+	model, err := fit(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,8 +356,8 @@ func (e *Experiment) batchOne(sc Scenario, seed int64) (*RunOutcome, error) {
 	if run.Shutdown() {
 		out.ShutdownHour = run.Hours()
 	}
-	out.FirstOOCCtrl = diagnosisWindow(ctrl, rep.Controller, e.System.Config().DiagnoseWindow)
-	out.FirstOOCProc = diagnosisWindow(proc, rep.Process, e.System.Config().DiagnoseWindow)
+	out.FirstOOCCtrl = diagnosisWindow(ctrl, rep.Controller, core.DiagnoseWindow)
+	out.FirstOOCProc = diagnosisWindow(proc, rep.Process, core.DiagnoseWindow)
 	return out, nil
 }
 

@@ -3,7 +3,8 @@
 // control: Normal, chi-squared, Student-t and F distributions (CDFs and
 // quantiles), the regularized incomplete beta and gamma functions they rest
 // on, descriptive statistics, and the autoscaling preprocessor that freezes
-// calibration means/standard deviations for phase-II monitoring.
+// calibration means/standard deviations (from the calibration covariance)
+// for phase-II monitoring.
 //
 // Everything is implemented from the standard library alone. Accuracy is on
 // the order of 1e-10 for the special functions, far beyond what control

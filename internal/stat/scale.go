@@ -1,13 +1,10 @@
 package stat
 
-import (
-	"fmt"
-
-	"pcsmon/internal/mat"
-)
+import "fmt"
 
 // Scaler freezes per-variable centering and scaling parameters learned from
-// calibration data and applies them to new observations. This is the
+// calibration data (the means and the square roots of the covariance
+// diagonal) and applies them to new observations. This is the
 // "mean-centered and auto-scaled" preprocessing of PCA-based MSPC: phase-II
 // observations must be scaled with the *calibration* statistics, never their
 // own.
@@ -23,27 +20,8 @@ type Scaler struct {
 // considered zero and replaced by a unit divisor.
 const minStd = 1e-12
 
-// FitScaler learns centering/scaling parameters from the rows of x.
-func FitScaler(x *mat.Matrix) (*Scaler, error) {
-	if x.Rows() < 2 {
-		return nil, fmt.Errorf("stat: FitScaler needs ≥2 rows, got %d: %w", x.Rows(), ErrEmpty)
-	}
-	means := mat.ColMeans(x)
-	stds, err := mat.ColStds(x, means)
-	if err != nil {
-		return nil, fmt.Errorf("stat: FitScaler: %w", err)
-	}
-	for j, s := range stds {
-		if s < minStd {
-			stds[j] = 1
-		}
-	}
-	return &Scaler{means: means, stds: stds}, nil
-}
-
-// NewScaler builds a Scaler from externally computed means and standard
-// deviations (e.g. from a streaming covariance accumulator). Standard
-// deviations at or below zero are replaced by 1.
+// NewScaler builds a Scaler from calibration means and standard
+// deviations. Standard deviations below minStd are replaced by 1.
 func NewScaler(means, stds []float64) (*Scaler, error) {
 	if len(means) != len(stds) {
 		return nil, fmt.Errorf("stat: NewScaler means len %d != stds len %d: %w",
@@ -79,22 +57,6 @@ func (sc *Scaler) Stds() []float64 {
 	out := make([]float64, len(sc.stds))
 	copy(out, sc.stds)
 	return out
-}
-
-// Apply returns a new matrix with every row of x centered and scaled.
-func (sc *Scaler) Apply(x *mat.Matrix) (*mat.Matrix, error) {
-	if x.Cols() != len(sc.means) {
-		return nil, fmt.Errorf("stat: Scaler.Apply cols %d != dim %d: %w",
-			x.Cols(), len(sc.means), ErrDomain)
-	}
-	out := x.Clone()
-	for i := 0; i < out.Rows(); i++ {
-		row := out.RowView(i)
-		for j := range row {
-			row[j] = (row[j] - sc.means[j]) / sc.stds[j]
-		}
-	}
-	return out, nil
 }
 
 // ApplyRow scales a single observation into dst (allocated when nil) and

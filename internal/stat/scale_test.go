@@ -10,7 +10,34 @@ import (
 	"pcsmon/internal/mat"
 )
 
-func TestFitScalerAndApply(t *testing.T) {
+// scalerFor freezes the column means and sample standard deviations of x,
+// the standard deviations as the square roots of the covariance diagonal —
+// the way mspc.CalibrateCov builds its scaler.
+func scalerFor(x *mat.Matrix) (*Scaler, error) {
+	cov, err := mat.Covariance(x)
+	if err != nil {
+		return nil, err
+	}
+	stds := make([]float64, x.Cols())
+	for j := range stds {
+		stds[j] = math.Sqrt(max(cov.At(j, j), 0))
+	}
+	return NewScaler(mat.ColMeans(x), stds)
+}
+
+// applyAll scales every row of x.
+func applyAll(t *testing.T, sc *Scaler, x *mat.Matrix) *mat.Matrix {
+	t.Helper()
+	out := mat.MustNew(x.Rows(), x.Cols())
+	for i := 0; i < x.Rows(); i++ {
+		if _, err := sc.ApplyRow(x.RowView(i), out.RowView(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestScalerAutoscalesCalibration(t *testing.T) {
 	x, err := mat.FromRows([][]float64{
 		{1, 100},
 		{3, 300},
@@ -19,17 +46,14 @@ func TestFitScalerAndApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := FitScaler(x)
+	sc, err := scalerFor(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Dim() != 2 {
 		t.Fatalf("Dim = %d, want 2", sc.Dim())
 	}
-	scaled, err := sc.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scaled := applyAll(t, sc, x)
 	// After autoscaling, each column must have zero mean and unit sample std.
 	for j := 0; j < 2; j++ {
 		m, sd := colMeanStd(scaled, j)
@@ -76,14 +100,11 @@ func TestScalerConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := FitScaler(x)
+	sc, err := scalerFor(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := sc.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scaled := applyAll(t, sc, x)
 	// Constant column: centered to zero, not scaled (divisor 1), no NaN/Inf.
 	for i := 0; i < 3; i++ {
 		v := scaled.At(i, 1)
@@ -103,7 +124,7 @@ func TestScalerApplyRowAndInvertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := FitScaler(x)
+	sc, err := scalerFor(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestScalerApplyRowAndInvertRoundTrip(t *testing.T) {
 
 func TestScalerApplyRowReusesDst(t *testing.T) {
 	x, _ := mat.FromRows([][]float64{{0, 0}, {2, 4}})
-	sc, err := FitScaler(x)
+	sc, err := scalerFor(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +159,15 @@ func TestScalerApplyRowReusesDst(t *testing.T) {
 
 func TestScalerDimensionErrors(t *testing.T) {
 	x, _ := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	sc, err := FitScaler(x)
+	sc, err := scalerFor(x)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := sc.Apply(mat.MustNew(2, 3)); !errors.Is(err, ErrDomain) {
-		t.Errorf("Apply wrong cols: want ErrDomain, got %v", err)
 	}
 	if _, err := sc.ApplyRow([]float64{1}, nil); !errors.Is(err, ErrDomain) {
 		t.Errorf("ApplyRow wrong len: want ErrDomain, got %v", err)
 	}
-	if _, err := FitScaler(mat.MustNew(1, 2)); !errors.Is(err, ErrEmpty) {
-		t.Errorf("FitScaler 1 row: want ErrEmpty, got %v", err)
+	if _, err := sc.ApplyRow([]float64{1, 2}, make([]float64, 3)); !errors.Is(err, ErrDomain) {
+		t.Errorf("ApplyRow wrong dst len: want ErrDomain, got %v", err)
 	}
 }
 
@@ -200,7 +218,7 @@ func TestScalerRoundTripProperty(t *testing.T) {
 				x.Set(i, j, rng.NormFloat64()*float64(j+1)+float64(j)*10)
 			}
 		}
-		sc, err := FitScaler(x)
+		sc, err := scalerFor(x)
 		if err != nil {
 			return false
 		}
