@@ -58,7 +58,9 @@ type Options struct {
 	// memory, i.e. a plain growing average).
 	Forget float64
 	// MinWeight is the minimum accumulated EWMA weight before a candidate
-	// may be fitted (0 = 4×NumVars). Below it every refit is vetoed.
+	// may be fitted (0 = 4×NumVars). Below it every refit is vetoed. The
+	// weight never exceeds 1/(1−Forget), so NewTracker refuses a Forget
+	// whose ceiling is not above MinWeight.
 	MinWeight float64
 	// MinExplainedVar is the explained-variance floor: a candidate whose
 	// retained components explain less than this fraction of total variance

@@ -257,10 +257,11 @@ func (t *Tracker) finishRefit(cand *core.System, veto string) bool {
 // Step runs the per-observation adaptive protocol for one stream the
 // caller owns: the learn guard (Observe with the in-control predicate over
 // the scoring result), a due Refit, and — at a core.DiagnoseWindow
-// boundary — the migration to the current generation. It returns the stream's (possibly
-// advanced) generation and, when a swap landed, the event reporting it. Every
-// fleet worker drives its streams through this one implementation, so the
-// never-learn-an-attack guard and the swap protocol live in one place.
+// boundary — the migration to the current generation. It returns the
+// stream's (possibly advanced) generation and, when a swap landed, the
+// event reporting it. Every fleet worker drives its streams through this
+// one implementation, so the never-learn-an-attack guard and the swap
+// protocol live in one place.
 func (t *Tracker) Step(oa *core.OnlineAnalyzer, res core.StepResult, ctrl, proc []float64, gen uint64) (uint64, *core.ModelSwapped) {
 	// Learn from the process view (the ground-truth side the calibration
 	// campaign uses); a single-view feed learns from what it has.

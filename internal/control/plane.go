@@ -431,11 +431,11 @@ func Calibrate(path string, components int, out io.Writer) (*core.System, error)
 	mon := sys.Monitor()
 	fmt.Fprintf(out, "calibrated on %d observations: A=%d components, limits D99=%.2f Q99=%.2f\n",
 		cal.Rows(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
-	// The parsed CSV, its matrix and the scaled copy (~3 × 8 MB at the
-	// paper's 19 200 × 53) are garbage now. Collect them before the caller
-	// starts scoring: a collection that happened to run mid-calibration
-	// would otherwise size the heap goal the service runs under from them
-	// (2 × 24 MB), and the peak RSS with it.
+	// The parsed CSV and its matrix (~2 × 8 MB at the paper's 19 200 × 53)
+	// are garbage now. Collect them before the caller starts scoring: a
+	// collection that happened to run mid-calibration would otherwise size
+	// the heap goal the service runs under from them (2 × 16 MB), and the
+	// peak RSS with it.
 	runtime.GC()
 	return sys, nil
 }

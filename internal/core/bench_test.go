@@ -70,9 +70,8 @@ func syntheticCalibrationCSV(tb testing.TB) []byte {
 
 // BenchmarkCalibrate measures the three steps of service setup on a
 // paper-shaped (19 200 × 53) calibration file held in memory: parsing it,
-// one covariance of the raw data (core.Calibrate takes two, one here and
-// one inside the PCA fit), and the whole core.Calibrate with the
-// perfbench-pinned 20 components.
+// one covariance of the raw data (the only one core.Calibrate takes), and
+// the whole core.Calibrate with the perfbench-pinned 20 components.
 func BenchmarkCalibrate(b *testing.B) {
 	csv := syntheticCalibrationCSV(b)
 	noc, err := dataset.ReadCSV(bytes.NewReader(csv))

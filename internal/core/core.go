@@ -293,7 +293,8 @@ func (s *System) AnalyzeViews(ctrl, proc *dataset.Dataset, onset int, sample tim
 
 // minUsefulStd guards against channels that are constant in calibration
 // (their scaler divisor is a placeholder 1): a channel whose calibration
-// standard deviation is at most this carries no frozen/diverged evidence.
+// standard deviation, the square root of the covariance diagonal, is at
+// most this carries no frozen/diverged evidence.
 const minUsefulStd = 1e-9
 
 // DiagnoseGroup computes the oMEDA profile of a group of observations in
