@@ -99,7 +99,6 @@ func (a *OnlineAnalyzer) Push(ctrlRow, procRow []float64) (StepResult, error) {
 		return StepResult{}, fmt.Errorf("core: process row has %d vars, want %d: %w", len(procRow), a.cols, ErrBadInput)
 	}
 	idx := a.n
-	const w = DiagnoseWindow
 	res := StepResult{Index: idx}
 	var err error
 	res.Ctrl, res.CtrlAlarm, err = a.ctrl.push(ctrlRow, a.onset)
@@ -131,13 +130,13 @@ func (a *OnlineAnalyzer) Push(ctrlRow, procRow []float64) (StepResult, error) {
 		// Seed from the trailing rings: the run rule fired at most
 		// RunLength-1 samples after the run began, so every needed row is
 		// still buffered.
-		for t := start; t <= idx && a.win.n < w; t++ {
+		for t := start; t <= idx && a.win.n < DiagnoseWindow; t++ {
 			cr, pr := a.ctrl.rowAt(t), a.proc.rowAt(t)
 			if cr != nil && pr != nil {
 				a.win.add(cr, pr)
 			}
 		}
-	case a.win != nil && a.win.n < w && idx < a.win.start+w &&
+	case a.win != nil && a.win.n < DiagnoseWindow && idx < a.win.start+DiagnoseWindow &&
 		ctrlRow != nil && procRow != nil && !a.ctrl.ended && !a.proc.ended:
 		a.win.add(ctrlRow, procRow)
 	}

@@ -356,8 +356,8 @@ func (e *Experiment) batchOne(sc Scenario, seed int64) (*RunOutcome, error) {
 	if run.Shutdown() {
 		out.ShutdownHour = run.Hours()
 	}
-	out.FirstOOCCtrl = diagnosisWindow(ctrl, rep.Controller, core.DiagnoseWindow)
-	out.FirstOOCProc = diagnosisWindow(proc, rep.Process, core.DiagnoseWindow)
+	out.FirstOOCCtrl = diagnosisWindow(ctrl, rep.Controller)
+	out.FirstOOCProc = diagnosisWindow(proc, rep.Process)
 	return out, nil
 }
 
@@ -475,11 +475,11 @@ func (e *Experiment) aggregate(sc Scenario, runs int, outcomes []RunOutcome) (*R
 	return res, nil
 }
 
-func diagnosisWindow(view *dataset.Dataset, va core.ViewAnalysis, window int) [][]float64 {
+func diagnosisWindow(view *dataset.Dataset, va core.ViewAnalysis) [][]float64 {
 	if !va.Detected {
 		return nil
 	}
-	end := va.RunStart + window
+	end := va.RunStart + core.DiagnoseWindow
 	if end > view.Rows() {
 		end = view.Rows()
 	}
