@@ -89,13 +89,12 @@ func (p *Plane) offer(f *fieldbus.Frame) (bool, error) {
 		return true, err
 	}
 	p.accepted.Add(1)
-	p.lastSeen.Store(p.clock().UnixNano())
 	return true, nil
 }
 
 // redundant applies the dedup window. A suppressed frame never reaches
 // the correlator, so a redundant collector's second copy cannot inflate
-// the duplicate count or refresh the liveness stamp.
+// the duplicate count or the accepted count the liveness stamp follows.
 func (p *Plane) redundant(f *fieldbus.Frame) bool {
 	if p.dedup == nil {
 		return false

@@ -132,7 +132,10 @@ type Plane struct {
 	// (-1 = inherit the global onset).
 	unitOnsets [256]atomic.Int64
 
-	lastSeen atomic.Int64  // UnixNano of the last accepted frame
+	// lastSeen is the UnixNano liveness stamp /healthz reads. offer does
+	// not read the clock: tickLoop stamps it when accepted moved since its
+	// last tick (50 ms resolution), playChain from the capture clock.
+	lastSeen atomic.Int64
 	capNow   atomic.Int64  // capture stamp of the frame being played
 	played   atomic.Uint64 // capture frames the pump handed to offer
 	playDone chan struct{}
@@ -602,8 +605,13 @@ func (p *Plane) playChain(c *Capture) error {
 			if err != nil {
 				return err
 			}
-			if offered && timeout > 0 {
-				if err := p.cor.Tick(p.clock()); err != nil {
+			if !offered {
+				continue
+			}
+			now := p.clock()
+			p.lastSeen.Store(now.UnixNano())
+			if timeout > 0 {
+				if err := p.cor.Tick(now); err != nil {
 					return err
 				}
 			}
@@ -676,13 +684,14 @@ func LogEvent(out io.Writer, ev fleet.Event) {
 	}
 }
 
-// tickLoop drives the pairing age horizon and the capture store's
-// crash-durability flush until drain.
+// tickLoop drives the pairing age horizon, the liveness stamp and the
+// capture store's crash-durability flush until drain.
 func (p *Plane) tickLoop() {
 	flushEvery := recordFlush(p.config())
 	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
 	lastFlush := p.clock()
+	var lastAccepted uint64
 	for {
 		select {
 		case <-p.drained:
@@ -691,10 +700,15 @@ func (p *Plane) tickLoop() {
 			if p.draining.Load() {
 				return
 			}
-			if err := p.cor.Tick(p.clock()); err != nil && !p.draining.Load() {
+			now := p.clock()
+			if n := p.accepted.Load(); n != lastAccepted {
+				lastAccepted = n
+				p.lastSeen.Store(now.UnixNano())
+			}
+			if err := p.cor.Tick(now); err != nil && !p.draining.Load() {
 				fmt.Fprintf(p.out, "pairing tick error: %v\n", err)
 			}
-			if p.rec != nil && flushEvery > 0 && p.clock().Sub(lastFlush) >= flushEvery {
+			if p.rec != nil && flushEvery > 0 && now.Sub(lastFlush) >= flushEvery {
 				p.recMu.Lock()
 				ferr := p.rec.Flush()
 				p.recMu.Unlock()

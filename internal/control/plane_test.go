@@ -546,6 +546,44 @@ func TestPlanePairTimeoutFollowsInjectedClock(t *testing.T) {
 	}
 }
 
+// TestPlaneLivenessStampFollowsAcceptedFrames: the /healthz liveness
+// stamp moves to the (injected) clock's time within a tick of an accepted
+// frame, and an idle plane's stamp stays where the last frame left it
+// however far the clock runs.
+func TestPlaneLivenessStampFollowsAcceptedFrames(t *testing.T) {
+	cfg := testPlaneConfig(t, t.TempDir())
+	t0 := time.Date(2001, 9, 9, 0, 0, 0, 0, time.UTC)
+	var now atomic.Int64
+	now.Store(t0.UnixNano())
+	p, err := New(cfg, Options{Clock: func() time.Time { return time.Unix(0, now.Load()) }})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	if got := p.lastSeen.Load(); got != t0.UnixNano() {
+		t.Fatalf("stamp at start = %v, want %v", time.Unix(0, got).UTC(), t0)
+	}
+
+	now.Add(int64(10 * time.Second))
+	time.Sleep(200 * time.Millisecond) // four ticks with nothing accepted
+	if got := p.lastSeen.Load(); got != t0.UnixNano() {
+		t.Fatalf("idle plane's stamp moved to %v", time.Unix(0, got).UTC())
+	}
+	t1 := now.Load()
+	mustIngest(t, p, syntheticFrames(4, 41, 1, -1)[0])
+	for deadline := time.Now().Add(5 * time.Second); p.lastSeen.Load() != t1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stamp %v never followed the accepted frame to %v",
+				time.Unix(0, p.lastSeen.Load()).UTC(), time.Unix(0, t1).UTC())
+		}
+	}
+	now.Add(int64(time.Hour))
+	time.Sleep(200 * time.Millisecond)
+	if got := p.lastSeen.Load(); got != t1 {
+		t.Errorf("stamp moved to %v with no frame after the first", time.Unix(0, got).UTC())
+	}
+}
+
 // TestPlaneCloseKeepsSSETail: Drain then Close back to back must not cut
 // off an /events subscriber — every unit's verdict and the drain event
 // arrive before the stream ends.

@@ -1,8 +1,10 @@
 package fieldbus
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,18 +154,21 @@ func BenchmarkCaptureStoreWrite(b *testing.B) {
 }
 
 // BenchmarkTCPReceivePath measures ReadFrameInto on an in-memory frame
-// stream — the post-fix zero-allocation receive hot path shared by
-// Server.serveConn and MitMProxy.proxyConn.
+// stream read the way Server.serveConn reads a connection: through a
+// connReadSize bufio.Reader, refilled a whole buffer at a time.
 func BenchmarkTCPReceivePath(b *testing.B) {
-	var one bytes.Buffer
-	if err := writeFrame(&one, &Frame{Type: FrameSensor, Unit: 1, Seq: 7, Values: make([]float64, 53)}); err != nil {
-		b.Fatal(err)
+	const burst = 256 // frames per pass of the looped stream, > connReadSize
+	var stream bytes.Buffer
+	for i := 0; i < burst; i++ {
+		if err := writeFrame(&stream, &Frame{Type: FrameSensor, Unit: 1, Seq: 7, Values: make([]float64, 53)}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	r := &loopReader{data: one.Bytes()}
+	r := bufio.NewReaderSize(&loopReader{data: stream.Bytes()}, connReadSize)
 	var f Frame
 	var scratch []byte
 	var err error
-	b.SetBytes(int64(one.Len()))
+	b.SetBytes(int64(stream.Len() / burst))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -173,5 +178,44 @@ func BenchmarkTCPReceivePath(b *testing.B) {
 	}
 	if f.Seq != 7 {
 		b.Fatal("frame corrupted")
+	}
+}
+
+// BenchmarkFrameDedup measures the dedup window's per-frame check on a
+// two-tap feed (every 53-value frame offered twice, as redundant
+// collectors deliver it) and asserts the steady state allocates nothing.
+func BenchmarkFrameDedup(b *testing.B) {
+	const window = 64
+	d, err := NewFrameDedup(window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	f := &Frame{Type: FrameSensor, Unit: 1, Values: make([]float64, 53)}
+	for j := range f.Values {
+		f.Values[j] = rng.NormFloat64()
+	}
+	offer := func(i int) {
+		f.Seq = uint64(i / 2)
+		d.Redundant(f)
+	}
+	for i := 0; i < 4*window; i++ { // fill the window and the map
+		offer(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offer(4*window + i)
+	}
+	b.StopTimer()
+	n := 4*window + b.N
+	if d.Dropped() != uint64(n/2) {
+		b.Fatalf("dropped %d of %d frames, want every second one", d.Dropped(), n)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		offer(n)
+		n++
+	}); allocs != 0 {
+		b.Fatalf("steady-state dedup allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -1,7 +1,9 @@
 package fieldbus
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 )
 
@@ -11,18 +13,23 @@ import (
 // counted as a Duplicate by the pairing layer, polluting the loss/dup
 // statistics of a perfectly healthy feed.
 //
-// Deduplication is by content hash (FNV-1a 64 over type, unit, sequence
+// Deduplication is by content hash (hash/maphash over type, unit, sequence
 // number and the raw IEEE-754 value bits) over a sliding window of the
 // last N ingested frames, so two taps may race arbitrarily within the
 // window while a *genuine* retransmission — same (unit, seq, type) but
 // different values, e.g. a MitM rewriting one copy — still reaches the
 // correlator, where the cross-view analysis can see it. A 64-bit hash over
 // a bounded window makes accidental collisions vanishingly rare
-// (~N·2^-64); a colliding frame would be dropped as redundant.
+// (~N·2^-64); a colliding frame would be dropped as redundant. The hash
+// seed is random per deduper, so an on-path attacker cannot work out in
+// advance a forged frame that collides with a genuine one and gets the
+// genuine copy dropped.
 //
 // Not safe for concurrent use — callers serialize (the pairing ingest
 // holds its own lock).
 type FrameDedup struct {
+	seed    maphash.Seed
+	scratch []byte         // the hashed bytes of the frame being checked
 	ring    []uint64       // insertion order of the last len(ring) hashes
 	seen    map[uint64]int // hash -> occurrences currently in the ring
 	n       int            // frames ingested (ring cursor = n % len(ring))
@@ -35,35 +42,22 @@ func NewFrameDedup(window int) (*FrameDedup, error) {
 		return nil, fmt.Errorf("fieldbus: dedup window %d: %w", window, ErrBadFrame)
 	}
 	return &FrameDedup{
-		ring: make([]uint64, window),
-		seen: make(map[uint64]int, window),
+		seed:    maphash.MakeSeed(),
+		scratch: make([]byte, 0, EncodedSize(64)),
+		ring:    make([]uint64, window),
+		seen:    make(map[uint64]int, window),
 	}, nil
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-// hashFrame folds the frame's identity and content into one 64-bit hash.
-func hashFrame(f *Frame) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvByte(h, byte(f.Type))
-	h = fnvByte(h, f.Unit)
-	h = fnv64(h, f.Seq)
+// hash folds the frame's identity and content into one 64-bit hash.
+func (d *FrameDedup) hash(f *Frame) uint64 {
+	b := append(d.scratch[:0], byte(f.Type), f.Unit)
+	b = binary.LittleEndian.AppendUint64(b, f.Seq)
 	for _, v := range f.Values {
-		h = fnv64(h, math.Float64bits(v))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return h
+	d.scratch = b
+	return maphash.Bytes(d.seed, b)
 }
 
 // Redundant reports whether f's content hash was seen within the window,
@@ -71,7 +65,7 @@ func hashFrame(f *Frame) uint64 {
 // its hash's position in the window — a tap replaying one frame forever
 // ages out like any other traffic.
 func (d *FrameDedup) Redundant(f *Frame) bool {
-	h := hashFrame(f)
+	h := d.hash(f)
 	dup := d.seen[h] > 0
 	if dup {
 		d.dropped++

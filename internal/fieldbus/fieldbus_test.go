@@ -1,11 +1,14 @@
 package fieldbus
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -301,4 +304,147 @@ func TestFrameTypeString(t *testing.T) {
 	if FrameType(9).String() == "" {
 		t.Error("unknown type should render")
 	}
+}
+
+// boundaryStream returns a wire stream in which the frame at index k
+// starts off bytes before the first connReadSize boundary, so with off in
+// (0, wire size) that frame straddles the reader's first refill. Frames
+// are numbered by Seq; frame k carries 53 values, the fillers before it
+// whatever width makes the offset come out exact.
+func boundaryStream(t *testing.T, off int) (stream []byte, frames []*Frame, k int) {
+	t.Helper()
+	fill := connReadSize - off
+	// Filler frames of n values take 4+EncodedSize(n) = 22+8n bytes; find
+	// the fewest that sum to fill with every n in [1, MaxValues].
+	wire0 := 4 + EncodedSize(0)
+	for k = 1; ; k++ {
+		rest := fill - k*wire0
+		if rest < 8*k {
+			t.Fatalf("no filler reaches offset %d", off)
+		}
+		if rest%8 == 0 && rest/8 <= k*MaxValues {
+			break
+		}
+	}
+	values := (fill - k*wire0) / 8
+	var buf bytes.Buffer
+	add := func(n int) {
+		f := &Frame{Type: FrameSensor, Unit: 3, Seq: uint64(len(frames)), Values: make([]float64, n)}
+		for j := range f.Values {
+			f.Values[j] = float64(len(frames)) + float64(j)/1024
+		}
+		if err := writeFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	for i := 0; i < k; i++ {
+		n := values / k
+		if i < values%k {
+			n++
+		}
+		add(n)
+	}
+	if buf.Len() != fill {
+		t.Fatalf("fillers take %d bytes, want %d", buf.Len(), fill)
+	}
+	for i := 0; i < 4; i++ {
+		add(53)
+	}
+	return buf.Bytes(), frames, k
+}
+
+// TestConnReaderFramesStraddleBoundary: through the serving reader, a
+// frame whose length prefix, header, values or CRC straddles a
+// connReadSize refill decodes intact, and so does every frame after it.
+// A bytes.Reader fills the buffer completely, so the refills fall exactly
+// at multiples of connReadSize; frame sizes are even, so even offsets
+// cover every split of a 53-value frame.
+func TestConnReaderFramesStraddleBoundary(t *testing.T) {
+	for off := 2; off < 4+EncodedSize(53); off += 2 {
+		stream, frames, k := boundaryStream(t, off)
+		br := bufio.NewReaderSize(bytes.NewReader(stream), connReadSize)
+		var got Frame
+		var scratch []byte
+		var err error
+		for i, want := range frames {
+			if scratch, err = ReadFrameInto(br, &got, scratch); err != nil {
+				t.Fatalf("offset %d: frame %d (straddler %d): %v", off, i, k, err)
+			}
+			if got.Seq != want.Seq || !equalBits(got.Values, want.Values) {
+				t.Fatalf("offset %d: frame %d decoded as seq %d with %d values, want seq %d with %d",
+					off, i, got.Seq, len(got.Values), want.Seq, len(want.Values))
+			}
+		}
+		if _, err := ReadFrameInto(br, &got, scratch); !errors.Is(err, io.EOF) {
+			t.Fatalf("offset %d: after the last frame: %v, want EOF", off, err)
+		}
+	}
+}
+
+// TestTCPServerReceivesOversizedWrite: more than connReadSize of frames
+// sent in one write reach the handler complete and in order.
+func TestTCPServerReceivesOversizedWrite(t *testing.T) {
+	const n = 400 // 400 × 446 bytes ≈ 2.7 read buffers
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		f := &Frame{Type: FrameActuator, Unit: 9, Seq: uint64(i), Values: make([]float64, 53)}
+		for j := range f.Values {
+			f.Values[j] = float64(i*53 + j)
+		}
+		if err := writeFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if buf.Len() <= connReadSize {
+		t.Fatalf("stream of %d bytes does not exceed the %d-byte reader", buf.Len(), connReadSize)
+	}
+	var mu sync.Mutex
+	var bad []string
+	next := uint64(0)
+	done := make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", func(f *Frame) {
+		mu.Lock()
+		defer mu.Unlock()
+		if f.Seq != next || len(f.Values) != 53 || f.Values[52] != float64(int(f.Seq)*53+52) {
+			bad = append(bad, fmt.Sprintf("frame %d arrived as seq %d with %d values", next, f.Seq, len(f.Values)))
+		}
+		if next++; next == n {
+			close(done)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("received %d of %d frames", srv.Frames(), n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bad) > 0 {
+		t.Errorf("%d frames out of order or damaged, first: %s", len(bad), bad[0])
+	}
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -723,6 +723,43 @@ func TestFrameDedup(t *testing.T) {
 	}
 }
 
+// TestFrameDedupSeparatesNearCopies: a frame that differs from one in
+// the window by a single bit of one value, or only in the signs of two
+// values, is not redundant — such a forged copy must reach the
+// correlator.
+func TestFrameDedupSeparatesNearCopies(t *testing.T) {
+	base := &Frame{Type: FrameSensor, Unit: 4, Seq: 77, Values: make([]float64, 53)}
+	for j := range base.Values {
+		base.Values[j] = 10 + float64(j)/8
+	}
+	var near []*Frame
+	for j := range base.Values {
+		for bit := 0; bit < 64; bit++ {
+			f := base.Clone()
+			f.Values[j] = math.Float64frombits(math.Float64bits(f.Values[j]) ^ 1<<bit)
+			near = append(near, f)
+		}
+	}
+	for j := 0; j+1 < len(base.Values); j++ {
+		f := base.Clone()
+		f.Values[j], f.Values[j+1] = -f.Values[j], -f.Values[j+1]
+		near = append(near, f)
+	}
+	for i, f := range near {
+		d, err := NewFrameDedup(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Redundant(base)
+		if d.Redundant(f) {
+			t.Fatalf("near copy %d (values %v) reported redundant", i, f.Values)
+		}
+		if !d.Redundant(base.Clone()) {
+			t.Fatalf("near copy %d: the genuine copy is no longer recognized", i)
+		}
+	}
+}
+
 // TestCaptureStoreSteadyStateAllocs: the hot record path — rotation checks,
 // index accumulation, cadence probe included — allocates nothing per
 // frame. (Rotation itself allocates; it is amortized over a whole segment

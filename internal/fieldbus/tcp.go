@@ -62,6 +62,12 @@ func ReadFrameInto(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
 	return buf, f.UnmarshalInto(buf)
 }
 
+// connReadSize is the per-connection read buffer of Server: at line rate
+// one read syscall carries a whole burst of frames (a 53-value frame is
+// 446 bytes on the wire), where bufio's default 4 KiB paid one syscall per
+// nine frames. BenchmarkTCPReceivePath reads through the same size.
+const connReadSize = 64 << 10
+
 // Server accepts fieldbus connections and dispatches received frames to a
 // handler. Use it as the controller-side endpoint of the live demo.
 type Server struct {
@@ -127,7 +133,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, connReadSize)
 	// Per-connection scratch: the receive hot path decodes every frame into
 	// one long-lived Frame and wire buffer, so steady-state ingest does not
 	// allocate (the handler sees the scratch frame; see NewServer).
