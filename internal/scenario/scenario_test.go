@@ -269,6 +269,66 @@ func TestCalibrateValidation(t *testing.T) {
 	}
 }
 
+// TestCalibrateReproducible: scenario calibration is a function of its
+// inputs alone. Repeated calls with the fixture's own arguments on its
+// template must give one model, bit for bit — limits, means and
+// covariance — however the runs' goroutines happen to finish.
+func TestCalibrateReproducible(t *testing.T) {
+	exp, _ := fixture(t)
+	const calls = 6
+	var distinct []*core.System
+	for k := 0; k < calls; k++ {
+		cal, err := Calibrate(exp.Template, 3, 24, 2, 1, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := false
+		for _, s := range distinct {
+			if sameModel(s, cal.System) {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			distinct = append(distinct, cal.System)
+		}
+	}
+	if len(distinct) != 1 {
+		for _, s := range distinct {
+			lim := s.Monitor().Limits()
+			t.Logf("D99 %v Q99 %v", lim.D99, lim.Q99)
+		}
+		t.Fatalf("%d calls gave %d distinct models, want 1", calls, len(distinct))
+	}
+}
+
+// sameModel reports whether a and b have bit-identical 99 % limits,
+// calibration means and calibration covariance.
+func sameModel(a, b *core.System) bool {
+	la, lb := a.Monitor().Limits(), b.Monitor().Limits()
+	if math.Float64bits(la.D99) != math.Float64bits(lb.D99) || math.Float64bits(la.Q99) != math.Float64bits(lb.Q99) {
+		return false
+	}
+	ca, ma, na := a.CalibrationMoments()
+	cb, mb, nb := b.CalibrationMoments()
+	if na != nb || len(ma) != len(mb) || ca.Rows() != cb.Rows() {
+		return false
+	}
+	for j := range ma {
+		if math.Float64bits(ma[j]) != math.Float64bits(mb[j]) {
+			return false
+		}
+	}
+	for p := 0; p < ca.Rows(); p++ {
+		for q := 0; q < ca.Cols(); q++ {
+			if math.Float64bits(ca.At(p, q)) != math.Float64bits(cb.At(p, q)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func topVar(vals []float64) int {
 	best, bestAbs := -1, 0.0
 	for j, v := range vals {
