@@ -627,3 +627,19 @@ func TestEWMACovAccumulatorValidation(t *testing.T) {
 		t.Errorf("single-row covariance: %v", err)
 	}
 }
+
+// streamMoments folds rows, in order, into the streaming covariance
+// accumulator and returns its means and covariance.
+func streamMoments(rows [][]float64) ([]float64, *Matrix, error) {
+	acc, err := NewCovAccumulator(len(rows[0]))
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, row := range rows {
+		if err := acc.Add(row); err != nil {
+			return nil, nil, err
+		}
+	}
+	cov, err := acc.Covariance()
+	return acc.Means(), cov, err
+}
