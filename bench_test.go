@@ -220,7 +220,7 @@ func BenchmarkTab_Verdicts(b *testing.B) {
 // sweep's inner loop).
 func BenchmarkAbl_Components(b *testing.B) {
 	f := fixture(b)
-	acc, err := mat.NewCovAccumulator(historian.NumVars)
+	acc, err := mat.NewMoments(historian.NumVars, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -503,7 +503,16 @@ func BenchmarkPCAFit(b *testing.B) {
 			x.Set(i, j, base+0.5*rng.NormFloat64())
 		}
 	}
-	cov, err := mat.Covariance(x)
+	acc, err := mat.NewMoments(historian.NumVars, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := acc.Add(x.RowView(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cov, err := acc.Covariance()
 	if err != nil {
 		b.Fatal(err)
 	}

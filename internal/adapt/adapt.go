@@ -12,8 +12,8 @@
 // package implements that maintenance online, in three pieces:
 //
 //   - A Tracker accumulates EWMA-weighted covariance/mean statistics
-//     (mat.EWMACovAccumulator) from observations and refits a candidate
-//     core.System on a configurable cadence.
+//     (mat.Moments with the forget factor λ) from observations and refits a
+//     candidate core.System on a configurable cadence.
 //   - Drift guards keep the baseline honest. The learn guard only feeds the
 //     accumulator observations the *current* model scores in control —
 //     out-of-control samples (an attack or disturbance in progress) are
@@ -94,7 +94,7 @@ func (o Options) Validate() error {
 	switch {
 	case o.Every < 0:
 		return fmt.Errorf("adapt: refit cadence %d: %w", o.Every, ErrBadConfig)
-	case o.Forget < 0 || o.Forget > 1:
+	case o.Forget != 0 && !(o.Forget > 0 && o.Forget <= 1):
 		return fmt.Errorf("adapt: forget factor %g not in (0,1]: %w", o.Forget, ErrBadConfig)
 	case o.MinWeight < 0:
 		return fmt.Errorf("adapt: min weight %g: %w", o.MinWeight, ErrBadConfig)

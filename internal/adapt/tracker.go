@@ -72,7 +72,7 @@ type Tracker struct {
 	learned  atomic.Uint64
 
 	mu        sync.Mutex
-	acc       *mat.EWMACovAccumulator
+	acc       *mat.Moments
 	sinceFit  int
 	refitting bool
 	stats     Stats
@@ -95,11 +95,12 @@ func NewTracker(sys *core.System, cfg Options) (*Tracker, error) {
 	}
 	// The EWMA weight w ← λw + 1 approaches 1/(1−λ) from below: a forget
 	// factor whose ceiling is at or under MinWeight would veto every refit.
-	if cfg.Forget < 1 && 1/(1-cfg.Forget) <= cfg.MinWeight {
+	// Written so that a NaN λ fails it too.
+	if cfg.Forget != 1 && !(1/(1-cfg.Forget) > cfg.MinWeight) {
 		return nil, fmt.Errorf("adapt: forget factor %g caps the EWMA weight at 1/(1−λ) = %.1f, not above the minimum weight %.1f, so no refit could ever be accepted: %w",
 			cfg.Forget, 1/(1-cfg.Forget), cfg.MinWeight, ErrBadConfig)
 	}
-	acc, err := mat.NewEWMACovAccumulator(cols, cfg.Forget)
+	acc, err := mat.NewMoments(cols, cfg.Forget)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
@@ -171,14 +172,16 @@ func (t *Tracker) Refit() bool {
 		ess   float64
 		err   error
 	)
-	if weight >= t.cfg.MinWeight {
+	// Written so that a NaN weight fails the guard: it cannot be fitted.
+	enough := weight >= t.cfg.MinWeight
+	if enough {
 		cov, err = t.acc.Covariance()
 		means = t.acc.Means()
 		ess = t.acc.ESS()
 	}
 	t.mu.Unlock()
 
-	if weight < t.cfg.MinWeight {
+	if !enough {
 		return t.finishRefit(nil, fmt.Sprintf("weight %.1f below minimum %.1f", weight, t.cfg.MinWeight))
 	}
 	if err != nil {

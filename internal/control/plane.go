@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +17,7 @@ import (
 	"pcsmon/internal/fieldbus"
 	"pcsmon/internal/fleet"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/mat"
 	"pcsmon/internal/obs"
 	"pcsmon/internal/obs/opsserver"
 	"pcsmon/internal/pairing"
@@ -416,30 +416,36 @@ func (p *Plane) registerTransport(reg *obs.Registry) error {
 // Calibrate builds the monitoring system from the NOC calibration CSV at
 // path with the given number of PCA components (0 = the 90 % variance
 // rule) and prints the calibration summary line to out. It is the one
-// calibration step of the plane and of every mspctool subcommand.
+// calibration step of the plane and of every mspctool subcommand. The rows
+// stream from the block-parallel parser into one mat.Moments in file
+// order, so no copy of the file's rows is ever held and the model is the
+// one core.Calibrate fits from dataset.ReadCSV of the same file.
 func Calibrate(path string, components int, out io.Writer) (*core.System, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("control: calibration: %v: %w", err, ErrBadConfig)
 	}
 	defer func() { _ = f.Close() }()
-	cal, err := dataset.ReadCSV(f)
+	var acc *mat.Moments
+	_, err = dataset.ScanCSV(f, func(row []float64) error {
+		if acc == nil {
+			var err error
+			if acc, err = mat.NewMoments(len(row), 1); err != nil {
+				return err
+			}
+		}
+		return acc.Add(row)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("control: calibration %s: %w", path, err)
 	}
-	sys, err := core.Calibrate(cal, core.Config{Components: components})
+	sys, err := core.CalibrateMoments(acc, core.Config{Components: components})
 	if err != nil {
 		return nil, fmt.Errorf("control: calibration %s: %w", path, err)
 	}
 	mon := sys.Monitor()
 	fmt.Fprintf(out, "calibrated on %d observations: A=%d components, limits D99=%.2f Q99=%.2f\n",
-		cal.Rows(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
-	// The parsed CSV and its matrix (~2 × 8 MB at the paper's 19 200 × 53)
-	// are garbage now. Collect them before the caller starts scoring: a
-	// collection that happened to run mid-calibration would otherwise size
-	// the heap goal the service runs under from them (2 × 16 MB), and the
-	// peak RSS with it.
-	runtime.GC()
+		acc.N(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
 	return sys, nil
 }
 

@@ -1,10 +1,15 @@
-package core
+package core_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"pcsmon/internal/control"
+	"pcsmon/internal/core"
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/historian"
 	"pcsmon/internal/mat"
@@ -68,17 +73,15 @@ func syntheticCalibrationCSV(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkCalibrate measures the three steps of service setup on a
-// paper-shaped (19 200 × 53) calibration file held in memory: parsing it,
-// one covariance of the raw data (the only one core.Calibrate takes), and
-// the whole core.Calibrate with the perfbench-pinned 20 components.
+// BenchmarkCalibrate measures service setup on a paper-shaped
+// (19 200 × 53) calibration file: parsing it from memory, folding its rows
+// into the calibration moments, the whole core.Calibrate with the
+// perfbench-pinned 20 components, and the served path, control.Calibrate,
+// which streams the same file from disk into the moments without keeping
+// its rows.
 func BenchmarkCalibrate(b *testing.B) {
 	csv := syntheticCalibrationCSV(b)
 	noc, err := dataset.ReadCSV(bytes.NewReader(csv))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := noc.Matrix()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,10 +94,19 @@ func BenchmarkCalibrate(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Covariance", func(b *testing.B) {
+	b.Run("Moments", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mat.Covariance(x); err != nil {
+			acc, err := mat.NewMoments(noc.Cols(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for r := 0; r < noc.Rows(); r++ {
+				if err := acc.Add(noc.RowView(r)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := acc.Covariance(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,7 +114,20 @@ func BenchmarkCalibrate(b *testing.B) {
 	b.Run("Calibrate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Calibrate(noc, Config{Components: 20}); err != nil {
+			if _, err := core.Calibrate(noc, core.Config{Components: 20}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Served", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "cal.csv")
+		if err := os.WriteFile(path, csv, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(csv)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := control.Calibrate(path, 20, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}

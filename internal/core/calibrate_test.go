@@ -1,8 +1,10 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
+
+	"pcsmon/internal/core"
 )
 
 // TestCalibrateConstantChannels calibrates on the BenchmarkCalibrate
@@ -21,8 +23,8 @@ func TestCalibrateConstantChannels(t *testing.T) {
 			row[j] = v
 		}
 	}
-	for _, cfg := range []Config{{}, {Components: 20}} {
-		sys, err := Calibrate(noc, cfg)
+	for _, cfg := range []core.Config{{}, {Components: 20}} {
+		sys, err := core.Calibrate(noc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,32 +139,48 @@ type System struct {
 
 // Calibrate builds the MSPC model from normal-operation observations
 // (53-variable rows as produced by the historian; under NOC the two views
-// are identical, so either serves as calibration data). It takes one
-// covariance of the rows and fits it with CalibrateCov, so a model served
-// from a file is the one an accumulator over the same rows would give.
+// are identical, so either serves as calibration data). It folds the rows,
+// in order, into one mat.Moments and fits it with CalibrateMoments, so a
+// model served from a file is the one the served path's streaming parse
+// of the same file gives.
 func Calibrate(noc *dataset.Dataset, cfg Config) (*System, error) {
 	if noc == nil || noc.Rows() < 10 {
 		return nil, fmt.Errorf("core: calibration needs data: %w", ErrBadInput)
 	}
-	if noc.Cols() != historian.NumVars {
+	acc, err := mat.NewMoments(noc.Cols(), 1)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	for i := 0; i < noc.Rows(); i++ {
+		if err := acc.Add(noc.RowView(i)); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	return CalibrateMoments(acc, cfg)
+}
+
+// CalibrateMoments builds the system from the moments of at least 10
+// normal-operation rows of the 53 historian variables: the fit behind
+// Calibrate, the served calibration that streams a CSV file and scenario
+// calibration, which merges the moments of its runs.
+func CalibrateMoments(acc *mat.Moments, cfg Config) (*System, error) {
+	if acc == nil || acc.N() < 10 {
+		return nil, fmt.Errorf("core: calibration needs data: %w", ErrBadInput)
+	}
+	if acc.Cols() != historian.NumVars {
 		return nil, fmt.Errorf("core: calibration has %d cols, want %d: %w",
-			noc.Cols(), historian.NumVars, ErrBadInput)
+			acc.Cols(), historian.NumVars, ErrBadInput)
 	}
-	x, err := noc.Matrix()
+	cov, err := acc.Covariance()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	cov, err := mat.Covariance(x)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return CalibrateCov(cov, mat.ColMeans(x), x.Rows(), cfg)
+	return CalibrateCov(cov, acc.Means(), acc.N(), cfg)
 }
 
 // CalibrateCov builds the system from the calibration moments (means +
-// covariance + count): the one fit behind Calibrate, scenario calibration
-// (a streaming accumulator, the memory-bounded path for paper-scale data)
-// and every adaptive refit.
+// covariance + count): the one fit behind CalibrateMoments and every
+// adaptive refit, which blends the calibration covariance into its own.
 func CalibrateCov(cov *mat.Matrix, means []float64, n int, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	opts := []mspc.Option{}

@@ -1,7 +1,7 @@
 // Package dataset provides the named-column observation container shared by
-// the historian, the MSPC pipeline and the CSV tooling: an append-only
-// N×M table with variable names, convertible to the mat.Matrix the models
-// consume.
+// the historian, the MSPC pipeline and the CSV tooling — an append-only
+// N×M table with variable names — and the one CSV parser, which can also
+// stream rows without building a table (ScanCSV).
 package dataset
 
 import (
@@ -15,17 +15,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"pcsmon/internal/mat"
 )
 
-// Package-level sentinel errors.
-var (
-	// ErrBadInput is returned for malformed rows or headers.
-	ErrBadInput = errors.New("dataset: invalid input")
-	// ErrEmpty is returned when an operation needs observations.
-	ErrEmpty = errors.New("dataset: empty dataset")
-)
+// ErrBadInput is returned for malformed rows or headers.
+var ErrBadInput = errors.New("dataset: invalid input")
 
 // Dataset is an append-only table of float64 observations with named
 // columns.
@@ -67,14 +60,6 @@ func (d *Dataset) Row(i int) []float64 {
 // mutate it.
 func (d *Dataset) RowView(i int) []float64 { return d.rows[i] }
 
-// Matrix converts the dataset to a dense matrix (copying the data).
-func (d *Dataset) Matrix() (*mat.Matrix, error) {
-	if len(d.rows) == 0 {
-		return nil, ErrEmpty
-	}
-	return mat.FromRows(d.rows)
-}
-
 // WriteCSV writes the dataset with a header row.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -97,7 +82,40 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// ReadCSV parses a dataset written by WriteCSV.
+// ReadCSV parses a dataset written by WriteCSV, in the format ScanCSV
+// reads.
+func ReadCSV(r io.Reader) (*Dataset, error) {
+	var (
+		rows  [][]float64
+		chunk []float64 // backing array shared by up to readChunkRows rows
+	)
+	names, err := ScanCSV(r, func(row []float64) error {
+		if cap(chunk)-len(chunk) < len(row) {
+			chunk = make([]float64, 0, readChunkRows*len(row))
+		}
+		chunk = append(chunk, row...)
+		rows = append(rows, chunk[len(chunk)-len(row):len(chunk):len(chunk)])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	d, err := New(names)
+	if err != nil {
+		return nil, err
+	}
+	d.rows = rows
+	return d, nil
+}
+
+// readChunkRows is how many rows ReadCSV stores in one backing array.
+const readChunkRows = 1024
+
+// ScanCSV reads CSV text and calls row for every body record, in file
+// order, without retaining the records; it returns the header's column
+// names. The slice passed to row is reused once row returns, so a caller
+// that keeps a row must copy it. An error from row ends the scan and is
+// returned unwrapped.
 //
 // The accepted format is encoding/csv's default dialect restricted to
 // numbers: a header record of column names (parsed by encoding/csv, so
@@ -109,12 +127,13 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // number and is rejected. A row with the wrong field count or a field that
 // does not parse returns an error wrapping ErrBadInput that names the
 // physical line (the header is line 1); when several lines are bad, the
-// first one is reported.
+// first one is reported, after row has seen every record before the
+// block that holds it.
 //
 // The body is cut into blocks of whole lines that are parsed GOMAXPROCS at
-// a time on separate goroutines; the rows of one block share one backing
-// array.
-func ReadCSV(r io.Reader) (*Dataset, error) {
+// a time on separate goroutines; row runs on the calling goroutine once a
+// round of blocks is parsed.
+func ScanCSV(r io.Reader, row func([]float64) error) ([]string, error) {
 	// encoding/csv reuses br instead of wrapping it, so after the header
 	// record br is positioned at the first body byte.
 	br := bufio.NewReader(r)
@@ -122,10 +141,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	d, err := New(header)
-	if err != nil {
-		return nil, err
 	}
 	last := len(header) - 1
 	line, _ := cr.FieldPos(last)
@@ -149,12 +164,14 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 				return nil, b.bad.err(line, cols)
 			}
 			for off := 0; off < len(b.flat); off += cols {
-				d.rows = append(d.rows, b.flat[off:off+cols:off+cols])
+				if err := row(b.flat[off : off+cols : off+cols]); err != nil {
+					return nil, err
+				}
 			}
 			line += b.lines
 		}
 	}
-	return d, nil
+	return header, nil
 }
 
 // blockSize is the body text read per parse block. Blocks end on a line
@@ -189,7 +206,7 @@ func nextBlock(r io.Reader, buf, carry []byte) (text, rest []byte, eof bool, err
 // csvBlock is one run of whole body lines and what parsing made of it.
 type csvBlock struct {
 	text  []byte    // the lines; the buffer is reused for the next round
-	flat  []float64 // parsed rows back to back, freshly allocated per parse
+	flat  []float64 // parsed rows back to back; the buffer is reused too
 	lines int       // physical lines in text, blank ones included
 	bad   *badLine  // first malformed line, or nil
 }
@@ -228,7 +245,10 @@ func parseBlocks(blocks []csvBlock, cols int) {
 
 // parse converts b.text into b.flat, stopping at the first malformed line.
 func (b *csvBlock) parse(cols int) {
-	b.flat = make([]float64, 0, (bytes.Count(b.text, []byte{'\n'})+1)*cols)
+	if need := (bytes.Count(b.text, []byte{'\n'}) + 1) * cols; cap(b.flat) < need {
+		b.flat = make([]float64, 0, need)
+	}
+	b.flat = b.flat[:0]
 	b.lines = 0
 	b.bad = nil
 	for text := b.text; len(text) > 0; {

@@ -67,22 +67,6 @@ func TestNamesCopied(t *testing.T) {
 	}
 }
 
-func TestMatrixConversion(t *testing.T) {
-	d, _ := New([]string{"a", "b"})
-	if _, err := d.Matrix(); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty: want ErrEmpty, got %v", err)
-	}
-	_ = d.Append([]float64{1, 2})
-	_ = d.Append([]float64{3, 4})
-	m, err := d.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 1) != 4 {
-		t.Errorf("matrix(1,1) = %g", m.At(1, 1))
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	d, _ := New([]string{"x", "y", "z"})
 	rng := rand.New(rand.NewSource(1))
@@ -325,6 +309,47 @@ func TestReadCSVReportsEarliestBadLine(t *testing.T) {
 	_, err := ReadCSV(strings.NewReader(strings.Join(in, "")))
 	if !errors.Is(err, ErrBadInput) || !strings.Contains(fmt.Sprint(err), "dataset: line 1800 field 2") {
 		t.Errorf("bad field on line 1800: err = %v", err)
+	}
+}
+
+// TestScanCSVStreamsRowsInOrder: ScanCSV hands row every record of a
+// multi-block file in file order — the rows ReadCSV keeps, bit for bit —
+// and an error from row ends the scan at once and comes back unwrapped.
+func TestScanCSVStreamsRowsInOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(5))
+	in := paperCSV(rng, 3000, "\n")
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		want, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		names, err := ScanCSV(strings.NewReader(in), func(row []float64) error {
+			for j, v := range want.RowView(i) {
+				if math.Float64bits(row[j]) != math.Float64bits(v) {
+					t.Fatalf("procs %d: row %d col %d = %v, ReadCSV %v", procs, i, j, row[j], v)
+				}
+			}
+			i++
+			return nil
+		})
+		if err != nil || !reflect.DeepEqual(names, want.names) || i != want.Rows() {
+			t.Fatalf("procs %d: %d rows, names %q, err %v; want %d rows, names %q", procs, i, names, err, want.Rows(), want.names)
+		}
+		stop := errors.New("stop")
+		calls := 0
+		_, err = ScanCSV(strings.NewReader(in), func([]float64) error {
+			calls++
+			if calls == 1000 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || calls != 1000 {
+			t.Errorf("procs %d: row error: err %v after %d calls, want the error itself after 1000", procs, err, calls)
+		}
 	}
 }
 

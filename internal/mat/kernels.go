@@ -129,9 +129,9 @@ func AxpyInto(dst []float64, a float64, x []float64) {
 	}
 }
 
-// FMAInto computes dst[i] = a·dst[i] + b·x[i] — the exponentially-forgetting
-// accumulation step of the EWMA covariance tracker — unrolled 4-wide. x
-// must be at least as long as dst.
+// FMAInto computes dst[i] = a·dst[i] + b·x[i] — the forgetting step of
+// Moments.Add under a forget factor below 1 — unrolled 4-wide. x must be
+// at least as long as dst.
 //
 //pcslint:hotpath
 func FMAInto(dst []float64, a float64, x []float64, b float64) {

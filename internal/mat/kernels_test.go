@@ -205,157 +205,173 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// TestAccumulatorsMatchNaive pins that the kernel-backed covariance
-// accumulators still produce bit-identical cross-product sums.
+// naiveMoments is the per-row update Moments.Add performs, as plain loops:
+// the running means and the upper triangle of S after every row.
+func naiveMoments(rows [][]float64, l float64) (mean, s []float64) {
+	cols := len(rows[0])
+	var w float64
+	mean = make([]float64, cols)
+	d := make([]float64, cols)
+	e := make([]float64, cols)
+	s = make([]float64, cols*cols)
+	for _, row := range rows {
+		w = l*w + 1
+		inv := 1 / w
+		for j, x := range row {
+			d[j] = x - mean[j]
+			mean[j] += d[j] * inv
+			e[j] = x - mean[j]
+		}
+		for p := 0; p < cols; p++ {
+			for q := p; q < cols; q++ {
+				if l != 1 {
+					s[p*cols+q] = l*s[p*cols+q] + d[p]*e[q]
+				} else if d[p] != 0 {
+					s[p*cols+q] += d[p] * e[q]
+				}
+			}
+		}
+	}
+	return mean, s
+}
+
+// TestAccumulatorsMatchNaive pins that the kernel-backed moments update
+// is bit-identical to its plain loops, with and without forgetting.
 func TestAccumulatorsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	const cols, rows = 13, 40
-	cov, err := NewCovAccumulator(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ewma, err := NewEWMACovAccumulator(cols, 0.97)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveCross := make([]float64, cols*cols)
-	naiveEwma := make([]float64, cols*cols)
-	const l = 0.97
-	for r := 0; r < rows; r++ {
-		row := randSlice(rng, cols)
-		if r%7 == 0 {
-			row[r%cols] = 0 // exercise the vp==0 skip
-		}
-		if err := cov.Add(row); err != nil {
-			t.Fatal(err)
-		}
-		if err := ewma.Add(row); err != nil {
-			t.Fatal(err)
-		}
-		for p, vp := range row {
-			for q := p; q < cols; q++ {
-				if vp != 0 {
-					naiveCross[p*cols+q] += vp * row[q]
-				}
-				naiveEwma[p*cols+q] = l*naiveEwma[p*cols+q] + vp*row[q]
-			}
-		}
-	}
-	for p := 0; p < cols; p++ {
-		for q := p; q < cols; q++ {
-			if cov.cross[p*cols+q] != naiveCross[p*cols+q] {
-				t.Fatalf("CovAccumulator cross (%d,%d): %v != naive %v",
-					p, q, cov.cross[p*cols+q], naiveCross[p*cols+q])
-			}
-			if ewma.cross[p*cols+q] != naiveEwma[p*cols+q] {
-				t.Fatalf("EWMACovAccumulator cross (%d,%d): %v != naive %v",
-					p, q, ewma.cross[p*cols+q], naiveEwma[p*cols+q])
-			}
-		}
-	}
-}
-
-// refCovariance is the one-row-at-a-time upper-triangle loop Covariance
-// replaced, kept verbatim as the exactness oracle.
-func refCovariance(m *Matrix) *Matrix {
-	means := ColMeans(m)
-	c := MustNew(m.cols, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for p := 0; p < m.cols; p++ {
-			dp := row[p] - means[p]
-			if dp == 0 {
-				continue
-			}
-			crow := c.data[p*m.cols : (p+1)*m.cols]
-			for q := p; q < m.cols; q++ {
-				crow[q] += dp * (row[q] - means[q])
-			}
-		}
-	}
-	inv := 1 / float64(m.rows-1)
-	for p := 0; p < m.cols; p++ {
-		for q := p; q < m.cols; q++ {
-			v := c.data[p*m.cols+q] * inv
-			c.data[p*m.cols+q] = v
-			c.data[q*m.cols+p] = v
-		}
-	}
-	return c
-}
-
-// TestCovarianceBlockedExact covers every remainder of the 4-row block
-// (n mod 4 = 0..3) at the paper's 53 variables, with a constant column and
-// entries exactly at their column mean so the dp == 0 skip runs inside
-// full blocks and in the tail.
-func TestCovarianceBlockedExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	const cols = 53
-	for _, rows := range []int{2, 3, 4, 5, 6, 7, 8, 9, 40, 41, 42, 43} {
-		m := MustNew(rows, cols)
-		for i := 0; i < rows; i++ {
-			copy(m.RowView(i), randSlice(rng, cols))
-			m.Set(i, 7, 2.5) // constant column: every dp is 0
-		}
-		// Column 11 holds -1, 1, -1, 1, …, 0: its mean is exactly 0 for
-		// an odd count, so the zero entries sit exactly at the mean.
-		for i := 0; i < rows; i++ {
-			v := float64(1 - 2*(i%2))
-			if rows%2 == 1 && i == rows-1 {
-				v = 0
-			}
-			m.Set(i, 11, v)
-		}
-		// Column 20 is 3 except one entry: the others sit at the mean
-		// only when the exception happens to be 3 too, so give the
-		// exception the same value in half the cases.
-		for i := 0; i < rows; i++ {
-			m.Set(i, 20, 3)
-		}
-		if rows%2 == 0 {
-			m.Set(rows/2, 20, 5)
-		}
-		got, err := Covariance(m)
+	const cols = 13
+	for _, l := range []float64{1, 0.97} {
+		acc, err := NewMoments(cols, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refCovariance(m)
+		rows := make([][]float64, 41)
+		for r := range rows {
+			rows[r] = randSlice(rng, cols)
+			if r%7 == 0 {
+				rows[r][r%cols] = acc.mean[r%cols] // exercise the dp == 0 skip
+			}
+			if err := acc.Add(rows[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acc.flush()
+		mean, s := naiveMoments(rows, l)
+		for j := range mean {
+			if acc.mean[j] != mean[j] {
+				t.Fatalf("λ=%v mean[%d]: %v != naive %v", l, j, acc.mean[j], mean[j])
+			}
+		}
 		for p := 0; p < cols; p++ {
-			for q := 0; q < cols; q++ {
-				if got.At(p, q) != want.At(p, q) {
-					t.Fatalf("rows=%d (%d,%d): Covariance=%v, reference=%v", rows, p, q, got.At(p, q), want.At(p, q))
+			for q := p; q < cols; q++ {
+				if acc.s[p*cols+q] != s[p*cols+q] {
+					t.Fatalf("λ=%v S(%d,%d): %v != naive %v", l, p, q, acc.s[p*cols+q], s[p*cols+q])
 				}
 			}
 		}
 	}
+}
+
+// TestCovarianceBlockedExact covers every remainder of the 4-row block
+// (n mod 4 = 0..3) at the paper's 53 variables, with a constant column,
+// whose δ is 0 in every row after the first, so the δ_p == 0 skip runs
+// inside full blocks and in the tail, and entries at their running mean:
+// the covariance must equal the per-row update's, bit for bit.
+func TestCovarianceBlockedExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const cols = 53
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 40, 41, 42, 43} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = randSlice(rng, cols)
+			rows[i][7] = 2.5 // constant column: every δ is 0
+			// Column 11 runs 1, −1, 0, −1, 1, −1, 0, …: after the first
+			// two rows its running mean is exactly 0, so row 2's 0 sits
+			// at it.
+			rows[i][11] = float64(1 - 2*(i%2))
+			if i%4 == 2 {
+				rows[i][11] = 0
+			}
+			rows[i][20] = 3 // 3 except one entry
+		}
+		rows[n/2][20] = 5
+		acc, err := NewMoments(cols, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if err := acc.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := acc.Covariance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, s := naiveMoments(rows, 1)
+		for p := 0; p < cols; p++ {
+			for q := p; q < cols; q++ {
+				want := s[p*cols+q] / float64(n-1)
+				if got.At(p, q) != want || got.At(q, p) != want {
+					t.Fatalf("n=%d (%d,%d): Covariance=%v, per-row update=%v", n, p, q, got.At(p, q), want)
+				}
+			}
+		}
+	}
+}
+
+// refMoments is the two-pass reference: column means first, then the
+// centred products, divided by N−1.
+func refMoments(m *Matrix) ([]float64, *Matrix) {
+	means := make([]float64, m.cols)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.RowView(i) {
+			means[j] += v
+		}
+	}
+	for j := range means {
+		means[j] /= float64(m.rows)
+	}
+	c := MustNew(m.cols, m.cols)
+	for i := 0; i < m.rows; i++ {
+		row := m.RowView(i)
+		for p := 0; p < m.cols; p++ {
+			for q := 0; q < m.cols; q++ {
+				c.data[p*m.cols+q] += (row[p] - means[p]) * (row[q] - means[q])
+			}
+		}
+	}
+	for k := range c.data {
+		c.data[k] /= float64(m.rows - 1)
+	}
+	return means, c
 }
 
 // TestCovarianceKeepsZeroSkip pins that a centred value of exactly 0 still
 // skips its row's products: with an infinite entry in the same row, adding
-// 0·(−Inf) would turn that cell into NaN, so the blocked kernel must skip
-// exactly where the reference loop does.
+// 0·(−Inf) would turn that cell into NaN, so a channel at its mean in every
+// row keeps an exactly-zero covariance with the infinite one.
 func TestCovarianceKeepsZeroSkip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const cols = 9
 	for _, rows := range []int{4, 5, 6, 7, 8} {
-		m := MustNew(rows, cols)
-		for i := 0; i < rows; i++ {
-			copy(m.RowView(i), randSlice(rng, cols))
-			m.Set(i, 1, 4) // at its mean in every row
-		}
-		m.Set(rows-1, 2, math.Inf(1))
-		got, err := Covariance(m)
+		acc, err := NewMoments(cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refCovariance(m)
-		for p := 0; p < cols; p++ {
-			for q := 0; q < cols; q++ {
-				g, w := got.At(p, q), want.At(p, q)
-				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
-					t.Fatalf("rows=%d (%d,%d): Covariance=%v, reference=%v", rows, p, q, g, w)
-				}
+		for i := 0; i < rows; i++ {
+			row := randSlice(rng, cols)
+			row[1] = 4 // at its mean in every row
+			if i == rows-1 {
+				row[2] = math.Inf(1)
 			}
+			if err := acc.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := acc.Covariance()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if v := got.At(1, 2); v != 0 {
 			t.Fatalf("rows=%d: cov(const, inf col) = %v, want 0 (zero skip lost)", rows, v)

@@ -1,6 +1,6 @@
 // Package mat provides the small dense linear-algebra kernel used by the
-// MSPC stack: row-major matrices, the usual products, covariance
-// accumulation and a symmetric (Jacobi) eigendecomposition.
+// MSPC stack: row-major matrices, the usual products, streaming moments
+// (Moments) and a symmetric (Jacobi) eigendecomposition.
 //
 // The package is intentionally minimal — it implements exactly what
 // PCA-based multivariate statistical process control needs, with no external
@@ -404,291 +404,6 @@ func extractEigen(a, v *Matrix) ([]float64, *Matrix, error) {
 		}
 	}
 	return sortedVals, vecs, nil
-}
-
-// ColMeans returns the per-column means of m. A second pass adds back the
-// mean residual, so a column that holds one value c gets exactly c rather
-// than c plus the rounding of an N-term sum — and so, in Covariance, an
-// exactly-zero variance instead of a rounding-level one.
-func ColMeans(m *Matrix) []float64 {
-	out := make([]float64, m.cols)
-	if m.rows == 0 {
-		return out
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	inv := 1 / float64(m.rows)
-	for j := range out {
-		out[j] *= inv
-	}
-	resid := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			resid[j] += v - out[j]
-		}
-	}
-	for j := range out {
-		out[j] += resid[j] * inv
-	}
-	return out
-}
-
-// Covariance returns the sample covariance matrix (divisor N-1) of the rows
-// of m. It requires at least two rows.
-//
-// Rows are taken four at a time: each block is centred once, then applied
-// to the upper triangle as a rank-4 update, so every c[p][q] is loaded and
-// stored once per four rows while still adding its products in ascending
-// row order. A row whose centred value dp is exactly 0 adds nothing to row
-// p of the triangle, as in the plain one-row-at-a-time loop, so the result
-// is bit-identical to it (even for non-finite entries).
-func Covariance(m *Matrix) (*Matrix, error) {
-	if m.rows < 2 {
-		return nil, fmt.Errorf("mat: covariance needs ≥2 rows, got %d: %w", m.rows, ErrEmpty)
-	}
-	means := ColMeans(m)
-	n := m.cols
-	c := MustNew(n, n)
-	centred := make([]float64, 4*n)
-	d0, d1, d2, d3 := centred[:n], centred[n:2*n], centred[2*n:3*n], centred[3*n:]
-	i := 0
-	for ; i+4 <= m.rows; i += 4 {
-		centre(d0, m.data[i*n:(i+1)*n], means)
-		centre(d1, m.data[(i+1)*n:(i+2)*n], means)
-		centre(d2, m.data[(i+2)*n:(i+3)*n], means)
-		centre(d3, m.data[(i+3)*n:(i+4)*n], means)
-		for p := 0; p < n; p++ {
-			crow := c.data[p*n+p : (p+1)*n]
-			a0, a1, a2, a3 := d0[p], d1[p], d2[p], d3[p]
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				for k, dp := range [4]float64{a0, a1, a2, a3} {
-					if dp != 0 {
-						AxpyInto(crow, dp, centred[k*n+p:(k+1)*n])
-					}
-				}
-				continue
-			}
-			q0 := d0[p:]
-			q1, q2, q3 := d1[p:][:len(q0)], d2[p:][:len(q0)], d3[p:][:len(q0)]
-			crow = crow[:len(q0)]
-			for q, v := range crow {
-				v += a0 * q0[q]
-				v += a1 * q1[q]
-				v += a2 * q2[q]
-				v += a3 * q3[q]
-				crow[q] = v
-			}
-		}
-	}
-	for ; i < m.rows; i++ {
-		centre(d0, m.data[i*n:(i+1)*n], means)
-		for p, dp := range d0 {
-			if dp != 0 {
-				AxpyInto(c.data[p*n+p:(p+1)*n], dp, d0[p:])
-			}
-		}
-	}
-	inv := 1 / float64(m.rows-1)
-	for p := 0; p < n; p++ {
-		for q := p; q < n; q++ {
-			v := c.data[p*n+q] * inv
-			c.data[p*n+q] = v
-			c.data[q*n+p] = v
-		}
-	}
-	return c, nil
-}
-
-// centre writes row − means into dst.
-func centre(dst, row, means []float64) {
-	row = row[:len(dst)]
-	means = means[:len(dst)]
-	for j := range dst {
-		dst[j] = row[j] - means[j]
-	}
-}
-
-// CovAccumulator accumulates a covariance matrix incrementally from streamed
-// rows without retaining them, using per-column sums and cross-products.
-// This lets calibration consume millions of observations with O(M²) memory.
-//
-// The zero value is not usable; call NewCovAccumulator.
-type CovAccumulator struct {
-	n     int
-	cols  int
-	sum   []float64
-	cross []float64 // upper-triangular packed full M×M row-major
-}
-
-// NewCovAccumulator returns an accumulator for rows of width cols.
-func NewCovAccumulator(cols int) (*CovAccumulator, error) {
-	if cols <= 0 {
-		return nil, fmt.Errorf("mat: accumulator cols %d: %w", cols, ErrDimMismatch)
-	}
-	return &CovAccumulator{
-		cols:  cols,
-		sum:   make([]float64, cols),
-		cross: make([]float64, cols*cols),
-	}, nil
-}
-
-// Add accumulates one observation row.
-func (c *CovAccumulator) Add(row []float64) error {
-	if len(row) != c.cols {
-		return fmt.Errorf("mat: accumulator row len %d != %d: %w", len(row), c.cols, ErrDimMismatch)
-	}
-	c.n++
-	for p, vp := range row {
-		c.sum[p] += vp
-		if vp == 0 {
-			continue
-		}
-		AxpyInto(c.cross[p*c.cols+p:(p+1)*c.cols], vp, row[p:])
-	}
-	return nil
-}
-
-// N returns the number of accumulated observations.
-func (c *CovAccumulator) N() int { return c.n }
-
-// Means returns the accumulated column means.
-func (c *CovAccumulator) Means() []float64 {
-	out := make([]float64, c.cols)
-	if c.n == 0 {
-		return out
-	}
-	inv := 1 / float64(c.n)
-	for j, s := range c.sum {
-		out[j] = s * inv
-	}
-	return out
-}
-
-// Covariance finalizes the sample covariance matrix (divisor N-1).
-func (c *CovAccumulator) Covariance() (*Matrix, error) {
-	if c.n < 2 {
-		return nil, fmt.Errorf("mat: accumulator has %d rows, need ≥2: %w", c.n, ErrEmpty)
-	}
-	means := c.Means()
-	out := MustNew(c.cols, c.cols)
-	invN1 := 1 / float64(c.n-1)
-	for p := 0; p < c.cols; p++ {
-		for q := p; q < c.cols; q++ {
-			v := (c.cross[p*c.cols+q] - float64(c.n)*means[p]*means[q]) * invN1
-			out.data[p*c.cols+q] = v
-			out.data[q*c.cols+p] = v
-		}
-	}
-	return out, nil
-}
-
-// EWMACovAccumulator is the exponentially-forgetting form of
-// CovAccumulator: each Add discounts the accumulated statistics by a forget
-// factor λ ∈ (0,1] before folding the new row in, so the estimated mean and
-// covariance track a slowly moving process instead of averaging over its
-// whole history. λ=1 recovers the plain accumulator (infinite memory); the
-// effective memory of λ<1 is ~1/(1−λ) observations.
-//
-// This is the statistics engine of the adaptive recalibration layer: it
-// streams in-control observations with O(M²) memory and yields the weighted
-// covariance/means/effective-sample-size triple that CalibrateCov needs.
-//
-// The zero value is not usable; call NewEWMACovAccumulator. The accumulator
-// is not safe for concurrent use.
-type EWMACovAccumulator struct {
-	lambda float64
-	cols   int
-	w, w2  float64 // sum of weights and of squared weights
-	sum    []float64
-	cross  []float64 // upper triangle used, full M×M row-major
-}
-
-// NewEWMACovAccumulator returns an accumulator for rows of width cols with
-// forget factor lambda ∈ (0, 1].
-func NewEWMACovAccumulator(cols int, lambda float64) (*EWMACovAccumulator, error) {
-	if cols <= 0 {
-		return nil, fmt.Errorf("mat: accumulator cols %d: %w", cols, ErrDimMismatch)
-	}
-	if lambda <= 0 || lambda > 1 {
-		return nil, fmt.Errorf("mat: forget factor %g not in (0,1]: %w", lambda, ErrDimMismatch)
-	}
-	return &EWMACovAccumulator{
-		lambda: lambda,
-		cols:   cols,
-		sum:    make([]float64, cols),
-		cross:  make([]float64, cols*cols),
-	}, nil
-}
-
-// Add discounts the accumulated statistics by λ and folds one observation
-// row in with unit weight.
-func (c *EWMACovAccumulator) Add(row []float64) error {
-	if len(row) != c.cols {
-		return fmt.Errorf("mat: accumulator row len %d != %d: %w", len(row), c.cols, ErrDimMismatch)
-	}
-	l := c.lambda
-	c.w = l*c.w + 1
-	c.w2 = l*l*c.w2 + 1
-	for p, vp := range row {
-		c.sum[p] = l*c.sum[p] + vp
-		FMAInto(c.cross[p*c.cols+p:(p+1)*c.cols], l, row[p:], vp)
-	}
-	return nil
-}
-
-// Weight returns the current sum of weights — the EWMA analogue of the
-// observation count, saturating at 1/(1−λ).
-func (c *EWMACovAccumulator) Weight() float64 { return c.w }
-
-// ESS returns the effective sample size (Σw)²/Σw², the number of equally
-// weighted observations carrying the same statistical information. For λ=1
-// this is exactly the observation count; for λ<1 it saturates near
-// 2/(1−λ).
-func (c *EWMACovAccumulator) ESS() float64 {
-	if c.w2 == 0 {
-		return 0
-	}
-	return c.w * c.w / c.w2
-}
-
-// Means returns the weighted column means.
-func (c *EWMACovAccumulator) Means() []float64 {
-	out := make([]float64, c.cols)
-	if c.w == 0 {
-		return out
-	}
-	inv := 1 / c.w
-	for j, s := range c.sum {
-		out[j] = s * inv
-	}
-	return out
-}
-
-// Covariance finalizes the weighted sample covariance with the unbiased
-// reliability-weights divisor (for λ=1 this reduces exactly to the N−1
-// divisor of CovAccumulator). It requires an effective sample size above 1.
-func (c *EWMACovAccumulator) Covariance() (*Matrix, error) {
-	den := c.w*c.w - c.w2
-	if den <= 1e-12 {
-		return nil, fmt.Errorf("mat: EWMA accumulator needs effective sample size > 1: %w", ErrEmpty)
-	}
-	corr := c.w * c.w / den // bias correction: Σw² / (Σw² − Σw²ᵢ)
-	means := c.Means()
-	out := MustNew(c.cols, c.cols)
-	invW := 1 / c.w
-	for p := 0; p < c.cols; p++ {
-		for q := p; q < c.cols; q++ {
-			v := (c.cross[p*c.cols+q]*invW - means[p]*means[q]) * corr
-			out.data[p*c.cols+q] = v
-			out.data[q*c.cols+p] = v
-		}
-	}
-	return out, nil
 }
 
 // String renders a compact, aligned preview of the matrix (all of it when

@@ -191,16 +191,14 @@ func TestDotAndNorm(t *testing.T) {
 }
 
 func TestColMeansStds(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 10}, {3, 30}, {5, 20}})
-	means := ColMeans(m)
+	means, cov, err := streamMoments([][]float64{{1, 10}, {3, 30}, {5, 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if means[0] != 3 || means[1] != 20 {
 		t.Errorf("means = %v, want [3 20]", means)
 	}
 	// Standard deviations are the square roots of the covariance diagonal.
-	cov, err := Covariance(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s0, s1 := math.Sqrt(cov.At(0, 0)), math.Sqrt(cov.At(1, 1)); !almostEqual(s0, 2, tol) || !almostEqual(s1, 10, tol) {
 		t.Errorf("stds = [%v %v], want [2 10]", s0, s1)
 	}
@@ -209,34 +207,55 @@ func TestColMeansStds(t *testing.T) {
 // TestColMeansConstantColumnExact: a column that holds one value c must
 // have mean exactly c — not c plus the rounding of a 19 201-term sum — and
 // therefore an exactly-zero covariance row and column, whatever the
-// magnitude of c. Columns alternate held values with noisy ones so both
-// the blocked and the tail rows of Covariance run.
+// magnitude of c. Columns alternate held values with noisy ones. The rows
+// are folded both in one pass and as two parts merged, split at an odd
+// row.
 func TestColMeansConstantColumnExact(t *testing.T) {
 	held := []float64{22.21, 40.064, 0.1, -0.3, 3.3e-7, 2748.25123, 1e6 + 0.1, -7.77e12}
 	const n = 19201
 	cols := 2 * len(held)
-	m := MustNew(n, cols)
+	whole, err := NewMoments(cols, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, _ := NewMoments(cols, 1)
+	tail, _ := NewMoments(cols, 1)
 	rng := rand.New(rand.NewSource(19201))
+	row := make([]float64, cols)
 	for i := 0; i < n; i++ {
-		row := m.RowView(i)
 		for k, c := range held {
 			row[2*k] = c
 			row[2*k+1] = c + rng.NormFloat64()
 		}
+		part := head
+		if i >= 7777 {
+			part = tail
+		}
+		if err := whole.Add(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := part.Add(row); err != nil {
+			t.Fatal(err)
+		}
 	}
-	means := ColMeans(m)
-	cov, err := Covariance(m)
-	if err != nil {
+	if err := head.Merge(tail); err != nil {
 		t.Fatal(err)
 	}
-	for k, c := range held {
-		j := 2 * k
-		if means[j] != c {
-			t.Errorf("ColMeans of a column of %v = %v (off by %g)", c, means[j], means[j]-c)
+	for name, acc := range map[string]*Moments{"one pass": whole, "merged": head} {
+		means := acc.Means()
+		cov, err := acc.Covariance()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for q := 0; q < cols; q++ {
-			if cov.At(j, q) != 0 || cov.At(q, j) != 0 {
-				t.Errorf("column of %v: covariance (%d,%d) = %g, (%d,%d) = %g, want 0", c, j, q, cov.At(j, q), q, j, cov.At(q, j))
+		for k, c := range held {
+			j := 2 * k
+			if means[j] != c {
+				t.Errorf("%s: mean of a column of %v = %v (off by %g)", name, c, means[j], means[j]-c)
+			}
+			for q := 0; q < cols; q++ {
+				if cov.At(j, q) != 0 || cov.At(q, j) != 0 {
+					t.Errorf("%s, column of %v: covariance (%d,%d) = %g, (%d,%d) = %g, want 0", name, c, j, q, cov.At(j, q), q, j, cov.At(q, j))
+				}
 			}
 		}
 	}
@@ -244,8 +263,7 @@ func TestColMeansConstantColumnExact(t *testing.T) {
 
 func TestCovarianceKnown(t *testing.T) {
 	// Perfectly correlated columns: covariance matrix is rank one.
-	m, _ := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	c, err := Covariance(m)
+	_, c, err := streamMoments([][]float64{{1, 2}, {2, 4}, {3, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +279,24 @@ func TestCovarianceKnown(t *testing.T) {
 }
 
 func TestCovarianceNeedsRows(t *testing.T) {
-	m := MustNew(1, 3)
-	if _, err := Covariance(m); !errors.Is(err, ErrEmpty) {
+	if _, _, err := streamMoments([][]float64{{1, 2, 3}}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("want ErrEmpty, got %v", err)
 	}
 }
 
+// TestCovAccumulatorMatchesBatch: the streaming moments agree with the
+// two-pass reference (means first, then centred products).
 func TestCovAccumulatorMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := randomMatrix(rng, 200, 7)
-	batch, err := Covariance(m)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < m.Rows(); i++ {
+		row := m.RowView(i)
+		for j := range row {
+			row[j] = 1000*float64(j) + row[j] // offsets the one-pass form loses digits to
+		}
 	}
-	acc, err := NewCovAccumulator(7)
+	wantMeans, want := refMoments(m)
+	acc, err := NewMoments(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,15 +312,107 @@ func TestCovAccumulatorMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matsAlmostEqual(t, batch, streamed, 1e-8) {
-		t.Error("streamed covariance != batch covariance")
+	if !matsAlmostEqual(t, want, streamed, 1e-10) {
+		t.Error("streamed covariance != two-pass covariance")
 	}
-	bm := ColMeans(m)
 	am := acc.Means()
-	for j := range bm {
-		if !almostEqual(bm[j], am[j], 1e-10) {
-			t.Errorf("mean[%d]: %g vs %g", j, bm[j], am[j])
+	for j := range wantMeans {
+		if !almostEqual(wantMeans[j], am[j], 1e-14) {
+			t.Errorf("mean[%d]: %g vs %g", j, wantMeans[j], am[j])
 		}
+	}
+}
+
+// TestMomentsMergeMatchesOnePass: merging the moments of consecutive
+// parts, in order, gives the moments of the whole — count, weight, means
+// and covariance — for every split, with empty parts merging as the
+// identity; the merged-in part is left untouched.
+func TestMomentsMergeMatchesOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const rows, cols = 60, 9
+	m := randomMatrix(rng, rows, cols)
+	for i := 0; i < rows; i++ {
+		row := m.RowView(i)
+		for j := range row {
+			row[j] = 50*float64(j) + 3*row[j]
+		}
+	}
+	fold := func(lo, hi int) *Moments {
+		acc, err := NewMoments(cols, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			if err := acc.Add(m.RowView(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acc
+	}
+	whole := fold(0, rows)
+	wantCov, err := whole.Covariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cuts := range [][]int{{0}, {rows}, {1}, {30}, {7, 19, 44}, {0, 0, 31, rows}} {
+		parts := make([]*Moments, 0, len(cuts)+1)
+		lo := 0
+		for _, c := range append(cuts, rows) {
+			parts = append(parts, fold(lo, c))
+			lo = c
+		}
+		last := parts[len(parts)-1]
+		lastMeans := last.Means()
+		merged := parts[0]
+		for _, p := range parts[1:] {
+			if err := merged.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if merged.N() != rows || merged.Weight() != rows || merged.ESS() != rows {
+			t.Errorf("cuts %v: N %d, weight %v, ESS %v, want %d", cuts, merged.N(), merged.Weight(), merged.ESS(), rows)
+		}
+		got, err := merged.Covariance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matsAlmostEqual(t, wantCov, got, 1e-12) {
+			t.Errorf("cuts %v: merged covariance != one-pass covariance", cuts)
+		}
+		for j, v := range merged.Means() {
+			if !almostEqual(v, whole.mean[j], 1e-14) {
+				t.Errorf("cuts %v: mean[%d] %v, one pass %v", cuts, j, v, whole.mean[j])
+			}
+		}
+		if len(parts) > 1 {
+			for j, v := range last.Means() {
+				if v != lastMeans[j] {
+					t.Fatalf("cuts %v: Merge changed its argument", cuts)
+				}
+			}
+		}
+	}
+	// An empty part merges as the identity, on either side, bit for bit.
+	empty, _ := NewMoments(cols, 1)
+	if err := whole.Merge(empty); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.Merge(whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, acc := range []*Moments{whole, empty} {
+		got, _ := acc.Covariance()
+		for p := 0; p < cols; p++ {
+			for q := 0; q < cols; q++ {
+				if got.At(p, q) != wantCov.At(p, q) {
+					t.Fatalf("merging an empty part moved cov(%d,%d): %v, want %v", p, q, got.At(p, q), wantCov.At(p, q))
+				}
+			}
+		}
+	}
+	other, _ := NewMoments(cols+1, 1)
+	if err := whole.Merge(other); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("merging %d cols into %d: %v, want ErrDimMismatch", cols+1, cols, err)
 	}
 }
 
@@ -510,46 +624,38 @@ func TestIdentityAndIsEmpty(t *testing.T) {
 }
 
 // TestEWMACovAccumulatorLambdaOneMatchesPlain: with forget factor 1 the
-// EWMA accumulator must reproduce the plain accumulator (and hence the
-// batch covariance) exactly — the identity the adaptive layer's
-// "adaptation disabled" parity rests on.
+// weights are plain counts — Weight and ESS are exactly N and the
+// covariance divisor is exactly N−1 — so the moments are the equally
+// weighted ones, the identity the adaptive layer's "adaptation disabled"
+// parity rests on.
 func TestEWMACovAccumulatorLambdaOneMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, m = 120, 5
-	plain, err := NewCovAccumulator(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ewma, err := NewEWMACovAccumulator(m, 1)
+	x := MustNew(n, m)
+	acc, err := NewMoments(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		row := make([]float64, m)
+		row := x.RowView(i)
 		for j := range row {
 			row[j] = 10*rng.NormFloat64() + float64(j)
 		}
-		if err := plain.Add(row); err != nil {
-			t.Fatal(err)
-		}
-		if err := ewma.Add(row); err != nil {
+		if err := acc.Add(row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := ewma.ESS(), float64(n); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ESS %g, want %g", got, want)
+	if acc.N() != n || acc.Weight() != n || acc.ESS() != n {
+		t.Errorf("N %d, weight %v, ESS %v, want %d", acc.N(), acc.Weight(), acc.ESS(), n)
 	}
-	pm, em := plain.Means(), ewma.Means()
+	pm, pc := refMoments(x)
+	em := acc.Means()
 	for j := range pm {
 		if math.Abs(pm[j]-em[j]) > 1e-9 {
 			t.Errorf("mean[%d] %g vs %g", j, em[j], pm[j])
 		}
 	}
-	pc, err := plain.Covariance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec, err := ewma.Covariance()
+	ec, err := acc.Covariance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +672,7 @@ func TestEWMACovAccumulatorLambdaOneMatchesPlain(t *testing.T) {
 // mean must track a level shift, converging to the new level — the property
 // that lets the adaptive layer follow slow plant aging.
 func TestEWMACovAccumulatorTracksShift(t *testing.T) {
-	acc, err := NewEWMACovAccumulator(2, 0.95)
+	acc, err := NewMoments(2, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,17 +706,18 @@ func TestEWMACovAccumulatorTracksShift(t *testing.T) {
 }
 
 // TestEWMACovAccumulatorValidation covers constructor and degenerate-state
-// errors.
+// errors; a forget factor outside (0,1], NaN and infinities included, has
+// its own sentinel.
 func TestEWMACovAccumulatorValidation(t *testing.T) {
-	if _, err := NewEWMACovAccumulator(0, 0.9); !errors.Is(err, ErrDimMismatch) {
+	if _, err := NewMoments(0, 0.9); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("cols=0: %v", err)
 	}
-	for _, l := range []float64{0, -0.5, 1.5} {
-		if _, err := NewEWMACovAccumulator(3, l); !errors.Is(err, ErrDimMismatch) {
-			t.Errorf("lambda=%g: %v", l, err)
+	for _, l := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewMoments(3, l); !errors.Is(err, ErrBadForget) || errors.Is(err, ErrDimMismatch) {
+			t.Errorf("lambda=%g: %v, want ErrBadForget alone", l, err)
 		}
 	}
-	acc, err := NewEWMACovAccumulator(3, 0.9)
+	acc, err := NewMoments(3, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,10 +735,10 @@ func TestEWMACovAccumulatorValidation(t *testing.T) {
 	}
 }
 
-// streamMoments folds rows, in order, into the streaming covariance
-// accumulator and returns its means and covariance.
+// streamMoments folds rows, in order, into the streaming moments and
+// returns their means and covariance.
 func streamMoments(rows [][]float64) ([]float64, *Matrix, error) {
-	acc, err := NewCovAccumulator(len(rows[0]))
+	acc, err := NewMoments(len(rows[0]), 1)
 	if err != nil {
 		return nil, nil, err
 	}

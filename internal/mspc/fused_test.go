@@ -64,33 +64,20 @@ func checkComputeExact(t *testing.T, name string, m *Monitor, fresh *mat.Matrix)
 // TestComputeIntoMatchesComputeExact pins ComputeInto and the chained
 // Compute path (ApplyRow → Project → statsFrom) against the pre-blocking
 // fused sweep with exact equality — the blocked projection must not change
-// a single bit of any D or Q value, for moments from the batch covariance
-// and from a streaming accumulator, and at the paper's 53 variables for
-// every remainder of the 4-score block.
+// a single bit of any D or Q value, for moments from one pass and from
+// two merged halves, and at the paper's 53 variables for every remainder
+// of the 4-score block.
 func TestComputeIntoMatchesComputeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	mon, x := calibrated(t, rng, 300, 13, 3, 4)
 
-	acc, err := mat.NewCovAccumulator(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows(); i++ {
-		if err := acc.Add(x.RowView(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cov, err := acc.Covariance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	monCov, err := CalibrateCov(cov, acc.Means(), acc.N(), WithComponents(4))
+	monMerged, err := calibrateMoments(mergedHalves(x), WithComponents(4))
 	if err != nil {
 		t.Fatalf("CalibrateCov: %v", err)
 	}
 	fresh := correlatedNormal(rng, 500, 13, 3, 0.5)
 	checkComputeExact(t, "13 vars", mon, fresh)
-	checkComputeExact(t, "13 vars, accumulator moments", monCov, fresh)
+	checkComputeExact(t, "13 vars, merged moments", monMerged, fresh)
 
 	paper := correlatedNormal(rng, 400, 53, 8, 0.5)
 	freshPaper := correlatedNormal(rng, 300, 53, 8, 0.5)

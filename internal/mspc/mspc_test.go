@@ -37,14 +37,43 @@ func correlatedNormal(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 	return x
 }
 
-// calibrate fits x through CalibrateCov from its batch covariance and
-// column means, as core.Calibrate does.
+// calibrate fits x through CalibrateCov from the moments of its rows
+// folded in order, as core.Calibrate does.
 func calibrate(x *mat.Matrix, opts ...Option) (*Monitor, error) {
-	cov, err := mat.Covariance(x)
+	return calibrateMoments(foldRows(x, 0, x.Rows()), opts...)
+}
+
+// foldRows folds rows [lo, hi) of x, in order, into a mat.Moments.
+func foldRows(x *mat.Matrix, lo, hi int) *mat.Moments {
+	acc, err := mat.NewMoments(x.Cols(), 1)
+	if err != nil {
+		panic(err)
+	}
+	for i := lo; i < hi; i++ {
+		if err := acc.Add(x.RowView(i)); err != nil {
+			panic(err)
+		}
+	}
+	return acc
+}
+
+// calibrateMoments fits the monitor of the moments acc holds.
+func calibrateMoments(acc *mat.Moments, opts ...Option) (*Monitor, error) {
+	cov, err := acc.Covariance()
 	if err != nil {
 		return nil, err
 	}
-	return CalibrateCov(cov, mat.ColMeans(x), x.Rows(), opts...)
+	return CalibrateCov(cov, acc.Means(), acc.N(), opts...)
+}
+
+// mergedHalves folds the two halves of x separately and merges them: the
+// same moments as one pass, rounded differently.
+func mergedHalves(x *mat.Matrix) *mat.Moments {
+	acc := foldRows(x, 0, x.Rows()/2)
+	if err := acc.Merge(foldRows(x, x.Rows()/2, x.Rows())); err != nil {
+		panic(err)
+	}
+	return acc
 }
 
 func calibrated(t *testing.T, rng *rand.Rand, n, m, k, a int) (*Monitor, *mat.Matrix) {
@@ -257,8 +286,8 @@ func TestComputeDimensionError(t *testing.T) {
 	}
 }
 
-// TestCalibrateCovMatchesCalibrate: the moments of a streaming accumulator
-// and of the batch covariance give the same monitor up to rounding.
+// TestCalibrateCovMatchesCalibrate: the moments of one pass over the rows
+// and of two merged halves give the same monitor up to rounding.
 func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	x := correlatedNormal(rng, 800, 7, 3, 0.4)
@@ -266,20 +295,7 @@ func TestCalibrateCovMatchesCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := mat.NewCovAccumulator(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows(); i++ {
-		if err := acc.Add(x.RowView(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cov, err := acc.Covariance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := CalibrateCov(cov, acc.Means(), acc.N(), WithComponents(3))
+	m2, err := calibrateMoments(mergedHalves(x), WithComponents(3))
 	if err != nil {
 		t.Fatal(err)
 	}

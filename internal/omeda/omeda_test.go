@@ -46,11 +46,20 @@ func newFixture(t *testing.T, seed int64, n, m, k int) *fixture {
 			row[j] = row[j]*2 + 0.4*rng.NormFloat64() + 50
 		}
 	}
-	cov, err := mat.Covariance(x)
+	acc, err := mat.NewMoments(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := mspc.CalibrateCov(cov, mat.ColMeans(x), n, mspc.WithComponents(k))
+	for i := 0; i < n; i++ {
+		if err := acc.Add(x.RowView(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cov, err := acc.Covariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := mspc.CalibrateCov(cov, acc.Means(), n, mspc.WithComponents(k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,12 @@ func lowRankData(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 			x.Set(i, j, row[j]+noise*rng.NormFloat64())
 		}
 	}
-	cov, err := mat.Covariance(x)
+	acc := moments(x)
+	cov, err := acc.Covariance()
 	if err != nil {
 		panic(err)
 	}
-	means := mat.ColMeans(x)
+	means := acc.Means()
 	for i := 0; i < n; i++ {
 		row := x.RowView(i)
 		for j := range row {
@@ -45,10 +46,24 @@ func lowRankData(rng *rand.Rand, n, m, k int, noise float64) *mat.Matrix {
 	return x
 }
 
+// moments folds the rows of x, in order, into a mat.Moments.
+func moments(x *mat.Matrix) *mat.Moments {
+	acc, err := mat.NewMoments(x.Cols(), 1)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < x.Rows(); i++ {
+		if err := acc.Add(x.RowView(i)); err != nil {
+			panic(err)
+		}
+	}
+	return acc
+}
+
 // fit performs PCA on the preprocessed data matrix x, retaining a
 // components, from its sample covariance.
 func fit(x *mat.Matrix, a int) (*Model, error) {
-	cov, err := mat.Covariance(x)
+	cov, err := moments(x).Covariance()
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +123,7 @@ func TestScoreVariancesMatchEigenvalues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scov, err := mat.Covariance(scores)
+	scov, err := moments(scores).Covariance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +146,7 @@ func TestScoresUncorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov, err := mat.Covariance(scores)
+	cov, err := moments(scores).Covariance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +244,7 @@ func TestResidualEigenvaluesPartition(t *testing.T) {
 // FitCov's at that number of components.
 func TestFitCovAutoMatchesFitCov(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(8)), 150, 7, 3, 0.2)
-	cov, err := mat.Covariance(x)
+	cov, err := moments(x).Covariance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +265,7 @@ func TestFitCovAutoMatchesFitCov(t *testing.T) {
 
 func TestFitAutoRules(t *testing.T) {
 	x := lowRankData(rand.New(rand.NewSource(9)), 300, 10, 3, 0.15)
-	cov, err := mat.Covariance(x)
+	cov, err := moments(x).Covariance()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,8 +212,10 @@ type CalibrationResult struct {
 }
 
 // Calibrate runs `runs` NOC simulations from the template and calibrates
-// the monitoring system on the pooled observations via the streaming
-// covariance path (memory stays O(M²) regardless of scale).
+// the monitoring system on the pooled observations. Each run folds its rows
+// into its own mat.Moments as it finishes and the runs' moments are merged
+// in run-index order, so the model does not depend on which run finishes
+// first, and memory stays O(M²) per run regardless of scale.
 func Calibrate(tmpl *plant.Template, runs int, hours float64, decimate int, seedBase int64, cfg core.Config) (*CalibrationResult, error) {
 	if tmpl == nil || runs < 1 || hours <= 0 {
 		return nil, fmt.Errorf("scenario: calibration needs a template, runs ≥ 1 and hours > 0: %w", ErrBadConfig)
@@ -221,15 +223,7 @@ func Calibrate(tmpl *plant.Template, runs int, hours float64, decimate int, seed
 	if decimate < 0 {
 		return nil, fmt.Errorf("scenario: decimate %d: %w", decimate, ErrBadConfig)
 	}
-	acc, err := mat.NewCovAccumulator(historian.NumVars)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	// Each worker folds its run's rows into the shared accumulator under a
-	// mutex; no run's observations are retained, so memory stays O(M²)
-	// regardless of the calibration scale.
-	var mu sync.Mutex
-	total := 0
+	parts := make([]*mat.Moments, runs)
 	if err := forEachRun(runs, 0, func(i int) error {
 		run, err := tmpl.NewRun(plant.RunConfig{Seed: seedBase + int64(i), Decimate: decimate})
 		if err != nil {
@@ -243,28 +237,32 @@ func Calibrate(tmpl *plant.Template, runs int, hours float64, decimate int, seed
 			return fmt.Errorf("scenario: NOC calibration run %d tripped (%s): %w",
 				i, run.ShutdownReason(), ErrBadConfig)
 		}
+		acc, err := mat.NewMoments(historian.NumVars, 1)
+		if err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 		d := run.Views().Process.Data()
-		mu.Lock()
-		defer mu.Unlock()
 		for r := 0; r < d.Rows(); r++ {
 			if err := acc.Add(d.RowView(r)); err != nil {
 				return fmt.Errorf("scenario: %w", err)
 			}
-			total++
 		}
+		parts[i] = acc
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	cov, err := acc.Covariance()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		if err := acc.Merge(p); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
 	}
-	sys, err := core.CalibrateCov(cov, acc.Means(), acc.N(), cfg)
+	sys, err := core.CalibrateMoments(acc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &CalibrationResult{System: sys, Observations: total}, nil
+	return &CalibrationResult{System: sys, Observations: acc.N()}, nil
 }
 
 // RunOutcome is the result of one scenario run.

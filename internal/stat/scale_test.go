@@ -14,7 +14,16 @@ import (
 // the standard deviations as the square roots of the covariance diagonal —
 // the way mspc.CalibrateCov builds its scaler.
 func scalerFor(x *mat.Matrix) (*Scaler, error) {
-	cov, err := mat.Covariance(x)
+	acc, err := mat.NewMoments(x.Cols(), 1)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < x.Rows(); i++ {
+		if err := acc.Add(x.RowView(i)); err != nil {
+			return nil, err
+		}
+	}
+	cov, err := acc.Covariance()
 	if err != nil {
 		return nil, err
 	}
@@ -22,7 +31,7 @@ func scalerFor(x *mat.Matrix) (*Scaler, error) {
 	for j := range stds {
 		stds[j] = math.Sqrt(max(cov.At(j, j), 0))
 	}
-	return NewScaler(mat.ColMeans(x), stds)
+	return NewScaler(acc.Means(), stds)
 }
 
 // applyAll scales every row of x.
