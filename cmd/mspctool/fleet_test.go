@@ -505,6 +505,7 @@ func TestFleetFlagValidation(t *testing.T) {
 		{"-cal", cal, "-adapt-every", "-10"},
 		{"-cal", cal, "-adapt-every", "100", "-adapt-forget", "1.5"},
 		{"-cal", cal, "-adapt-every", "100", "-adapt-forget", "0"},
+		{"-cal", cal, "-adapt-every", "100", "-adapt-forget", "NaN"},
 		{"-cal", cal, "-adapt-forget", "0.99"}, // forget without cadence
 		{"-cal", cal, "-batch", "-1"},
 	}

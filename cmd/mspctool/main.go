@@ -312,7 +312,7 @@ func adaptiveFlags(fs *flag.FlagSet, every int, forget float64) (control.Adapt, 
 	switch {
 	case every < 0:
 		return control.Adapt{}, fmt.Errorf("-adapt-every %d must be >= 0: %w", every, pcsmon.ErrBadConfig)
-	case forgetSet && (forget <= 0 || forget > 1):
+	case forgetSet && !(forget > 0 && forget <= 1):
 		return control.Adapt{}, fmt.Errorf("-adapt-forget %g must be in (0,1]: %w", forget, pcsmon.ErrBadConfig)
 	case forgetSet && every == 0:
 		return control.Adapt{}, fmt.Errorf("-adapt-forget requires -adapt-every: %w", pcsmon.ErrBadConfig)

@@ -207,6 +207,7 @@ func TestWatchAdaptiveFlagValidation(t *testing.T) {
 		{"-cal", cal, "-adapt-every", "-1"},
 		{"-cal", cal, "-adapt-forget", "0.9"},
 		{"-cal", cal, "-adapt-every", "50", "-adapt-forget", "2"},
+		{"-cal", cal, "-adapt-every", "64", "-adapt-forget", "NaN"},
 		{"-cal", cal, "-onset-hour", "-1"},
 		{"-cal", cal, "-components", "-1"},
 	} {

@@ -88,17 +88,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate rejects meaningless option values with wrapped ErrBadConfig
-// errors (zero values select defaults and are always valid).
+// Validate rejects meaningless option values, NaN included, with wrapped
+// ErrBadConfig errors (zero values select defaults and are always valid).
 func (o Options) Validate() error {
 	switch {
 	case o.Every < 0:
 		return fmt.Errorf("adapt: refit cadence %d: %w", o.Every, ErrBadConfig)
 	case o.Forget != 0 && !(o.Forget > 0 && o.Forget <= 1):
 		return fmt.Errorf("adapt: forget factor %g not in (0,1]: %w", o.Forget, ErrBadConfig)
-	case o.MinWeight < 0:
+	case !(o.MinWeight >= 0):
 		return fmt.Errorf("adapt: min weight %g: %w", o.MinWeight, ErrBadConfig)
-	case o.MinExplainedVar < 0:
+	case !(o.MinExplainedVar >= 0):
 		return fmt.Errorf("adapt: explained-variance floor %g: %w", o.MinExplainedVar, ErrBadConfig)
 	}
 	return nil

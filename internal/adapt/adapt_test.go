@@ -3,6 +3,7 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -334,6 +335,25 @@ func TestRefitVetoInsufficientWeight(t *testing.T) {
 	}
 }
 
+// TestRefitVetoNaNWeight: a minimum weight no weight compares with (NaN,
+// which Validate refuses) vetoes the refit instead of fitting nothing.
+func TestRefitVetoNaNWeight(t *testing.T) {
+	tracker, err := NewTracker(testSystem(t), Options{Enabled: true, Every: 8, Forget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker.cfg.MinWeight = math.NaN()
+	ctrl, _ := nocRows(11, 16, 0, 0, 0)
+	for _, row := range ctrl {
+		if tracker.Observe(row, true) {
+			tracker.Refit()
+		}
+	}
+	if st := tracker.Stats(); st.Refits == 0 || st.Accepted != 0 || !strings.Contains(st.LastVeto, "weight") {
+		t.Fatalf("want weight vetoes, got %+v", st)
+	}
+}
+
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(nil, Options{}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nil system: %v", err)
@@ -341,6 +361,18 @@ func TestNewTrackerValidation(t *testing.T) {
 	sys := testSystem(t)
 	if _, err := NewTracker(sys, Options{Forget: 2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad forget: %v", err)
+	}
+	// NaN fails every ordered comparison, so each check is written to
+	// refuse it rather than to accept it.
+	nan := math.NaN()
+	for _, o := range []Options{
+		{Enabled: true, Forget: nan},
+		{Enabled: true, Forget: 1, MinWeight: nan},
+		{Enabled: true, MinExplainedVar: nan},
+	} {
+		if _, err := NewTracker(sys, o); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%+v: want ErrBadConfig, got %v", o, err)
+		}
 	}
 	// The EWMA weight saturates at 1/(1−λ); the default minimum weight on
 	// the 53-variable plant is 4·53 = 212. λ = 0.995 caps the weight at

@@ -256,7 +256,7 @@ func (c *Config) validateFields() error {
 		return badField("fleet.emit_every", "%d must be >= 0", c.Fleet.EmitEvery)
 	case c.Adapt.Every < 0:
 		return badField("adapt.every", "%d must be >= 0", c.Adapt.Every)
-	case c.Adapt.Forget != 0 && (c.Adapt.Forget <= 0 || c.Adapt.Forget > 1):
+	case c.Adapt.Forget != 0 && !(c.Adapt.Forget > 0 && c.Adapt.Forget <= 1):
 		return badField("adapt.forget", "%g must be in (0,1]", c.Adapt.Forget)
 	case c.Adapt.Forget != 0 && c.Adapt.Every == 0:
 		return badField("adapt.forget", "requires adapt.every")

@@ -2,6 +2,7 @@ package control
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,6 +126,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"fleet.workers", func(c *Config) { c.Fleet.Workers = -1 }},
 		{"fleet.emit_every", func(c *Config) { c.Fleet.EmitEvery = -1 }},
 		{"adapt.forget", func(c *Config) { c.Adapt.Forget = 0.5 }}, // without adapt.every
+		{"adapt.forget", func(c *Config) { c.Adapt = Adapt{Every: 64, Forget: math.NaN()} }},
 		{"record.path", func(c *Config) { c.Record.Keep = 3 }},     // retention without a path
 		{"units.boiler", func(c *Config) { c.Units = map[string]UnitCfg{"boiler": {}} }},
 		{"units.7.onset_hour", func(c *Config) { c.Units = map[string]UnitCfg{"7": {OnsetHour: &neg}} }},
