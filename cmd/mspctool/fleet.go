@@ -156,12 +156,10 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 // totals fill in once the pool exists.
 func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io.Reader, out io.Writer) error {
 	s := &scoring{cfg: cfg, pc: cfg.PoolConfig(), out: out}
-	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out)}
-	rows.lastSeen.Store(time.Now().UnixNano()) // /healthz stall probe
+	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out), act: newActivity(time.Now)}
 	if cfg.Ops.Addr != "" {
 		s.pc.Metrics, s.pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
-		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
-			func() time.Time { return time.Unix(0, rows.lastSeen.Load()) }, out)
+		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals, rows.act.last, out)
 		if err != nil {
 			return err
 		}
@@ -279,11 +277,11 @@ func (s *scoring) push(pool *fleet.Pool, rows rowFeed) error {
 // fleetRows is CSV fleet's rowFeed: interleaved "plant,<53 vars>" rows,
 // each a single-view observation of the plant its first column names.
 type fleetRows struct {
-	in       io.Reader
-	out      io.Writer
-	v        *verdicts
-	stream   *csvStream
-	lastSeen atomic.Int64 // UnixNano of the last row read
+	in     io.Reader
+	out    io.Writer
+	v      *verdicts
+	stream *csvStream
+	act    *activity // /healthz stall probe
 }
 
 func (f *fleetRows) open() (err error) {
@@ -296,8 +294,38 @@ func (f *fleetRows) next() (plant string, ctrl, proc []float64, err error) {
 	if err != nil {
 		return "", nil, nil, err
 	}
-	f.lastSeen.Store(time.Now().UnixNano())
+	f.act.rows.Add(1)
 	return plant, row, row, nil
+}
+
+// activity is /healthz's last-activity time for a feed that counts its
+// rows instead of reading the clock per row: a scrape reads the clock once
+// and moves the stamp to that time when the count moved since the previous
+// scrape, as the control plane's tick does with its accepted frames. The
+// idle time a scrape sees is short by at most the time since the previous
+// scrape.
+type activity struct {
+	clock func() time.Time
+	rows  atomic.Uint64 // bumped by the feed per row
+
+	mu    sync.Mutex
+	seen  uint64
+	stamp time.Time
+}
+
+func newActivity(clock func() time.Time) *activity {
+	return &activity{clock: clock, stamp: clock()}
+}
+
+// last returns the last-activity stamp, first moving it to now if rows
+// arrived since the previous call.
+func (a *activity) last() time.Time {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := a.rows.Load(); n != a.seen {
+		a.seen, a.stamp = n, a.clock()
+	}
+	return a.stamp
 }
 
 func (f *fleetRows) attached(plant string) { fmt.Fprintf(f.out, "plant %s attached\n", plant) }
