@@ -156,10 +156,11 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 // totals fill in once the pool exists.
 func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io.Reader, out io.Writer) error {
 	s := &scoring{cfg: cfg, pc: cfg.PoolConfig(), out: out}
-	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out), act: newActivity(time.Now)}
+	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out), act: &activity{stamp: time.Now()}}
 	if cfg.Ops.Addr != "" {
 		s.pc.Metrics, s.pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
-		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals, rows.act.last, out)
+		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
+			func() time.Time { return rows.act.at(time.Now()) }, out)
 		if err != nil {
 			return err
 		}
@@ -299,31 +300,26 @@ func (f *fleetRows) next() (plant string, ctrl, proc []float64, err error) {
 }
 
 // activity is /healthz's last-activity time for a feed that counts its
-// rows instead of reading the clock per row: a scrape reads the clock once
-// and moves the stamp to that time when the count moved since the previous
-// scrape, as the control plane's tick does with its accepted frames. The
-// idle time a scrape sees is short by at most the time since the previous
-// scrape.
+// rows instead of reading the clock per row: each scrape reads the clock
+// once and moves the stamp to that time when the count moved since the
+// previous scrape, as the control plane's tick does with its accepted
+// frames. The idle time a scrape sees is short by at most the time since
+// the previous scrape.
 type activity struct {
-	clock func() time.Time
-	rows  atomic.Uint64 // bumped by the feed per row
+	rows atomic.Uint64 // bumped by the feed per row
 
 	mu    sync.Mutex
 	seen  uint64
-	stamp time.Time
+	stamp time.Time // set to the feed's start time by the caller
 }
 
-func newActivity(clock func() time.Time) *activity {
-	return &activity{clock: clock, stamp: clock()}
-}
-
-// last returns the last-activity stamp, first moving it to now if rows
-// arrived since the previous call.
-func (a *activity) last() time.Time {
+// at returns the last-activity time as of now: now when rows arrived since
+// the previous call, the stamp it returned before otherwise.
+func (a *activity) at(now time.Time) time.Time {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n := a.rows.Load(); n != a.seen {
-		a.seen, a.stamp = n, a.clock()
+		a.seen, a.stamp = n, now
 	}
 	return a.stamp
 }

@@ -127,7 +127,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"fleet.emit_every", func(c *Config) { c.Fleet.EmitEvery = -1 }},
 		{"adapt.forget", func(c *Config) { c.Adapt.Forget = 0.5 }}, // without adapt.every
 		{"adapt.forget", func(c *Config) { c.Adapt = Adapt{Every: 64, Forget: math.NaN()} }},
-		{"record.path", func(c *Config) { c.Record.Keep = 3 }},     // retention without a path
+		{"record.path", func(c *Config) { c.Record.Keep = 3 }}, // retention without a path
 		{"units.boiler", func(c *Config) { c.Units = map[string]UnitCfg{"boiler": {}} }},
 		{"units.7.onset_hour", func(c *Config) { c.Units = map[string]UnitCfg{"7": {OnsetHour: &neg}} }},
 		{"cluster.node", func(c *Config) { c.Cluster = Cluster{Nodes: []string{"a", "b"}} }},

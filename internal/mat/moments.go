@@ -107,32 +107,20 @@ func (m *Moments) Add(row []float64) error {
 // flush applies the pending rows' products to the triangle.
 func (m *Moments) flush() {
 	n := m.cols
-	if m.pend < blockRows {
-		for k := 0; k < m.pend; k++ {
-			d, e := m.d[k*n:(k+1)*n], m.e[k*n:(k+1)*n]
-			for p, dp := range d {
-				if dp != 0 {
-					AxpyInto(m.s[p*n+p:(p+1)*n], dp, e[p:])
-				}
-			}
-		}
-		m.pend = 0
-		return
-	}
-	d0, d1, d2, d3 := m.d[:n], m.d[n:2*n], m.d[2*n:3*n], m.d[3*n:4*n]
+	d, e := m.d, m.e
 	for p := 0; p < n; p++ {
 		srow := m.s[p*n+p : (p+1)*n]
-		a0, a1, a2, a3 := d0[p], d1[p], d2[p], d3[p]
-		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-			for k, dp := range [blockRows]float64{a0, a1, a2, a3} {
-				if dp != 0 {
-					AxpyInto(srow, dp, m.e[k*n+p:(k+1)*n])
+		a0, a1, a2, a3 := d[p], d[n+p], d[2*n+p], d[3*n+p]
+		if m.pend < blockRows || a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			for k := 0; k < m.pend; k++ {
+				if dp := d[k*n+p]; dp != 0 {
+					AxpyInto(srow, dp, e[k*n+p:(k+1)*n])
 				}
 			}
 			continue
 		}
-		q0 := m.e[p:n]
-		q1, q2, q3 := m.e[n+p : 2*n][:len(q0)], m.e[2*n+p : 3*n][:len(q0)], m.e[3*n+p : 4*n][:len(q0)]
+		q0 := e[p:n]
+		q1, q2, q3 := e[n+p : 2*n][:len(q0)], e[2*n+p : 3*n][:len(q0)], e[3*n+p : 4*n][:len(q0)]
 		srow = srow[:len(q0)]
 		for q, v := range srow {
 			v += a0 * q0[q]
@@ -155,12 +143,6 @@ func (m *Moments) Merge(o *Moments) error {
 	m.flush()
 	o.flush()
 	if o.w == 0 {
-		return nil
-	}
-	if m.w == 0 {
-		m.n, m.w, m.w2 = o.n, o.w, o.w2
-		copy(m.mean, o.mean)
-		copy(m.s, o.s)
 		return nil
 	}
 	w := m.w + o.w

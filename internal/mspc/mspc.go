@@ -119,8 +119,8 @@ func buildConfig(opts []Option) config {
 // means and observation count of the calibration data (engineering units):
 // auto-scaling by the square roots of the covariance diagonal, PCA on the
 // matching correlation matrix, control limits. It is the one calibration
-// fit: the moments may come from mat.Covariance of a data matrix or from a
-// streaming accumulator.
+// fit; the moments come from a mat.Moments the calibration rows were
+// folded into.
 func CalibrateCov(cov *mat.Matrix, means []float64, n int, opts ...Option) (*Monitor, error) {
 	if cov == nil || cov.IsEmpty() || cov.Rows() != cov.Cols() {
 		return nil, fmt.Errorf("mspc: invalid covariance: %w", ErrBadInput)

@@ -71,9 +71,8 @@ func CumVarianceRule(frac float64) ComponentRule {
 
 // FitCov performs PCA given a covariance matrix and the number of
 // observations n it was estimated from, retaining a components. The
-// covariance may come from mat.Covariance of a data matrix or from
-// mat.CovAccumulator streamed over millions of rows; either way the fit is
-// O(M³).
+// covariance comes from a mat.Moments that streamed the rows, however
+// many, so the fit is O(M³) whatever the calibration size.
 func FitCov(cov *mat.Matrix, n, a int) (*Model, error) {
 	maxA, err := checkCov(cov, n)
 	if err != nil {
