@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -446,6 +447,12 @@ func Calibrate(path string, components int, out io.Writer) (*core.System, error)
 	mon := sys.Monitor()
 	fmt.Fprintf(out, "calibrated on %d observations: A=%d components, limits D99=%.2f Q99=%.2f\n",
 		acc.N(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
+	// Only the parser's block buffers (~1 MB) are garbage now. Collect
+	// them before the caller starts scoring anyway: without it the
+	// service's garbage collector paces its first cycles from the
+	// calibration's allocations, and perfbench's udp-redundant-record
+	// peaked ~1.4 MB (5 %) higher in 5 of 5 alternating pairs.
+	runtime.GC()
 	return sys, nil
 }
 
