@@ -85,9 +85,16 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // ReadCSV parses a dataset written by WriteCSV, in the format ScanCSV
 // reads.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	var rows [][]float64
+	var (
+		rows  [][]float64
+		chunk []float64 // backing array shared by up to readChunkRows rows
+	)
 	names, err := ScanCSV(r, func(row []float64) error {
-		rows = append(rows, append([]float64(nil), row...))
+		if cap(chunk)-len(chunk) < len(row) {
+			chunk = make([]float64, 0, readChunkRows*len(row))
+		}
+		chunk = append(chunk, row...)
+		rows = append(rows, chunk[len(chunk)-len(row):len(chunk):len(chunk)])
 		return nil
 	})
 	if err != nil {
@@ -100,6 +107,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	d.rows = rows
 	return d, nil
 }
+
+// readChunkRows is how many rows ReadCSV stores in one backing array.
+const readChunkRows = 1024
 
 // ScanCSV reads CSV text and calls row for every body record, in file
 // order, without retaining the records; it returns the header's column
