@@ -300,14 +300,12 @@ func (f *fleetRows) next() (plant string, ctrl, proc []float64, err error) {
 }
 
 // activity is /healthz's last-activity time for a feed that counts its
-// rows instead of reading the clock per row: each scrape reads the clock
-// once and moves the stamp to that time when the count moved since the
-// previous scrape, as the control plane's tick does with its accepted
-// frames. The idle time a scrape sees is short by at most the time since
-// the previous scrape.
+// rows instead of reading the clock per row: a scrape moves the stamp to
+// its own time when the count moved since the previous scrape, as the
+// control plane's tick does with its accepted frames, so the idle time it
+// sees is short by at most the time since the previous scrape.
 type activity struct {
-	rows atomic.Uint64 // bumped by the feed per row
-
+	rows  atomic.Uint64 // bumped by the feed per row
 	mu    sync.Mutex
 	seen  uint64
 	stamp time.Time // set to the feed's start time by the caller

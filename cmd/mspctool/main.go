@@ -289,9 +289,9 @@ func (w *watchRows) event(ev fleet.Event) {
 // a bad invocation fails before calibration.
 func modelFlags(sampleSec, onsetHour float64, components int) error {
 	switch {
-	case sampleSec <= 0:
+	case !(sampleSec > 0):
 		return fmt.Errorf("-sample %g must be positive: %w", sampleSec, pcsmon.ErrBadConfig)
-	case onsetHour < 0:
+	case !(onsetHour >= 0):
 		return fmt.Errorf("-onset-hour %g must be >= 0: %w", onsetHour, pcsmon.ErrBadConfig)
 	case components < 0:
 		return fmt.Errorf("-components %d must be >= 0: %w", components, pcsmon.ErrBadConfig)

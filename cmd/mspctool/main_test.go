@@ -209,6 +209,8 @@ func TestWatchAdaptiveFlagValidation(t *testing.T) {
 		{"-cal", cal, "-adapt-every", "50", "-adapt-forget", "2"},
 		{"-cal", cal, "-adapt-every", "64", "-adapt-forget", "NaN"},
 		{"-cal", cal, "-onset-hour", "-1"},
+		{"-cal", cal, "-onset-hour", "NaN"},
+		{"-cal", cal, "-sample", "NaN"},
 		{"-cal", cal, "-components", "-1"},
 	} {
 		var out bytes.Buffer

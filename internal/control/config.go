@@ -234,9 +234,9 @@ func (c *Config) Validate() error {
 // calibrated system needs no calibration file.
 func (c *Config) validateFields() error {
 	switch {
-	case c.SampleSeconds < 0:
+	case !(c.SampleSeconds >= 0):
 		return badField("sample_seconds", "%g must be >= 0", c.SampleSeconds)
-	case c.OnsetHour < 0:
+	case !(c.OnsetHour >= 0):
 		return badField("onset_hour", "%g must be >= 0", c.OnsetHour)
 	case c.Components < 0:
 		return badField("components", "%d must be >= 0", c.Components)

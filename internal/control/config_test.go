@@ -118,6 +118,8 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"calibration", func(c *Config) { c.Calibration = "" }},
 		{"sample_seconds", func(c *Config) { c.SampleSeconds = -1 }},
 		{"onset_hour", func(c *Config) { c.OnsetHour = -1 }},
+		{"sample_seconds", func(c *Config) { c.SampleSeconds = math.NaN() }},
+		{"onset_hour", func(c *Config) { c.OnsetHour = math.NaN() }},
 		{"components", func(c *Config) { c.Components = -1 }},
 		{"listeners", func(c *Config) { c.Listeners = Listeners{} }},
 		{"ops.addr", func(c *Config) { c.Ops.Addr = "" }},

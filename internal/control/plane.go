@@ -427,17 +427,11 @@ func Calibrate(path string, components int, out io.Writer) (*core.System, error)
 		return nil, fmt.Errorf("control: calibration: %v: %w", err, ErrBadConfig)
 	}
 	defer func() { _ = f.Close() }()
-	var acc *mat.Moments
-	_, err = dataset.ScanCSV(f, func(row []float64) error {
-		if acc == nil {
-			var err error
-			if acc, err = mat.NewMoments(len(row), 1); err != nil {
-				return err
-			}
-		}
-		return acc.Add(row)
-	})
+	acc, err := mat.NewMoments(historian.NumVars, 1)
 	if err != nil {
+		return nil, fmt.Errorf("control: calibration: %w", err)
+	}
+	if _, err := dataset.ScanCSV(f, acc.Add); err != nil {
 		return nil, fmt.Errorf("control: calibration %s: %w", path, err)
 	}
 	sys, err := core.CalibrateMoments(acc, core.Config{Components: components})
@@ -447,11 +441,9 @@ func Calibrate(path string, components int, out io.Writer) (*core.System, error)
 	mon := sys.Monitor()
 	fmt.Fprintf(out, "calibrated on %d observations: A=%d components, limits D99=%.2f Q99=%.2f\n",
 		acc.N(), mon.Model().NComponents(), mon.Limits().D99, mon.Limits().Q99)
-	// Only the parser's block buffers (~1 MB) are garbage now. Collect
-	// them before the caller starts scoring anyway: without it the
-	// service's garbage collector paces its first cycles from the
-	// calibration's allocations, and perfbench's udp-redundant-record
-	// peaked ~1.4 MB (5 %) higher in 5 of 5 alternating pairs.
+	// Without this collection the scoring service's first GC cycles are
+	// paced from the parse: perfbench's udp-redundant-record then peaked
+	// ~1.4 MB (5 %) higher in 5 of 5 alternating pairs on a 2-CPU host.
 	runtime.GC()
 	return sys, nil
 }

@@ -87,11 +87,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	var (
 		rows  [][]float64
-		chunk []float64 // backing array shared by up to readChunkRows rows
+		chunk []float64 // backing array shared by up to 1024 rows
 	)
 	names, err := ScanCSV(r, func(row []float64) error {
 		if cap(chunk)-len(chunk) < len(row) {
-			chunk = make([]float64, 0, readChunkRows*len(row))
+			chunk = make([]float64, 0, 1024*len(row))
 		}
 		chunk = append(chunk, row...)
 		rows = append(rows, chunk[len(chunk)-len(row):len(chunk):len(chunk)])
@@ -107,9 +107,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	d.rows = rows
 	return d, nil
 }
-
-// readChunkRows is how many rows ReadCSV stores in one backing array.
-const readChunkRows = 1024
 
 // ScanCSV reads CSV text and calls row for every body record, in file
 // order, without retaining the records; it returns the header's column
