@@ -350,7 +350,8 @@ func refMoments(m *Matrix) ([]float64, *Matrix) {
 // TestCovarianceKeepsZeroSkip pins that a centred value of exactly 0 still
 // skips its row's products: with an infinite entry in the same row, adding
 // 0·(−Inf) would turn that cell into NaN, so a channel at its mean in every
-// row keeps an exactly-zero covariance with the infinite one.
+// row keeps an exactly-zero covariance with the infinite one. Every other
+// cell, infinite and NaN ones included, must equal the per-row update's.
 func TestCovarianceKeepsZeroSkip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const cols = 9
@@ -359,12 +360,13 @@ func TestCovarianceKeepsZeroSkip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < rows; i++ {
-			row := randSlice(rng, cols)
-			row[1] = 4 // at its mean in every row
-			if i == rows-1 {
-				row[2] = math.Inf(1)
-			}
+		data := make([][]float64, rows)
+		for i := range data {
+			data[i] = randSlice(rng, cols)
+			data[i][1] = 4 // at its mean in every row
+		}
+		data[rows-1][2] = math.Inf(1)
+		for _, row := range data {
 			if err := acc.Add(row); err != nil {
 				t.Fatal(err)
 			}
@@ -372,6 +374,15 @@ func TestCovarianceKeepsZeroSkip(t *testing.T) {
 		got, err := acc.Covariance()
 		if err != nil {
 			t.Fatal(err)
+		}
+		_, s := naiveMoments(data, 1)
+		for p := 0; p < cols; p++ {
+			for q := 0; q < cols; q++ {
+				w := s[min(p, q)*cols+max(p, q)] / float64(rows-1)
+				if g := got.At(p, q); g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("rows=%d (%d,%d): Covariance=%v, per-row update=%v", rows, p, q, g, w)
+				}
+			}
 		}
 		if v := got.At(1, 2); v != 0 {
 			t.Fatalf("rows=%d: cov(const, inf col) = %v, want 0 (zero skip lost)", rows, v)
