@@ -83,18 +83,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a dataset written by WriteCSV, in the format ScanCSV
-// reads.
+// reads. The rows of one parse block share one backing array.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	var (
-		rows  [][]float64
-		chunk []float64 // backing array shared by up to 1024 rows
-	)
-	names, err := ScanCSV(r, func(row []float64) error {
-		if cap(chunk)-len(chunk) < len(row) {
-			chunk = make([]float64, 0, 1024*len(row))
-		}
-		chunk = append(chunk, row...)
-		rows = append(rows, chunk[len(chunk)-len(row):len(chunk):len(chunk)])
+	var rows [][]float64
+	names, err := scanCSV(r, true, func(row []float64) error {
+		rows = append(rows, row)
 		return nil
 	})
 	if err != nil {
@@ -131,6 +124,12 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 // a time on separate goroutines; row runs on the calling goroutine once a
 // round of blocks is parsed.
 func ScanCSV(r io.Reader, row func([]float64) error) ([]string, error) {
+	return scanCSV(r, false, row)
+}
+
+// scanCSV is ScanCSV; with keep set, every block is parsed into a freshly
+// allocated array, so the rows passed to row stay valid.
+func scanCSV(r io.Reader, keep bool, row func([]float64) error) ([]string, error) {
 	// encoding/csv reuses br instead of wrapping it, so after the header
 	// record br is positioned at the first body byte.
 	br := bufio.NewReader(r)
@@ -152,6 +151,11 @@ func ScanCSV(r io.Reader, row func([]float64) error) ([]string, error) {
 			b := &blocks[n]
 			if b.text, carry, eof, err = nextBlock(br, b.text, carry); err != nil {
 				return nil, fmt.Errorf("dataset: read: %w", err)
+			}
+		}
+		if keep {
+			for k := range blocks[:n] {
+				blocks[k].flat = nil
 			}
 		}
 		parseBlocks(blocks[:n], cols)
@@ -203,7 +207,7 @@ func nextBlock(r io.Reader, buf, carry []byte) (text, rest []byte, eof bool, err
 // csvBlock is one run of whole body lines and what parsing made of it.
 type csvBlock struct {
 	text  []byte    // the lines; the buffer is reused for the next round
-	flat  []float64 // parsed rows back to back; the buffer is reused too
+	flat  []float64 // parsed rows back to back; reused unless rows are kept
 	lines int       // physical lines in text, blank ones included
 	bad   *badLine  // first malformed line, or nil
 }
