@@ -156,11 +156,12 @@ func runFleet(args []string, in io.Reader, out io.Writer) error {
 // totals fill in once the pool exists.
 func runFleetCSV(cfg *control.Config, every int, statsEvery time.Duration, in io.Reader, out io.Writer) error {
 	s := &scoring{cfg: cfg, pc: cfg.PoolConfig(), out: out}
-	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out), act: &activity{stamp: time.Now()}}
+	rows := &fleetRows{in: in, out: out, v: newVerdicts(every, out)}
+	rows.lastSeen.Store(time.Now().UnixNano()) // /healthz stall probe
 	if cfg.Ops.Addr != "" {
 		s.pc.Metrics, s.pc.Health = obs.NewRegistry(), obs.NewHealthRegistry()
 		ops, err := startOps(cfg.Ops.Addr, s.pc.Metrics, s.pc.Health, s.totals,
-			func() time.Time { return rows.act.at(time.Now()) }, out)
+			func() time.Time { return time.Unix(0, rows.lastSeen.Load()) }, out)
 		if err != nil {
 			return err
 		}
@@ -278,11 +279,11 @@ func (s *scoring) push(pool *fleet.Pool, rows rowFeed) error {
 // fleetRows is CSV fleet's rowFeed: interleaved "plant,<53 vars>" rows,
 // each a single-view observation of the plant its first column names.
 type fleetRows struct {
-	in     io.Reader
-	out    io.Writer
-	v      *verdicts
-	stream *csvStream
-	act    *activity // /healthz stall probe
+	in       io.Reader
+	out      io.Writer
+	v        *verdicts
+	stream   *csvStream
+	lastSeen atomic.Int64 // UnixNano of the last row read
 }
 
 func (f *fleetRows) open() (err error) {
@@ -295,31 +296,8 @@ func (f *fleetRows) next() (plant string, ctrl, proc []float64, err error) {
 	if err != nil {
 		return "", nil, nil, err
 	}
-	f.act.rows.Add(1)
+	f.lastSeen.Store(time.Now().UnixNano())
 	return plant, row, row, nil
-}
-
-// activity is /healthz's last-activity time for a feed that counts its
-// rows instead of reading the clock per row: a scrape moves the stamp to
-// its own time when the count moved since the previous scrape, as the
-// control plane's tick does with its accepted frames, so the idle time it
-// sees is short by at most the time since the previous scrape.
-type activity struct {
-	rows  atomic.Uint64 // bumped by the feed per row
-	mu    sync.Mutex
-	seen  uint64
-	stamp time.Time // set to the feed's start time by the caller
-}
-
-// at returns the last-activity time as of now: now when rows arrived since
-// the previous call, the stamp it returned before otherwise.
-func (a *activity) at(now time.Time) time.Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := a.rows.Load(); n != a.seen {
-		a.seen, a.stamp = n, now
-	}
-	return a.stamp
 }
 
 func (f *fleetRows) attached(plant string) { fmt.Fprintf(f.out, "plant %s attached\n", plant) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -1021,48 +1020,5 @@ func TestFleetRecordFlushDurability(t *testing.T) {
 	}
 	if _, serr := os.Stat(capPath + ".tmp"); serr == nil {
 		t.Error("finalized recording left its .tmp behind")
-	}
-}
-
-// TestFleetRowsActivityStamp: CSV fleet's /healthz last-activity stamp,
-// scraped at injected times, stays put while no rows arrive — however
-// often it is scraped — and moves to the scrape's time once rows were
-// read.
-func TestFleetRowsActivityStamp(t *testing.T) {
-	now := time.Unix(1_000, 0)
-	rows := &fleetRows{
-		in:  strings.NewReader(interleavedCSV(t, 1, []string{"alpha"}, 3, 0, 0, 0, nil)),
-		out: io.Discard,
-		act: &activity{stamp: now},
-	}
-	start := now
-	if err := rows.open(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		now = now.Add(5 * time.Second)
-		if got := rows.act.at(now); !got.Equal(start) {
-			t.Fatalf("idle scrape %d moved the stamp to %v, want %v", i, got, start)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, _, err := rows.next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now = now.Add(time.Second)
-	seen := now
-	if got := rows.act.at(now); !got.Equal(seen) {
-		t.Fatalf("scrape after rows: stamp %v, want %v", got, seen)
-	}
-	now = now.Add(30 * time.Second)
-	if got := rows.act.at(now); !got.Equal(seen) {
-		t.Fatalf("idle scrape after rows moved the stamp to %v, want %v", got, seen)
-	}
-	if _, _, _, err := rows.next(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rows.act.at(now); !got.Equal(now) {
-		t.Fatalf("scrape after the last row: stamp %v, want %v", got, now)
 	}
 }
