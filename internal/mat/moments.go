@@ -44,7 +44,11 @@ type Moments struct {
 }
 
 // blockRows is how many rows of a λ = 1 accumulator are applied to the
-// triangle at once.
+// triangle at once. Calibration is most of a service's setup time: on a
+// 2-CPU Xeon at 19 200 × 53, the per-row update took 28–30 ms where the
+// blocked one takes 15–19 ms, and perfbench's median setup_s rose by 11 %
+// on both tcp-steady (0.128 → 0.142 s, higher in 5 of 5 pairs) and
+// replay-attack-mix (0.140 → 0.155 s).
 const blockRows = 4
 
 // NewMoments returns an accumulator for rows of width cols with forget
