@@ -54,7 +54,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"pcsmon"
@@ -372,7 +371,7 @@ func (s *csvStream) next() (string, []float64, error) {
 		off = 1
 	}
 	for j, f := range rec[off:] {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := dataset.ParseNumber(f)
 		if err != nil {
 			return "", nil, fmt.Errorf("line %d field %d %q: not a number", s.line, off+j+1, f)
 		}

@@ -1,11 +1,14 @@
 package control
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pcsmon/internal/core"
@@ -63,6 +66,34 @@ func TestCalibrateMatchesDatasetCalibration(t *testing.T) {
 					t.Fatalf("procs %d: cov(%d,%d) served %v, reference %v", procs, p, q, sc.At(p, q), rc.At(p, q))
 				}
 			}
+		}
+	}
+}
+
+// TestCalibrateRefusesNonFiniteFile: a calibration file with NaN or +Inf
+// in one field (line 501, column 8) parses, since both are numbers, but
+// the served calibration must refuse it with core.ErrBadInput naming the
+// column instead of serving a model that never alarms.
+func TestCalibrateRefusesNonFiniteFile(t *testing.T) {
+	good := filepath.Join(t.TempDir(), "cal.csv")
+	writeSyntheticCal(t, good, 12, 1000)
+	text, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(text), "\n")
+	for _, v := range []string{"NaN", "+Inf"} {
+		fields := strings.Split(lines[500], ",")
+		fields[7] = v
+		bad := append([]string(nil), lines...)
+		bad[500] = strings.Join(fields, ",")
+		path := filepath.Join(t.TempDir(), "bad.csv")
+		if err := os.WriteFile(path, []byte(strings.Join(bad, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Calibrate(path, 0, io.Discard)
+		if !errors.Is(err, core.ErrBadInput) || !strings.Contains(fmt.Sprint(err), "column 8") {
+			t.Errorf("%s on line 501, column 8: err = %v, want core.ErrBadInput naming column 8", v, err)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pcsmon/internal/core"
@@ -62,5 +65,27 @@ func TestCalibrateConstantChannels(t *testing.T) {
 		if frac := float64(over) / float64(noc.Rows()); frac > 0.02 {
 			t.Errorf("components %d: %.2f %% of calibration rows exceed Q99 %.4g", cfg.Components, 100*frac, mon.Limits().Q99)
 		}
+	}
+}
+
+// TestCalibrateRefusesNonFiniteData: one NaN, infinity or overflowing
+// value in a calibration column must fail calibration with ErrBadInput
+// naming that column. A NaN mean would score every observation NaN, and
+// a NaN statistic is never over its limit, so the monitor would never
+// alarm.
+func TestCalibrateRefusesNonFiniteData(t *testing.T) {
+	noc := syntheticCalibration(t)
+	row := noc.RowView(499)
+	good := row[7]
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		row[7] = v
+		_, err := core.Calibrate(noc, core.Config{})
+		if !errors.Is(err, core.ErrBadInput) || !strings.Contains(fmt.Sprint(err), "column 8 (XMEAS(8))") {
+			t.Errorf("value %v in column 8: err = %v, want ErrBadInput naming column 8 (XMEAS(8))", v, err)
+		}
+	}
+	row[7] = good
+	if _, err := core.Calibrate(noc, core.Config{}); err != nil {
+		t.Fatalf("finite data: %v", err)
 	}
 }

@@ -162,7 +162,10 @@ func Calibrate(noc *dataset.Dataset, cfg Config) (*System, error) {
 // CalibrateMoments builds the system from the moments of at least 10
 // normal-operation rows of the 53 historian variables: the fit behind
 // Calibrate, the served calibration that streams a CSV file and scenario
-// calibration, which merges the moments of its runs.
+// calibration, which merges the moments of its runs. Moments that are not
+// finite — a NaN or an infinity in the data, or values so large their
+// squares overflow — are refused with ErrBadInput naming the column: a
+// model with a NaN mean scores every observation NaN and never alarms.
 func CalibrateMoments(acc *mat.Moments, cfg Config) (*System, error) {
 	if acc == nil || acc.N() < 10 {
 		return nil, fmt.Errorf("core: calibration needs data: %w", ErrBadInput)
@@ -175,7 +178,23 @@ func CalibrateMoments(acc *mat.Moments, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return CalibrateCov(cov, acc.Means(), acc.N(), cfg)
+	means := acc.Means()
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for j, m := range means {
+		if !finite(m) || !finite(cov.At(j, j)) {
+			return nil, fmt.Errorf("core: calibration column %d (%s) has mean %v, variance %v: %w",
+				j+1, historian.VarName(j), m, cov.At(j, j), ErrBadInput)
+		}
+	}
+	for p := range means {
+		for q := p + 1; q < len(means); q++ {
+			if v := cov.At(p, q); !finite(v) {
+				return nil, fmt.Errorf("core: calibration columns %d (%s) and %d (%s) have covariance %v: %w",
+					p+1, historian.VarName(p), q+1, historian.VarName(q), v, ErrBadInput)
+			}
+		}
+	}
+	return CalibrateCov(cov, means, acc.N(), cfg)
 }
 
 // CalibrateCov builds the system from the calibration moments (means +

@@ -1,7 +1,13 @@
 // Package dataset provides the named-column observation container shared by
 // the historian, the MSPC pipeline and the CSV tooling — an append-only
-// N×M table with variable names — and the one CSV parser, which can also
-// stream rows without building a table (ScanCSV).
+// N×M table with variable names — and the module's CSV parsing. ScanCSV
+// streams a numeric CSV file through a pipeline: a reader goroutine cuts
+// the body into blocks of whole lines, each block is parsed on its own
+// goroutine, and the caller's row callback runs over the parsed blocks in
+// file order while later blocks are still being parsed. ReadCSV builds a
+// table from the same pipeline. ParseNumber, which both use per field and
+// the streaming CSV readers of cmd/mspctool use too, converts a number
+// exactly as strconv.ParseFloat does, on a fast path for plain decimals.
 package dataset
 
 import (
@@ -110,19 +116,23 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 // The accepted format is encoding/csv's default dialect restricted to
 // numbers: a header record of column names (parsed by encoding/csv, so
 // names may be quoted), then one record per line whose fields are
-// strconv.ParseFloat numbers, each optionally wrapped in double quotes
-// ("1.5"). Lines end in LF or CRLF, blank lines are skipped and the final
-// newline is optional. Anything else — a quoted field with escaped quotes,
-// commas or newlines, a bare quote, spaces around a number — is not a
-// number and is rejected. A row with the wrong field count or a field that
-// does not parse returns an error wrapping ErrBadInput that names the
-// physical line (the header is line 1); when several lines are bad, the
-// first one is reported, after row has seen every record before the
-// block that holds it.
+// strconv.ParseFloat numbers (converted by ParseNumber, bit for bit the
+// same), each optionally wrapped in double quotes ("1.5"). Lines end in LF
+// or CRLF, blank lines are skipped and the final newline is optional.
+// Anything else — a quoted field with escaped quotes, commas or newlines, a
+// bare quote, spaces around a number — is not a number and is rejected. A
+// row with the wrong field count or a field that does not parse returns an
+// error wrapping ErrBadInput that names the physical line (the header is
+// line 1); when several lines are bad, the first one is reported, after
+// row has seen every record before the block that holds it. A read error
+// is reported the same way, after the records before it.
 //
-// The body is cut into blocks of whole lines that are parsed GOMAXPROCS at
-// a time on separate goroutines; row runs on the calling goroutine once a
-// round of blocks is parsed.
+// The body runs through a pipeline. A reader goroutine cuts it into blocks
+// of whole lines, drawn from a ring of GOMAXPROCS+1 buffers; each block is
+// parsed on a goroutine of its own; and row runs on the calling goroutine
+// over the blocks in file order, each as soon as it is parsed, while the
+// blocks behind it are still being read and parsed. Every goroutine has
+// ended when ScanCSV returns.
 func ScanCSV(r io.Reader, row func([]float64) error) ([]string, error) {
 	return scanCSV(r, false, row)
 }
@@ -143,36 +153,74 @@ func scanCSV(r io.Reader, keep bool, row func([]float64) error) ([]string, error
 	line += strings.Count(header[last], "\n") // a quoted name may span lines
 
 	cols := len(header)
-	blocks := make([]csvBlock, runtime.GOMAXPROCS(0))
-	var carry []byte
-	for eof := false; !eof; {
-		n := 0
-		for ; n < len(blocks) && !eof; n++ {
-			b := &blocks[n]
-			if b.text, carry, eof, err = nextBlock(br, b.text, carry); err != nil {
-				return nil, fmt.Errorf("dataset: read: %w", err)
+	ring := make([]csvBlock, runtime.GOMAXPROCS(0)+1)
+	free := make(chan *csvBlock, len(ring))
+	for k := range ring {
+		ring[k].parsed = make(chan struct{}, 1)
+		free <- &ring[k]
+	}
+	// Both channels hold the whole ring, so no send on them blocks.
+	ready := make(chan *csvBlock, len(ring))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(ready)
+		cutBlocks(br, cols, free, ready, stop, &wg)
+	}()
+	for b := range ready {
+		if b.readErr != nil {
+			return nil, fmt.Errorf("dataset: read: %w", b.readErr)
+		}
+		<-b.parsed
+		if b.bad != nil {
+			return nil, b.bad.err(line, cols)
+		}
+		for off := 0; off < len(b.flat); off += cols {
+			if err := row(b.flat[off : off+cols : off+cols]); err != nil {
+				return nil, err
 			}
 		}
+		line += b.lines
 		if keep {
-			for k := range blocks[:n] {
-				blocks[k].flat = nil
-			}
+			b.flat = nil
 		}
-		parseBlocks(blocks[:n], cols)
-		for k := range blocks[:n] {
-			b := &blocks[k]
-			if b.bad != nil {
-				return nil, b.bad.err(line, cols)
-			}
-			for off := 0; off < len(b.flat); off += cols {
-				if err := row(b.flat[off : off+cols : off+cols]); err != nil {
-					return nil, err
-				}
-			}
-			line += b.lines
-		}
+		free <- b
 	}
 	return header, nil
+}
+
+// cutBlocks is the pipeline's reader: it fills blocks from free with the
+// body of r in file order, starts a parse goroutine (counted in wg) for
+// each, and queues it on ready, until r is exhausted, a read fails (the
+// block then carries the error and is not parsed) or stop is closed.
+func cutBlocks(r io.Reader, cols int, free <-chan *csvBlock, ready chan<- *csvBlock, stop <-chan struct{}, wg *sync.WaitGroup) {
+	var carry []byte
+	for eof := false; !eof; {
+		var b *csvBlock
+		select {
+		case b = <-free:
+		case <-stop:
+			return
+		}
+		b.text, carry, eof, b.readErr = nextBlock(r, b.text, carry)
+		if b.readErr != nil {
+			ready <- b
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.parse(cols)
+			b.parsed <- struct{}{}
+		}()
+		ready <- b
+	}
 }
 
 // blockSize is the body text read per parse block. Blocks end on a line
@@ -183,7 +231,8 @@ const blockSize = 256 << 10
 // blockSize more bytes of r, cut after the last newline. It returns the
 // block, the cut-off remainder to carry into the next block, and whether r
 // is exhausted (then the block runs to the end of input). A line longer
-// than a block grows the buffer until its newline arrives.
+// than a block grows the buffer until its newline arrives. carry may lie
+// in buf itself: the copy to its front moves it.
 func nextBlock(r io.Reader, buf, carry []byte) (text, rest []byte, eof bool, err error) {
 	buf = append(buf[:0], carry...)
 	for {
@@ -206,10 +255,12 @@ func nextBlock(r io.Reader, buf, carry []byte) (text, rest []byte, eof bool, err
 
 // csvBlock is one run of whole body lines and what parsing made of it.
 type csvBlock struct {
-	text  []byte    // the lines; the buffer is reused for the next round
-	flat  []float64 // parsed rows back to back; reused unless rows are kept
-	lines int       // physical lines in text, blank ones included
-	bad   *badLine  // first malformed line, or nil
+	text    []byte        // the lines; the buffer is reused for a later block
+	flat    []float64     // parsed rows back to back; reused unless rows are kept
+	lines   int           // physical lines in text, blank ones included
+	bad     *badLine      // first malformed line, or nil
+	readErr error         // the read error that ended the input here; text is then not parsed
+	parsed  chan struct{} // receives once the parse of text is done
 }
 
 // badLine records a malformed body line, located relative to its block.
@@ -227,21 +278,6 @@ func (b *badLine) err(prev, cols int) error {
 		return fmt.Errorf("dataset: line %d has %d fields, want %d: %w", prev+b.line, b.fields, cols, ErrBadInput)
 	}
 	return fmt.Errorf("dataset: line %d field %d %q: %w", prev+b.line, b.field, b.text, ErrBadInput)
-}
-
-// parseBlocks parses the blocks concurrently, the last on the calling
-// goroutine.
-func parseBlocks(blocks []csvBlock, cols int) {
-	var wg sync.WaitGroup
-	for k := range blocks[:len(blocks)-1] {
-		wg.Add(1)
-		go func(b *csvBlock) {
-			defer wg.Done()
-			b.parse(cols)
-		}(&blocks[k])
-	}
-	blocks[len(blocks)-1].parse(cols)
-	wg.Wait()
 }
 
 // parse converts b.text into b.flat, stopping at the first malformed line.
@@ -271,20 +307,26 @@ func (b *csvBlock) parse(cols int) {
 			return
 		}
 		for j := 0; j < cols; j++ {
-			field := line
-			if i := bytes.IndexByte(line, ','); i >= 0 {
-				field, line = line[:i], line[i+1:]
-			}
-			num := field
-			if n := len(num); n >= 2 && num[0] == '"' && num[n-1] == '"' {
-				num = num[1 : n-1]
-			}
-			v, err := strconv.ParseFloat(string(num), 64)
-			if err != nil {
-				b.bad = &badLine{line: b.lines, field: j + 1, text: string(field)}
-				return
+			// A plain decimal converts as its comma comes up; any other
+			// field is cut at its comma and parsed whole.
+			v, n, ok := parseDecimal(line)
+			if !ok || n < len(line) && line[n] != ',' {
+				if n = bytes.IndexByte(line, ','); n < 0 {
+					n = len(line)
+				}
+				field := line[:n]
+				num := field
+				if k := len(num); k >= 2 && num[0] == '"' && num[k-1] == '"' {
+					num = num[1 : k-1]
+				}
+				var err error
+				if v, err = ParseNumber(num); err != nil {
+					b.bad = &badLine{line: b.lines, field: j + 1, text: string(field)}
+					return
+				}
 			}
 			b.flat = append(b.flat, v)
+			line = line[min(n+1, len(line)):]
 		}
 	}
 }

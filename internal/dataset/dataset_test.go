@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -376,4 +377,86 @@ func FuzzReadCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		checkMatchesReference(t, in)
 	})
+}
+
+// failingReader serves its text up to limit bytes, then fails.
+type failingReader struct {
+	text  string
+	limit int
+	err   error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.limit == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.text[:min(len(r.text), r.limit)])
+	r.text, r.limit = r.text[n:], r.limit-n
+	return n, nil
+}
+
+// TestScanCSVEarlyReturnsJoinGoroutines: on each early return of ScanCSV —
+// an error from row at row 1000, a bad line in the third block, a reader
+// that fails partway through the file — the error comes back as promised
+// and no goroutine of the pipeline is left running.
+func TestScanCSVEarlyReturnsJoinGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(6))
+	in := paperCSV(rng, 3000, "\n")
+	lines := strings.SplitAfter(in, "\n")
+	// bad is the 0-based index of the line 2.5 blocks into the body, and
+	// the body lines before it that end at least a line short of two
+	// blocks are surely in the first two blocks.
+	bad, off, longest, inTwo := 1, 0, 0, 0
+	for ; off < 5*blockSize/2; bad++ {
+		off += len(lines[bad])
+		longest = max(longest, len(lines[bad]))
+	}
+	for l, end := 1, len(lines[1]); end <= 2*blockSize-longest; l, end = l+1, end+len(lines[l+1]) {
+		inTwo++
+	}
+	lines[bad] = "1,2,x\n" // physical line bad+1
+	badIn := strings.Join(lines, "")
+	stop := errors.New("stop")
+	broken := errors.New("broken pipe")
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			name   string
+			r      io.Reader
+			stopAt int
+			check  func(err error, rows int) bool
+		}{
+			{"row error", strings.NewReader(in), 1000, func(err error, rows int) bool {
+				return err == stop && rows == 1000
+			}},
+			{"bad line in the third block", strings.NewReader(badIn), 0, func(err error, rows int) bool {
+				want := fmt.Sprintf("dataset: line %d has 3 fields, want 53", bad+1)
+				return errors.Is(err, ErrBadInput) && strings.Contains(fmt.Sprint(err), want) &&
+					rows >= inTwo && rows < bad
+			}},
+			{"failing reader", &failingReader{text: in, limit: 5 * blockSize, err: broken}, 0, func(err error, rows int) bool {
+				return errors.Is(err, broken) && rows > 0 && rows < 3000
+			}},
+		} {
+			base := runtime.NumGoroutine()
+			rows := 0
+			_, err := ScanCSV(c.r, func([]float64) error {
+				if rows++; rows == c.stopAt {
+					return stop
+				}
+				return nil
+			})
+			if !c.check(err, rows) {
+				t.Errorf("procs %d, %s: err %v after %d rows", procs, c.name, err, rows)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("procs %d, %s: %d goroutines left running, %d before the scan", procs, c.name, n, base)
+			}
+		}
+	}
 }
