@@ -241,6 +241,43 @@ func TestDriftGuardRefusesAttack(t *testing.T) {
 	}
 }
 
+// TestLearnGuardRefusesNaN: a NaN channel value makes the scored point
+// out of control, so the learn guard rejects every such row instead of
+// folding NaN into the refit moments. The onset lies past the NaN rows, so
+// their alarm is discarded as pre-onset and no latch is set: each row must
+// be refused on its own score.
+func TestLearnGuardRefusesNaN(t *testing.T) {
+	sys := testSystem(t)
+	tracker, err := NewTracker(sys, Options{Enabled: true, Every: 64, Forget: 0.99, MinWeight: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clean, bad = 150, 10
+	a := newTestStream(t, tracker, clean+bad, time.Second, nil)
+	ctrl, proc := nocRows(3, clean+bad, 0, 0, 0)
+	for i := 0; i < clean; i++ {
+		if _, err := a.Push(ctrl[i], proc[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tracker.Stats()
+	for i := clean; i < clean+bad; i++ {
+		ctrl[i][8], proc[i][8] = math.NaN(), math.NaN()
+		res, err := a.Push(ctrl[i], proc[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ctrl.Over() || !res.Proc.Over() {
+			t.Fatalf("row %d: NaN row scored in control (ctrl %+v, proc %+v)", i, *res.Ctrl, *res.Proc)
+		}
+	}
+	after := tracker.Stats()
+	if after.Learned != before.Learned || after.Rejected != before.Rejected+bad {
+		t.Errorf("learn guard over %d NaN rows: learned %d -> %d, rejected %d -> %d",
+			bad, before.Learned, after.Learned, before.Rejected, after.Rejected)
+	}
+}
+
 // TestSwapParityDisabledGuards is the golden parity satellite: with the
 // forget factor at 1.0 and the guards configured to veto every candidate,
 // the adaptive path must produce a report bit-identical to the frozen-model

@@ -512,9 +512,9 @@ const (
 	readDepth = 4
 )
 
-// frameChunk is a run of consecutive capture records, copied out of the
-// chain reader's scratch frame. err, when set, is the read error (io.EOF
-// at the end of the chain) that followed the chunk's n frames.
+// frameChunk is a run of consecutive capture records, each decoded by the
+// chain reader straight into its slot. err, when set, is the read error
+// (io.EOF at the end of the chain) that followed the chunk's n frames.
 type frameChunk struct {
 	n      int
 	ts     [readChunk]time.Duration
@@ -529,14 +529,11 @@ type frameChunk struct {
 func (ch *frameChunk) fill(chain *fieldbus.ChainReader) {
 	ch.n, ch.err = 0, nil
 	for ch.n < readChunk {
-		ts, f, err := chain.Next()
+		ts, err := chain.NextInto(&ch.frames[ch.n])
 		if err != nil {
 			ch.err = err
 			return
 		}
-		dst := &ch.frames[ch.n]
-		dst.Type, dst.Unit, dst.Seq = f.Type, f.Unit, f.Seq
-		dst.Values = append(dst.Values[:0], f.Values...)
 		ch.ts[ch.n] = ts
 		ch.n++
 	}

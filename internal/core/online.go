@@ -78,8 +78,8 @@ func (s *System) NewOnlineAnalyzer(onset int, sample time.Duration) (*OnlineAnal
 		onset:      onset,
 		sample:     sample,
 		cols:       len(s.monitor.Scaler().Means()),
-		ctrl:       viewState{det: cd, ring: make([][]float64, k)},
-		proc:       viewState{det: pd, ring: make([][]float64, k)},
+		ctrl:       newViewState(cd, k),
+		proc:       newViewState(pd, k),
 		firstAlarm: -1,
 	}, nil
 }
@@ -100,14 +100,28 @@ func (a *OnlineAnalyzer) Push(ctrlRow, procRow []float64) (StepResult, error) {
 	}
 	idx := a.n
 	res := StepResult{Index: idx}
+	var cdet, pdet *mspc.Detection
 	var err error
-	res.Ctrl, res.CtrlAlarm, err = a.ctrl.push(ctrlRow, a.onset)
+	res.Ctrl, cdet, err = a.ctrl.step(ctrlRow)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: detection at row %d: %w", idx, err)
 	}
-	res.Proc, res.ProcAlarm, err = a.proc.push(procRow, a.onset)
+	res.Proc, pdet, err = a.proc.step(procRow)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("core: detection at row %d: %w", idx, err)
+	}
+	// Only rows where a view is out of control can be read back: a latched
+	// run is over in its own view, and the pair window is seeded over an
+	// alarmed run, so both views keep their row wherever either is over.
+	if res.Ctrl != nil && res.Ctrl.Over() || res.Proc != nil && res.Proc.Over() {
+		a.ctrl.keep(ctrlRow)
+		a.proc.keep(procRow)
+	}
+	if res.Ctrl != nil {
+		res.CtrlAlarm = a.ctrl.latch(cdet, ctrlRow, a.onset)
+	}
+	if res.Proc != nil {
+		res.ProcAlarm = a.proc.latch(pdet, procRow, a.onset)
 	}
 	if a.firstAlarm < 0 && (res.CtrlAlarm != nil || res.ProcAlarm != nil) {
 		a.firstAlarm = idx
@@ -127,9 +141,9 @@ func (a *OnlineAnalyzer) Push(ctrlRow, procRow []float64) (StepResult, error) {
 		}
 		//pcslint:ignore hotpath -- the pair window is built once per detection, not per sample
 		a.win = newPairWindow(start, a.cols)
-		// Seed from the trailing rings: the run rule fired at most
-		// RunLength-1 samples after the run began, so every needed row is
-		// still buffered.
+		// Seed from the trailing rings: the run rule fired RunLength-1
+		// samples after the run began, and every index of the run had a
+		// view over its limit, so both views' rows are still buffered.
 		for t := start; t <= idx && a.win.n < DiagnoseWindow; t++ {
 			cr, pr := a.ctrl.rowAt(t), a.proc.rowAt(t)
 			if cr != nil && pr != nil {
@@ -223,19 +237,34 @@ func (a *OnlineAnalyzer) Finish() (*Report, error) {
 }
 
 // viewState is the per-view half of the analyzer: the run-rule detector, a
-// trailing ring of the RunLength most recent rows (so the start of a
-// just-latched run can be recovered), and the diagnosis-window buffer.
+// trailing ring of this view's rows at the last RunLength stream indices
+// (so the start of a just-latched run can be recovered), and the
+// diagnosis-window buffer. The ring holds only the rows of indices where
+// either view was out of control — the only rows rowAt is asked for — so an
+// in-control stream copies nothing into it.
 type viewState struct {
 	det       *mspc.Detector
 	n         int // rows consumed; the current row's index is n-1
 	ended     bool
-	ring      [][]float64 // n % RunLength keyed trailing rows (reused buffers)
+	ring      [][]float64 // kept rows keyed by index % RunLength (reused buffers)
+	ringAt    []int       // stream index of each ring slot's row, -1 if none
 	diag      [][]float64 // rows [RunStart, RunStart+DiagnoseWindow)
 	detection *mspc.Detection
 	pt        mspc.Point // scratch for the returned step point (reused)
 }
 
-func (v *viewState) push(row []float64, onset int) (*mspc.Point, *mspc.Detection, error) {
+func newViewState(det *mspc.Detector, k int) viewState {
+	v := viewState{det: det, ring: make([][]float64, k), ringAt: make([]int, k)}
+	for i := range v.ringAt {
+		v.ringAt[i] = -1
+	}
+	return v
+}
+
+// step scores row on the view's charts. A nil row ends the view; an ended
+// view scores nothing. The point is nil when no row was scored; the
+// detection is the detector's latched one, if any, for latch to handle.
+func (v *viewState) step(row []float64) (*mspc.Point, *mspc.Detection, error) {
 	if row == nil {
 		v.ended = true
 		return nil, nil, nil
@@ -243,26 +272,43 @@ func (v *viewState) push(row []float64, onset int) (*mspc.Point, *mspc.Detection
 	if v.ended {
 		return nil, nil, nil
 	}
-	k := len(v.ring)
-	slot := v.n % k
-	if v.ring[slot] == nil {
-		//pcslint:ignore hotpath -- ring slots are laid down once on the first window lap; every later step reuses them
-		v.ring[slot] = make([]float64, len(row))
-	}
-	copy(v.ring[slot], row)
 	v.n++
 	pt, det, err := v.det.Step(row)
 	if err != nil {
 		return nil, nil, err
 	}
-	var alarm *mspc.Detection
+	v.pt = pt
+	return &v.pt, det, nil
+}
+
+// keep stores the row step just scored in the trailing ring. It does
+// nothing when the view had no row this step.
+func (v *viewState) keep(row []float64) {
+	if row == nil || v.ended {
+		return
+	}
+	t := v.n - 1
+	slot := t % len(v.ring)
+	if v.ring[slot] == nil {
+		//pcslint:ignore hotpath -- ring slots are laid down once, at the first out-of-control indices; every later keep reuses them
+		v.ring[slot] = make([]float64, len(row))
+	}
+	copy(v.ring[slot], row)
+	v.ringAt[slot] = t
+}
+
+// latch handles the detection step returned for row: a pre-onset alarm is
+// discarded, the first post-onset one is snapshotted with its run's rows
+// seeding the diagnosis window, which later rows fill. It returns the
+// detection on the step it latched.
+func (v *viewState) latch(det *mspc.Detection, row []float64, onset int) *mspc.Detection {
 	switch {
 	case det != nil && v.detection == nil:
 		if det.Index < onset {
 			// Pre-onset alarm: note nothing, keep scanning for the real
 			// event.
 			v.det.Discard()
-			break
+			return nil
 		}
 		d := *det
 		//pcslint:ignore hotpath -- detection snapshot: runs once per alarm, never on the per-sample path
@@ -272,20 +318,20 @@ func (v *viewState) push(row []float64, onset int) (*mspc.Point, *mspc.Detection
 			//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by DiagnoseWindow)
 			v.diag = append(v.diag, append([]float64(nil), v.rowAt(t)...))
 		}
-		alarm = v.detection
+		return v.detection
 	case v.detection != nil && len(v.diag) < DiagnoseWindow:
 		//pcslint:ignore hotpath -- diagnosis rows are copied only while an alarm is being worked up (bounded by DiagnoseWindow)
 		v.diag = append(v.diag, append([]float64(nil), row...))
 	}
-	v.pt = pt
-	return &v.pt, alarm, nil
+	return nil
 }
 
-// rowAt returns the buffered row at stream index t, or nil when t has
-// fallen out of the trailing ring (or was never consumed).
+// rowAt returns the kept row at stream index t, or nil when t has fallen
+// out of the trailing ring, was never consumed, or had no view out of
+// control.
 func (v *viewState) rowAt(t int) []float64 {
 	k := len(v.ring)
-	if t < v.n-k || t >= v.n || t < 0 {
+	if t < v.n-k || t >= v.n || t < 0 || v.ringAt[t%k] != t {
 		return nil
 	}
 	return v.ring[t%k]

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"pcsmon/internal/dataset"
 	"pcsmon/internal/historian"
+	"pcsmon/internal/mspc"
 	"pcsmon/internal/te"
 )
 
@@ -274,5 +276,119 @@ func TestBatchWrapperStillValidates(t *testing.T) {
 	}
 	if _, err := f.sys.AnalyzeViews(cd, empty, 0, time.Second); !errors.Is(err, ErrBadInput) {
 		t.Errorf("empty view: want ErrBadInput, got %v", err)
+	}
+}
+
+// TestOnlineRingKeepsOnlyOverRows pins the trailing ring's contract: after
+// every push, a view's row at each of the last RunLength indices is
+// buffered exactly when either view was out of control there, and it is
+// the row that was pushed. A pre-onset burst in one view and a cross-view
+// attack both run through it.
+func TestOnlineRingKeepsOnlyOverRows(t *testing.T) {
+	f := newSynthFixture(t, 215)
+	cd, pd := f.viewsWithShift(t, 100, 60,
+		map[int]float64{te.XmeasAFeed: -12}, map[int]float64{te.XmeasAFeed: +12})
+	for i := 40; i < 44; i++ { // a pre-onset burst in the process view only
+		pd.RowView(i)[te.XmeasAFeed] += 12 * f.stds[te.XmeasAFeed]
+	}
+	oa, err := f.sys.NewOnlineAnalyzer(100, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := f.sys.Config().RunLength
+	var over []bool
+	for i := 0; i < cd.Rows(); i++ {
+		res, err := oa.Push(cd.RowView(i), pd.RowView(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		over = append(over, res.Ctrl.Over() || res.Proc.Over())
+		for tt := max(0, i-k+1); tt <= i; tt++ {
+			for _, v := range []struct {
+				name string
+				vs   *viewState
+				row  []float64
+			}{{"ctrl", &oa.ctrl, cd.RowView(tt)}, {"proc", &oa.proc, pd.RowView(tt)}} {
+				got := v.vs.rowAt(tt)
+				switch {
+				case !over[tt] && got != nil:
+					t.Fatalf("after push %d: %s row %d buffered with no view over", i, v.name, tt)
+				case over[tt] && !reflect.DeepEqual(got, v.row):
+					t.Fatalf("after push %d: %s row %d = %v, pushed %v", i, v.name, tt, got, v.row)
+				}
+			}
+		}
+	}
+	if !oa.Detected() {
+		t.Fatal("attack not detected")
+	}
+}
+
+// TestNaNObservationAlarms: a NaN in a monitored channel makes D and Q NaN,
+// and a NaN statistic is out of control. Rows with channel 8 NaN from row
+// n on latch the run rule at n+K−1 — the same index as the same rows with
+// the channel at 1e6 — on the bare detector and on the two-view analyzer.
+func TestNaNObservationAlarms(t *testing.T) {
+	f := newSynthFixture(t, 216)
+	const n, col = 150, 8
+	k := f.sys.Config().RunLength
+	base := make([][]float64, n+20)
+	for i := range base {
+		base[i] = f.nocRow()
+	}
+	views := func(v float64) (*dataset.Dataset, *dataset.Dataset) {
+		cd, err := dataset.New(historian.VarNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := dataset.New(historian.VarNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range base {
+			r := append([]float64(nil), row...)
+			if i >= n {
+				r[col] = v
+			}
+			if err := cd.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := pd.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cd, pd
+	}
+	for _, v := range []float64{math.NaN(), 1e6} {
+		cd, pd := views(v)
+		det, err := mspc.NewDetector(f.sys.Monitor(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fired *mspc.Detection
+		for i := 0; i < cd.Rows() && fired == nil; i++ {
+			if _, fired, err = det.Step(cd.RowView(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fired == nil || fired.Index != n+k-1 || fired.RunStart != n {
+			t.Fatalf("channel %d = %v from row %d: detector fired %+v, want index %d run start %d",
+				col, v, n, fired, n+k-1, n)
+		}
+		rep, err := pushAll(t, f.sys, cd, pd, n).Finish()
+		if err != nil {
+			t.Fatalf("channel %d = %v: Finish: %v", col, v, err)
+		}
+		for _, va := range []ViewAnalysis{rep.Controller, rep.Process} {
+			if !va.Detected || va.DetectionIndex != n+k-1 {
+				t.Fatalf("channel %d = %v: view detected=%v at %d, want %d",
+					col, v, va.Detected, va.DetectionIndex, n+k-1)
+			}
+		}
+		if rep.Verdict == VerdictNormal {
+			t.Errorf("channel %d = %v: verdict normal", col, v)
+		}
+		t.Logf("channel %d = %v from row %d: alarm at %d, verdict %v (%s)",
+			col, v, n, n+k-1, rep.Verdict, rep.Explanation)
 	}
 }

@@ -98,7 +98,7 @@ func BenchmarkCaptureReplay(b *testing.B) {
 		}
 		n := 0
 		for {
-			_, _, err := cr.Next()
+			_, err := cr.NextInto(f)
 			if err == io.EOF {
 				break
 			}

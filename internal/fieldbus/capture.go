@@ -114,69 +114,85 @@ func (cw *CaptureWriter) Flush() error {
 	return nil
 }
 
-// CaptureReader iterates a capture stream. The frame returned by Next is
-// the reader's scratch, reused on the next call — Clone what must outlive
-// it. Malformed input yields typed errors (ErrBadCapture for structural
-// damage, the codec's own errors for frame-level corruption); a clean end
-// of file yields io.EOF.
+// CaptureReader iterates a capture stream, decoding each record into a
+// frame the caller owns. Each record is decoded in place from the reader's
+// buffer (Peek, then Discard), so a value is copied once, from the buffer
+// into the frame. Malformed input yields typed errors (ErrBadCapture for
+// structural damage, the codec's own errors for frame-level corruption); a
+// clean end of file yields io.EOF.
 type CaptureReader struct {
-	r     io.Reader
-	frame Frame
-	data  []byte
-	hdr   [captureRecHeader]byte
-	last  time.Duration
+	br   *bufio.Reader
+	last time.Duration
 }
 
-// NewCaptureReader validates the capture header of r. Pass a buffered
-// reader for file streams; the reader issues small reads.
+// captureRecMax is the longest record a capture may hold: the record
+// header and a frame of MaxValues. The reader's buffer must hold one whole.
+const captureRecMax = captureRecHeader + headerBytes + 8*MaxValues + crcBytes
+
+// NewCaptureReader validates the capture header of r. A *bufio.Reader
+// whose buffer holds the longest record is read directly; any other reader
+// is wrapped once in one.
 func NewCaptureReader(r io.Reader) (*CaptureReader, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < captureRecMax {
+		br = bufio.NewReaderSize(r, max(4096, captureRecMax))
+	}
 	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("fieldbus: capture header: %v: %w", err, ErrBadCapture)
 	}
 	if magic != captureMagic {
 		return nil, fmt.Errorf("fieldbus: capture magic %q: %w", magic[:], ErrBadCapture)
 	}
-	return &CaptureReader{r: r}, nil
+	return &CaptureReader{br: br}, nil
 }
 
-// Next returns the next record's timestamp and frame. The frame is scratch
-// (see the type comment). At a clean end of capture it returns io.EOF; a
-// stream ending mid-record is ErrTruncatedTail (an uncleanly stopped
-// recorder — still ErrBadCapture, but distinguishable so replay can score
-// the readable prefix); an implausible length, a decreasing timestamp or a
-// frame that fails to decode is a typed error.
-func (cr *CaptureReader) Next() (time.Duration, *Frame, error) {
-	if _, err := io.ReadFull(cr.r, cr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF // clean boundary between records
+// NextInto decodes the next record's frame into f and returns its
+// timestamp. At a clean end of capture it returns io.EOF; a stream ending
+// mid-record is ErrTruncatedTail (an uncleanly stopped recorder — still
+// ErrBadCapture, but distinguishable so replay can score the readable
+// prefix); an implausible length, a decreasing timestamp or a frame that
+// fails to decode is a typed error. On an error f may be partly written.
+func (cr *CaptureReader) NextInto(f *Frame) (time.Duration, error) {
+	hdr, err := cr.br.Peek(captureRecHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
+			return 0, io.EOF // clean boundary between records
 		}
-		return 0, nil, fmt.Errorf("fieldbus: record header: %v: %w", err, ErrTruncatedTail)
+		return 0, fmt.Errorf("fieldbus: record header: %v: %w", short(err, len(hdr)), ErrTruncatedTail)
 	}
-	at := binary.BigEndian.Uint64(cr.hdr[0:])
-	n := binary.BigEndian.Uint32(cr.hdr[8:])
+	at := binary.BigEndian.Uint64(hdr[0:])
+	n := int(binary.BigEndian.Uint32(hdr[8:]))
 	if at > uint64(1<<63-1) {
-		return 0, nil, fmt.Errorf("fieldbus: capture timestamp overflow: %w", ErrBadCapture)
+		return 0, fmt.Errorf("fieldbus: capture timestamp overflow: %w", ErrBadCapture)
 	}
 	ts := time.Duration(at)
 	if ts < cr.last {
-		return 0, nil, fmt.Errorf("fieldbus: capture timestamp moved backwards (%v after %v): %w",
+		return 0, fmt.Errorf("fieldbus: capture timestamp moved backwards (%v after %v): %w",
 			ts, cr.last, ErrBadCapture)
 	}
-	if n == 0 || n > uint32(EncodedSize(MaxValues)) {
-		return 0, nil, fmt.Errorf("fieldbus: capture frame length %d: %w", n, ErrBadCapture)
+	if n == 0 || n > EncodedSize(MaxValues) {
+		return 0, fmt.Errorf("fieldbus: capture frame length %d: %w", n, ErrBadCapture)
 	}
-	if uint32(cap(cr.data)) < n {
-		//pcslint:ignore hotpath -- grow branch: taken until data reaches the widest record, then the scratch is reused
-		cr.data = make([]byte, n)
+	rec, err := cr.br.Peek(captureRecHeader + n)
+	if err != nil {
+		return 0, fmt.Errorf("fieldbus: record frame body: %v: %w", short(err, len(rec)-captureRecHeader), ErrTruncatedTail)
 	}
-	cr.data = cr.data[:n]
-	if _, err := io.ReadFull(cr.r, cr.data); err != nil {
-		return 0, nil, fmt.Errorf("fieldbus: record frame body: %v: %w", err, ErrTruncatedTail)
-	}
-	if err := cr.frame.UnmarshalInto(cr.data); err != nil {
-		return 0, nil, err // the codec's typed corruption errors
+	err = f.UnmarshalInto(rec[captureRecHeader:])
+	// The buffer holds the whole record, so Discard cannot come up short.
+	_, _ = cr.br.Discard(captureRecHeader + n)
+	if err != nil {
+		return 0, err // the codec's typed corruption errors
 	}
 	cr.last = ts
-	return ts, &cr.frame, nil
+	return ts, nil
+}
+
+// short reports a Peek that came up short the way io.ReadFull does: end
+// of input after got > 0 of the wanted bytes is io.ErrUnexpectedEOF.
+func short(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -1,14 +1,28 @@
 package fieldbus
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 )
+
+// next reads cr's next record into a fresh frame.
+func next(cr *CaptureReader) (time.Duration, *Frame, error) {
+	f := new(Frame)
+	ts, err := cr.NextInto(f)
+	if err != nil {
+		return 0, nil, err
+	}
+	return ts, f, nil
+}
 
 // buildCapture encodes the given frames at 10ms spacing and returns the
 // capture bytes.
@@ -42,7 +56,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range frames {
-		ts, got, err := cr.Next()
+		ts, got, err := next(cr)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -59,7 +73,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := cr.Next(); err != io.EOF {
+	if _, _, err := next(cr); err != io.EOF {
 		t.Errorf("want io.EOF at end, got %v", err)
 	}
 }
@@ -90,10 +104,10 @@ func TestCaptureWriterClampsBackwardTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); err != nil {
+	if _, _, err := next(cr); err != nil {
 		t.Fatal(err)
 	}
-	ts, _, err := cr.Next()
+	ts, _, err := next(cr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +137,7 @@ func TestCaptureReaderTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cr.Next(); !errors.Is(err, ErrBadCapture) {
+		if _, _, err := next(cr); !errors.Is(err, ErrBadCapture) {
 			t.Errorf("cut at %d: want ErrBadCapture, got %v", cut, err)
 		}
 	}
@@ -135,7 +149,7 @@ func TestCaptureReaderTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); !errors.Is(err, ErrBadCapture) {
+	if _, _, err := next(cr); !errors.Is(err, ErrBadCapture) {
 		t.Errorf("oversized length: want ErrBadCapture, got %v", err)
 	}
 
@@ -145,7 +159,7 @@ func TestCaptureReaderTypedErrors(t *testing.T) {
 	if cr, err = NewCaptureReader(bytes.NewReader(zero)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); !errors.Is(err, ErrBadCapture) {
+	if _, _, err := next(cr); !errors.Is(err, ErrBadCapture) {
 		t.Errorf("zero length: want ErrBadCapture, got %v", err)
 	}
 
@@ -157,10 +171,10 @@ func TestCaptureReaderTypedErrors(t *testing.T) {
 	if cr, err = NewCaptureReader(bytes.NewReader(back)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); err != nil {
+	if _, _, err := next(cr); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); !errors.Is(err, ErrBadCapture) {
+	if _, _, err := next(cr); !errors.Is(err, ErrBadCapture) {
 		t.Errorf("backward timestamp: want ErrBadCapture, got %v", err)
 	}
 
@@ -170,17 +184,17 @@ func TestCaptureReaderTypedErrors(t *testing.T) {
 	if cr, err = NewCaptureReader(bytes.NewReader(crc)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); err != nil {
+	if _, _, err := next(cr); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); !errors.Is(err, ErrBadCRC) {
+	if _, _, err := next(cr); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("corrupt frame: want ErrBadCRC, got %v", err)
 	}
 }
 
-// TestCaptureReaderSteadyStateAllocs: with same-width frames the reader's
-// scratch stabilizes and Next allocates nothing — captures replay at
-// transport speed without GC pressure.
+// TestCaptureReaderSteadyStateAllocs: with same-width frames decoded into
+// one frame, NextInto allocates nothing — captures replay at transport
+// speed without GC pressure.
 func TestCaptureReaderSteadyStateAllocs(t *testing.T) {
 	frames := make([]*Frame, 240)
 	for i := range frames {
@@ -190,18 +204,19 @@ func TestCaptureReaderSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ { // warm the scratch
-		if _, _, err := cr.Next(); err != nil {
+	var f Frame
+	for i := 0; i < 10; i++ { // warm the frame
+		if _, err := cr.NextInto(&f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := cr.Next(); err != nil {
+		if _, err := cr.NextInto(&f); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("CaptureReader.Next allocates %.1f/op in steady state, want 0", allocs)
+		t.Errorf("CaptureReader.NextInto allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 
@@ -229,5 +244,238 @@ func TestCaptureWriterSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CaptureWriter.WriteAt allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
+// refCaptureReader is the capture reader as it was before it decoded in
+// place: io.ReadFull of the record header, then of the frame into a
+// scratch buffer, then the decode. The in-place reader must deliver the
+// same frames and fail with the same errors.
+type refCaptureReader struct {
+	r     io.Reader
+	frame Frame
+	data  []byte
+	hdr   [captureRecHeader]byte
+	last  time.Duration
+}
+
+func (cr *refCaptureReader) next() (time.Duration, *Frame, error) {
+	if _, err := io.ReadFull(cr.r, cr.hdr[:]); err != nil {
+		if err == io.EOF {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("fieldbus: record header: %v: %w", err, ErrTruncatedTail)
+	}
+	at := binary.BigEndian.Uint64(cr.hdr[0:])
+	n := binary.BigEndian.Uint32(cr.hdr[8:])
+	if at > uint64(1<<63-1) {
+		return 0, nil, fmt.Errorf("fieldbus: capture timestamp overflow: %w", ErrBadCapture)
+	}
+	ts := time.Duration(at)
+	if ts < cr.last {
+		return 0, nil, fmt.Errorf("fieldbus: capture timestamp moved backwards (%v after %v): %w",
+			ts, cr.last, ErrBadCapture)
+	}
+	if n == 0 || n > uint32(EncodedSize(MaxValues)) {
+		return 0, nil, fmt.Errorf("fieldbus: capture frame length %d: %w", n, ErrBadCapture)
+	}
+	cr.data = make([]byte, n)
+	if _, err := io.ReadFull(cr.r, cr.data); err != nil {
+		return 0, nil, fmt.Errorf("fieldbus: record frame body: %v: %w", err, ErrTruncatedTail)
+	}
+	if err := cr.frame.UnmarshalInto(cr.data); err != nil {
+		return 0, nil, err
+	}
+	cr.last = ts
+	return ts, &cr.frame, nil
+}
+
+// readAll reads records until the first error and returns the stamps, the
+// frames (cloned) and that error.
+func readAll(next func() (time.Duration, *Frame, error)) ([]time.Duration, []*Frame, error) {
+	var stamps []time.Duration
+	var frames []*Frame
+	for {
+		ts, f, err := next()
+		if err != nil {
+			return stamps, frames, err
+		}
+		stamps = append(stamps, ts)
+		frames = append(frames, f.Clone())
+	}
+}
+
+// TestCaptureReaderInPlaceMatchesReference damages a capture in each way
+// the reader must refuse — a truncated record header, a truncated frame
+// body, a zero or oversized length, a timestamp that moves backwards, a
+// flipped CRC — and reads it through the in-place reader behind several
+// source readers: a bytes.Reader (wrapped once), a *bufio.Reader too small
+// for the longest record (wrapped), one large enough (read directly) and
+// readers that return one byte or half the request per call. Every one
+// must deliver the reference reader's frames and stop with its error: the
+// same sentinel and the same message.
+func TestCaptureReaderInPlaceMatchesReference(t *testing.T) {
+	frames := []*Frame{
+		{Type: FrameSensor, Unit: 1, Seq: 1, Values: []float64{1, 2, math.NaN(), math.Inf(-1), 5}},
+		{Type: FrameActuator, Unit: 1, Seq: 1, Values: []float64{3, math.Copysign(0, -1)}},
+		{Type: FrameSensor, Unit: 2, Seq: 2, Values: make([]float64, 53)},
+		{Type: FrameActuator, Unit: 2, Seq: 2, Values: make([]float64, MaxValues)},
+	}
+	for i := range frames[2].Values {
+		frames[2].Values[i] = float64(i) / 7
+	}
+	data := buildCapture(t, frames)
+	recAt := func(i int) int { // byte offset of record i
+		off := len(captureMagic)
+		for _, f := range frames[:i] {
+			off += captureRecHeader + EncodedSize(len(f.Values))
+		}
+		return off
+	}
+	damage := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), data...)) }
+	cases := map[string][]byte{
+		"clean":            data,
+		"header only":      data[:len(captureMagic)],
+		"truncated header": data[:recAt(2)+5],
+		"header, no body":  data[:recAt(2)+captureRecHeader],
+		"truncated body":   data[:recAt(3)+captureRecHeader+100],
+		"zero length": damage(func(b []byte) []byte {
+			binary.BigEndian.PutUint32(b[recAt(1)+8:], 0)
+			return b
+		}),
+		"bad length": damage(func(b []byte) []byte {
+			binary.BigEndian.PutUint32(b[recAt(2)+8:], uint32(EncodedSize(MaxValues))+1)
+			return b
+		}),
+		"timestamp overflow": damage(func(b []byte) []byte {
+			binary.BigEndian.PutUint64(b[recAt(1):], 1<<63)
+			return b
+		}),
+		"backwards timestamp": damage(func(b []byte) []byte {
+			binary.BigEndian.PutUint64(b[recAt(1):], uint64(time.Second))
+			return b
+		}),
+		"bad CRC": damage(func(b []byte) []byte {
+			b[recAt(3)-1] ^= 0x01
+			return b
+		}),
+	}
+	sources := map[string]func([]byte) io.Reader{
+		"bytes":        func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"small bufio":  func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 16) },
+		"64KiB bufio":  func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 1<<16) },
+		"one byte":     func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"half":         func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+		"data+EOF err": func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+	}
+	for name, input := range cases {
+		ref := &refCaptureReader{r: bytes.NewReader(input[len(captureMagic):])}
+		wantTS, wantFrames, wantErr := readAll(ref.next)
+		if wantErr == io.EOF && name != "clean" && name != "header only" {
+			t.Fatalf("%s: the reference reader read the damage cleanly", name)
+		}
+		for sname, src := range sources {
+			cr, err := NewCaptureReader(src(input))
+			if err != nil {
+				t.Fatalf("%s via %s: %v", name, sname, err)
+			}
+			gotTS, gotFrames, gotErr := readAll(func() (time.Duration, *Frame, error) { return next(cr) })
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s via %s: error %q, reference %q", name, sname, gotErr, wantErr)
+			}
+			for _, sentinel := range []error{io.EOF, ErrBadCapture, ErrTruncatedTail, ErrBadCRC} {
+				if errors.Is(gotErr, sentinel) != errors.Is(wantErr, sentinel) {
+					t.Errorf("%s via %s: errors.Is(%v, %v) differs from the reference", name, sname, gotErr, sentinel)
+				}
+			}
+			if !reflect.DeepEqual(gotTS, wantTS) || len(gotFrames) != len(wantFrames) {
+				t.Fatalf("%s via %s: %d records at %v, reference %d at %v",
+					name, sname, len(gotFrames), gotTS, len(wantFrames), wantTS)
+			}
+			for i := range gotFrames {
+				g, w := gotFrames[i], wantFrames[i]
+				if g.Type != w.Type || g.Unit != w.Unit || g.Seq != w.Seq || !equalBits(g.Values, w.Values) {
+					t.Fatalf("%s via %s: frame %d = %+v, reference %+v", name, sname, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// captureBoundaryStream returns a capture in which record k starts off
+// bytes before the first 64 KiB boundary of the stream, so with off in
+// (0, record size) that record straddles the first refill of a 64 KiB
+// reader. Records are numbered by Seq; record k carries 53 values, the
+// fillers before it whatever width makes the offset come out exact, and
+// four more 53-value records follow it.
+func captureBoundaryStream(t *testing.T, off int) (stream []byte, frames []*Frame, k int) {
+	t.Helper()
+	const boundary = 1 << 16
+	fill := boundary - off - len(captureMagic)
+	// A record of n values takes captureRecHeader+EncodedSize(n) = 30+8n
+	// bytes; find the fewest fillers that sum to fill with n in
+	// [1, MaxValues].
+	rec0 := captureRecHeader + EncodedSize(0)
+	for k = 1; ; k++ {
+		rest := fill - k*rec0
+		if rest < 8*k {
+			t.Fatalf("no filler reaches offset %d", off)
+		}
+		if rest%8 == 0 && rest/8 <= k*MaxValues {
+			break
+		}
+	}
+	values := (fill - k*rec0) / 8
+	add := func(n int) {
+		f := &Frame{Type: FrameSensor, Unit: 3, Seq: uint64(len(frames)), Values: make([]float64, n)}
+		for j := range f.Values {
+			f.Values[j] = float64(len(frames)) + float64(j)/1024
+		}
+		frames = append(frames, f)
+	}
+	for i := 0; i < k; i++ {
+		n := values / k
+		if i < values%k {
+			n++
+		}
+		add(n)
+	}
+	for i := 0; i < 5; i++ {
+		add(53)
+	}
+	stream = buildCapture(t, frames)
+	if got := len(captureMagic) + fill; got+off != boundary {
+		t.Fatalf("fillers end at %d, want %d", got, boundary-off)
+	}
+	return stream, frames, k
+}
+
+// TestCaptureReaderRecordsStraddleBoundary: through a 64 KiB reader (the
+// chain's segment reader), a record whose header, frame header, values or
+// CRC straddles the first refill decodes intact, and so does every record
+// after it. A bytes.Reader fills the buffer completely, so the refill
+// falls exactly at 64 KiB; record sizes are even, so even offsets cover
+// every split of a 53-value record.
+func TestCaptureReaderRecordsStraddleBoundary(t *testing.T) {
+	for off := 2; off < captureRecHeader+EncodedSize(53); off += 2 {
+		stream, frames, k := captureBoundaryStream(t, off)
+		cr, err := NewCaptureReader(bufio.NewReaderSize(bytes.NewReader(stream), 1<<16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Frame
+		for i, want := range frames {
+			ts, err := cr.NextInto(&got)
+			if err != nil {
+				t.Fatalf("offset %d: record %d (straddler %d): %v", off, i, k, err)
+			}
+			if ts != time.Duration(i)*10*time.Millisecond || got.Seq != want.Seq || !equalBits(got.Values, want.Values) {
+				t.Fatalf("offset %d: record %d decoded as seq %d at %v with %d values, want seq %d with %d",
+					off, i, got.Seq, ts, len(got.Values), want.Seq, len(want.Values))
+			}
+		}
+		if _, err := cr.NextInto(&got); err != io.EOF {
+			t.Fatalf("offset %d: after the last record: %v, want EOF", off, err)
+		}
 	}
 }

@@ -38,9 +38,9 @@ type chainSegment struct {
 }
 
 // ChainReader replays a capture chain — the rotated segment files of a
-// CaptureStore, or a single plain capture file — as one stream, in the
-// same Next contract as CaptureReader. Two behaviors distinguish it from
-// looping NewCaptureReader by hand:
+// CaptureStore, or a single plain capture file — as one stream: NextInto
+// has CaptureReader's contract, and Next wraps it with a scratch frame.
+// Two behaviors distinguish it from looping NewCaptureReader by hand:
 //
 //   - Window seek: with ChainOptions.From/To set, sealed segments whose
 //     index shows no overlap are skipped without reading a single record
@@ -56,6 +56,7 @@ type ChainReader struct {
 
 	cur       int // index into segs of the open segment; len(segs) = done
 	cr        *CaptureReader
+	frame     Frame // Next's scratch
 	f         *os.File
 	last      time.Duration // newest timestamp delivered or indexed
 	records   uint64        // records decoded (the full-scan detector)
@@ -116,18 +117,30 @@ func OpenCaptureChain(base string, opts ChainOptions) (*ChainReader, error) {
 }
 
 // Next returns the next in-window record's timestamp and frame, advancing
-// across segment boundaries transparently. The frame is the open segment
-// reader's scratch — Clone what must outlive the call. io.EOF means the
-// chain (or the window) is exhausted; check Truncated afterwards.
+// across segment boundaries transparently. The frame is the reader's
+// scratch — Clone what must outlive the call. io.EOF means the chain (or
+// the window) is exhausted; check Truncated afterwards.
 func (c *ChainReader) Next() (time.Duration, *Frame, error) {
+	ts, err := c.NextInto(&c.frame)
+	if err != nil {
+		return 0, nil, err
+	}
+	return ts, &c.frame, nil
+}
+
+// NextInto decodes the next in-window record straight into f and returns
+// its timestamp; the errors are Next's. Records passed over (outside the
+// window or the unit filter) are decoded into f as well, so after an error
+// f holds no meaningful frame.
+func (c *ChainReader) NextInto(f *Frame) (time.Duration, error) {
 	for {
 		if c.cr == nil {
 			//pcslint:ignore hotpath -- opens a segment file once per segment; the per-record read below stays allocation-free
 			if err := c.openNext(); err != nil {
-				return 0, nil, err
+				return 0, err
 			}
 		}
-		ts, f, err := c.cr.Next()
+		ts, err := c.cr.NextInto(f)
 		if err == io.EOF {
 			c.closeSegment()
 			continue
@@ -141,10 +154,10 @@ func (c *ChainReader) Next() (time.Duration, *Frame, error) {
 				c.closeSegment()
 				continue
 			}
-			return 0, nil, fmt.Errorf("%s: %w", c.segs[c.cur].path, err)
+			return 0, fmt.Errorf("%s: %w", c.segs[c.cur].path, err)
 		}
 		if ts < c.last {
-			return 0, nil, fmt.Errorf("fieldbus: %s: timestamp %v moved backwards across chain (after %v): %w",
+			return 0, fmt.Errorf("fieldbus: %s: timestamp %v moved backwards across chain (after %v): %w",
 				c.segs[c.cur].path, ts, c.last, ErrBadCapture)
 		}
 		c.last = ts
@@ -158,7 +171,7 @@ func (c *ChainReader) Next() (time.Duration, *Frame, error) {
 			c.skipped += len(c.segs) - c.cur - 1
 			c.closeSegment()
 			c.cur = len(c.segs)
-			return 0, nil, io.EOF
+			return 0, io.EOF
 		}
 		if c.filtered && !c.unitSet[f.Unit] {
 			continue
@@ -168,7 +181,7 @@ func (c *ChainReader) Next() (time.Duration, *Frame, error) {
 		}
 		c.delivered++
 		c.end = ts
-		return ts, f, nil
+		return ts, nil
 	}
 }
 

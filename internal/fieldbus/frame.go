@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"pcsmon/internal/mat"
 )
 
 // Package-level sentinel errors.
@@ -115,7 +117,8 @@ func (f *Frame) MarshalTo(dst []byte) ([]byte, error) {
 
 // UnmarshalInto decodes a frame into f, verifying magic and CRC. The
 // Values slice is reused when its capacity suffices, so a long-lived frame
-// decodes per-sample traffic without allocating.
+// decodes per-sample traffic without allocating; the values are byte-swapped
+// four at a time where the CPU allows (mat.DecodeBigEndianInto).
 //
 //pcslint:hotpath
 func (f *Frame) UnmarshalInto(data []byte) error {
@@ -150,11 +153,7 @@ func (f *Frame) UnmarshalInto(data []byte) error {
 		//pcslint:ignore hotpath -- grow branch: taken until the frame buffer reaches the stream width, then reused
 		f.Values = make([]float64, count)
 	}
-	off := headerBytes
-	for i := 0; i < count; i++ {
-		f.Values[i] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
-		off += 8
-	}
+	mat.DecodeBigEndianInto(f.Values, body[headerBytes:])
 	return nil
 }
 

@@ -21,9 +21,11 @@ func fuzzSeedFrames() []*Frame {
 }
 
 // FuzzFrameUnmarshal throws arbitrary bytes at the codec. Any input that
-// decodes must re-encode to exactly the bytes that were decoded (the codec
-// is canonical), and the re-encoded frame must round-trip bit-identically
-// — NaN payloads included, since values travel as raw IEEE-754 bits.
+// decodes must carry exactly the values a scalar binary.BigEndian decode
+// reads from its bytes, must re-encode to exactly the bytes that were
+// decoded (the codec is canonical), and the re-encoded frame must
+// round-trip bit-identically — NaN payloads included, since values travel
+// as raw IEEE-754 bits.
 func FuzzFrameUnmarshal(f *testing.F) {
 	for _, fr := range fuzzSeedFrames() {
 		data, err := fr.MarshalTo(nil)
@@ -51,6 +53,12 @@ func FuzzFrameUnmarshal(f *testing.F) {
 		}
 		if len(fr.Values) == 0 || len(fr.Values) > MaxValues {
 			t.Fatalf("decoded %d values outside (0,%d]", len(fr.Values), MaxValues)
+		}
+		// The values against the scalar big-endian decode, bit for bit.
+		for i, v := range fr.Values {
+			if want := binary.BigEndian.Uint64(data[headerBytes+8*i:]); math.Float64bits(v) != want {
+				t.Fatalf("value %d decoded as %#x, big-endian bytes hold %#x", i, math.Float64bits(v), want)
+			}
 		}
 		out, err := fr.MarshalTo(nil)
 		if err != nil {
@@ -183,7 +191,7 @@ func FuzzCaptureReader(f *testing.F) {
 		var reFrames []*Frame
 		var reTS []time.Duration
 		for {
-			ts, fr, err := cr.Next()
+			ts, fr, err := next(cr)
 			if err == io.EOF {
 				break
 			}
@@ -222,7 +230,7 @@ func FuzzCaptureReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := range reFrames {
-			ts, fr, err := back.Next()
+			ts, fr, err := next(back)
 			if err != nil {
 				t.Fatalf("re-read record %d: %v", i, err)
 			}
@@ -236,7 +244,7 @@ func FuzzCaptureReader(f *testing.F) {
 				}
 			}
 		}
-		if _, _, err := back.Next(); err != io.EOF {
+		if _, _, err := next(back); err != io.EOF {
 			t.Fatalf("re-read tail: want io.EOF, got %v", err)
 		}
 	})

@@ -103,7 +103,7 @@ func TestCaptureStoreRotationBitIdentical(t *testing.T) {
 		t.Fatalf("chain replayed %d records, want %d", len(frames), n)
 	}
 	for i := range frames {
-		ts, want, err := refRd.Next()
+		ts, want, err := next(refRd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,7 +621,7 @@ func TestCaptureWriterLengthGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); err != nil {
+	if _, _, err := next(cr); err != nil {
 		t.Fatalf("MaxValues record unreadable: %v", err)
 	}
 
@@ -658,7 +658,7 @@ func TestCaptureReaderTruncationTyped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = cr.Next()
+		_, _, err = next(cr)
 		if !errors.Is(err, ErrTruncatedTail) || !errors.Is(err, ErrBadCapture) {
 			t.Errorf("%s: want ErrTruncatedTail wrapping ErrBadCapture, got %v", name, err)
 		}
@@ -674,7 +674,7 @@ func TestCaptureReaderTruncationTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cr.Next(); errors.Is(err, ErrTruncatedTail) || !errors.Is(err, ErrBadCapture) {
+	if _, _, err := next(cr); errors.Is(err, ErrTruncatedTail) || !errors.Is(err, ErrBadCapture) {
 		t.Errorf("bad length: want plain ErrBadCapture, got %v", err)
 	}
 }

@@ -73,6 +73,25 @@ func BenchmarkMatKernels(b *testing.B) {
 		_ = sink
 	}
 
+	// Row scaling at the paper's 53 variables on both paths: thirteen
+	// AVX2 steps and a one-element scalar tail, against the unrolled loop.
+	rng := rand.New(rand.NewSource(53))
+	x, sub, div := randSlice(rng, 53), randSlice(rng, 53), randSlice(rng, 53)
+	scaled := make([]float64, 53)
+	for _, avx2 := range []bool{true, false} {
+		b.Run(fmt.Sprintf("SubDiv/%s/n=53", pathName(avx2)), func(b *testing.B) {
+			if avx2 && !useAVX2 {
+				b.Skip("CPU has no AVX2")
+			}
+			b.ReportAllocs()
+			withPath(avx2, func() {
+				for i := 0; i < b.N; i++ {
+					SubDivInto(scaled, x, sub, div)
+				}
+			})
+		})
+	}
+
 	// The scoring projection at the paper's 53 variables: 20 components
 	// (one sweep of five ymm accumulators) and 23 (padded to 24 lanes).
 	// The generic rows are the scalar loop the kernel falls back to;
@@ -94,6 +113,33 @@ func BenchmarkMatKernels(b *testing.B) {
 				withPath(avx2, func() {
 					for i := 0; i < b.N; i++ {
 						_ = MulTVecInto(lanes, x, scores)
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkDecodeBigEndian decodes a frame's value block — 41 XMEAS or 53
+// process values, big-endian, starting 14 bytes into the frame — on the
+// AVX2 byte-shuffle path and the scalar binary.BigEndian loop. Both must
+// report 0 allocs/op.
+func BenchmarkDecodeBigEndian(b *testing.B) {
+	const header = 14
+	for _, n := range []int{41, 53} {
+		src := make([]byte, header+8*n)
+		rand.New(rand.NewSource(int64(n))).Read(src)
+		dst := make([]float64, n)
+		for _, avx2 := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%s/n=%d", pathName(avx2), n), func(b *testing.B) {
+				if avx2 && !useAVX2 {
+					b.Skip("CPU has no AVX2")
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * n))
+				withPath(avx2, func() {
+					for i := 0; i < b.N; i++ {
+						DecodeBigEndianInto(dst, src[header:])
 					}
 				})
 			})

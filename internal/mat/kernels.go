@@ -1,6 +1,10 @@
 package mat
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Fused, unrolled vector kernels for the MSPC hot path.
 //
@@ -10,8 +14,15 @@ import "fmt"
 // uses — only the loop overhead and the per-element bounds checks go away.
 // That property is what lets the scoring pipeline adopt these kernels
 // without perturbing a single golden report, and the package tests assert
-// it with exact (==, not tolerance) comparisons against the naive
-// implementations.
+// it bit for bit (−0 is not +0, and a NaN must come out NaN) against the
+// naive implementations.
+//
+// Two of them have AVX2 bodies behind the same CPUID gate as MulTVecInto:
+// SubDivInto subtracts and divides four lanes at a time (VSUBPD, VDIVPD —
+// elementwise, so each lane is the scalar expression; no reciprocal, no
+// FMA), and DecodeBigEndianInto byte-swaps four doubles per VPSHUFB. Both
+// leave the last len mod 4 elements, and every element on other CPUs, to
+// the scalar loop.
 //
 // The kernels follow the hot-path convention of At/Set: length mismatches
 // panic (via the slice bounds checks the hoisting re-slices perform),
@@ -82,8 +93,9 @@ func MulVecInto(a *Matrix, x, dst []float64) error {
 }
 
 // SubDivInto computes dst[i] = (x[i] − sub[i]) / div[i] — the fused
-// center-and-scale step of MSPC preprocessing — unrolled 4-wide. x, sub and
-// div must be at least as long as dst.
+// center-and-scale step of MSPC preprocessing — four lanes at a time (AVX2
+// when the CPU has it, else unrolled 4-wide). x, sub and div must be at
+// least as long as dst.
 //
 //pcslint:hotpath
 func SubDivInto(dst, x, sub, div []float64) {
@@ -92,6 +104,10 @@ func SubDivInto(dst, x, sub, div []float64) {
 	sub = sub[:n]
 	div = div[:n]
 	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		subDivAVX2(dst[:i], x, sub, div)
+	}
 	for ; i+4 <= n; i += 4 {
 		d4 := dst[i : i+4 : i+4]
 		x4 := x[i : i+4 : i+4]
@@ -104,6 +120,28 @@ func SubDivInto(dst, x, sub, div []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] = (x[i] - sub[i]) / div[i]
+	}
+}
+
+// DecodeBigEndianInto decodes len(dst) big-endian IEEE-754 doubles from src
+// into dst — the value block of a fieldbus frame — four per AVX2 byte
+// shuffle when the CPU has it. Every bit pattern, NaN payloads included,
+// arrives as math.Float64frombits(binary.BigEndian.Uint64(src[8i:]))
+// delivers it. src must hold at least 8·len(dst) bytes.
+//
+//pcslint:hotpath
+func DecodeBigEndianInto(dst []float64, src []byte) {
+	n := len(dst)
+	src = src[:8*n]
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		decodeBEAVX2(dst[:i], src)
+	}
+	tail, src := dst[i:], src[8*i:]
+	for j := range tail {
+		tail[j] = math.Float64frombits(binary.BigEndian.Uint64(src))
+		src = src[8:]
 	}
 }
 

@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,54 +20,118 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 }
 
 // The kernel contracts are exact: results must be bit-identical to the
-// naive scalar loops, not merely close. Lengths cover every unroll
-// remainder (0..3 tail elements) plus the empty and sub-width cases.
-var kernelLens = []int{0, 1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 129}
+// naive scalar loops, not merely close. Lengths cover the empty and
+// sub-width cases, every unroll remainder (0..3 tail elements) on both
+// sides of the paper's 53 variables, and longer rows.
+var kernelLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 31, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 64, 129}
+
+// kernelSpecials are the inputs where a reordered, fused or reciprocal
+// computation would show: NaN, ±Inf, ±0, subnormals and values whose
+// products and quotients overflow.
+var kernelSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	5e-324, -5e-324, 1.5e-310, -2.2e-309, 1e308, -1e308,
+}
+
+// specialSlice is randSlice with about one element in four replaced by a
+// kernelSpecials entry.
+func specialSlice(rng *rand.Rand, n int) []float64 {
+	out := randSlice(rng, n)
+	for i := range out {
+		if rng.Intn(4) == 0 {
+			out[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+		}
+	}
+	return out
+}
+
+// kernelInputs returns the input generators every exactness test runs:
+// plain mixed-magnitude data and data laced with specials.
+func kernelInputs() map[string]func(*rand.Rand, int) []float64 {
+	return map[string]func(*rand.Rand, int) []float64{"plain": randSlice, "specials": specialSlice}
+}
+
+// checkBits fails unless got and want agree bit for bit (sameBits: −0 is
+// not +0, and a NaN must meet a NaN). When two NaNs meet in a commutative
+// add or multiply, Go does not fix which operand's payload survives — the
+// race detector's build picks differently — so arithmetic results compare
+// NaN payloads loosely; DecodeBigEndianInto, a pure byte move, is held to
+// every payload bit with strict.
+func checkBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	checkBitsMode(t, what, got, want, sameBits)
+}
+
+func strict(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func checkBitsMode(t *testing.T, what string, got, want []float64, same func(a, b float64) bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !same(got[i], want[i]) {
+			t.Fatalf("%s: [%d] = %v (%#x), naive %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// forEachPath runs fn on every kernel path this host has: the scalar
+// loops, and the AVX2 bodies when the CPU has them.
+func forEachPath(fn func(path string)) {
+	for _, avx2 := range kernelPaths() {
+		withPath(avx2, func() { fn(pathName(avx2)) })
+	}
+}
 
 func TestDotUnrolledExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range kernelLens {
-		x := randSlice(rng, n)
-		y := randSlice(rng, n)
-		want, err := Dot(x, y)
-		if err != nil {
-			t.Fatalf("Dot: %v", err)
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, n := range kernelLens {
+				x := gen(rng, n)
+				y := gen(rng, n)
+				want, err := Dot(x, y)
+				if err != nil {
+					t.Fatalf("Dot: %v", err)
+				}
+				checkBits(t, fmt.Sprintf("%s %s n=%d DotUnrolled", path, name, n),
+					[]float64{DotUnrolled(x, y)}, []float64{want})
+			}
 		}
-		if got := DotUnrolled(x, y); got != want {
-			t.Fatalf("n=%d: DotUnrolled=%v, Dot=%v", n, got, want)
-		}
-	}
+	})
 }
 
 // TestMulVecIntoExact covers every remainder of the 4-row block, the
 // paper's 53 variables and the A=20 and A=23 projections the monitors run.
 func TestMulVecIntoExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, r := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 20, 23} {
-		for _, c := range append(kernelLens, 53) {
-			if c == 0 {
-				continue
-			}
-			a := MustNew(r, c)
-			for i := 0; i < r; i++ {
-				copy(a.RowView(i), randSlice(rng, c))
-			}
-			x := randSlice(rng, c)
-			want, err := MulVec(a, x)
-			if err != nil {
-				t.Fatalf("MulVec: %v", err)
-			}
-			dst := make([]float64, r)
-			if err := MulVecInto(a, x, dst); err != nil {
-				t.Fatalf("MulVecInto: %v", err)
-			}
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("%dx%d row %d: MulVecInto=%v, MulVec=%v", r, c, i, dst[i], want[i])
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, r := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 20, 23} {
+				for _, c := range kernelLens {
+					if c == 0 {
+						continue
+					}
+					a := MustNew(r, c)
+					for i := 0; i < r; i++ {
+						copy(a.RowView(i), gen(rng, c))
+					}
+					x := gen(rng, c)
+					want, err := MulVec(a, x)
+					if err != nil {
+						t.Fatalf("MulVec: %v", err)
+					}
+					dst := make([]float64, r)
+					if err := MulVecInto(a, x, dst); err != nil {
+						t.Fatalf("MulVecInto: %v", err)
+					}
+					checkBits(t, fmt.Sprintf("%s %s %dx%d MulVecInto", path, name, r, c), dst, want)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulVecIntoShapeErrors(t *testing.T) {
@@ -78,74 +144,111 @@ func TestMulVecIntoShapeErrors(t *testing.T) {
 	}
 }
 
+// TestSubDivIntoExact pins the AVX2 body and the unrolled loop against
+// (x − m)/s element by element. The specials include zero divisors
+// (±Inf and NaN quotients), overflowing differences and NaN operands.
+// Inputs longer than dst must be ignored past len(dst).
 func TestSubDivIntoExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range kernelLens {
-		x := randSlice(rng, n)
-		sub := randSlice(rng, n)
-		div := randSlice(rng, n)
-		for i := range div {
-			if div[i] == 0 {
-				div[i] = 1
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, n := range kernelLens {
+				x := gen(rng, n+3)
+				sub := gen(rng, n+1)
+				div := gen(rng, n+2)
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = (x[i] - sub[i]) / div[i]
+				}
+				got := make([]float64, n+1)
+				got[n] = 42
+				SubDivInto(got[:n], x, sub, div)
+				checkBits(t, fmt.Sprintf("%s %s n=%d SubDivInto", path, name, n), got[:n], want)
+				if got[n] != 42 {
+					t.Fatalf("%s %s n=%d: SubDivInto wrote past dst", path, name, n)
+				}
 			}
 		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = (x[i] - sub[i]) / div[i]
-		}
-		got := make([]float64, n)
-		SubDivInto(got, x, sub, div)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d i=%d: SubDivInto=%v, naive=%v", n, i, got[i], want[i])
+	})
+}
+
+// TestDecodeBigEndianIntoExact pins the byte-swap kernel against
+// binary.BigEndian on every path, at every byte alignment of the source
+// (a frame's values start 14 bytes in), on random bit patterns and on the
+// specials, with trailing bytes that must be ignored.
+func TestDecodeBigEndianIntoExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, n := range kernelLens {
+				for off := 0; off < 8; off++ {
+					src := make([]byte, off+8*n+5)
+					rng.Read(src)
+					for i, v := range gen(rng, n) {
+						if rng.Intn(2) == 0 { // keep half the lanes raw random bits
+							binary.BigEndian.PutUint64(src[off+8*i:], math.Float64bits(v))
+						}
+					}
+					want := make([]float64, n)
+					for i := range want {
+						want[i] = math.Float64frombits(binary.BigEndian.Uint64(src[off+8*i:]))
+					}
+					got := make([]float64, n+1)
+					got[n] = 42
+					DecodeBigEndianInto(got[:n], src[off:])
+					checkBitsMode(t, fmt.Sprintf("%s %s n=%d off=%d DecodeBigEndianInto", path, name, n, off), got[:n], want, strict)
+					if got[n] != 42 {
+						t.Fatalf("%s %s n=%d: DecodeBigEndianInto wrote past dst", path, name, n)
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAxpyIntoExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, n := range kernelLens {
-		x := randSlice(rng, n)
-		base := randSlice(rng, n)
-		a := rng.Float64()*10 - 5
-		want := make([]float64, n)
-		copy(want, base)
-		for i := range want {
-			want[i] += a * x[i]
-		}
-		got := make([]float64, n)
-		copy(got, base)
-		AxpyInto(got, a, x)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d i=%d: AxpyInto=%v, naive=%v", n, i, got[i], want[i])
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, n := range kernelLens {
+				x := gen(rng, n)
+				base := gen(rng, n)
+				a := gen(rng, 1)[0]
+				want := make([]float64, n)
+				copy(want, base)
+				for i := range want {
+					want[i] += a * x[i]
+				}
+				got := make([]float64, n)
+				copy(got, base)
+				AxpyInto(got, a, x)
+				checkBits(t, fmt.Sprintf("%s %s n=%d AxpyInto", path, name, n), got, want)
 			}
 		}
-	}
+	})
 }
 
 func TestFMAIntoExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	for _, n := range kernelLens {
-		x := randSlice(rng, n)
-		base := randSlice(rng, n)
-		a := rng.Float64()
-		b := rng.Float64()*10 - 5
-		want := make([]float64, n)
-		copy(want, base)
-		for i := range want {
-			want[i] = a*want[i] + b*x[i]
-		}
-		got := make([]float64, n)
-		copy(got, base)
-		FMAInto(got, a, x, b)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d i=%d: FMAInto=%v, naive=%v", n, i, got[i], want[i])
+	forEachPath(func(path string) {
+		for name, gen := range kernelInputs() {
+			for _, n := range kernelLens {
+				x := gen(rng, n)
+				base := gen(rng, n)
+				a := rng.Float64()
+				b := gen(rng, 1)[0]
+				want := make([]float64, n)
+				copy(want, base)
+				for i := range want {
+					want[i] = a*want[i] + b*x[i]
+				}
+				got := make([]float64, n)
+				copy(got, base)
+				FMAInto(got, a, x, b)
+				checkBits(t, fmt.Sprintf("%s %s n=%d FMAInto", path, name, n), got, want)
 			}
 		}
-	}
+	})
 }
 
 // TestKernelsZeroAlloc pins the allocation-free contract of every kernel.
@@ -184,17 +287,21 @@ func TestKernelsZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"SubDivInto", func() { SubDivInto(dst, x, sub, div) }},
 		{"AxpyInto", func() { AxpyInto(dst, 1.5, x) }},
 		{"FMAInto", func() { FMAInto(dst, 0.99, x, 1.5) }},
 	}
-	for _, avx2 := range mulTVecPaths() {
+	frame := make([]byte, 8*n)
+	for _, avx2 := range kernelPaths() {
 		checks = append(checks, check{"MulTVecInto/" + pathName(avx2), func() {
 			withPath(avx2, func() {
 				if err := MulTVecInto(lanes, x[:53], scores); err != nil {
 					t.Fatal(err)
 				}
 			})
+		}}, check{"SubDivInto/" + pathName(avx2), func() {
+			withPath(avx2, func() { SubDivInto(dst, x, sub, div) })
+		}}, check{"DecodeBigEndianInto/" + pathName(avx2), func() {
+			withPath(avx2, func() { DecodeBigEndianInto(dst, frame) })
 		}})
 	}
 	for _, c := range checks {

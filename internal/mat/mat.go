@@ -6,8 +6,8 @@
 // PCA-based multivariate statistical process control needs, with no external
 // dependencies. Matrices are small (tens of columns), so clarity and
 // correctness come first; the few hot kernels are register-blocked or, for
-// the scoring projection, SIMD, and all of them are bit-identical to their
-// naive loops.
+// the scoring projection, the row scaling and the frame value decode, SIMD,
+// and all of them are bit-identical to their naive loops.
 //
 // MulTVecInto's AVX2 kernel keeps that bit-identity by giving each ymm lane
 // one score: per variable j in ascending order it broadcasts x[j] and adds

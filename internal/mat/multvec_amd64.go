@@ -1,7 +1,8 @@
 package mat
 
-// useAVX2 selects MulTVecInto's AVX2 kernel. It is set once from CPUID at
-// package init; the package tests flip it to run the scalar loop as well.
+// useAVX2 selects the AVX2 kernels of MulTVecInto, SubDivInto and
+// DecodeBigEndianInto. It is set once from CPUID at package init; the
+// package tests flip it to run the scalar loops as well.
 var useAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the ymm
@@ -28,6 +29,18 @@ func detectAVX2() bool {
 //
 //go:noescape
 func mulTVecAVX2(p []float64, stride int, x, dst []float64)
+
+// subDivAVX2 computes dst[i] = (x[i] − sub[i]) / div[i] for len(dst) a
+// positive multiple of 4; x, sub and div are at least as long.
+//
+//go:noescape
+func subDivAVX2(dst, x, sub, div []float64)
+
+// decodeBEAVX2 decodes len(dst) big-endian doubles from src for len(dst) a
+// positive multiple of 4 and len(src) ≥ 8·len(dst).
+//
+//go:noescape
+func decodeBEAVX2(dst []float64, src []byte)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

@@ -256,3 +256,63 @@ full:
 done:
 	VZEROUPPER
 	RET
+
+// func subDivAVX2(dst, x, sub, div []float64)
+//
+// dst[i] = (x[i] − sub[i]) / div[i], four lanes per step: VSUBPD then
+// VDIVPD, each lane rounding as the scalar SUBSD and DIVSD do, with the
+// same operand order (so a NaN operand propagates the same payload).
+// len(dst) is a positive multiple of 4; x, sub and div are at least as
+// long.
+TEXT ·subDivAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ sub_base+48(FP), R8
+	MOVQ div_base+72(FP), R9
+	SHLQ $3, CX
+	XORQ AX, AX
+
+subdiv:
+	VMOVUPD (SI)(AX*1), Y0
+	VSUBPD  (R8)(AX*1), Y0, Y0
+	VDIVPD  (R9)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     subdiv
+	VZEROUPPER
+	RET
+
+// bswap64 is the VPSHUFB control that reverses the bytes of each 8-byte
+// lane. VPSHUFB indexes within 128-bit halves, so both halves hold the
+// same pattern.
+DATA bswap64<>+0x00(SB)/8, $0x0001020304050607
+DATA bswap64<>+0x08(SB)/8, $0x08090a0b0c0d0e0f
+DATA bswap64<>+0x10(SB)/8, $0x0001020304050607
+DATA bswap64<>+0x18(SB)/8, $0x08090a0b0c0d0e0f
+GLOBL bswap64<>(SB), RODATA|NOPTR, $32
+
+// func decodeBEAVX2(dst []float64, src []byte)
+//
+// dst[i] = the big-endian double at src[8i:], four per VPSHUFB: a pure
+// byte move, so every bit pattern (NaN payloads included) arrives as the
+// scalar binary.BigEndian decode delivers it. len(dst) is a positive
+// multiple of 4 and len(src) ≥ 8·len(dst).
+TEXT ·decodeBEAVX2(SB), NOSPLIT, $0-48
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), CX
+	MOVQ    src_base+24(FP), SI
+	VMOVDQU bswap64<>(SB), Y1
+	SHLQ    $3, CX
+	XORQ    AX, AX
+
+decode:
+	VMOVDQU (SI)(AX*1), Y0
+	VPSHUFB Y1, Y0, Y0
+	VMOVDQU Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     decode
+	VZEROUPPER
+	RET

@@ -14,9 +14,9 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// mulTVecPaths returns the MulTVecInto paths this host can run: the scalar
-// loop always, the AVX2 kernel when the CPU has it.
-func mulTVecPaths() []bool {
+// kernelPaths returns the kernel paths this host can run: the scalar loops
+// always, the AVX2 kernels when the CPU has them.
+func kernelPaths() []bool {
 	if useAVX2 {
 		return []bool{false, true}
 	}
@@ -30,7 +30,7 @@ func pathName(avx2 bool) string {
 	return "generic"
 }
 
-// withPath runs fn with MulTVecInto forced onto one path.
+// withPath runs fn with the kernels forced onto one path.
 func withPath(avx2 bool, fn func()) {
 	saved := useAVX2
 	useAVX2 = avx2
@@ -61,7 +61,7 @@ func checkMulTVec(t *testing.T, name string, p *Matrix, x []float64) {
 	if err := MulVecInto(p.T(), x, want); err != nil {
 		t.Fatalf("%s: MulVecInto: %v", name, err)
 	}
-	for _, avx2 := range mulTVecPaths() {
+	for _, avx2 := range kernelPaths() {
 		for _, a := range []*Matrix{p, padCols(p)} {
 			got := make([]float64, p.cols)
 			var err error

@@ -33,7 +33,7 @@ type Point struct {
 	Index int
 	Stats Statistics
 	// OverD and OverQ report whether the respective statistic exceeded its
-	// 99 % limit.
+	// 99 % limit; a NaN statistic counts as exceeding it.
 	OverD, OverQ bool
 }
 
@@ -129,11 +129,13 @@ func (d *Detector) Step(row []float64) (Point, *Detection, error) {
 		return Point{}, nil, err
 	}
 	lim := d.monitor.Limits()
+	// Written as "not within the limit" so a NaN statistic (a NaN value in
+	// the row) is out of control, never silently in.
 	p := Point{
 		Index: d.index,
 		Stats: stats,
-		OverD: stats.D > lim.D99,
-		OverQ: stats.Q > lim.Q99,
+		OverD: !(stats.D <= lim.D99),
+		OverQ: !(stats.Q <= lim.Q99),
 	}
 	if p.Over() {
 		if d.runLen == 0 {

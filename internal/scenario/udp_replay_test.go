@@ -256,13 +256,13 @@ func TestCaptureReplayMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got uint64
+			var f fieldbus.Frame
 			for {
-				_, f, err := cr.Next()
-				if err != nil {
+				if _, err := cr.NextInto(&f); err != nil {
 					break // io.EOF; anything else fails the frame count below
 				}
 				got++
-				if err := cor.OfferFrame(f); err != nil {
+				if err := cor.OfferFrame(&f); err != nil {
 					t.Fatal(err)
 				}
 			}
